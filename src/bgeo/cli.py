@@ -155,6 +155,8 @@ def cmd_darboux(args):
 
 def cmd_moser(args):
     from .normalform import moser_relative_verify
+    if args.steps < 1:
+        raise ValueError("--steps must be at least 1, got %d" % args.steps)
     w0 = ser.bform_from_dict(ser.load(args.input))
     w1 = ser.bform_from_dict(ser.load(args.other))
     rep = moser_relative_verify(w0, w1, n_points=args.points,

@@ -51,6 +51,7 @@ RK_STEP = Fraction(1, 256)
 FD_STEP = 1e-5
 N_SAMPLE = 200
 MAX_COLLAR_HALVINGS = 6
+_DEGENERATE = "interpolated form is degenerate at a flow point"
 
 
 def _gauss01(n=32):
@@ -307,13 +308,48 @@ class MoserReport:
     sample_points: object = field(default=None, repr=False)
 
 
+def _solve_antisymmetric(W, b):
+    """Solve W u = b for a batch of antisymmetric (n, m, m) matrices.
+
+    m = 2 performs the operations of LAPACK's partially pivoted LU on
+    [[0, a], [-a, 0]], so the result is bit-identical to numpy.linalg.solve.
+    m = 4 uses W^-1 = adj(W) / Pf(W), where adj(W) is the antisymmetric
+    matrix of complementary entries and Pf(W) the Pfaffian.  A singular
+    matrix anywhere in the batch raises GeometryError."""
+    m = W.shape[-1]
+    if m == 2:
+        a01 = W[:, 0, 1]
+        if np.any(a01 == 0.0):
+            raise GeometryError(_DEGENERATE)
+        return np.stack([b[:, 1] / -a01, b[:, 0] / a01], axis=1)
+    if m == 4:
+        a01, a02, a03 = W[:, 0, 1], W[:, 0, 2], W[:, 0, 3]
+        a12, a13, a23 = W[:, 1, 2], W[:, 1, 3], W[:, 2, 3]
+        pf = a01 * a23 - a02 * a13 + a03 * a12
+        if np.any(pf == 0.0):
+            raise GeometryError(_DEGENERATE)
+        b0, b1, b2, b3 = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
+        u = np.stack([-a23 * b1 + a13 * b2 - a12 * b3,
+                      a23 * b0 - a03 * b2 + a02 * b3,
+                      -a13 * b0 + a03 * b1 - a01 * b3,
+                      a12 * b0 - a02 * b1 + a01 * b2], axis=1)
+        return u / pf[:, None]
+    try:
+        return np.linalg.solve(W, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        raise GeometryError(_DEGENERATE) from None
+
+
 class _MoserEngine:
     """Shared flow/residual machinery for the two Moser verifiers.
 
     W(points, t) must return the stacked coefficient matrices of omega_t in
     the singular coframe; r(points, t) the right-hand side of the defining
     system in the same coframe.  Velocities come from -W u = r, converted
-    back to coordinate components by scaling the z slot with f."""
+    back to coordinate components by scaling the z slot with f.  The system
+    is solved by _solve_antisymmetric: in closed form for m = 2 (Cramer,
+    bit-identical to LAPACK's pivoted LU) and m = 4 (the Pfaffian adjugate),
+    and by numpy.linalg.solve for m >= 6."""
 
     def __init__(self, patch, zname, f_expr, W_fn, r_fn):
         self.patch = patch
@@ -325,7 +361,7 @@ class _MoserEngine:
     def velocity(self, pts, t):
         W = self.W_fn(pts, t)
         r = self.r_fn(pts, t)
-        u = np.linalg.solve(W, -r[..., None])[..., 0]
+        u = _solve_antisymmetric(W, -r)
         fvals = evaluate_tape(self.f_tape, pts)
         v = u.copy()
         v[:, self.zi] = u[:, self.zi] * fvals
@@ -481,9 +517,18 @@ def _restrictions_agree(omega0, omega1, components):
     return True
 
 
+def _flow_steps(n_points, rk_step):
+    """Number of RK4 steps for a step size in (0, 1], after checking that
+    there is at least one sample point."""
+    if n_points < 1:
+        raise ValueError("n_points must be at least 1, got %r" % (n_points,))
+    if not 0 < rk_step <= 1:
+        raise ValueError("rk_step must lie in (0, 1], got %s" % (rk_step,))
+    return int(round(1 / float(rk_step)))
+
+
 def moser_relative_verify(omega0: BForm, omega1: BForm, n_points=N_SAMPLE,
-                          rk_step=RK_STEP, fd_step=FD_STEP,
-                          seed=0) -> MoserReport:
+                          rk_step=RK_STEP, fd_step=FD_STEP) -> MoserReport:
     """Numerically verify the relative normal-form statement: two singular
     symplectic forms with equal restriction data are related, near the
     hypersurface, by the time-1 flow of the interpolation vector field.
@@ -492,6 +537,7 @@ def moser_relative_verify(omega0: BForm, omega1: BForm, n_points=N_SAMPLE,
     solves the contraction equation for v_t in the singular coframe,
     integrates the flow, and reports the pullback residual.
     """
+    n_steps = _flow_steps(n_points, rk_step)
     omega0._check(omega1)
     patch = omega0.patch
     if patch.params:
@@ -512,7 +558,6 @@ def moser_relative_verify(omega0: BForm, omega1: BForm, n_points=N_SAMPLE,
             raise GeometryError("difference of the two forms is not closed; "
                                 "inputs are not both symplectic")
 
-    n_steps = int(round(1 / float(rk_step)))
     zi = patch.index(zname)
     W0 = b_matrix(omega0)
     W1 = b_matrix(omega1)
@@ -614,6 +659,7 @@ def moser_global_verify(omega_t: BForm, mu_t: BForm, tname="t",
     is automatically tangent to the hypersurface; its time-1 flow pulls the
     final form back to the initial one up to the reported residual.
     """
+    n_steps = _flow_steps(n_points, rk_step)
     patch = omega_t.patch
     if tname not in patch.params:
         raise ValueError("patch must declare %r as a parameter" % tname)
@@ -658,7 +704,6 @@ def moser_global_verify(omega_t: BForm, mu_t: BForm, tname="t",
                           lambda pts, t: ev_W(with_t(pts, t)),
                           lambda pts, t: -ev_r(with_t(pts, t)))
 
-    n_steps = int(round(1 / float(rk_step)))
     worst_resid = 0.0
     worst_dfvZ = 0.0
     all_resid = []

@@ -186,6 +186,16 @@ class TestMoser:
         assert lines[0] == "x,y,residual"
         assert len(lines) == 21
 
+    @pytest.mark.parametrize("knob", [("--steps", "0"), ("--steps", "-3"),
+                                      ("--points", "0")])
+    def test_bad_knob(self, tmp_path, knob):
+        p0 = bform_doc(tmp_path, "w0.json", {"0": "1"}, {})
+        p1 = bform_doc(tmp_path, "w1.json", {"0": "1"}, {"0,1": "y"})
+        proc = run("moser", p0, p1, *knob)
+        assert proc.returncode == 1
+        assert knob[0].lstrip("-") in json.loads(proc.stdout)["error"]
+        assert "Traceback" not in proc.stderr
+
 
 class TestExtend:
     def test_torus3(self, tmp_path):

@@ -15,6 +15,7 @@ from bgeo.forms import (
     form_equiv,
 )
 from bgeo.normalform import (
+    _solve_antisymmetric,
     _standard_model,
     darboux2d,
     darboux_verify,
@@ -169,6 +170,52 @@ def relative_pair():
     return w0, w1
 
 
+def closed_perturbation_pair():
+    p4 = Patch(("x1", "y1", "x2", "y2"), ((-1.0, 1.0),) * 4)
+    w0 = _standard_model(p4, "y1")
+    pert = SmoothForm(p4, 2, {("x2", "y2"): sym("y1"),
+                              ("y1", "y2"): sym("x2")})  # d(x2 y1 dy2)
+    return w0, BForm(p4, 2, w0.alpha, w0.beta + pert, w0.f, "y1")
+
+
+def antisymmetric_batch(m, n=500, seed=0):
+    """Seeded antisymmetric (n, m, m) matrices with |Pf| >= 0.1, i.e.
+    det = Pf^2 >= 0.01, and right-hand sides (n, m)."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((4 * n, m, m))
+    W = A - A.transpose(0, 2, 1)
+    W = W[np.linalg.det(W) >= 0.01][:n]
+    assert W.shape[0] == n
+    return W, rng.standard_normal((n, m))
+
+
+class TestSolveAntisymmetric:
+    def test_2x2_bit_identical_to_solve(self):
+        W, b = antisymmetric_batch(2)
+        want = np.linalg.solve(W, b[..., None])[..., 0]
+        assert np.array_equal(_solve_antisymmetric(W, b), want)
+
+    def test_4x4_pfaffian_adjugate(self):
+        W, b = antisymmetric_batch(4)
+        want = np.linalg.solve(W, b[..., None])[..., 0]
+        np.testing.assert_allclose(_solve_antisymmetric(W, b), want,
+                                   rtol=1e-10, atol=0)
+
+    def test_6x6_uses_solve(self):
+        W, b = antisymmetric_batch(6)
+        want = np.linalg.solve(W, b[..., None])[..., 0]
+        assert np.array_equal(_solve_antisymmetric(W, b), want)
+
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_singular_matrix_in_batch(self, m):
+        W, b = antisymmetric_batch(m, n=8)
+        W[3] = 0.0
+        if m > 2:
+            W[3, 0, 1], W[3, 1, 0] = 1.0, -1.0  # rank 2 < m
+        with pytest.raises(GeometryError, match="degenerate"):
+            _solve_antisymmetric(W, b)
+
+
 class TestMoserRelative:
     def test_identical_forms(self):
         w0, _ = relative_pair()
@@ -199,14 +246,17 @@ class TestMoserRelative:
         assert coarse.max_residual / fine.max_residual >= 8.0
 
     def test_4d_closed_perturbation(self):
-        p4 = Patch(("x1", "y1", "x2", "y2"), ((-1.0, 1.0),) * 4)
-        w0 = _standard_model(p4, "y1")
-        pert = SmoothForm(p4, 2, {("x2", "y2"): sym("y1"),
-                                  ("y1", "y2"): sym("x2")})  # d(x2 y1 dy2)
-        w1 = BForm(p4, 2, w0.alpha, w0.beta + pert, w0.f, "y1")
+        w0, w1 = closed_perturbation_pair()
         rep = moser_relative_verify(w0, w1, n_points=50)
         assert rep.max_residual < 1e-4
         assert rep.v_on_Z_max < 1e-8
+
+    def test_4d_residual_matches_linalg_solve(self):
+        # max_residual of this pair when the flow solved its 4x4 systems
+        # with numpy.linalg.solve; the Pfaffian adjugate must reproduce it
+        w0, w1 = closed_perturbation_pair()
+        rep = moser_relative_verify(w0, w1, n_points=50)
+        assert abs(rep.max_residual - 1.648389202912881e-10) <= 1e-12
 
     def test_nonclosed_difference_rejected(self):
         # y1 dx2^dy2 alone is not closed: no Moser path exists
@@ -216,6 +266,15 @@ class TestMoserRelative:
         w1 = BForm(p4, 2, w0.alpha, w0.beta + pert, w0.f, "y1")
         with pytest.raises(GeometryError, match="closed"):
             moser_relative_verify(w0, w1, n_points=20)
+
+    @pytest.mark.parametrize("knobs", [{"n_points": 0},
+                                       {"rk_step": Fraction(0)},
+                                       {"rk_step": Fraction(-1, 3)},
+                                       {"rk_step": 3}])
+    def test_knobs_range_checked(self, knobs):
+        w0, w1 = relative_pair()
+        with pytest.raises(ValueError, match="n_points|rk_step"):
+            moser_relative_verify(w0, w1, **knobs)
 
     def test_differing_restrictions_rejected(self):
         p = Patch(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)))
@@ -261,6 +320,14 @@ class TestMoserGlobal:
                     SmoothForm(p, 1, {("y",): sym("x")}), sym("y"), "y")
         with pytest.raises(GeometryError, match="d\\(mu_t\\)"):
             moser_global_verify(wt, bad, n_points=20)
+
+    @pytest.mark.parametrize("knobs", [{"n_points": 0},
+                                       {"rk_step": Fraction(0)},
+                                       {"rk_step": Fraction(-1, 3)}])
+    def test_knobs_range_checked(self, knobs):
+        _, wt, mut = global_family()
+        with pytest.raises(ValueError, match="n_points|rk_step"):
+            moser_global_verify(wt, mut, **knobs)
 
     def test_needs_declared_parameter(self):
         p = Patch(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)))
