@@ -35,10 +35,6 @@ def poly_add(p: Poly, q: Poly) -> Poly:
     return out
 
 
-def poly_neg(p: Poly) -> Poly:
-    return {k: -c for k, c in p.items()}
-
-
 def poly_mul(p: Poly, q: Poly) -> Poly:
     out: Poly = {}
     for k1, c1 in p.items():
@@ -55,20 +51,13 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
 def poly_pow(p: Poly, n: int) -> Poly:
     if n < 0:
         raise ValueError("negative power")
-    nvars = len(next(iter(p), ()))
-    out = poly_const(Fraction(1), nvars) if p else {}
-    if n == 0:
-        # 0^0 treated as 1 by convention of the callers (empty exponent base
-        # never reaches here with n == 0 in practice).
-        return poly_const(Fraction(1), nvars)
-    base = p
+    out = poly_const(Fraction(1), len(next(iter(p), ())))
     while n:
         if n & 1:
-            out = poly_mul(out, base)
-        base_sq = poly_mul(base, base)
+            out = poly_mul(out, p)
         n >>= 1
         if n:
-            base = base_sq
+            p = poly_mul(p, p)
     return out
 
 

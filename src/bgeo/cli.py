@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Every subcommand reads JSON documents (schema "bgeo/1"), prints a single
-deterministic JSON report to stdout, and exits 0 on success, 1 when a
-verification fails, 2 on usage errors.  Reports embed the tolerances,
-grid sizes, and seed that produced them.
+Every subcommand reads JSON documents (schema "bgeo/1") and prints a single
+deterministic JSON report to stdout.  Exit codes: 0 success; 1 a failed
+verification, or an invalid document, expression or knob value (reported
+as a JSON error); 2 a command-line usage error (from argparse) or a missing
+input file.  Reports embed the tolerances, grid sizes, and seed that
+produced them, and each subcommand accepts only the options it reads.
 """
 
 from __future__ import annotations
@@ -91,8 +93,7 @@ def cmd_invariants(args):
         "periods": [float(p) for p in periods],
         "volume": float(vol),
         "log_coefficient": float(logc),
-        "config": {"grid": args.grid, "seed": args.seed,
-                   "tol_log": args.tol_log},
+        "config": {"grid": args.grid, "tol_log": args.tol_log},
     })
 
 
@@ -107,7 +108,7 @@ def cmd_classify(args):
         "invariants": [
             {"n": r.n, "periods": [float(p) for p in r.periods],
              "volume": float(r.volume)} for r in (r1, r2)],
-        "config": {"grid": args.grid, "tol": args.tol, "seed": args.seed},
+        "config": {"grid": args.grid, "tol": args.tol},
     })
     return 0 if verdict == "invariant-equivalent" else 1
 
@@ -175,7 +176,7 @@ def cmd_moser(args):
         "collar_radius": float(rep.collar_radius),
         "steps": rep.steps,
         "config": {"points": args.points, "steps": args.steps,
-                   "seed": args.seed, "tol_residual": args.tol_residual,
+                   "tol_residual": args.tol_residual,
                    "tol_tangency": args.tol_tangency},
     })
     return 0 if ok else 1
@@ -216,27 +217,25 @@ def build_parser():
                     "structures on coordinate patches")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--seed", type=int, default=0)
+    def grid(sp):
         sp.add_argument("--grid", type=int, default=64)
-        sp.add_argument("--emit-plot", metavar="CSV", default=None)
 
     sp = sub.add_parser("parse", help="validate and normalize a document")
     sp.add_argument("input")
-    common(sp)
     sp.set_defaults(fn=cmd_parse)
 
     sp = sub.add_parser("check", help="transversality and nondegeneracy of "
                                       "a b-form document")
     sp.add_argument("input")
-    common(sp)
+    grid(sp)
     sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("invariants", help="curve count, periods, and "
                                            "regularized volume of a surface")
     sp.add_argument("input")
     sp.add_argument("--tol-log", type=float, default=1e-4)
-    common(sp)
+    grid(sp)
+    sp.add_argument("--emit-plot", metavar="CSV", default=None)
     sp.set_defaults(fn=cmd_invariants)
 
     sp = sub.add_parser("classify", help="compare the invariants of two "
@@ -244,7 +243,7 @@ def build_parser():
     sp.add_argument("input")
     sp.add_argument("other")
     sp.add_argument("--tol", type=float, default=1e-4)
-    common(sp)
+    grid(sp)
     sp.set_defaults(fn=cmd_classify)
 
     sp = sub.add_parser("cohomology", help="Betti arithmetic of the "
@@ -252,12 +251,12 @@ def build_parser():
     sp.add_argument("--surface", metavar="G,N", default=None)
     sp.add_argument("--betti-m", metavar="B0,B1,...", default=None)
     sp.add_argument("--betti-z", metavar="B0,...;B0,...", default=None)
-    common(sp)
     sp.set_defaults(fn=cmd_cohomology)
 
     sp = sub.add_parser("darboux", help="flatten/verify a 2-D singular form")
     sp.add_argument("input")
-    common(sp)
+    grid(sp)
+    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=cmd_darboux)
 
     sp = sub.add_parser("moser", help="flow verification for two forms with "
@@ -268,14 +267,14 @@ def build_parser():
     sp.add_argument("--steps", type=int, default=256)
     sp.add_argument("--tol-residual", type=float, default=1e-5)
     sp.add_argument("--tol-tangency", type=float, default=1e-8)
-    common(sp)
+    sp.add_argument("--emit-plot", metavar="CSV", default=None)
     sp.set_defaults(fn=cmd_moser)
 
     sp = sub.add_parser("extend", help="build the product extension of "
                                        "hypersurface data")
     sp.add_argument("input")
     sp.add_argument("--eps", type=float, default=1.0)
-    common(sp)
+    grid(sp)
     sp.set_defaults(fn=cmd_extend)
     return p
 

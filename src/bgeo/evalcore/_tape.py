@@ -1,8 +1,7 @@
 """Compile expressions to a flat postfix tape for batch evaluation.
 
 The tape is a stack program: each instruction pushes or combines values on
-an evaluation stack.  Both kernels (the compiled one and the numpy
-fallback) interpret the same instruction arrays, so they are exchangeable.
+an evaluation stack; `bgeo.evalcore.evaluate_tape` interprets it.
 Non-finite values (poles, log of a non-positive number) propagate as
 inf/nan in the output; callers mask them instead of catching exceptions.
 """

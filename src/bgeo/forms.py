@@ -57,9 +57,7 @@ def _sort_indices(key):
     key = tuple(key)
     if len(set(key)) != len(key):
         return key, 0
-    perm = sorted(range(len(key)), key=lambda i: key[i])
     sign = 1
-    seen = list(key)
     # count inversions
     for i in range(len(key)):
         for j in range(i + 1, len(key)):

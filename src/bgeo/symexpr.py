@@ -224,10 +224,6 @@ def is_zero(e):
     return isinstance(e, Num) and e.value == 0
 
 
-def is_one(e):
-    return isinstance(e, Num) and e.value == 1
-
-
 def _cmul(a, b):
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a * b

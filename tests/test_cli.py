@@ -241,3 +241,17 @@ class TestExitCodes:
 
     def test_missing_argument(self):
         assert run("classify").returncode == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("cohomology", "--surface", "1,2", "--seed", "3"),
+        ("parse", "doc.json", "--grid", "8"),
+        ("invariants", "doc.json", "--seed", "1"),
+        ("classify", "a.json", "b.json", "--emit-plot", "out.csv"),
+        ("moser", "a.json", "b.json", "--grid", "8"),
+        ("extend", "doc.json", "--seed", "1"),
+    ])
+    def test_unread_flag_rejected(self, argv):
+        proc = run(*argv)
+        assert proc.returncode == 2
+        assert "unrecognized arguments" in proc.stderr
+        assert proc.stdout == ""
