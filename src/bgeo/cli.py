@@ -199,7 +199,7 @@ def cmd_extend(args):
         doc["ok"] = False
         _emit(doc)
         return 1
-    model = build_extension(data, eps=args.eps, grid=min(args.grid, 24))
+    model = build_extension(data, eps=args.eps, grid=args.grid)
     doc["ok"] = True
     doc["nondegeneracy"] = model.provenance["nondegeneracy"][0]
     doc["components"] = [float(v) for v in model.provenance["components"]]
@@ -217,8 +217,8 @@ def build_parser():
                     "structures on coordinate patches")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def grid(sp):
-        sp.add_argument("--grid", type=int, default=64)
+    def grid(sp, default=64):
+        sp.add_argument("--grid", type=int, default=default)
 
     sp = sub.add_parser("parse", help="validate and normalize a document")
     sp.add_argument("input")
@@ -274,7 +274,7 @@ def build_parser():
                                        "hypersurface data")
     sp.add_argument("input")
     sp.add_argument("--eps", type=float, default=1.0)
-    grid(sp)
+    grid(sp, default=24)
     sp.set_defaults(fn=cmd_extend)
     return p
 

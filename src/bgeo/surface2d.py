@@ -7,6 +7,15 @@ volume V dx1^dx2 is X = (d2(PV)/V) d1 - (d1(PV)/V) d2, which satisfies
 alpha~(X|_Z) = 1 against the intrinsic restriction of the dual singular
 form; the regularized volume integrates (1/P) dx2^dx1, i.e. the sign is
 chosen so the asymmetric sphere model comes out positive.
+
+Numerics: every value comes from compiled tapes evaluated over point
+arrays, at most `_CHUNK` points per call, and no scipy routine runs here.
+Roots along chart lines, the strip edges of the volume cut-off and the
+refined curve vertices are each solved together by one bracketed solver
+(Illinois regula falsi with a bisection fallback).  The volume integrates
+every strip by composite 8-point Gauss-Legendre on panels between the
+uniform nodes, graded geometrically toward every strip edge.  A non-finite
+value where a number is needed raises `EvalDomainError`.
 """
 
 from __future__ import annotations
@@ -15,8 +24,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
+# unused here; bound because perfbench/tracing.py counts calls through them
+from scipy.integrate import quad  # noqa: F401
+from scipy.optimize import brentq  # noqa: F401
 
 from . import symexpr as se
 from .evalcore import compile_tape, evaluate_tape
@@ -24,7 +34,6 @@ from .forms import GeometryError
 from .symexpr import (
     Patch,
     diff_expr,
-    eval_expr,
     expr_equiv,
     is_zero,
     mul,
@@ -43,6 +52,81 @@ __all__ = [
 
 DELTA_POLE = 1e-3
 TAU_CURVE = 1e-10
+# most points per tape call: bounds the evaluator's stack and the node
+# arrays however fine the grid; 4096 points keep the surfaces benchmark's
+# peak memory 1 MB lower than 16384, at the same speed
+_CHUNK = 1 << 12
+# a bracket at least halves every three solver steps: 200 take a chart-wide
+# bracket far below xtol = 1e-15
+_MAX_STEPS = 200
+_RTOL = 4 * np.finfo(float).eps   # as scipy's brentq
+# the 8-point Gauss-Legendre rule on [-1, 1], equal to numpy's
+# leggauss(8); written out so that no eigensolver runs at import
+_GL_X = np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+                  -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+                  0.7966664774136267, 0.9602898564975362])
+_GL_W = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+                  0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+                  0.22238103445337443, 0.10122853629037706])
+
+
+def _evaluate(tape, x1, x2, strict=True):
+    """Tape values at the points (x1, x2), broadcast and flattened, in calls
+    of at most _CHUNK points.  With strict, a non-finite value raises
+    EvalDomainError."""
+    pts = np.empty(np.broadcast_shapes(np.shape(x1), np.shape(x2)) + (2,))
+    pts[..., 0], pts[..., 1] = x1, x2
+    pts = pts.reshape(-1, 2)
+    parts = [evaluate_tape(tape, pts[s:s + _CHUNK])
+             for s in range(0, max(len(pts), 1), _CHUNK)]
+    out = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    if strict and not np.isfinite(out).all():
+        bad = out[~np.isfinite(out)][0]
+        raise se.EvalDomainError(f"non-finite value {bad}")
+    return out
+
+
+def _solve_brackets(f, a, b, fa, fb, xtol):
+    """Roots of f in the brackets [a, b], a < b, whose end values fa and fb
+    have opposite signs, all solved together.  f(x, k) gives the values at
+    the points x of the brackets numbered k.  Each step is Illinois regula
+    falsi (an end kept twice in a row has its weight halved), or bisection
+    when the falsi point is not inside or two steps have not halved the
+    bracket.  A bracket stops on an exact zero or once narrower than
+    xtol + _RTOL * |x|, at its end of smaller |f|; one on which f turns
+    non-finite gives nan."""
+    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
+    root = np.where(np.abs(fa) <= np.abs(fb), a, b)
+    k = np.arange(a.size)
+    ma, mb = np.ones(a.size), np.ones(a.size)
+    kept = np.zeros(a.size, dtype=int)   # end kept last step: -1 a, 1 b
+    w1, w2 = np.full(a.size, np.inf), np.full(a.size, np.inf)
+    for _ in range(_MAX_STEPS):
+        w = b - a
+        going = w > xtol + _RTOL * np.maximum(abs(a), abs(b))
+        root[k[~going]] = np.where(np.abs(fa) <= np.abs(fb), a, b)[~going]
+        k, a, b, fa, fb, ma, mb, kept, w, w1, w2 = (
+            v[going] for v in (k, a, b, fa, fb, ma, mb, kept, w, w1, w2))
+        if not k.size:
+            break
+        x = (a * fb * mb - b * fa * ma) / (fb * mb - fa * ma)
+        bisect = ~((x > a) & (x < b)) | (w > 0.5 * w2)
+        x = np.where(bisect, 0.5 * (a + b), x)
+        fx = f(x, k)
+        finite = np.isfinite(fx)
+        root[k[~finite]] = np.nan
+        root[k[fx == 0]] = x[fx == 0]
+        left = np.sign(fx) == np.sign(fa)   # x replaces a, b is kept
+        mb = np.where(left, np.where(kept == 1, 0.5 * mb, mb), 1.0)
+        ma = np.where(left, 1.0, np.where(kept == -1, 0.5 * ma, ma))
+        a, fa = np.where(left, x, a), np.where(left, fx, fa)
+        b, fb = np.where(left, b, x), np.where(left, fb, fx)
+        kept = np.where(left, 1, -1)
+        live = finite & (fx != 0)
+        k, a, b, fa, fb, ma, mb, kept, w1, w2 = (
+            v[live] for v in (k, a, b, fa, fb, ma, mb, kept, w, w1))
+    root[k] = np.where(np.abs(fa) <= np.abs(fb), a, b)
+    return root
 
 
 def sphere_patch():
@@ -111,10 +195,9 @@ def _grid_axes(patch, n):
 
 
 def _eval_grid(expr, patch, ax1, ax2):
-    X1, X2 = np.meshgrid(ax1, ax2, indexing="ij")
-    pts = np.stack([X1.ravel(), X2.ravel()], axis=-1)
     tape = compile_tape(expr, patch.names)
-    return evaluate_tape(tape, pts).reshape(len(ax1), len(ax2))
+    return _evaluate(tape, ax1[:, None], ax2[None, :], strict=False).reshape(
+        len(ax1), len(ax2))
 
 
 def extract_zero_set(S, grid=64):
@@ -237,38 +320,43 @@ def _check_pole_margin(S, pts):
 
 
 def _refine_curve(S, pts):
-    """Newton/bisection refinement of each vertex onto {P = 0} along the
-    axis of strongest variation."""
-    patch = S.patch
-    P = S.P
-    dP1 = diff_expr(P, patch.names[0])
-    dP2 = diff_expr(P, patch.names[1])
+    """Move every vertex onto {P = 0} along its axis of strongest variation.
+    Each bracket v0 -+ h grows from h = 1e-2 by doubling while it has no
+    sign change and h < 0.3; then all are solved together.  A vertex whose
+    bracket values are not finite, or whose bracket never changes sign,
+    stays where it is; a non-finite gradient raises EvalDomainError."""
+    names = S.patch.names
     out = np.array(pts, dtype=float)
-    for k in range(len(out)):
-        x1, x2 = out[k]
-        env = {patch.names[0]: x1, patch.names[1]: x2}
-        g1, g2 = eval_expr(dP1, env), eval_expr(dP2, env)
-        axis = 0 if abs(g1) >= abs(g2) else 1
-        name = patch.names[axis]
+    g1, g2 = (_evaluate(compile_tape(diff_expr(S.P, n), names),
+                        out[:, 0], out[:, 1]) for n in names)
+    axis = np.where(np.abs(g1) >= np.abs(g2), 0, 1)
+    tape = compile_tape(S.P, names)
 
-        def f1d(v):
-            e = dict(env)
-            e[name] = v
-            return eval_expr(P, e)
+    def along(v, k):
+        moved = out[k].copy()
+        moved[np.arange(len(k)), axis[k]] = v
+        return _evaluate(tape, moved[:, 0], moved[:, 1], strict=False)
 
-        v0 = out[k][axis]
-        h = 1e-2
-        try:
-            a, b = v0 - h, v0 + h
-            fa, fb = f1d(a), f1d(b)
-            while fa * fb > 0 and h < 0.3:
-                h *= 2
-                a, b = v0 - h, v0 + h
-                fa, fb = f1d(a), f1d(b)
-            if fa * fb <= 0:
-                out[k][axis] = brentq(f1d, a, b, xtol=TAU_CURVE)
-        except (ValueError, se.EvalDomainError):
-            pass
+    k = np.arange(len(out))
+    v0 = out[k, axis]
+    h = np.full(k.size, 1e-2)
+    fa, fb = along(v0 - h, k), along(v0 + h, k)
+    while True:
+        finite = np.isfinite(fa) & np.isfinite(fb)
+        grow = np.flatnonzero(finite & (fa * fb > 0) & (h < 0.3))
+        if not grow.size:
+            break
+        h[grow] *= 2
+        fa[grow] = along(v0[grow] - h[grow], k[grow])
+        fb[grow] = along(v0[grow] + h[grow], k[grow])
+    ok = finite & (fa * fb <= 0)
+    k, v0, h, fa, fb = k[ok], v0[ok], h[ok], fa[ok], fb[ok]
+    root = np.where(fa == 0, v0 - h, v0 + h)
+    o = np.flatnonzero((fa != 0) & (fb != 0))
+    root[o] = _solve_brackets(lambda v, j: along(v, k[o[j]]), v0[o] - h[o],
+                              v0[o] + h[o], fa[o], fb[o], TAU_CURVE)
+    solved = np.isfinite(root)
+    out[k[solved], axis[k[solved]]] = root[solved]
     return out
 
 
@@ -307,26 +395,19 @@ def modular_period(S, curve, _refinements=2):
     """Traversal time of the curve under the modular field, computed as the
     arclength integral of 1/|X| with Richardson extrapolation; positive by
     construction."""
-    X1, X2 = modular_field(S)
     names = S.patch.names
-
-    def speed(pt):
-        env = {names[0]: pt[0], names[1]: pt[1]}
-        vx, vy = eval_expr(X1, env), eval_expr(X2, env)
-        s = math.hypot(vx, vy)
-        if s < 1e-6:
-            raise GeometryError("modular field vanishes on the zero curve")
-        return s
+    X1, X2 = (compile_tape(X, names) for X in modular_field(S))
 
     def total(pts):
+        speed = np.hypot(_evaluate(X1, pts[:, 0], pts[:, 1]),
+                         _evaluate(X2, pts[:, 0], pts[:, 1]))
+        if np.any(speed < 1e-6):
+            raise GeometryError("modular field vanishes on the zero curve")
         d = _wrapped_diffs(S.patch, pts, curve.closed)
         ds = np.hypot(d[:, 0], d[:, 1])
-        t = 0.0
-        m = len(pts)
-        for i in range(len(ds)):
-            p, q = pts[i], pts[(i + 1) % m]
-            t += ds[i] * 0.5 * (1.0 / speed(p) + 1.0 / speed(q))
-        return t
+        inv = 1.0 / speed
+        n = len(ds)
+        return math.fsum(ds * 0.5 * (inv[:n] + np.roll(inv, -1)[:n]))
 
     pts = curve.points
     estimates = [total(pts)]
@@ -379,66 +460,92 @@ def regularized_volume(S, grid=64, eps0=1e-2, halvings=8, tau_log=1e-4,
         w2s = 0.5 * (hi2 - lo2) * w2s
 
     cut = cutoff_factor if cutoff_factor is not None else se.ONE
+    P = compile_tape(S.P, names)
+    C = compile_tape(cut, names)
+    nl = len(x2s)
+    lines = np.arange(nl)
 
-    def line_roots(Pval):
-        """Roots of P along one line of the chart."""
-        zs = np.linspace(lo1, hi1, 257)
-        ps = np.array([Pval(z) for z in zs])
-        roots = []
-        for i in range(len(zs) - 1):
-            if ps[i] == 0.0:
-                roots.append(zs[i])
-            elif ps[i] * ps[i + 1] < 0:
-                roots.append(brentq(Pval, zs[i], zs[i + 1], xtol=1e-15))
-        if ps[-1] == 0.0:
-            roots.append(zs[-1])
-        return roots
+    def gate_abs(x1, line):
+        """|P * cut| at x1 on the given lines; the gate is that minus eps."""
+        x2 = x2s[line]
+        return np.abs(_evaluate(P, x1, x2) * _evaluate(C, x1, x2))
 
-    def line_integral(x2, eps, roots):
-        """integral over axis 1 of 1/P restricted to {|P*cut| > eps}."""
-        def Pval(x1):
-            return eval_expr(S.P, {names[0]: x1, names[1]: x2})
+    # roots of P along every line: exact zeros of a 257-point scan and one
+    # solved root per sign change
+    zs = np.linspace(lo1, hi1, 257)
+    ps = _evaluate(P, zs[None, :], x2s[:, None]).reshape(nl, zs.size)
+    z_line, z_i = np.nonzero(ps == 0.0)
+    b_line, b_i = np.nonzero(ps[:, :-1] * ps[:, 1:] < 0)
+    r_line = np.concatenate([z_line, b_line])
+    roots = np.concatenate([zs[z_i], _solve_brackets(
+        lambda x, k: _evaluate(P, x, x2s[b_line[k]]), zs[b_i], zs[b_i + 1],
+        ps[b_line, b_i], ps[b_line, b_i + 1], 1e-15)])
 
-        def gate(x1):
-            c = eval_expr(cut, {names[0]: x1, names[1]: x2})
-            return abs(Pval(x1) * c) - eps
+    # bracket the strip edges on a mesh concentrated near the roots (the
+    # strips shrink with eps, so a uniform mesh would miss them); the mesh
+    # does not depend on eps, so |P * cut| on it is evaluated once
+    uniform = np.linspace(lo1, hi1, 129)
+    offsets = np.geomspace(1e-8, 0.5, 48)
+    m_line = np.concatenate([np.repeat(lines, uniform.size),
+                             np.repeat(r_line, 2 * offsets.size)])
+    mesh = np.clip(np.concatenate([
+        np.tile(uniform, nl),
+        (roots[:, None] + np.concatenate([offsets, -offsets])).ravel()]),
+        lo1, hi1)
+    order = np.lexsort((mesh, m_line))
+    m_line, mesh = m_line[order], mesh[order]
+    fresh = np.r_[True, (m_line[1:] != m_line[:-1]) | (mesh[1:] != mesh[:-1])]
+    m_line, mesh = m_line[fresh], mesh[fresh]
+    mesh_abs = gate_abs(mesh, m_line)
+    same = m_line[1:] == m_line[:-1]
+    # integration panels: the uniform nodes plus knots graded geometrically
+    # toward each strip edge, where 1/P is steepest
+    graded = (hi1 - lo1) * np.geomspace(1e-10, 0.5, 36)
 
-        # bracket the strip edges with samples concentrated near the roots;
-        # the strips shrink with eps, so a uniform grid would miss them
-        zs = list(np.linspace(lo1, hi1, 129))
-        offsets = np.geomspace(1e-8, 0.5, 48)
-        for r in roots:
-            zs.extend(r + offsets)
-            zs.extend(r - offsets)
-        zs = np.unique(np.clip(np.array(zs), lo1, hi1))
-        gs = np.array([gate(z) for z in zs])
-        cuts = [lo1]
-        for i in range(len(zs) - 1):
-            if gs[i] == 0.0:
-                cuts.append(zs[i])
-            elif gs[i] * gs[i + 1] < 0 and zs[i + 1] > zs[i]:
-                cuts.append(brentq(gate, zs[i], zs[i + 1], xtol=1e-15))
-        cuts.append(hi1)
-        total = 0.0
-        for a, b in zip(cuts, cuts[1:]):
-            m = 0.5 * (a + b)
-            if b - a < 1e-13 or gate(m) <= 0:
-                continue
-            val, _ = quad(lambda x: 1.0 / Pval(x), a, b, limit=200)
-            total += val
-        return total
+    def level(eps):
+        """V(eps) before the orientation sign."""
+        g = mesh_abs - eps
+        e_i = np.flatnonzero(same & (g[:-1] * g[1:] < 0))
+        z_i = np.flatnonzero(same & (g[:-1] == 0.0))
+        edges = _solve_brackets(
+            lambda x, k: gate_abs(x, m_line[e_i[k]]) - eps,
+            mesh[e_i], mesh[e_i + 1], g[e_i], g[e_i + 1], 1e-15)
+        # every line runs lo1, its strip edges in mesh order, hi1
+        c_line = np.concatenate([lines, m_line[z_i], m_line[e_i], lines])
+        c_key = np.concatenate([np.full(nl, -1), z_i, e_i,
+                                np.full(nl, mesh.size)])
+        c_x = np.concatenate([np.full(nl, lo1), mesh[z_i], edges,
+                              np.full(nl, hi1)])
+        order = np.lexsort((c_key, c_line))
+        c_line, c_x = c_line[order], c_x[order]
+        s_line, a, b = c_line[:-1], c_x[:-1], c_x[1:]
+        strip = np.flatnonzero((c_line[1:] == s_line) & (b - a >= 1e-13))
+        s_line, a, b = s_line[strip], a[strip], b[strip]
+        inside = gate_abs(0.5 * (a + b), s_line) - eps > 0
+        s_line, a, b = s_line[inside], a[inside], b[inside]
+
+        knots = np.concatenate([
+            np.broadcast_to(uniform, (a.size, uniform.size)),
+            a[:, None] + graded, b[:, None] - graded,
+            a[:, None], b[:, None]], axis=1)
+        knots = np.sort(np.clip(knots, a[:, None], b[:, None]), axis=1)
+        lo, hi = knots[:, :-1], knots[:, 1:]
+        wide = hi > lo
+        p_line = np.broadcast_to(s_line[:, None], lo.shape)[wide]
+        half, mid = 0.5 * (hi - lo)[wide], 0.5 * (hi + lo)[wide]
+        totals = np.zeros(nl)
+        step = _CHUNK // _GL_X.size
+        for s in range(0, half.size, step):
+            part = slice(s, s + step)
+            nodes = mid[part, None] + half[part, None] * _GL_X
+            inv = np.reciprocal(_evaluate(P, nodes, x2s[p_line[part], None]))
+            totals += np.bincount(p_line[part], minlength=nl,
+                                  weights=half[part] * (
+                                      inv.reshape(nodes.shape) @ _GL_W))
+        return math.fsum(w2s * totals)
 
     eps_list = [eps0 / 2 ** k for k in range(halvings + 1)]
-    root_cache = {}
-    series = []
-    for eps in eps_list:
-        acc = []
-        for x2, w in zip(x2s, w2s):
-            if x2 not in root_cache:
-                root_cache[x2] = line_roots(
-                    lambda x1: eval_expr(S.P, {names[0]: x1, names[1]: x2}))
-            acc.append(w * line_integral(x2, eps, root_cache[x2]))
-        series.append(-S.orientation * math.fsum(acc))
+    series = [-S.orientation * level(eps) for eps in eps_list]
     # fit V(eps) = c log(eps) + V0 + a*eps; the linear term soaks up the
     # strip-asymmetry correction so it does not contaminate c or V0
     L = np.log(eps_list)

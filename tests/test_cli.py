@@ -81,6 +81,18 @@ class TestInvariants:
         assert code == 1
         assert "error" in out
 
+    @pytest.mark.parametrize("P", ["h*log(h+1/2)", "h*(h+1/2)^(1/2)"])
+    def test_domain_error(self, tmp_path, P):
+        # P is not defined for h < -1/2: a JSON error, not a traceback
+        doc = {"schema": "bgeo/1", "kind": "surface", "topology": "sphere",
+               "P": P}
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(doc))
+        proc = run("invariants", str(path))
+        assert proc.returncode == 1
+        assert "error" in json.loads(proc.stdout)
+        assert "Traceback" not in proc.stderr
+
 
 class TestClassify:
     def test_distinct(self, sphere_doc, scaled_sphere_doc):
@@ -230,6 +242,21 @@ class TestExtend:
         code, out = run_json("extend", str(path))
         assert code == 1
         assert not out["defining_forms"]["alpha_nonvanishing"]
+
+    def test_grid_reported(self, tmp_path):
+        two_pi = 2 * math.pi
+        doc = {"schema": "bgeo/1", "kind": "zdata",
+               "patch": {"names": ["theta1", "theta2", "theta3"],
+                         "intervals": [[0, two_pi]] * 3,
+                         "periods": [two_pi] * 3},
+               "alpha": {"0": "1/6", "1": "1/3", "2": "-1/6"},
+               "omega": {"0,1": "1", "0,2": "2", "1,2": "-1"}}
+        path = tmp_path / "zdata.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_json("extend", str(path), "--grid", "16")
+        assert code == 0 and out["config"]["grid"] == 16
+        code, out = run_json("extend", str(path))
+        assert code == 0 and out["config"]["grid"] == 24
 
 
 class TestExitCodes:

@@ -271,3 +271,186 @@ class TestSurfaceCohomology:
     def test_requires_zero_curve(self):
         with pytest.raises(ValueError):
             surface_poisson_cohomology(0, 0)
+
+
+# --- the batched numerics against the scalar routines they replaced --------
+#
+# The two functions below are the scalar implementations that preceded the
+# tape-based ones in bgeo.surface2d: scipy quad/brentq over eval_expr, one
+# point at a time.  They stay here as oracles.
+
+
+def scalar_refine_curve(S, pts):
+    from bgeo.symexpr import EvalDomainError, diff_expr
+    from scipy.optimize import brentq
+
+    patch = S.patch
+    P = S.P
+    dP1 = diff_expr(P, patch.names[0])
+    dP2 = diff_expr(P, patch.names[1])
+    out = np.array(pts, dtype=float)
+    for k in range(len(out)):
+        x1, x2 = out[k]
+        env = {patch.names[0]: x1, patch.names[1]: x2}
+        g1, g2 = eval_expr(dP1, env), eval_expr(dP2, env)
+        axis = 0 if abs(g1) >= abs(g2) else 1
+        name = patch.names[axis]
+
+        def f1d(v):
+            e = dict(env)
+            e[name] = v
+            return eval_expr(P, e)
+
+        v0 = out[k][axis]
+        h = 1e-2
+        try:
+            a, b = v0 - h, v0 + h
+            fa, fb = f1d(a), f1d(b)
+            while fa * fb > 0 and h < 0.3:
+                h *= 2
+                a, b = v0 - h, v0 + h
+                fa, fb = f1d(a), f1d(b)
+            if fa * fb <= 0:
+                out[k][axis] = brentq(f1d, a, b, xtol=1e-10)
+        except (ValueError, EvalDomainError):
+            pass
+    return out
+
+
+def scalar_regularized_volume(S, grid, eps0=1e-2, halvings=8):
+    from scipy.optimize import brentq
+
+    names = S.patch.names
+    (lo1, hi1), (lo2, hi2) = S.patch.intervals
+    x2s = np.linspace(lo2, hi2, grid, endpoint=False)
+    w2s = np.full(grid, (hi2 - lo2) / grid)
+
+    def Pval(x1, x2):
+        return eval_expr(S.P, {names[0]: x1, names[1]: x2})
+
+    def line_roots(x2):
+        zs = np.linspace(lo1, hi1, 257)
+        ps = np.array([Pval(z, x2) for z in zs])
+        roots = []
+        for i in range(len(zs) - 1):
+            if ps[i] == 0.0:
+                roots.append(zs[i])
+            elif ps[i] * ps[i + 1] < 0:
+                roots.append(brentq(Pval, zs[i], zs[i + 1], args=(x2,),
+                                    xtol=1e-15))
+        if ps[-1] == 0.0:
+            roots.append(zs[-1])
+        return roots
+
+    def line_integral(x2, eps, roots):
+        def gate(x1):
+            return abs(Pval(x1, x2)) - eps
+
+        zs = list(np.linspace(lo1, hi1, 129))
+        offsets = np.geomspace(1e-8, 0.5, 48)
+        for r in roots:
+            zs.extend(r + offsets)
+            zs.extend(r - offsets)
+        zs = np.unique(np.clip(np.array(zs), lo1, hi1))
+        gs = np.array([gate(z) for z in zs])
+        cuts = [lo1]
+        for i in range(len(zs) - 1):
+            if gs[i] == 0.0:
+                cuts.append(zs[i])
+            elif gs[i] * gs[i + 1] < 0 and zs[i + 1] > zs[i]:
+                cuts.append(brentq(gate, zs[i], zs[i + 1], xtol=1e-15))
+        cuts.append(hi1)
+        total = 0.0
+        for a, b in zip(cuts, cuts[1:]):
+            if b - a < 1e-13 or gate(0.5 * (a + b)) <= 0:
+                continue
+            total += quad(lambda x: 1.0 / Pval(x, x2), a, b, limit=200)[0]
+        return total
+
+    eps_list = [eps0 / 2 ** k for k in range(halvings + 1)]
+    roots = {x2: line_roots(x2) for x2 in x2s}
+    series = [-S.orientation * math.fsum(
+        w * line_integral(x2, eps, roots[x2]) for x2, w in zip(x2s, w2s))
+        for eps in eps_list]
+    L = np.log(eps_list)
+    A = np.stack([L, np.ones_like(L), np.array(eps_list)], axis=1)
+    (c, v0, _a), *_ = np.linalg.lstsq(A, np.array(series), rcond=None)
+    return float(v0), float(c), series
+
+
+def seeded_spheres(count=6):
+    from fractions import Fraction
+    import random
+
+    rng = random.Random(20120612)
+    out = []
+    for _ in range(count):
+        c0 = Fraction(rng.randint(15, 25), 10)
+        c1 = Fraction(rng.randint(-3, 3), 10)
+        ct = Fraction(rng.randint(-5, 5), 10)
+        out.append(make_surface("sphere", f"h*({c0} + ({c1})*h + "
+                                          f"({ct})*cos(theta))"))
+    return out
+
+
+DIFFERENTIAL = seeded_spheres() + [make_surface("sphere", "h*(2+h)/2"),
+                                   make_surface("torus", "sin(2*t1)")]
+# defined only for h > -1/2
+PARTIAL = make_surface("sphere", "h*log(h+1/2)")
+
+
+class TestBatchedAgainstScalar:
+    @pytest.mark.parametrize("S", DIFFERENTIAL, ids=lambda S: str(S.P))
+    def test_volume(self, S):
+        v0, c, series = regularized_volume(S, grid=8, return_series=True)
+        w0, d, want = scalar_regularized_volume(S, grid=8)
+        assert [e for e, _ in series] == [1e-2 / 2 ** k for k in range(9)]
+        assert np.allclose([v for _, v in series], want, rtol=0, atol=1e-8)
+        assert v0 == pytest.approx(w0, abs=1e-8)
+        assert c == pytest.approx(d, abs=1e-8)
+
+    @pytest.mark.parametrize("S", DIFFERENTIAL + [PARTIAL],
+                             ids=lambda S: str(S.P))
+    def test_refine_curve(self, S):
+        from bgeo.surface2d import _refine_curve
+
+        rng = np.random.default_rng(7)
+        (lo1, hi1), (lo2, hi2) = S.patch.intervals
+        if S is PARTIAL:
+            lo1 = -0.45   # the gradient is finite, some brackets are not
+        pts = np.column_stack([rng.uniform(lo1, hi1, 200),
+                               rng.uniform(lo2, hi2, 200)])
+        got = _refine_curve(S, pts)
+        assert np.abs(got - scalar_refine_curve(S, pts)).max() < 1e-9
+        assert (got != pts).any(axis=1).sum() > 50
+
+    def test_refine_curve_gradient_domain_error(self):
+        from bgeo.surface2d import _refine_curve
+        from bgeo.symexpr import EvalDomainError
+
+        pts = np.array([[0.1, 1.0], [-0.7, 2.0]])
+        for refine in (_refine_curve, scalar_refine_curve):
+            with pytest.raises(EvalDomainError):
+                refine(PARTIAL, pts)
+
+
+class TestStripEdges:
+    @pytest.mark.parametrize("P", ["sin(t1)", "sin(2*t1)"])
+    def test_odd_torus_volume_vanishes_at_every_eps(self, P, monkeypatch):
+        # the root at t1 = 2*pi is never a scan point (sin(2*pi) != 0.0), so
+        # only its strip edge tells the quadrature where 1/P is steep
+        from bgeo import surface2d
+
+        sizes = []
+
+        def evaluate_tape(tape, points):
+            sizes.append(len(points))
+            return real(tape, points)
+
+        real = surface2d.evaluate_tape
+        monkeypatch.setattr(surface2d, "evaluate_tape", evaluate_tape)
+        v0, c, series = regularized_volume(make_surface("torus", P),
+                                           return_series=True)
+        assert max(abs(v) for _, v in series) < 1e-9
+        assert abs(v0) < 1e-9
+        assert max(sizes) <= surface2d._CHUNK
