@@ -1,8 +1,17 @@
-"""Batch evaluation of expressions on point arrays.
+"""Batch evaluation of expressions on point arrays, and the one root finder.
 
 `compile_tape` flattens an expression into a postfix tape; `evaluate_tape`
 interprets it with numpy, one instruction at a time over the whole point
-batch.
+batch.  This is the library's only numeric evaluation path: every value a
+verdict rests on, down to `symexpr.eval_expr` at a single point, comes
+from `evaluate_tape`.  Poles and domain violations come back as inf/nan;
+each caller checks finiteness where it needs a number.
+
+`_solve_brackets` is the library's only root finder: a batched Illinois
+regula falsi with a bisection fallback that solves many sign-change
+brackets together.  `surface2d` (line roots, strip edges, curve vertices)
+and `forms.find_z_components` both call it; it lives here because
+`surface2d` imports `forms`.
 """
 
 import numpy as np
@@ -15,6 +24,11 @@ from ._tape import (OP_ABS, OP_ADD, OP_CONST, OP_COS, OP_EXP, OP_LOG,
 KERNEL_NAME = "python"
 
 __all__ = ["Tape", "compile_tape", "evaluate_tape", "KERNEL_NAME"]
+
+# a bracket at least halves every three solver steps: 200 take a chart-wide
+# bracket far below xtol = 1e-15
+_MAX_STEPS = 200
+_RTOL = 4 * np.finfo(float).eps   # as scipy's brentq
 
 
 def evaluate_tape(tape, points):
@@ -57,3 +71,46 @@ def evaluate_tape(tape, points):
             else:
                 raise ValueError(f"bad opcode {op}")
     return stack[0].copy()
+
+
+def _solve_brackets(f, a, b, fa, fb, xtol):
+    """Roots of f in the brackets [a, b], a < b, whose end values fa and fb
+    have opposite signs, all solved together.  f(x, k) gives the values at
+    the points x of the brackets numbered k.  Each step is Illinois regula
+    falsi (an end kept twice in a row has its weight halved), or bisection
+    when the falsi point is not inside or two steps have not halved the
+    bracket.  A bracket stops on an exact zero or once narrower than
+    xtol + _RTOL * |x|, at its end of smaller |f|; one on which f turns
+    non-finite gives nan."""
+    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
+    root = np.where(np.abs(fa) <= np.abs(fb), a, b)
+    k = np.arange(a.size)
+    ma, mb = np.ones(a.size), np.ones(a.size)
+    kept = np.zeros(a.size, dtype=int)   # end kept last step: -1 a, 1 b
+    w1, w2 = np.full(a.size, np.inf), np.full(a.size, np.inf)
+    for _ in range(_MAX_STEPS):
+        w = b - a
+        going = w > xtol + _RTOL * np.maximum(abs(a), abs(b))
+        root[k[~going]] = np.where(np.abs(fa) <= np.abs(fb), a, b)[~going]
+        k, a, b, fa, fb, ma, mb, kept, w, w1, w2 = (
+            v[going] for v in (k, a, b, fa, fb, ma, mb, kept, w, w1, w2))
+        if not k.size:
+            break
+        x = (a * fb * mb - b * fa * ma) / (fb * mb - fa * ma)
+        bisect = ~((x > a) & (x < b)) | (w > 0.5 * w2)
+        x = np.where(bisect, 0.5 * (a + b), x)
+        fx = f(x, k)
+        finite = np.isfinite(fx)
+        root[k[~finite]] = np.nan
+        root[k[fx == 0]] = x[fx == 0]
+        left = np.sign(fx) == np.sign(fa)   # x replaces a, b is kept
+        mb = np.where(left, np.where(kept == 1, 0.5 * mb, mb), 1.0)
+        ma = np.where(left, 1.0, np.where(kept == -1, 0.5 * ma, ma))
+        a, fa = np.where(left, x, a), np.where(left, fx, fa)
+        b, fb = np.where(left, b, x), np.where(left, fb, fx)
+        kept = np.where(left, 1, -1)
+        live = finite & (fx != 0)
+        k, a, b, fa, fb, ma, mb, kept, w1, w2 = (
+            v[live] for v in (k, a, b, fa, fb, ma, mb, kept, w, w1))
+    root[k] = np.where(np.abs(fa) <= np.abs(fb), a, b)
+    return root

@@ -14,11 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import symexpr as se
 from ._poly import poly_add, poly_mul
-from .evalcore import compile_tape, evaluate_tape
+from .evalcore import _solve_brackets, compile_tape, evaluate_tape
 from .symexpr import (
     ONE,
     ZERO,
@@ -28,7 +27,6 @@ from .symexpr import (
     Patch,
     diff_expr,
     divide_exact,
-    eval_expr,
     expr_equiv,
     is_zero,
     mul,
@@ -356,7 +354,7 @@ class RestrictionPair:
     beta_tilde: SmoothForm
 
 
-def find_z_components(bform, n_samples=2048, tol=1e-12):
+def find_z_components(bform, n_samples=2048):
     """Locate the roots of f along the distinguished coordinate.  Requires
     the z-partial of f to be bounded away from zero at each root."""
     patch = bform.patch
@@ -364,63 +362,78 @@ def find_z_components(bform, n_samples=2048, tol=1e-12):
     zi = patch.index(zname)
     a, b = patch.intervals[zi]
     period = patch.periods[zi]
-    # probe f as a function of z with the other coordinates at midpoints;
-    # validity of that probe is checked afterwards component by component
-    mid = {n: 0.5 * (lo + hi) for n, (lo, hi) in zip(patch.names, patch.intervals)}
-    mid.update({p: 1.0 for p in patch.params})
+    # probe f as a function of z with the other coordinates at midpoints and
+    # the parameters at 1.0; validity of that probe is checked afterwards
+    # component by component
+    names = patch.names + patch.params
+    mid = np.array([0.5 * (lo + hi) for lo, hi in patch.intervals]
+                   + [1.0] * len(patch.params))
 
-    def fz_only(z):
-        env = dict(mid)
-        env[zname] = z
-        return eval_expr(bform.f, env)
+    def probe(z):
+        pts = np.tile(mid, (len(z), 1))
+        pts[:, zi] = z
+        return pts
 
+    def f_at(z):
+        v = evaluate_tape(ftape, probe(z))
+        if not np.isfinite(v).all():
+            raise EvalDomainError(f"non-finite value {v[~np.isfinite(v)][0]}")
+        return v
+
+    ftape = compile_tape(bform.f, names)
     zs = np.linspace(a, b, n_samples, endpoint=period is None)
-    vals = np.array([fz_only(z) for z in zs])
-    roots = []
-    for i in range(len(zs) - 1):
-        v0, v1 = vals[i], vals[i + 1]
-        if v0 == 0.0:
-            roots.append(zs[i])
-        elif v0 * v1 < 0:
-            roots.append(brentq(fz_only, zs[i], zs[i + 1]))
-    if period is None:
-        if vals[-1] == 0.0:
-            roots.append(zs[-1])
-    else:
-        if vals[-1] == 0.0:
-            roots.append(zs[-1])
-        elif vals[-1] * vals[0] < 0:
-            roots.append(brentq(fz_only, zs[-1], b))
+    vals = f_at(zs)
+    # a scan interval holds a root at its left end when f is zero there,
+    # otherwise one inside when f changes sign across it
+    zero = vals[:-1] == 0.0
+    cross = ~zero & (vals[:-1] * vals[1:] < 0)
+    lo, hi = zs[:-1][cross], zs[1:][cross]
+    flo, fhi = vals[:-1][cross], vals[1:][cross]
+    wrap = period is not None and vals[-1] != 0.0 and vals[-1] * vals[0] < 0
+    if wrap:
+        lo, hi = np.append(lo, zs[-1]), np.append(hi, b)
+        flo, fhi = np.append(flo, vals[-1]), np.append(fhi, f_at([b]))
+    # xtol as scipy's brentq default
+    solved = _solve_brackets(lambda z, k: f_at(z), lo, hi, flo, fhi, 2e-12)
+    inner = np.where(zero, zs[:-1], np.nan)
+    inner[cross] = solved[:np.count_nonzero(cross)]
+    roots = [float(r) for r in inner[zero | cross]]
+    if vals[-1] == 0.0:
+        roots.append(float(zs[-1]))
+    elif wrap:
+        roots.append(float(solved[-1]))
+    if period is not None:
         # fold into the fundamental interval so duplicates collapse
         roots = [a + (r - a) % period for r in roots]
     # tangential zeros never change sign; catch them at local minima of |f|
     absvals = np.abs(vals)
     scale = max(float(absvals.max()), 1.0)
-    for i in range(1, len(zs) - 1):
-        if (absvals[i] <= absvals[i - 1] and absvals[i] <= absvals[i + 1]
-                and absvals[i] < 1e-5 * scale
-                and not any(abs(zs[i] - r) < 2 * (zs[1] - zs[0]) for r in roots)):
+    inside = absvals[1:-1]
+    dips = np.flatnonzero((inside <= absvals[:-2]) & (inside <= absvals[2:])
+                          & (inside < 1e-5 * scale)) + 1
+    for i in dips:
+        if not any(abs(zs[i] - r) < 2 * (zs[1] - zs[0]) for r in roots):
             raise GeometryError(
                 f"degenerate zero of the defining function near "
                 f"{zname}={zs[i]:.6g}")
     # snap near-rational roots so later exact substitutions (kappa form,
     # smooth quotients) see e.g. 0 rather than 5e-16
-    def snap(r):
-        q = Fraction(r).limit_denominator(10 ** 6)
-        if abs(float(q) - r) < 1e-9 and abs(fz_only(float(q))) < 1e-9:
-            return float(q)
-        return r
-
-    roots = [snap(r) for r in roots]
+    qs = [float(Fraction(r).limit_denominator(10 ** 6)) for r in roots]
+    near = [i for i, (q, r) in enumerate(zip(qs, roots)) if abs(q - r) < 1e-9]
+    for i, fq in zip(near, f_at([qs[i] for i in near])):
+        if abs(fq) < 1e-9:
+            roots[i] = qs[i]
     # dedupe
-    out = []
-    dfdz = diff_expr(bform.f, zname)
+    kept = []
     for r in roots:
-        if any(abs(r - q.value) < 1e-8 for q in out):
-            continue
-        env = dict(mid)
-        env[zname] = r
-        fz = eval_expr(dfdz, env)
+        if not any(abs(r - q) < 1e-8 for q in kept):
+            kept.append(r)
+    fzs = evaluate_tape(compile_tape(diff_expr(bform.f, zname), names),
+                        probe(kept))
+    out = []
+    for r, fz in zip(kept, fzs):
+        if not np.isfinite(fz):
+            raise EvalDomainError(f"non-finite value {fz}")
         if abs(fz) < 1e-8:
             raise GeometryError(
                 f"degenerate zero of the defining function at {zname}={r:.6g}")

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import symexpr as se
 from .evalcore import evaluate_tape
@@ -72,10 +71,15 @@ class CoordinateChange:
     jacobian_det: object
 
 
+def _with_params(patch, pts):
+    """Points with a column of 1.0 appended for each declared parameter,
+    the value find_z_components and nondegeneracy_check give them."""
+    return np.hstack([pts, np.ones((len(pts), len(patch.params)))])
+
+
 def _grid_extrema(expr, patch, grid=64):
-    names = patch.names
-    pts = patch.grid_points(grid, margin=1e-6)
-    tape = compile_tape(expr, names)
+    pts = _with_params(patch, patch.grid_points(grid, margin=1e-6))
+    tape = compile_tape(expr, patch.names + patch.params)
     vals = evaluate_tape(tape, pts)
     vals = vals[np.isfinite(vals)]
     if vals.size == 0:
@@ -177,14 +181,15 @@ def darboux_verify(omega: BForm, point=None, pairs=None, grid=64,
     """
     patch = omega.patch
     rng = np.random.default_rng(seed)
-    pts = _sample_box(patch, point, box, n_points, rng)
+    pts = _with_params(patch, _sample_box(patch, point, box, n_points, rng))
+    names = patch.names + patch.params
     if patch.dim == 2:
         change = darboux2d(omega, grid=grid)
         zname = omega.zname
         yname = next(n for n in patch.names if n != zname)
         g = omega.b_coefficient(zname, yname)
         resid = se.sub(diff_expr(change.forward[1], yname), g)
-        vals = evaluate_tape(compile_tape(resid, patch.names), pts)
+        vals = evaluate_tape(compile_tape(resid, names), pts)
         r = float(np.max(np.abs(vals[np.isfinite(vals)])))
         return DarbouxReport(ok=r < 1e-9, max_residual=r, change=change)
     model = _standard_model(patch, omega.zname, pairs)
@@ -197,7 +202,7 @@ def darboux_verify(omega: BForm, point=None, pairs=None, grid=64,
             diff = se.sub(W[i][j], Wm[i][j])
             if is_zero(normalize(diff)):
                 continue
-            vals = evaluate_tape(compile_tape(diff, patch.names), pts)
+            vals = evaluate_tape(compile_tape(diff, names), pts)
             vals = vals[np.isfinite(vals)]
             if vals.size:
                 worst = max(worst, float(np.max(np.abs(vals))))
@@ -448,11 +453,32 @@ def _vector_evaluator(patch, comps):
     return evaluate
 
 
+def _halton(n, d):
+    """The first n points of the unscrambled Halton sequence in d
+    dimensions, origin first: coordinate j of point i is the radical
+    inverse of i in the j-th prime, as scipy.stats.qmc.Halton(d,
+    scramble=False).random(n) gives it, bit for bit."""
+    primes = []
+    p = 2
+    while len(primes) < d:
+        if all(p % q for q in primes):
+            primes.append(p)
+        p += 1
+    u = np.zeros((n, d))
+    for j, base in enumerate(primes):
+        q = np.arange(n)
+        f = 1.0 / base
+        while q.any():
+            u[:, j] += (q % base) * f
+            f /= base
+            q //= base
+    return u
+
+
 def _halton_collar(patch, zi, zlo, zhi, n, z_margin=0.05):
     """Low-discrepancy sample points with the singular coordinate confined
     to the collar (excluding a small margin around the level set)."""
-    sampler = qmc.Halton(d=patch.dim, scramble=False)
-    u = sampler.random(n + 1)[1:]  # drop the origin sample
+    u = _halton(n + 1, patch.dim)[1:]  # drop the origin sample
     lo = np.array([iv[0] for iv in patch.intervals])
     hi = np.array([iv[1] for iv in patch.intervals])
     mid = 0.5 * (zlo + zhi)

@@ -29,6 +29,9 @@ def _require(doc, *keys):
 
 
 def check_schema(doc):
+    if not isinstance(doc, dict):
+        raise SchemaError("a document must be a JSON object, got %s"
+                          % type(doc).__name__)
     if doc.get("schema") != SCHEMA:
         raise SchemaError("expected schema %r, got %r"
                           % (SCHEMA, doc.get("schema")))

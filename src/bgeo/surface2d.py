@@ -11,11 +11,12 @@ chosen so the asymmetric sphere model comes out positive.
 Numerics: every value comes from compiled tapes evaluated over point
 arrays, at most `_CHUNK` points per call, and no scipy routine runs here.
 Roots along chart lines, the strip edges of the volume cut-off and the
-refined curve vertices are each solved together by one bracketed solver
-(Illinois regula falsi with a bisection fallback).  The volume integrates
-every strip by composite 8-point Gauss-Legendre on panels between the
-uniform nodes, graded geometrically toward every strip edge.  A non-finite
-value where a number is needed raises `EvalDomainError`.
+refined curve vertices are each solved together by the library's one
+bracketed solver, `evalcore._solve_brackets` (Illinois regula falsi with a
+bisection fallback).  The volume integrates every strip by composite
+8-point Gauss-Legendre on panels between the uniform nodes, graded
+geometrically toward every strip edge.  A non-finite value where a number
+is needed raises `EvalDomainError`.
 """
 
 from __future__ import annotations
@@ -24,12 +25,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-# unused here; bound because perfbench/tracing.py counts calls through them
-from scipy.integrate import quad  # noqa: F401
-from scipy.optimize import brentq  # noqa: F401
 
 from . import symexpr as se
-from .evalcore import compile_tape, evaluate_tape
+from .evalcore import _solve_brackets, compile_tape, evaluate_tape
 from .forms import GeometryError
 from .symexpr import (
     Patch,
@@ -56,10 +54,6 @@ TAU_CURVE = 1e-10
 # arrays however fine the grid; 4096 points keep the surfaces benchmark's
 # peak memory 1 MB lower than 16384, at the same speed
 _CHUNK = 1 << 12
-# a bracket at least halves every three solver steps: 200 take a chart-wide
-# bracket far below xtol = 1e-15
-_MAX_STEPS = 200
-_RTOL = 4 * np.finfo(float).eps   # as scipy's brentq
 # the 8-point Gauss-Legendre rule on [-1, 1], equal to numpy's
 # leggauss(8); written out so that no eigensolver runs at import
 _GL_X = np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
@@ -68,6 +62,19 @@ _GL_X = np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
 _GL_W = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
                   0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
                   0.22238103445337443, 0.10122853629037706])
+
+
+def __getattr__(name):
+    # perfbench/tracing.py reads surface2d.brentq and surface2d.quad to count
+    # calls through them; nothing here calls either, so scipy is imported
+    # only when something asks for one of the names
+    if name == "brentq":
+        from scipy.optimize import brentq
+        return brentq
+    if name == "quad":
+        from scipy.integrate import quad
+        return quad
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _evaluate(tape, x1, x2, strict=True):
@@ -84,49 +91,6 @@ def _evaluate(tape, x1, x2, strict=True):
         bad = out[~np.isfinite(out)][0]
         raise se.EvalDomainError(f"non-finite value {bad}")
     return out
-
-
-def _solve_brackets(f, a, b, fa, fb, xtol):
-    """Roots of f in the brackets [a, b], a < b, whose end values fa and fb
-    have opposite signs, all solved together.  f(x, k) gives the values at
-    the points x of the brackets numbered k.  Each step is Illinois regula
-    falsi (an end kept twice in a row has its weight halved), or bisection
-    when the falsi point is not inside or two steps have not halved the
-    bracket.  A bracket stops on an exact zero or once narrower than
-    xtol + _RTOL * |x|, at its end of smaller |f|; one on which f turns
-    non-finite gives nan."""
-    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
-    root = np.where(np.abs(fa) <= np.abs(fb), a, b)
-    k = np.arange(a.size)
-    ma, mb = np.ones(a.size), np.ones(a.size)
-    kept = np.zeros(a.size, dtype=int)   # end kept last step: -1 a, 1 b
-    w1, w2 = np.full(a.size, np.inf), np.full(a.size, np.inf)
-    for _ in range(_MAX_STEPS):
-        w = b - a
-        going = w > xtol + _RTOL * np.maximum(abs(a), abs(b))
-        root[k[~going]] = np.where(np.abs(fa) <= np.abs(fb), a, b)[~going]
-        k, a, b, fa, fb, ma, mb, kept, w, w1, w2 = (
-            v[going] for v in (k, a, b, fa, fb, ma, mb, kept, w, w1, w2))
-        if not k.size:
-            break
-        x = (a * fb * mb - b * fa * ma) / (fb * mb - fa * ma)
-        bisect = ~((x > a) & (x < b)) | (w > 0.5 * w2)
-        x = np.where(bisect, 0.5 * (a + b), x)
-        fx = f(x, k)
-        finite = np.isfinite(fx)
-        root[k[~finite]] = np.nan
-        root[k[fx == 0]] = x[fx == 0]
-        left = np.sign(fx) == np.sign(fa)   # x replaces a, b is kept
-        mb = np.where(left, np.where(kept == 1, 0.5 * mb, mb), 1.0)
-        ma = np.where(left, 1.0, np.where(kept == -1, 0.5 * ma, ma))
-        a, fa = np.where(left, x, a), np.where(left, fx, fa)
-        b, fb = np.where(left, b, x), np.where(left, fb, fx)
-        kept = np.where(left, 1, -1)
-        live = finite & (fx != 0)
-        k, a, b, fa, fb, ma, mb, kept, w1, w2 = (
-            v[live] for v in (k, a, b, fa, fb, ma, mb, kept, w, w1))
-    root[k] = np.where(np.abs(fa) <= np.abs(fb), a, b)
-    return root
 
 
 def sphere_patch():

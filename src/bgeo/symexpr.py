@@ -9,6 +9,11 @@ rebuilds a tree through the constructors and is idempotent.
 Rational constants are carried exactly as fractions.Fraction; anything
 transcendental degrades to float.  Equivalence testing is exact on
 rational functions of the atoms and falls back to randomized sampling.
+
+Numbers come from one path, the tapes of ``bgeo.evalcore``: sampled
+equivalence evaluates both sides on blocks of candidate points and skips
+the non-finite ones, and ``eval_expr`` is a one-point tape call that
+raises EvalDomainError where the tape gives inf or nan.
 """
 
 from __future__ import annotations
@@ -33,6 +38,10 @@ __all__ = [
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "abs")
+# deepest nesting of parentheses, function calls, signs and exponent towers
+# that parse_expr accepts; deeper input is an ExprSyntaxError rather than a
+# RecursionError in the parser or in the tree walks that follow it
+MAX_NESTING = 100
 
 _COLLAPSE_TERM_LIMIT = 64
 _POLY_MONOMIAL_LIMIT = 4000
@@ -743,57 +752,24 @@ def diff_expr(e, name):
 
 
 def eval_expr(e, point, params=None):
-    """Evaluate at a point (dict name -> float).  Raises EvalDomainError on
-    poles and non-finite results instead of returning them."""
+    """Evaluate at a point (dict name -> float), as a one-point tape call.
+    Raises EvalDomainError on poles, non-finite results and unbound
+    symbols instead of returning them."""
+    # imported here: bgeo.evalcore._tape imports this module
+    from .evalcore import compile_tape, evaluate_tape
+
     env = dict(point)
     if params:
         env.update(params)
-    v = _eval(e, env)
+    try:
+        tape = compile_tape(e, tuple(env))
+    except KeyError:
+        unbound = sorted(free_symbols(e) - env.keys())
+        raise EvalDomainError(f"unbound symbol '{unbound[0]}'") from None
+    v = float(evaluate_tape(tape, [[float(x) for x in env.values()]])[0])
     if not math.isfinite(v):
         raise EvalDomainError(f"non-finite value {v}")
     return v
-
-
-def _eval(e, env):
-    if isinstance(e, Num):
-        return float(e.value)
-    if isinstance(e, Sym):
-        try:
-            return float(env[e.name])
-        except KeyError:
-            raise EvalDomainError(f"unbound symbol '{e.name}'") from None
-    if isinstance(e, Add):
-        return math.fsum(_eval(t, env) for t in e.terms)
-    if isinstance(e, Mul):
-        r = 1.0
-        for f in e.factors:
-            r *= _eval(f, env)
-        return r
-    if isinstance(e, Pow):
-        b = _eval(e.base, env)
-        if e.exp.denominator == 1:
-            n = e.exp.numerator
-            if b == 0 and n < 0:
-                raise EvalDomainError("pole: division by zero")
-            return b ** n
-        if b < 0:
-            raise EvalDomainError("fractional power of negative base")
-        if b == 0 and e.exp < 0:
-            raise EvalDomainError("pole: division by zero")
-        return b ** float(e.exp)
-    if isinstance(e, Fun):
-        a = _eval(e.arg, env)
-        if e.fn == "abs":
-            return abs(a)
-        if e.fn == "log":
-            if a <= 0:
-                raise EvalDomainError(f"log of non-positive value {a}")
-            return math.log(a)
-        try:
-            return getattr(math, e.fn)(a)
-        except (ValueError, OverflowError) as exc:
-            raise EvalDomainError(str(exc)) from exc
-    raise TypeError
 
 
 # ---------------------------------------------------------------------------
@@ -921,6 +897,14 @@ def parse_expr(text, patch, extra_params=()):
     declared parameters."""
     allowed = set(patch.names) | set(patch.params) | set(extra_params)
     toks = _Tokens(text)
+    depth = 0
+
+    def nest(step, pos):
+        nonlocal depth
+        depth += step
+        if depth > MAX_NESTING:
+            raise ExprSyntaxError(
+                f"expression nested deeper than {MAX_NESTING} levels", pos)
 
     def parse_sum():
         e = parse_product()
@@ -949,14 +933,18 @@ def parse_expr(text, patch, extra_params=()):
                 return e
 
     def parse_unary():
-        kind, _, _ = toks.peek()
+        kind, _, pos = toks.peek()
+        nest(1, pos)
         if kind == "-":
             toks.next()
-            return neg(parse_unary())
-        if kind == "+":
+            e = neg(parse_unary())
+        elif kind == "+":
             toks.next()
-            return parse_unary()
-        return parse_power()
+            e = parse_unary()
+        else:
+            e = parse_power()
+        nest(-1, pos)
+        return e
 
     def parse_power():
         e = parse_atom()
@@ -983,7 +971,9 @@ def parse_expr(text, patch, extra_params=()):
             value = c.value
             if toks.peek()[0] == "^":  # right-associative constant tower
                 toks.next()
+                nest(1, pos)
                 folded = powr(Num(value), parse_exponent())
+                nest(-1, pos)
                 if not (isinstance(folded, Num) and isinstance(folded.value, Fraction)):
                     raise ExprSyntaxError("exponent must be a rational constant", pos)
                 value = folded.value
@@ -1138,20 +1128,35 @@ def expr_equiv(e1, e2, patch, n_points=64, tol=1e-9, seed=0, params=None):
             return True
         # distinct rational functions of independent atoms; atoms may still
         # satisfy relations (e.g. trig identities), so fall through to sampling
+    # imported here: bgeo.evalcore._tape imports this module
+    from .evalcore import compile_tape, evaluate_tape
+
     rng = np.random.default_rng(seed)
     fixed_params = dict(params) if params else None
+    names = patch.names + (tuple(fixed_params) if fixed_params is not None
+                           else patch.params)
     good = 0
-    for _ in range(n_points * 40):
-        pt = patch.random_point(rng)
-        pr = fixed_params if fixed_params is not None else patch.random_params(rng)
-        try:
-            v1 = eval_expr(a, pt, pr)
-            v2 = eval_expr(b, pt, pr)
-        except EvalDomainError:
-            continue
-        if abs(v1 - v2) > tol * (1.0 + max(abs(v1), abs(v2))):
+    try:
+        tapes = [compile_tape(x, names) for x in (a, b)]
+    except KeyError:   # an unbound symbol: no point can be evaluated
+        tapes = None
+    # candidates are drawn in blocks of n_points, up to 40 blocks, and
+    # decided in draw order: the first n_points finite ones must all agree
+    for _ in range(40 if tapes else 0):
+        rows = []
+        for _ in range(n_points):
+            env = patch.random_point(rng)
+            env.update(fixed_params if fixed_params is not None
+                       else patch.random_params(rng))
+            rows.append([float(env[n]) for n in names])
+        rows = np.array(rows)
+        v1, v2 = (evaluate_tape(t, rows) for t in tapes)
+        ok = np.isfinite(v1) & np.isfinite(v2)
+        v1, v2 = v1[ok][:n_points - good], v2[ok][:n_points - good]
+        if (np.abs(v1 - v2)
+                > tol * (1.0 + np.maximum(np.abs(v1), np.abs(v2)))).any():
             return False
-        good += 1
+        good += len(v1)
         if good >= n_points:
             return True
     raise EquivalenceInconclusive(

@@ -155,6 +155,16 @@ class TestParseCheck:
         assert doc["nondegeneracy"].startswith("nonvanishing")
         assert doc["components"][0]["value"] == 0.0
 
+    @pytest.mark.parametrize("f", ["(" * 3000 + "y" + ")" * 3000,
+                                   "sin(" * 3000 + "y" + ")" * 3000],
+                             ids=["parentheses", "sin"])
+    def test_deep_nesting(self, tmp_path, f):
+        path = bform_doc(tmp_path, "w.json", {"0": "1"}, {}, f=f)
+        proc = run("check", path)
+        assert proc.returncode == 1
+        assert "nested deeper" in json.loads(proc.stdout)["error"]
+        assert "Traceback" not in proc.stderr
+
     def test_check_degenerate(self, tmp_path):
         # top coefficient 1+x vanishes at the grid point x = -1
         path = bform_doc(tmp_path, "w.json", {"0": "1+x"}, {})
@@ -175,6 +185,23 @@ class TestDarboux:
         assert code == 0 and out["ok"]
         assert out["forward"] == ["z1", "z2 + 1/3*z2^3"]
         assert out["max_residual"] < 1e-9
+
+
+    def test_declared_parameter(self, tmp_path):
+        # declared parameters take the value 1.0 in the grid checks
+        doc = {"schema": "bgeo/1", "kind": "bform", "degree": 2,
+               "zcoord": "z", "f": "z",
+               "patch": {"names": ["z", "y"],
+                         "intervals": [[-1, 1], [-1, 1]],
+                         "periods": [None, None], "params": ["a"]},
+               "alpha": {"1": "a + 2"}, "beta": {}}
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(doc))
+        proc = run("darboux", str(path))
+        out = json.loads(proc.stdout)
+        assert proc.returncode == (0 if out["ok"] else 1)
+        assert "Traceback" not in proc.stderr
+        assert out["forward"] == ["z", "-2*y - a*y"]
 
 
 class TestMoser:
@@ -282,3 +309,34 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "unrecognized arguments" in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("parse", "DOC"), ("check", "DOC"), ("invariants", "DOC"),
+        ("classify", "DOC", "DOC"), ("darboux", "DOC"),
+        ("moser", "DOC", "DOC"), ("extend", "DOC"),
+    ], ids=lambda argv: argv[0])
+    def test_array_document(self, tmp_path, argv):
+        path = tmp_path / "array.json"
+        path.write_text("[1, 2]")
+        proc = run(*(str(path) if a == "DOC" else a for a in argv))
+        assert proc.returncode == 1
+        assert "JSON object" in json.loads(proc.stdout)["error"]
+        assert "Traceback" not in proc.stderr
+
+
+class TestImports:
+    def test_no_scipy_at_import(self):
+        # numpy is the only runtime dependency; surface2d still hands out
+        # scipy's brentq and quad on request
+        code = (
+            "import sys\n"
+            "import bgeo.cli, bgeo.normalform, bgeo.extension\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] == 'scipy'))\n"
+            "import bgeo.surface2d, scipy.integrate, scipy.optimize\n"
+            "print(bgeo.surface2d.brentq is scipy.optimize.brentq,\n"
+            "      bgeo.surface2d.quad is scipy.integrate.quad)\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "True True"]

@@ -6,6 +6,7 @@ import pytest
 from bgeo import evalcore
 from bgeo.evalcore import compile_tape, evaluate_tape
 from bgeo.symexpr import EvalDomainError, Patch, eval_expr, parse_expr
+from tree_eval import tree_eval
 
 PATCH = Patch(("x", "y"), ((-2.0, 2.0), (-2.0, 2.0)), params=("a",))
 
@@ -29,7 +30,7 @@ def test_kernel_matches_tree_eval(text):
     pts = rng.uniform(0.2, 1.9, size=(200, 3))  # x, y, a columns
     tape = compile_tape(e, ("x", "y", "a"))
     got = evaluate_tape(tape, pts)
-    want = np.array([eval_expr(e, {"x": p[0], "y": p[1]}, {"a": p[2]})
+    want = np.array([tree_eval(e, {"x": p[0], "y": p[1]}, {"a": p[2]})
                      for p in pts])
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
 
@@ -42,7 +43,7 @@ def test_poles_are_nonfinite_not_exceptions():
     tape = compile_tape(parse_expr("log(x)", PATCH), ("x",))
     v = evaluate_tape(tape, np.array([[-1.0]]))
     assert np.isnan(v[0])
-    # the tree evaluator raises instead
+    # eval_expr raises instead
     with pytest.raises(EvalDomainError):
         eval_expr(parse_expr("1/x", PATCH), {"x": 0.0})
 
@@ -61,7 +62,7 @@ def test_stack_depth_accounting():
     tape = compile_tape(e, ("x",))
     pts = np.linspace(-1, 1, 50).reshape(-1, 1)
     got = evaluate_tape(tape, pts)
-    want = np.array([eval_expr(e, {"x": p}) for p in pts[:, 0]])
+    want = np.array([tree_eval(e, {"x": p}) for p in pts[:, 0]])
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 

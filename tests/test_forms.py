@@ -10,6 +10,7 @@ from bgeo.forms import (
     BBivector,
     BForm,
     GeometryError,
+    ZComponent,
     bform_equiv,
     bivector_to_bform,
     bwedge,
@@ -28,7 +29,9 @@ from bgeo.forms import (
     transversality_check,
     wedge,
 )
-from bgeo.symexpr import Num, Patch, ZERO, expr_equiv, normalize, parse_expr, sym
+from bgeo.symexpr import (Num, Patch, ZERO, diff_expr, expr_equiv, normalize,
+                          parse_expr, sym)
+from tree_eval import tree_eval
 
 PLANE = Patch(("x", "y"), ((-2.0, 2.0), (-2.0, 2.0)))
 R4 = Patch(("x1", "y1", "x2", "y2"), ((-2.0, 2.0),) * 4)
@@ -156,6 +159,148 @@ class TestZComponents:
         # f = 4 + y has no zero inside |y| < 2
         with pytest.raises(GeometryError):
             transversality_check(w)
+
+
+def scalar_find_z_components(bform, n_samples=2048):
+    """find_z_components as it was before it moved onto tapes: the scan and
+    scipy's brentq over the tree walker, one point at a time."""
+    from scipy.optimize import brentq
+
+    patch = bform.patch
+    zname = bform.zname
+    zi = patch.index(zname)
+    a, b = patch.intervals[zi]
+    period = patch.periods[zi]
+    mid = {n: 0.5 * (lo + hi) for n, (lo, hi) in zip(patch.names, patch.intervals)}
+    mid.update({p: 1.0 for p in patch.params})
+
+    def fz_only(z):
+        env = dict(mid)
+        env[zname] = z
+        return tree_eval(bform.f, env)
+
+    zs = np.linspace(a, b, n_samples, endpoint=period is None)
+    vals = np.array([fz_only(z) for z in zs])
+    roots = []
+    for i in range(len(zs) - 1):
+        v0, v1 = vals[i], vals[i + 1]
+        if v0 == 0.0:
+            roots.append(zs[i])
+        elif v0 * v1 < 0:
+            roots.append(brentq(fz_only, zs[i], zs[i + 1]))
+    if period is None:
+        if vals[-1] == 0.0:
+            roots.append(zs[-1])
+    else:
+        if vals[-1] == 0.0:
+            roots.append(zs[-1])
+        elif vals[-1] * vals[0] < 0:
+            roots.append(brentq(fz_only, zs[-1], b))
+        roots = [a + (r - a) % period for r in roots]
+    absvals = np.abs(vals)
+    scale = max(float(absvals.max()), 1.0)
+    for i in range(1, len(zs) - 1):
+        if (absvals[i] <= absvals[i - 1] and absvals[i] <= absvals[i + 1]
+                and absvals[i] < 1e-5 * scale
+                and not any(abs(zs[i] - r) < 2 * (zs[1] - zs[0]) for r in roots)):
+            raise GeometryError(
+                f"degenerate zero of the defining function near "
+                f"{zname}={zs[i]:.6g}")
+
+    def snap(r):
+        q = Fraction(r).limit_denominator(10 ** 6)
+        if abs(float(q) - r) < 1e-9 and abs(fz_only(float(q))) < 1e-9:
+            return float(q)
+        return r
+
+    roots = [snap(r) for r in roots]
+    out = []
+    dfdz = diff_expr(bform.f, zname)
+    for r in roots:
+        if any(abs(r - q.value) < 1e-8 for q in out):
+            continue
+        env = dict(mid)
+        env[zname] = r
+        fz = tree_eval(dfdz, env)
+        if abs(fz) < 1e-8:
+            raise GeometryError(
+                f"degenerate zero of the defining function at {zname}={r:.6g}")
+        out.append(ZComponent(zname, float(r), float(fz)))
+    return sorted(out, key=lambda c: c.value)
+
+
+class TestZComponentsAgainstScalar:
+    """find_z_components on tapes with the batched bracket solver, against
+    the scalar scan and brentq it replaced, on seeded b-forms."""
+
+    GRID = Patch(("x", "y"), ((-1.0, 1.0), (-1023.0, 1024.0)))  # integer scan
+    CIRCLE = Patch(("x", "t"), ((-1.0, 1.0), (0.0, TAU)), periods=(None, TAU))
+    WITH_A = Patch(("x", "y"), ((-2.0, 2.0), (-2.0, 2.0)), params=("a",))
+
+    @staticmethod
+    def bform(patch, f_text):
+        x, z = patch.names
+        return BForm(patch, 2, smooth_form(patch, 1, {(x,): 1}),
+                     smooth_form(patch, 2, {}), parse_expr(f_text, patch), z)
+
+    @staticmethod
+    def seeded_texts(seed):
+        rng = np.random.default_rng(seed)
+        r = [float(v) for v in np.sort(rng.uniform(-1.9, 1.9, 3))]
+        c = float(rng.uniform(0.5, 2.0))
+        k, p = int(rng.integers(1, 4)), float(rng.uniform(0.0, TAU))
+        return [
+            ("plane", f"(y - {r[0]!r})*(y - {r[1]!r})*(y - {r[2]!r})"
+                      f"*({c!r} + x^2)"),
+            ("plane", f"exp(y) - {c!r} + x*y"),
+            ("circle", f"sin({k}*t + {p!r}) + x"),
+            ("circle", f"{c!r}*cos(t - {p!r})^3 - {c!r}/8"),
+            ("with_a", f"a*y^3 - {c!r}*y + a*{r[1]!r}"),
+        ]
+
+    FIXED = [
+        ("grid", "y"),                            # roots on scan points
+        ("grid", "(y - 5)*(y + 300)"),
+        ("circle", "sin(t - 6.282185307179586)"),  # a root in the wrap bracket
+        ("circle", "sin(t)"),                     # a root at the period's end
+        ("plane", "3*y - 1"),                     # snapped to 1/3
+        ("plane", "y^2 - 2"),                     # unsnapped +-sqrt(2)
+        ("plane", "(y - 0.3)^2"),                 # tangential zero
+        ("plane", "(y - 0.3)^3"),                 # degenerate zero at a root
+        ("plane", "4 + y"),                       # no zero
+        ("with_a", "a*y - 1/2"),
+    ]
+
+    def patch(self, name):
+        return {"plane": PLANE, "grid": self.GRID, "circle": self.CIRCLE,
+                "with_a": self.WITH_A}[name]
+
+    def assert_agree(self, patch_name, f_text):
+        w = self.bform(self.patch(patch_name), f_text)
+        try:
+            want = scalar_find_z_components(w)
+        except GeometryError as exc:
+            with pytest.raises(GeometryError) as info:
+                find_z_components(w)
+            assert str(info.value) == str(exc)
+            return
+        got = find_z_components(w)
+        assert len(got) == len(want)
+        for g, c in zip(got, want):
+            if float(Fraction(c.value).limit_denominator(10 ** 6)) == c.value:
+                assert g.value == c.value
+            else:
+                assert abs(g.value - c.value) < 1e-11
+            assert g.fz == pytest.approx(c.fz, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("patch_name,f_text", FIXED)
+    def test_fixed(self, patch_name, f_text):
+        self.assert_agree(patch_name, f_text)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded(self, seed):
+        for patch_name, f_text in self.seeded_texts(seed):
+            self.assert_agree(patch_name, f_text)
 
 
 class TestRestriction:

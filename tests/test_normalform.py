@@ -15,6 +15,7 @@ from bgeo.forms import (
     form_equiv,
 )
 from bgeo.normalform import (
+    _halton,
     _solve_antisymmetric,
     _standard_model,
     darboux2d,
@@ -214,6 +215,16 @@ class TestSolveAntisymmetric:
             W[3, 0, 1], W[3, 1, 0] = 1.0, -1.0  # rank 2 < m
         with pytest.raises(GeometryError, match="degenerate"):
             _solve_antisymmetric(W, b)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_halton_matches_scipy(d):
+    # the numpy radical inverse against the scipy sampler it replaced
+    from scipy.stats import qmc
+
+    for n in (1, 2, 7, 201, 1000, 4097):
+        want = qmc.Halton(d=d, scramble=False).random(n)
+        assert np.array_equal(_halton(n, d), want), n
 
 
 class TestMoserRelative:

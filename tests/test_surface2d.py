@@ -26,6 +26,7 @@ from bgeo.surface2d import (
     torus_patch,
 )
 from bgeo.symexpr import eval_expr, expr_equiv, parse_expr, sub
+from tree_eval import tree_eval
 
 
 def flow_return_time(S, start, t_max=30.0, dt=1e-4):
@@ -37,7 +38,7 @@ def flow_return_time(S, start, t_max=30.0, dt=1e-4):
 
     def rhs(p):
         env = {names[0]: p[0], names[1]: p[1]}
-        return np.array([eval_expr(X1, env), eval_expr(X2, env)])
+        return np.array([tree_eval(X1, env), tree_eval(X2, env)])
 
     def wrap(p):
         q = p.copy()
@@ -276,7 +277,7 @@ class TestSurfaceCohomology:
 # --- the batched numerics against the scalar routines they replaced --------
 #
 # The two functions below are the scalar implementations that preceded the
-# tape-based ones in bgeo.surface2d: scipy quad/brentq over eval_expr, one
+# tape-based ones in bgeo.surface2d: scipy quad/brentq over tree_eval, one
 # point at a time.  They stay here as oracles.
 
 
@@ -292,14 +293,14 @@ def scalar_refine_curve(S, pts):
     for k in range(len(out)):
         x1, x2 = out[k]
         env = {patch.names[0]: x1, patch.names[1]: x2}
-        g1, g2 = eval_expr(dP1, env), eval_expr(dP2, env)
+        g1, g2 = tree_eval(dP1, env), tree_eval(dP2, env)
         axis = 0 if abs(g1) >= abs(g2) else 1
         name = patch.names[axis]
 
         def f1d(v):
             e = dict(env)
             e[name] = v
-            return eval_expr(P, e)
+            return tree_eval(P, e)
 
         v0 = out[k][axis]
         h = 1e-2
@@ -326,7 +327,7 @@ def scalar_regularized_volume(S, grid, eps0=1e-2, halvings=8):
     w2s = np.full(grid, (hi2 - lo2) / grid)
 
     def Pval(x1, x2):
-        return eval_expr(S.P, {names[0]: x1, names[1]: x2})
+        return tree_eval(S.P, {names[0]: x1, names[1]: x2})
 
     def line_roots(x2):
         zs = np.linspace(lo1, hi1, 257)

@@ -6,7 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bgeo._poly import poly_mul
 from bgeo.symexpr import (
+    MAX_NESTING,
     EquivalenceInconclusive,
     EvalDomainError,
     ExprSyntaxError,
@@ -21,6 +23,7 @@ from bgeo.symexpr import (
     divide_exact,
     eval_expr,
     expr_equiv,
+    expr_to_ratpoly,
     free_symbols,
     fun,
     mul,
@@ -33,6 +36,7 @@ from bgeo.symexpr import (
     sym,
     to_string,
 )
+from tree_eval import tree_eval
 
 PATCH = Patch(("x", "y", "z"), ((-2.0, 2.0), (-2.0, 2.0), (0.1, 3.0)),
               params=("a", "b"))
@@ -85,6 +89,23 @@ class TestParser:
     def test_params_allowed(self):
         e = parse_expr("a*x + b", PATCH)
         assert free_symbols(e) == {"a", "x", "b"}
+
+    @pytest.mark.parametrize("text", [
+        "(" * 3000 + "x" + ")" * 3000,
+        "sin(" * 3000 + "x" + ")" * 3000,
+        "-" * 3000 + "x",
+        "x" + "^1" * 3000,
+    ])
+    def test_nesting_limit(self, text):
+        # deeper than MAX_NESTING: a syntax error, not a RecursionError
+        with pytest.raises(ExprSyntaxError, match="nested deeper"):
+            parse_expr(text, PATCH)
+
+    def test_nesting_within_limit(self):
+        n = MAX_NESTING - 1
+        assert parse_expr("(" * n + "x" + ")" * n, PATCH) == sym("x")
+        e = parse_expr("sin(" * n + "x" + ")" * n, PATCH)
+        assert to_string(e).count("sin(") == n
 
     @pytest.mark.parametrize("text", [
         "x + x^3/3",
@@ -237,6 +258,100 @@ class TestEquiv:
         e2 = parse_expr("log(x - 1.998)", PATCH)
         with pytest.raises((EquivalenceInconclusive, AssertionError)):
             assert expr_equiv(e1, e2, PATCH)
+
+
+def loop_expr_equiv(e1, e2, patch, n_points=64, tol=1e-9, seed=0,
+                    params=None):
+    """expr_equiv as it was before sampling moved onto tapes: the same exact
+    checks, then one candidate point at a time through the tree walker."""
+    a, b = normalize(e1), normalize(e2)
+    if a == b:
+        return True
+    ra, rb = expr_to_ratpoly(a), expr_to_ratpoly(b)
+    if ra is not None and rb is not None and ra[2] == rb[2]:
+        n1, d1, _ = ra
+        n2, d2, _ = rb
+        if poly_mul(n1, d2) == poly_mul(n2, d1):
+            return True
+    rng = np.random.default_rng(seed)
+    fixed_params = dict(params) if params else None
+    good = 0
+    for _ in range(n_points * 40):
+        pt = patch.random_point(rng)
+        pr = fixed_params if fixed_params is not None else patch.random_params(rng)
+        try:
+            v1 = tree_eval(a, pt, pr)
+            v2 = tree_eval(b, pt, pr)
+        except EvalDomainError:
+            continue
+        if abs(v1 - v2) > tol * (1.0 + max(abs(v1), abs(v2))):
+            return False
+        good += 1
+        if good >= n_points:
+            return True
+    raise EquivalenceInconclusive(
+        f"only {good}/{n_points} valid sample points for equivalence test")
+
+
+class TestSampledEquivAgainstLoop:
+    """The batched sampling in expr_equiv against the per-point loop it
+    replaced: the same verdict on seeded cases."""
+
+    UNIT = Patch(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)), params=("a",))
+
+    CASES = [
+        # polynomials with float constants (k is the float 0.1), which the
+        # exact check leaves to sampling
+        ("(k*x + 0.3)^2", "0.01*x^2 + 0.06*x + 0.09", None),
+        ("(k*x + 0.3)^2", "0.01*x^2 + 0.06*x + 0.0900001", None),
+        ("3*k*x*(y + 7*k)", "0.3*x*y + 0.21*x", None),
+        ("k*x + 2*k*x", "0.3*x", None),
+        # trig identities and non-identities
+        ("sin(2*x)", "2*sin(x)*cos(x)", None),
+        ("cos(2*x)", "1 - 2*sin(x)^2", None),
+        ("sin(x + y)", "sin(x)*cos(y) + cos(x)*sin(y)", None),
+        ("sin(x)^2", "sin(x)", None),
+        ("exp(x + y)", "exp(x)*exp(y)", None),
+        ("cos(x - y)", "cos(x)*cos(y) - sin(x)*sin(y)", None),
+        # poles and the log domain: rejected candidates are skipped
+        ("sin(2*x)/(x - y)", "2*sin(x)*cos(x)/(x - y)", None),
+        ("log(x^2)", "2*log(x)", None),
+        ("log(x^2)", "2*log(abs(x))", None),
+        ("x^(1/2)*y", "(x*y^2)^(1/2)", None),
+        ("x^(1/2)*abs(y)", "(x*y^2)^(1/2)", None),
+        ("(x - 0.99)^(1/2)", "exp(log(x - 0.99)/2)", None),
+        ("log(x - 0.9)", "log(x - 0.9) + 1e-3*sin(x)", None),
+        # parameters: fixed and random
+        ("a*sin(2*x)", "2*a*sin(x)*cos(x)", None),
+        ("a*sin(x)", "1.5*sin(x)", None),
+        ("a*sin(x)", "1.5*sin(x)", {"a": 1.5}),
+        ("a*sin(x)", "1.5*sin(x)", {"a": 1.25}),
+        ("exp(a*x)", "exp(x)^2", {"a": 2.0}),
+        # a symbol bound neither by the patch nor by the parameters
+        ("b*sin(x)", "sin(x)", None),
+        ("sin(x)", "sin(x)*b/b + b - b + c", None),
+        ("a*sin(x)", "sin(x)", {"b": 1.0}),
+    ]
+
+    @staticmethod
+    def verdict(fn, *args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except EquivalenceInconclusive:
+            return "inconclusive"
+
+    @pytest.mark.parametrize("left,right,params", CASES)
+    def test_same_verdict(self, left, right, params):
+        e1, e2 = (substitute(parse_expr(text, self.UNIT,
+                                        extra_params=("b", "c", "k")),
+                             {"k": 0.1})
+                  for text in (left, right))
+        for seed in range(4):
+            for n_points in (8, 64):
+                kw = dict(n_points=n_points, seed=seed, params=params)
+                want = self.verdict(loop_expr_equiv, e1, e2, self.UNIT, **kw)
+                got = self.verdict(expr_equiv, e1, e2, self.UNIT, **kw)
+                assert got == want, (seed, n_points)
 
 
 class TestAntiderivative:
