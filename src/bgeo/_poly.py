@@ -1,9 +1,15 @@
-"""Exact multivariate polynomial arithmetic over Q, used for rational
-simplification and for the exact branch of expression equivalence.
+"""Exact multivariate polynomial and rational-function arithmetic over Q,
+the one kernel behind rational simplification, the exact branch of
+expression equivalence and the exact matrix inverse of ``bgeo.forms``.
 
 Polynomials are dicts mapping exponent tuples (one slot per atom) to
 Fraction coefficients.  Atoms are opaque: the caller decides what counts
 as an indeterminate (symbols, sin(x), non-integer powers, ...).
+
+A rational function is a plain (numerator, denominator) pair of such
+polynomials over the same atoms; it is not kept in lowest terms.
+``rat_add`` and ``rat_mul`` combine pairs, and ``poly_quotient`` divides
+one polynomial by another when the quotient is again a polynomial.
 """
 
 from __future__ import annotations
@@ -98,3 +104,27 @@ def poly_div_exact(num: Poly, den: Poly):
             elif k in rem:
                 del rem[k]
     return None
+
+
+def poly_quotient(num: Poly, den: Poly):
+    """Return num / den as a polynomial, or None when it is not one (or the
+    long division gives up).  A constant denominator just scales."""
+    if len(den) == 1:
+        (key, c), = den.items()
+        if not any(key):
+            return {k: v / c for k, v in num.items()}
+    return poly_div_exact(num, den)
+
+
+def rat_mul(a, b):
+    """Product of two (numerator, denominator) pairs."""
+    return poly_mul(a[0], b[0]), poly_mul(a[1], b[1])
+
+
+def rat_add(a, b):
+    """Sum of two (numerator, denominator) pairs; equal denominators are
+    kept rather than multiplied together."""
+    if a[1] == b[1]:
+        return poly_add(a[0], b[0]), a[1]
+    return (poly_add(poly_mul(a[0], b[1]), poly_mul(b[0], a[1])),
+            poly_mul(a[1], b[1]))

@@ -5,7 +5,8 @@ deterministic JSON report to stdout.  Exit codes: 0 success; 1 a failed
 verification, or an invalid document, expression or knob value (reported
 as a JSON error); 2 a command-line usage error (from argparse) or a missing
 input file.  Reports embed the tolerances, grid sizes, and seed that
-produced them, and each subcommand accepts only the options it reads.
+produced them (a grid size only where a grid was sampled), and each
+subcommand accepts only the options it reads.
 """
 
 from __future__ import annotations
@@ -40,6 +41,12 @@ def _write_csv(path, header, rows):
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
+def _grid_config(grid, detail):
+    """The grid knob, when a grid search decided nondegeneracy (a symbolic
+    verdict samples no grid)."""
+    return {"grid": grid} if "grid_per_axis" in detail else {}
+
+
 # --- subcommand handlers ----------------------------------------------------
 
 def cmd_parse(args):
@@ -60,7 +67,7 @@ def cmd_parse(args):
 
 def cmd_check(args):
     bform = ser.bform_from_dict(ser.load(args.input))
-    comps = transversality_check(bform, grid=args.grid)
+    comps = transversality_check(bform)
     verdict, detail = nondegeneracy_check(bform, grid=args.grid)
     doc = {
         "transversal": True,
@@ -69,7 +76,7 @@ def cmd_check(args):
         "nondegeneracy": verdict,
         "detail": {k: (float(v) if isinstance(v, (int, float)) else str(v))
                    for k, v in detail.items()},
-        "config": {"grid": args.grid},
+        "config": _grid_config(args.grid, detail),
     }
     code = 0 if verdict != "degenerate" else 1
     _emit(doc)
@@ -193,15 +200,17 @@ def cmd_extend(args):
             "omega_closed": report.omega_closed,
             "top_nonvanishing": report.top_nonvanishing,
         },
-        "config": {"eps": args.eps, "grid": args.grid},
+        "config": {"eps": args.eps},
     }
     if not report.all_pass:
         doc["ok"] = False
         _emit(doc)
         return 1
     model = build_extension(data, eps=args.eps, grid=args.grid)
+    verdict, detail = model.provenance["nondegeneracy"]
     doc["ok"] = True
-    doc["nondegeneracy"] = model.provenance["nondegeneracy"][0]
+    doc["nondegeneracy"] = verdict
+    doc["config"].update(_grid_config(args.grid, detail))
     doc["components"] = [float(v) for v in model.provenance["components"]]
     doc["model"] = ser.bform_to_dict(model.bform)
     _emit(doc)
@@ -288,7 +297,9 @@ def main(argv=None) -> int:
         print(ser.dumps_canonical({"schema": ser.SCHEMA,
                                    "error": str(exc)}))
         return 2
-    except (ser.SchemaError, GeometryError, ExprError, ValueError) as exc:
+    # OverflowError: float() of an exact constant past the float range
+    except (ser.SchemaError, GeometryError, ExprError, ValueError,
+            OverflowError) as exc:
         return _fail(exc)
 
 

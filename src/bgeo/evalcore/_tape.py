@@ -4,15 +4,15 @@ The tape is a stack program: each instruction pushes or combines values on
 an evaluation stack; `bgeo.evalcore.evaluate_tape` interprets it.
 Non-finite values (poles, log of a non-positive number) propagate as
 inf/nan in the output; callers mask them instead of catching exceptions.
+An exact constant too large for a float, or an integer exponent past the
+int32 range, cannot be compiled: compile_tape raises ExprError.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
-from ..symexpr import Add, Fun, Mul, Num, Pow, Sym
+from ..symexpr import Add, ExprError, Fun, Mul, Num, Pow, Sym
 
 OP_CONST = 0
 OP_VAR = 1
@@ -53,7 +53,10 @@ def compile_tape(expr, var_names):
     const_cache = {}
 
     def const_slot(v):
-        v = float(v)
+        try:
+            v = float(v)
+        except OverflowError:
+            raise ExprError("constant too large for a float") from None
         key = np.float64(v).tobytes()
         if key not in const_cache:
             const_cache[key] = len(consts)
@@ -102,10 +105,12 @@ def compile_tape(expr, var_names):
             return
         if isinstance(e, Pow):
             go(e.base)
-            if isinstance(e.exp, Fraction) and e.exp.denominator == 1:
+            if e.exp.denominator != 1:
+                emit(OP_POWF, const_slot(e.exp))
+            elif abs(e.exp) < 2 ** 31:
                 emit(OP_POWI, int(e.exp))
             else:
-                emit(OP_POWF, const_slot(float(e.exp)))
+                raise ExprError("integer exponent out of the int32 range")
             return
         if isinstance(e, Fun):
             go(e.arg)

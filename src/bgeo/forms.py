@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import symexpr as se
-from ._poly import poly_add, poly_mul
+from ._poly import poly_const, poly_quotient, rat_add, rat_mul
 from .evalcore import _solve_brackets, compile_tape, evaluate_tape
 from .symexpr import (
     ONE,
@@ -517,7 +517,7 @@ def is_smooth(bform, components=None):
     return True, smooth
 
 
-def transversality_check(bform, grid=64):
+def transversality_check(bform):
     """Check that f vanishes transversally: simple roots in z, and no
     residual dependence on the other coordinates along each component."""
     comps = find_z_components(bform)
@@ -656,139 +656,55 @@ class BBivector:
         return "<BBivector " + (" + ".join(bits) or "0") + ">"
 
 
-def _det_expr(M):
-    n = len(M)
-    if n == 1:
-        return M[0][0]
-    out = ZERO
-    for j in range(n):
-        if is_zero(M[0][j]):
-            continue
-        minor = [row[:j] + row[j + 1:] for row in M[1:]]
-        term = mul(Num(Fraction((-1) ** j)), M[0][j], _det_expr(minor))
-        out = se.add(out, term)
-    return out
-
-
 def _inverse_expr(M):
-    """Adjugate inverse; fine for the small dimensions we work in.  Entries
-    that are rational functions take a polynomial fast path (expression
-    arithmetic on nested determinant denominators is too slow)."""
-    fast = _inverse_ratfrac(M)
-    if fast is not None:
-        return fast
+    """Adjugate inverse of a small matrix of rational functions, computed
+    exactly on the (numerator, denominator) views of its entries over one
+    shared atom index, with the arithmetic of ``bgeo._poly``.  Every
+    intermediate is reduced when one of its polynomials divides the other.
+    A matrix with no exact view (a float constant, or an entry past the
+    monomial limit) or a singular one raises GeometryError."""
     n = len(M)
-    det = normalize(_det_expr(M))
-    if is_zero(det):
+    rp = se._to_ratpoly([normalize(e) for row in M for e in row])
+    if rp is None:
+        raise GeometryError("matrix has no exact rational view (a float "
+                            "constant or too many monomials)")
+    views, atoms = rp
+    one = poly_const(Fraction(1), len(atoms))
+
+    def lowest(r):
+        q = poly_quotient(*r)
+        if q is not None:
+            return q, one
+        q = poly_quotient(r[1], r[0])  # the numerator divides: 1/q
+        return (one, q) if q is not None else r
+
+    def signed(r, odd):
+        return ({k: -v for k, v in r[0].items()}, r[1]) if odd else r
+
+    def det(rows):
+        if len(rows) == 1:
+            return rows[0][0]
+        acc = ({}, one)
+        for j, a in enumerate(rows[0]):
+            if a[0]:
+                minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+                term = signed(lowest(rat_mul(a, det(minor))), j % 2)
+                acc = lowest(rat_add(acc, term))
+        return acc
+
+    F = [[lowest(v) for v in views[i * n:(i + 1) * n]] for i in range(n)]
+    D = det(F)
+    if not D[0]:
         raise GeometryError("matrix is singular: the form is degenerate")
     inv = [[ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            minor = [row[:i] + row[i + 1:] for k, row in enumerate(M) if k != j]
-            cof = mul(Num(Fraction((-1) ** (i + j))), _det_expr(minor))
-            inv[i][j] = se.div(cof, det)
-    return inv
-
-
-def _inverse_ratfrac(M):
-    """Invert a matrix of rational-function entries working on (numerator,
-    denominator) polynomial pairs over a shared atom set.  Returns None when
-    some entry has no exact polynomial view."""
-    n = len(M)
-    per_entry = []
-    atom_keys = {}
-    atom_list = []
-    for row in M:
-        out_row = []
-        for e in row:
-            rp = se.expr_to_ratpoly(normalize(e))
-            if rp is None:
-                return None
-            out_row.append(rp)
-            for a in rp[2]:
-                k = se.sort_key(a)
-                if k not in atom_keys:
-                    atom_keys[k] = len(atom_list)
-                    atom_list.append(a)
-        per_entry.append(out_row)
-    nat = len(atom_list)
-
-    def remap(poly, local_atoms):
-        pos = [atom_keys[se.sort_key(a)] for a in local_atoms]
-        out = {}
-        for key, c in poly.items():
-            gkey = [0] * nat
-            for p, e in zip(pos, key):
-                gkey[p] = e
-            out[tuple(gkey)] = c
-        return out
-
-    one = {(0,) * nat: Fraction(1)}
-
-    def cancel(fr):
-        num, den = fr
-        if not num:
-            return {}, one
-        dkeys = list(den)
-        if len(dkeys) == 1 and dkeys[0] == (0,) * nat:
-            c = den[dkeys[0]]
-            return ({k: v / c for k, v in num.items()}, one)
-        q = se.poly_div_exact(num, den)
-        if q is not None:
-            return q, one
-        # num divides den too: num/(q*num) = 1/q
-        q = se.poly_div_exact(den, num)
-        if q is not None:
-            return one, q
-        return num, den
-
-    def rmul(a, b):
-        return cancel((poly_mul(a[0], b[0]), poly_mul(a[1], b[1])))
-
-    def radd(a, b):
-        num = poly_add(poly_mul(a[0], b[1]), poly_mul(b[0], a[1]))
-        return cancel((num, poly_mul(a[1], b[1])))
-
-    def rneg(a):
-        return ({k: -v for k, v in a[0].items()}, a[1])
-
-    F = [[cancel((remap(rp[0], rp[2]), remap(rp[1], rp[2])))
-          for rp in row] for row in per_entry]
-
-    def det(rows):
-        m = len(rows)
-        if m == 1:
-            return rows[0][0]
-        acc = ({}, one)
-        for j in range(m):
-            if not rows[0][j][0]:
-                continue
-            minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-            term = rmul(rows[0][j], det(minor))
-            acc = radd(acc, term if j % 2 == 0 else rneg(term))
-        return acc
-
-    D = det(F)
-    if not D[0]:
-        raise GeometryError("matrix is singular: the form is degenerate")
-    Dinv = (D[1], D[0])
-    inv = []
-    for i in range(n):
-        inv_row = []
-        for j in range(n):
             minor = [r[:i] + r[i + 1:] for k, r in enumerate(F) if k != j]
-            cof = det(minor)
-            if (i + j) % 2:
-                cof = rneg(cof)
-            num, den = rmul(cof, Dinv)
-            e_num = se.poly_to_expr(num, tuple(atom_list))
-            if len(den) == 1 and next(iter(den)) == (0,) * nat:
-                c = den[next(iter(den))]
-                entry = mul(Num(Fraction(1) / c), e_num) if c != 1 else e_num
-            else:
-                entry = se.div(e_num, se.poly_to_expr(den, tuple(atom_list)))
-            inv_row.append(entry)
-        inv.append(inv_row)
+            num, den = lowest(rat_mul(signed(det(minor), (i + j) % 2),
+                                      (D[1], D[0])))
+            inv[i][j] = se.poly_to_expr(num, atoms)
+            if den != one:
+                inv[i][j] = se.div(inv[i][j], se.poly_to_expr(den, atoms))
     return inv
 
 

@@ -7,8 +7,20 @@ built through them is already a normal-form comparison.  ``normalize``
 rebuilds a tree through the constructors and is idempotent.
 
 Rational constants are carried exactly as fractions.Fraction; anything
-transcendental degrades to float.  Equivalence testing is exact on
-rational functions of the atoms and falls back to randomized sampling.
+transcendental degrades to float.  Folding a constant power whose exact
+value would pass _FOLD_BIT_LIMIT bits is an ExprError.  Equivalence testing
+is exact on rational functions of the atoms and falls back to randomized
+sampling.
+
+The exact path is one view: ``_to_ratpoly`` collects the atoms (symbols,
+function calls, non-integer powers) of a list of expressions into one
+sorted index and gives each expression a (numerator, denominator) pair of
+``bgeo._poly`` polynomials over it.  A sum over a polynomial denominator
+collapses when the pair divides out exactly (``_try_collapse``;
+``divide_exact`` is that collapse of a quotient), and ``expr_equiv``
+compares the cross products of its two sides over their shared index, so
+sides with different atoms are compared exactly too.  Float constants have
+no exact view.
 
 Numbers come from one path, the tapes of ``bgeo.evalcore``: sampled
 equivalence evaluates both sides on blocks of candidate points and skips
@@ -25,7 +37,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._poly import poly_add, poly_const, poly_div_exact, poly_mul, poly_pow, poly_var
+from ._poly import (poly_const, poly_mul, poly_pow, poly_quotient, poly_var,
+                    rat_add, rat_mul)
 
 __all__ = [
     "Expr", "Num", "Sym", "Add", "Mul", "Pow", "Fun", "Patch",
@@ -45,6 +58,11 @@ MAX_NESTING = 100
 
 _COLLAPSE_TERM_LIMIT = 64
 _POLY_MONOMIAL_LIMIT = 4000
+# largest numerator or denominator, in bits, that folding an exact constant
+# power may produce; past it the power is an ExprError rather than a long
+# exact computation (10^10^10 has 3.3e10 bits).  8192 bits stay printable
+# under Python's 4300-digit limit on int-to-str conversion.
+_FOLD_BIT_LIMIT = 1 << 13
 
 
 class ExprError(Exception):
@@ -282,14 +300,22 @@ def _fold_const_pow(v, exp):
         n = exp.numerator
         if v == 0 and n < 0:
             return None  # keep the symbolic pole; evaluation reports it
-        return Num(v ** n)
+        # the result has at least abs(n) * (bits - 1) bits: check before
+        # computing it, and check the exact size after
+        if abs(n) * (_bits(v) - 1) > _FOLD_BIT_LIMIT \
+                or _bits(r := v ** n) > _FOLD_BIT_LIMIT:
+            raise ExprError(f"constant power exceeds {_FOLD_BIT_LIMIT} bits")
+        return Num(r)
     # exact rational root when one exists
     if v < 0:
         return None
     def _iroot(k, r):
         if k == 0:
             return 0
-        g = round(k ** (1.0 / r))
+        try:
+            g = round(k ** (1.0 / r))
+        except OverflowError:  # k is beyond float range: stay symbolic
+            return None
         for c in (g - 1, g, g + 1):
             if c >= 0 and c ** r == k:
                 return c
@@ -299,6 +325,10 @@ def _fold_const_pow(v, exp):
     if p is None or q is None:
         return None
     return powr(Num(Fraction(p, q)), Fraction(exp.numerator))
+
+
+def _bits(v):
+    return max(v.numerator.bit_length(), v.denominator.bit_length())
 
 
 def mul(*factors):
@@ -481,18 +511,14 @@ def _rational_collapse(e):
 
 
 def _try_collapse(e):
+    """e as a polynomial in its atoms when its rational view divides out
+    exactly; otherwise None."""
     rp = expr_to_ratpoly(e)
     if rp is None:
         return None
     numer, denom, atoms = rp
-    if len(denom) == 1 and next(iter(denom)) == (0,) * len(atoms):
-        c = denom[next(iter(denom))]
-        q = {k: v / c for k, v in numer.items()}
-    else:
-        q = poly_div_exact(numer, denom)
-        if q is None:
-            return None
-    return poly_to_expr(q, atoms)
+    q = poly_quotient(numer, denom)
+    return None if q is None else poly_to_expr(q, atoms)
 
 
 def neg(e):
@@ -571,14 +597,14 @@ def _collect_atoms(e, atoms, seen):
     raise TypeError
 
 
-def _to_ratpoly(e, index, n):
+def _view(e, index, n, one):
     if isinstance(e, Num):
-        return poly_const(e.value, n), poly_const(Fraction(1), n)
+        return poly_const(e.value, n), one
     k = sort_key(e)
     if k in index:
-        return poly_var(index[k], n), poly_const(Fraction(1), n)
+        return poly_var(index[k], n), one
     if isinstance(e, Pow):
-        bn, bd = _to_ratpoly(e.base, index, n)
+        bn, bd = _view(e.base, index, n, one)
         m = int(e.exp)
         if m >= 0:
             return poly_pow(bn, m), poly_pow(bd, m)
@@ -586,37 +612,43 @@ def _to_ratpoly(e, index, n):
             raise EvalDomainError("division by symbolic zero")
         return poly_pow(bd, -m), poly_pow(bn, -m)
     if isinstance(e, Mul):
-        rn, rd = poly_const(Fraction(1), n), poly_const(Fraction(1), n)
-        for f in e.factors:
-            fn_, fd = _to_ratpoly(f, index, n)
-            rn, rd = poly_mul(rn, fn_), poly_mul(rd, fd)
-            if len(rn) > _POLY_MONOMIAL_LIMIT or len(rd) > _POLY_MONOMIAL_LIMIT:
-                raise _PolyOverflow
-        return rn, rd
-    if isinstance(e, Add):
-        rn, rd = poly_const(Fraction(0), n), poly_const(Fraction(1), n)
-        for t in e.terms:
-            tn, td = _to_ratpoly(t, index, n)
-            rn = poly_add(poly_mul(rn, td), poly_mul(tn, rd))
-            rd = poly_mul(rd, td)
-            if len(rn) > _POLY_MONOMIAL_LIMIT or len(rd) > _POLY_MONOMIAL_LIMIT:
-                raise _PolyOverflow
-        return rn, rd
-    raise TypeError
+        r, op, parts = (one, one), rat_mul, e.factors
+    elif isinstance(e, Add):
+        r, op, parts = ({}, one), rat_add, e.terms
+    else:
+        raise TypeError
+    for part in parts:
+        r = op(r, _view(part, index, n, one))
+        if max(len(r[0]), len(r[1])) > _POLY_MONOMIAL_LIMIT:
+            raise _PolyOverflow
+    return r
 
 
-def expr_to_ratpoly(e):
-    """Express e as num/den polynomials over opaque atoms, or None."""
+def _to_ratpoly(exprs):
+    """(views, atoms): one (numerator, denominator) pair per expression,
+    all over one sorted atom index, or None when some expression has no
+    exact view (a float constant, a division by a symbolic zero, or more
+    than _POLY_MONOMIAL_LIMIT monomials on the way)."""
+    atoms, seen = [], set()
     try:
-        atoms, seen = [], set()
-        _collect_atoms(e, atoms, seen)
+        for e in exprs:
+            _collect_atoms(e, atoms, seen)
         atoms.sort(key=sort_key)
         index = {sort_key(a): i for i, a in enumerate(atoms)}
         n = len(atoms)
-        numer, denom = _to_ratpoly(e, index, n)
-        return numer, denom, tuple(atoms)
+        one = poly_const(Fraction(1), n)
+        return [_view(e, index, n, one) for e in exprs], tuple(atoms)
     except (_PolyOverflow, EvalDomainError):
         return None
+
+
+def expr_to_ratpoly(e):
+    """Express e as num/den polynomials over its sorted atoms, or None."""
+    rp = _to_ratpoly([e])
+    if rp is None:
+        return None
+    ((numer, denom),), atoms = rp
+    return numer, denom, atoms
 
 
 def poly_to_expr(p, atoms):
@@ -633,18 +665,7 @@ def poly_to_expr(p, atoms):
 def divide_exact(e, f):
     """Return e / f as an expression iff the quotient is exact as a rational
     function (no leftover denominator in f's atoms); otherwise None."""
-    q = div(e, f)
-    rp = expr_to_ratpoly(q)
-    if rp is None:
-        return None
-    numer, denom, atoms = rp
-    if len(denom) == 1 and next(iter(denom)) == (0,) * len(atoms):
-        c = denom[next(iter(denom))]
-        return poly_to_expr({k: v / c for k, v in numer.items()}, atoms)
-    qq = poly_div_exact(numer, denom)
-    if qq is None:
-        return None
-    return poly_to_expr(qq, atoms)
+    return _try_collapse(div(e, f))
 
 
 # ---------------------------------------------------------------------------
@@ -1120,10 +1141,9 @@ def expr_equiv(e1, e2, patch, n_points=64, tol=1e-9, seed=0, params=None):
     a, b = normalize(e1), normalize(e2)
     if a == b:
         return True
-    ra, rb = expr_to_ratpoly(a), expr_to_ratpoly(b)
-    if ra is not None and rb is not None and ra[2] == rb[2]:
-        n1, d1, _ = ra
-        n2, d2, _ = rb
+    rp = _to_ratpoly([a, b])
+    if rp is not None:
+        ((n1, d1), (n2, d2)), _ = rp
         if poly_mul(n1, d2) == poly_mul(n2, d1):
             return True
         # distinct rational functions of independent atoms; atoms may still

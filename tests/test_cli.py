@@ -94,6 +94,19 @@ class TestInvariants:
         assert "Traceback" not in proc.stderr
 
 
+    @pytest.mark.parametrize("P", ["1e999999", "2^99999999*h"])
+    def test_huge_constant(self, tmp_path, P):
+        # a constant no float holds: one JSON error, not an OverflowError
+        doc = {"schema": "bgeo/1", "kind": "surface", "topology": "sphere",
+               "P": P}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        proc = run("invariants", str(path), "--grid", "8")
+        assert proc.returncode == 1
+        assert "error" in json.loads(proc.stdout)
+        assert "Traceback" not in proc.stderr
+
+
 class TestClassify:
     def test_distinct(self, sphere_doc, scaled_sphere_doc):
         code, doc = run_json("classify", sphere_doc, scaled_sphere_doc)
@@ -164,6 +177,27 @@ class TestParseCheck:
         assert proc.returncode == 1
         assert "nested deeper" in json.loads(proc.stdout)["error"]
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("f, alpha", [
+        ("y*1e999999", "1"), ("y*2^99999999", "1"), ("y^3000000000", "1"),
+        ("y", "1e400"), ("y", "1e999999")])
+    def test_huge_constant(self, tmp_path, f, alpha):
+        path = bform_doc(tmp_path, "w.json", {"0": alpha}, {}, f=f)
+        proc = run("check", path, "--grid", "8")
+        assert proc.returncode == 1
+        assert "error" in json.loads(proc.stdout)
+        assert "Traceback" not in proc.stderr
+
+    def test_grid_only_when_sampled(self, tmp_path):
+        # a constant top coefficient is decided symbolically: no grid
+        path = bform_doc(tmp_path, "w.json", {"0": "1"}, {})
+        code, doc = run_json("check", path, "--grid", "8")
+        assert code == 0 and doc["nondegeneracy"] == "nonvanishing-symbolic"
+        assert doc["config"] == {}
+        path = bform_doc(tmp_path, "w.json", {"0": "2+x"}, {})
+        code, doc = run_json("check", path, "--grid", "8")
+        assert code == 0 and doc["nondegeneracy"] == "nonvanishing-grid"
+        assert doc["config"] == {"grid": 8}
 
     def test_check_degenerate(self, tmp_path):
         # top coefficient 1+x vanishes at the grid point x = -1
@@ -266,24 +300,39 @@ class TestExtend:
                "omega": {"1,2": "1"}}
         path = tmp_path / "zdata.json"
         path.write_text(json.dumps(doc))
-        code, out = run_json("extend", str(path))
+        code, out = run_json("extend", str(path), "--grid", "16")
         assert code == 1
         assert not out["defining_forms"]["alpha_nonvanishing"]
+        # the defining forms fail before any grid is sampled
+        assert out["config"] == {"eps": 1.0}
 
-    def test_grid_reported(self, tmp_path):
+    @staticmethod
+    def _torus3_doc(tmp_path, alpha0):
         two_pi = 2 * math.pi
         doc = {"schema": "bgeo/1", "kind": "zdata",
                "patch": {"names": ["theta1", "theta2", "theta3"],
                          "intervals": [[0, two_pi]] * 3,
                          "periods": [two_pi] * 3},
-               "alpha": {"0": "1/6", "1": "1/3", "2": "-1/6"},
+               "alpha": {"0": alpha0, "1": "1/3", "2": "-1/6"},
                "omega": {"0,1": "1", "0,2": "2", "1,2": "-1"}}
         path = tmp_path / "zdata.json"
         path.write_text(json.dumps(doc))
-        code, out = run_json("extend", str(path), "--grid", "16")
-        assert code == 0 and out["config"]["grid"] == 16
-        code, out = run_json("extend", str(path))
+        return str(path)
+
+    def test_grid_reported(self, tmp_path):
+        # alpha depends on theta1: the grid decides nondegeneracy
+        path = self._torus3_doc(tmp_path, "(2 + cos(theta1))/6")
+        code, out = run_json("extend", path, "--grid", "16")
+        assert code == 0 and out["nondegeneracy"] == "nonvanishing-grid"
+        assert out["config"] == {"eps": 1.0, "grid": 16}
+        code, out = run_json("extend", path)
         assert code == 0 and out["config"]["grid"] == 24
+
+    def test_symbolic_verdict_has_no_grid(self, tmp_path):
+        path = self._torus3_doc(tmp_path, "1/6")
+        code, out = run_json("extend", path, "--grid", "16")
+        assert code == 0 and out["nondegeneracy"] == "nonvanishing-symbolic"
+        assert out["config"] == {"eps": 1.0}
 
 
 class TestExitCodes:

@@ -5,7 +5,8 @@ import pytest
 
 from bgeo import evalcore
 from bgeo.evalcore import compile_tape, evaluate_tape
-from bgeo.symexpr import EvalDomainError, Patch, eval_expr, parse_expr
+from bgeo.symexpr import (EvalDomainError, ExprError, Patch, eval_expr,
+                          parse_expr)
 from tree_eval import tree_eval
 
 PATCH = Patch(("x", "y"), ((-2.0, 2.0), (-2.0, 2.0)), params=("a",))
@@ -51,6 +52,15 @@ def test_poles_are_nonfinite_not_exceptions():
 def test_missing_variable_reported_at_compile():
     with pytest.raises(KeyError, match="'y'"):
         compile_tape(parse_expr("x + y", PATCH), ("x",))
+
+
+@pytest.mark.parametrize("text", ["x*1e400", "x - 1e999999", "x^(10^400/3)",
+                                  "x^3000000000"])
+def test_unrepresentable_constant_reported_at_compile(text):
+    # no float holds the constant or no int32 the exponent: an ExprError,
+    # not an OverflowError
+    with pytest.raises(ExprError):
+        compile_tape(parse_expr(text, PATCH), ("x", "y"))
 
 
 def test_stack_depth_accounting():

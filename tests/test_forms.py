@@ -6,11 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bgeo import symexpr as se
+from bgeo._poly import poly_const, poly_quotient, rat_add, rat_mul
 from bgeo.forms import (
     BBivector,
     BForm,
     GeometryError,
     ZComponent,
+    _inverse_expr,
     bform_equiv,
     bivector_to_bform,
     bwedge,
@@ -423,3 +426,68 @@ class TestDuality:
                   smooth_form(PLANE, 2, {}), sym("y"), "y")
         with pytest.raises(GeometryError):
             dualize(w)
+
+
+def _random_entry(rng, rational):
+    """c0 + c1*x + c2*y, over 1 + x^2 when rational."""
+    cs = [Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4)))
+          for _ in range(3)]
+    e = se.add(Num(cs[0]), se.mul(Num(cs[1]), sym("x")),
+               se.mul(Num(cs[2]), sym("y")))
+    if rational:
+        e = se.div(e, se.add(Num(Fraction(1)), se.powr(sym("x"), 2)))
+    return e
+
+
+def _random_matrix(rng, n, rational):
+    # a constant diagonal shift keeps the seeded matrices invertible
+    return [[se.add(_random_entry(rng, rational),
+                    Num(Fraction(5 if i == j else 0)))
+             for j in range(n)] for i in range(n)]
+
+
+class TestInverseKernel:
+    """_inverse_expr works on the exact (numerator, denominator) views of
+    bgeo._poly; M * M^-1 must be the identity exactly."""
+
+    @pytest.mark.parametrize("n, rational", [(2, False), (2, True),
+                                             (4, False)])
+    def test_product_is_identity(self, n, rational):
+        rng = np.random.default_rng(40 + n + rational)
+        for _ in range(6 if n == 2 else 2):
+            M = _random_matrix(rng, n, rational)
+            Minv = _inverse_expr(M)
+            # symbolically, on the kernel's views over one atom index
+            views, atoms = se._to_ratpoly([e for row in M + Minv
+                                           for e in row])
+            A = [views[i * n:(i + 1) * n] for i in range(n)]
+            B = [views[(n + i) * n:(n + i + 1) * n] for i in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    acc = ({}, poly_const(Fraction(1), len(atoms)))
+                    for k in range(n):
+                        acc = rat_add(acc, rat_mul(A[i][k], B[k][j]))
+                    assert poly_quotient(*acc) == \
+                        poly_const(Fraction(int(i == j)), len(atoms))
+            # and at seeded rational points, by exact constant folding
+            for _ in range(3):
+                pt = {"x": Fraction(int(rng.integers(-9, 10)), 7),
+                      "y": Fraction(int(rng.integers(-9, 10)), 5)}
+                a = [[se.substitute(e, pt).value for e in row] for row in M]
+                b = [[se.substitute(e, pt).value for e in row]
+                     for row in Minv]
+                for i in range(n):
+                    for j in range(n):
+                        assert sum(a[i][k] * b[k][j] for k in range(n)) \
+                            == int(i == j)
+
+    def test_float_entry_rejected(self):
+        M = [[Num(2.5), sym("x")], [se.neg(sym("x")), Num(Fraction(1))]]
+        with pytest.raises(GeometryError, match="no exact rational view"):
+            _inverse_expr(M)
+
+    def test_singular_rejected(self):
+        M = [[sym("x"), sym("y")], [se.mul(Num(Fraction(2)), sym("x")),
+                                    se.mul(Num(Fraction(2)), sym("y"))]]
+        with pytest.raises(GeometryError, match="singular"):
+            _inverse_expr(M)

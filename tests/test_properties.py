@@ -1,6 +1,7 @@
 """Randomized property suites: each law is checked on >= 200 random cases
 drawn from a seeded generator, so failures are reproducible."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +29,13 @@ from bgeo.surface2d import (
 from bgeo.symexpr import Patch, diff_expr, eval_expr, expr_equiv, parse_expr
 
 N_CASES = 200
+
+# count and sha256 of the to_string of every tree that the first
+# TREE_PIN_CASES cases of the six suites below hand to expr_equiv or
+# eval_expr, in call order; any change to a canonical tree changes them
+TREE_PIN_CASES = 20
+TREE_DIGEST = (1564, "d9cb7cbb99d69e4079b92d3ccd615483"
+                     "667146d3718ba301733dc5c52882cad3")
 
 
 def patch4():
@@ -227,3 +235,29 @@ class TestModularField:
                 v = (eval_expr(at, {"theta": float(th)})
                      * eval_expr(X2, {"theta": float(th), "h": 0.0}))
                 assert abs(v - 1.0) < 1e-8
+
+
+class TestCanonicalTrees:
+    def test_tree_digest(self, monkeypatch):
+        trees = []
+        real_eval = eval_expr
+
+        def record_equiv(a, b, *args, **kwargs):
+            trees.extend((se.to_string(a), se.to_string(b)))
+            return True  # the laws themselves are the suites' business
+
+        def record_eval(e, *args, **kwargs):
+            trees.append(se.to_string(e))
+            return real_eval(e, *args, **kwargs)
+
+        monkeypatch.setitem(globals(), "N_CASES", TREE_PIN_CASES)
+        monkeypatch.setitem(globals(), "expr_equiv", record_equiv)
+        monkeypatch.setitem(globals(), "eval_expr", record_eval)
+        TestExteriorCalculus().test_d_squared_is_zero()
+        TestExteriorCalculus().test_graded_leibniz()
+        TestDualizeRoundTrip().test_round_trip()
+        TestRestrictionCovariance().test_covariance()
+        TestModularField().test_volume_change_covariance()
+        TestModularField().test_pairing_with_intrinsic_form()
+        digest = hashlib.sha256("\n".join(trees).encode()).hexdigest()
+        assert (len(trees), digest) == TREE_DIGEST

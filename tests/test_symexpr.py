@@ -1,6 +1,7 @@
 """Tests for the symbolic expression core."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from bgeo.symexpr import (
     MAX_NESTING,
     EquivalenceInconclusive,
     EvalDomainError,
+    ExprError,
     ExprSyntaxError,
     Num,
     Patch,
@@ -100,6 +102,21 @@ class TestParser:
         # deeper than MAX_NESTING: a syntax error, not a RecursionError
         with pytest.raises(ExprSyntaxError, match="nested deeper"):
             parse_expr(text, PATCH)
+
+    @pytest.mark.parametrize("text", ["10^10^10", "2^99999999*x",
+                                      "(1/3)^(-10^6)", "2^8192"])
+    def test_constant_power_bound(self, text):
+        # folding would compute a number of billions of bits: refuse fast
+        t0 = time.perf_counter()
+        with pytest.raises(ExprError, match="constant power exceeds"):
+            parse_expr(text, PATCH)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_constant_power_within_bound(self):
+        assert parse_expr("2^64", PATCH) == Num(Fraction(2 ** 64))
+        assert parse_expr("(-2/3)^-5", PATCH) == Num(Fraction(-243, 32))
+        assert parse_expr("2^8191", PATCH) == Num(Fraction(2 ** 8191))
+        assert parse_expr("(-1)^99999999 * x", PATCH) == neg(sym("x"))
 
     def test_nesting_within_limit(self):
         n = MAX_NESTING - 1
