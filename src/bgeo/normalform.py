@@ -6,6 +6,15 @@ interpolation family omega_t between two forms, solve the defining linear
 system for the time-dependent vector field in the singular frame, integrate
 its time-1 flow with RK4, and measure the pullback residual with
 finite-difference Jacobians at low-discrepancy sample points.
+
+The flow is one fused pass per velocity.  The coefficient matrix enters as
+one (n,) row per strict-upper entry that is not identically zero, never as
+zero-filled (n, m, m) arrays; the interpolation blends only those rows, and
+_solve_antisymmetric reads them with the right-hand side's columns and
+writes the solution into one column-contiguous array.  The RK4 state is
+column-contiguous too, so the tapes read contiguous point columns.  Every
+entry keeps the floating-point operations of the dense formulas, so the
+reports do not depend on the layout.
 """
 
 from __future__ import annotations
@@ -313,67 +322,109 @@ class MoserReport:
     sample_points: object = field(default=None, repr=False)
 
 
-def _solve_antisymmetric(W, b):
-    """Solve W u = b for a batch of antisymmetric (n, m, m) matrices.
+def _antisymmetric(rows, n, m):
+    """The full (n, m, m) antisymmetric matrices of upper-triangle rows."""
+    W = np.zeros((n, m, m))
+    for (i, j), v in rows.items():
+        W[:, i, j] = v
+        W[:, j, i] = -v
+    return W
+
+
+def _solve_antisymmetric(rows, b, n):
+    """Solve W u = b for a batch of n antisymmetric m x m matrices.
+
+    W is given by its strict upper triangle: rows maps (i, j), i < j, to
+    the (n,) array of entries W[:, i, j]; an absent entry is 0.  b is the
+    list of the m right-hand-side columns, each an (n,) array or a scalar.
+    u comes back as one column-contiguous (n, m) array.
 
     m = 2 performs the operations of LAPACK's partially pivoted LU on
     [[0, a], [-a, 0]], so the result is bit-identical to numpy.linalg.solve.
     m = 4 uses W^-1 = adj(W) / Pf(W), where adj(W) is the antisymmetric
-    matrix of complementary entries and Pf(W) the Pfaffian.  A singular
-    matrix anywhere in the batch raises GeometryError."""
-    m = W.shape[-1]
+    matrix of complementary entries and Pf(W) the Pfaffian; an absent entry
+    takes part as the scalar 0.0, so every component sees the operations of
+    the dense formula.  m >= 6 builds the full matrices for
+    numpy.linalg.solve.  A singular matrix anywhere in the batch raises
+    GeometryError."""
+    m = len(b)
+    u = np.empty((n, m), order="F")
     if m == 2:
-        a01 = W[:, 0, 1]
+        a01 = rows.get((0, 1), 0.0)
         if np.any(a01 == 0.0):
             raise GeometryError(_DEGENERATE)
-        return np.stack([b[:, 1] / -a01, b[:, 0] / a01], axis=1)
+        np.divide(b[1], -a01, out=u[:, 0])
+        np.divide(b[0], a01, out=u[:, 1])
+        return u
     if m == 4:
-        a01, a02, a03 = W[:, 0, 1], W[:, 0, 2], W[:, 0, 3]
-        a12, a13, a23 = W[:, 1, 2], W[:, 1, 3], W[:, 2, 3]
+        a01, a02, a03, a12, a13, a23 = (
+            rows.get(key, 0.0)
+            for key in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
         pf = a01 * a23 - a02 * a13 + a03 * a12
         if np.any(pf == 0.0):
             raise GeometryError(_DEGENERATE)
-        b0, b1, b2, b3 = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
-        u = np.stack([-a23 * b1 + a13 * b2 - a12 * b3,
-                      a23 * b0 - a03 * b2 + a02 * b3,
-                      -a13 * b0 + a03 * b1 - a01 * b3,
-                      a12 * b0 - a02 * b1 + a01 * b2], axis=1)
-        return u / pf[:, None]
+        b0, b1, b2, b3 = b
+        np.divide(-a23 * b1 + a13 * b2 - a12 * b3, pf, out=u[:, 0])
+        np.divide(a23 * b0 - a03 * b2 + a02 * b3, pf, out=u[:, 1])
+        np.divide(-a13 * b0 + a03 * b1 - a01 * b3, pf, out=u[:, 2])
+        np.divide(a12 * b0 - a02 * b1 + a01 * b2, pf, out=u[:, 3])
+        return u
+    B = np.empty((n, m))
+    for k, col in enumerate(b):
+        B[:, k] = col
     try:
-        return np.linalg.solve(W, b[..., None])[..., 0]
+        u[:] = np.linalg.solve(_antisymmetric(rows, n, m),
+                               B[..., None])[..., 0]
     except np.linalg.LinAlgError:
         raise GeometryError(_DEGENERATE) from None
+    return u
 
 
 class _MoserEngine:
     """Shared flow/residual machinery for the two Moser verifiers.
 
-    W(points, t) must return the stacked coefficient matrices of omega_t in
-    the singular coframe; r(points, t) the right-hand side of the defining
-    system in the same coframe.  Velocities come from -W u = r, converted
-    back to coordinate components by scaling the z slot with f.  The system
-    is solved by _solve_antisymmetric: in closed form for m = 2 (Cramer,
-    bit-identical to LAPACK's pivoted LU) and m = 4 (the Pfaffian adjugate),
-    and by numpy.linalg.solve for m >= 6."""
+    W_rows(x, t) must return the strict upper triangle of the coefficient
+    matrix of omega_t in the singular coframe, as a dict of (n,) rows keyed
+    by (i, j) that holds only the entries that can be nonzero; b_cols(x) the
+    m columns of the right-hand side b of W u = b in the same coframe.  x is
+    the point batch the tapes read: the points themselves, or when `timed`
+    the points and a last column holding t.  Velocities are u converted back
+    to coordinate components by scaling the z column with f in place.  The
+    system is solved by _solve_antisymmetric: in closed form for m = 2
+    (Cramer, bit-identical to LAPACK's pivoted LU) and m = 4 (the Pfaffian
+    adjugate), and by numpy.linalg.solve on full matrices for m >= 6.
 
-    def __init__(self, patch, zname, f_expr, W_fn, r_fn):
-        self.patch = patch
+    The RK4 state is column-contiguous (Fortran order), like the velocities,
+    so the tapes' point columns and the solver's right-hand-side columns are
+    contiguous reads.  Full (n, m, m) matrices are built only for the
+    pullback residual, once for each of W_0 and W_1."""
+
+    def __init__(self, patch, zname, f_expr, W_rows, b_cols, timed=False):
+        self.m = patch.dim
         self.zi = patch.index(zname)
         self.f_tape = compile_tape(f_expr, patch.names)
-        self.W_fn = W_fn
-        self.r_fn = r_fn
+        self.W_rows = W_rows
+        self.b_cols = b_cols
+        self.timed = timed
+
+    def at(self, pts, t):
+        """The batch the tapes read at time t."""
+        if not self.timed:
+            return pts
+        x = np.empty((pts.shape[0], self.m + 1), order="F")
+        x[:, :-1] = pts
+        x[:, -1] = t
+        return x
 
     def velocity(self, pts, t):
-        W = self.W_fn(pts, t)
-        r = self.r_fn(pts, t)
-        u = _solve_antisymmetric(W, -r)
-        fvals = evaluate_tape(self.f_tape, pts)
-        v = u.copy()
-        v[:, self.zi] = u[:, self.zi] * fvals
-        return v
+        x = self.at(pts, t)
+        u = _solve_antisymmetric(self.W_rows(x, t), self.b_cols(x),
+                                 pts.shape[0])
+        u[:, self.zi] *= evaluate_tape(self.f_tape, x)
+        return u
 
     def flow(self, pts, n_steps):
-        p = pts.copy()
+        p = np.asarray(pts, order="F")
         h = 1.0 / n_steps
         for k in range(n_steps):
             t = k * h
@@ -383,6 +434,11 @@ class _MoserEngine:
             k4 = self.velocity(p + h * k3, t + h)
             p = p + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         return p
+
+    def matrix(self, pts, t):
+        """The full (n, m, m) coefficient matrices at time t."""
+        return _antisymmetric(self.W_rows(self.at(pts, t), t), pts.shape[0],
+                              self.m)
 
     def pullback_residual(self, pts, n_steps, fd_step=FD_STEP):
         """max |D J^T Omega_1(flow(p)) J D - W_0(p)| per point, with D the
@@ -394,61 +450,53 @@ class _MoserEngine:
             e = np.zeros(m)
             e[j] = fd_step
             batch += [pts + e, pts - e]
-        flowed = self.flow(np.concatenate(batch, axis=0), n_steps)
+        start = np.empty((n * (1 + 2 * m), m), order="F")
+        flowed = self.flow(np.concatenate(batch, out=start), n_steps)
         q = flowed[:n]
         J = np.empty((n, m, m))
         for j in range(m):
             plus = flowed[(1 + 2 * j) * n:(2 + 2 * j) * n]
             minus = flowed[(2 + 2 * j) * n:(3 + 2 * j) * n]
             J[:, :, j] = (plus - minus) / (2 * fd_step)
-        W1q = self.W_fn(q, 1.0)
         fq = evaluate_tape(self.f_tape, q)
         zi = self.zi
-        Omega1 = W1q.copy()
+        Omega1 = self.matrix(q, 1.0)
         Omega1[:, zi, :] /= fq[:, None]
         Omega1[:, :, zi] /= fq[:, None]
         Omega1[:, zi, zi] = 0.0
         fp = evaluate_tape(self.f_tape, pts)
         A = J.copy()
         A[:, :, zi] *= fp[:, None]
-        R = np.einsum("nia,nij,njb->nab", A, Omega1, A) - self.W_fn(pts, 0.0)
+        R = np.einsum("nia,nij,njb->nab", A, Omega1, A) - self.matrix(pts, 0.0)
         return np.max(np.abs(R), axis=(1, 2))
 
 
-def _matrix_evaluator(patch, W, extra_cols=0):
+def _matrix_evaluator(patch, W):
     """Compile the strict upper triangle of an expression matrix; returns a
-    function building the full antisymmetric matrix on a point batch."""
+    function giving {(i, j): (n,) row} on a point batch for the entries
+    that are not identically zero."""
     m = patch.dim
-    tapes = {}
     names = patch.names + patch.params
-    for i in range(m):
-        for j in range(i + 1, m):
-            if not is_zero(W[i][j]):
-                tapes[(i, j)] = compile_tape(W[i][j], names)
+    tapes = {(i, j): compile_tape(W[i][j], names)
+             for i in range(m) for j in range(i + 1, m)
+             if not is_zero(W[i][j])}
 
     def evaluate(pts):
-        out = np.zeros((pts.shape[0], m, m))
-        for (i, j), tape in tapes.items():
-            v = evaluate_tape(tape, pts)
-            out[:, i, j] = v
-            out[:, j, i] = -v
-        return out
+        return {key: evaluate_tape(tape, pts) for key, tape in tapes.items()}
 
     return evaluate
 
 
 def _vector_evaluator(patch, comps):
+    """Compile a vector of expressions; returns a function giving its
+    components on a point batch, each an (n,) array, or the scalar 0.0 for
+    one that is identically zero."""
     names = patch.names + patch.params
-    tapes = {}
-    for i, e in enumerate(comps):
-        if not is_zero(e):
-            tapes[i] = compile_tape(e, names)
+    tapes = [None if is_zero(e) else compile_tape(e, names) for e in comps]
 
     def evaluate(pts):
-        out = np.zeros((pts.shape[0], patch.dim))
-        for i, tape in tapes.items():
-            out[:, i] = evaluate_tape(tape, pts)
-        return out
+        return [0.0 if tape is None else evaluate_tape(tape, pts)
+                for tape in tapes]
 
     return evaluate
 
@@ -553,6 +601,32 @@ def _flow_steps(n_points, rk_step):
     return int(round(1 / float(rk_step)))
 
 
+def _relative_engine(omega0, omega1, rho):
+    """The flow of the relative statement: -W_t u = rho in the singular
+    coframe, where W_t = (1 - t) W_0 + t W_1 and rho_z picks up a factor f."""
+    patch = omega0.patch
+    ev0 = _matrix_evaluator(patch, b_matrix(omega0))
+    ev1 = _matrix_evaluator(patch, b_matrix(omega1))
+    rhs = [rho.coefficient(i) for i in range(patch.dim)]
+    zi = patch.index(omega0.zname)
+    rhs[zi] = se.mul(omega0.f, rhs[zi])
+    ev_r = _vector_evaluator(patch, rhs)
+
+    def W_rows(x, t):
+        # entry by entry over the entries nonzero in W_0 or W_1; an entry
+        # absent from one of them blends its scalar 0.0
+        if t == 0.0:
+            return ev0(x)
+        if t == 1.0:
+            return ev1(x)
+        w0, w1 = ev0(x), ev1(x)
+        return {key: (1.0 - t) * w0.get(key, 0.0) + t * w1.get(key, 0.0)
+                for key in w0.keys() | w1.keys()}
+
+    return _MoserEngine(patch, omega0.zname, omega0.f, W_rows,
+                        lambda x: [-c for c in ev_r(x)])
+
+
 def moser_relative_verify(omega0: BForm, omega1: BForm, n_points=N_SAMPLE,
                           rk_step=RK_STEP, fd_step=FD_STEP) -> MoserReport:
     """Numerically verify the relative normal-form statement: two singular
@@ -585,11 +659,6 @@ def moser_relative_verify(omega0: BForm, omega1: BForm, n_points=N_SAMPLE,
                                 "inputs are not both symplectic")
 
     zi = patch.index(zname)
-    W0 = b_matrix(omega0)
-    W1 = b_matrix(omega1)
-    ev0 = _matrix_evaluator(patch, W0)
-    ev1 = _matrix_evaluator(patch, W1)
-
     worst_resid = 0.0
     worst_vZ = 0.0
     halvings_used = 0
@@ -605,21 +674,7 @@ def moser_relative_verify(omega0: BForm, omega1: BForm, n_points=N_SAMPLE,
         cval = _snap_root(omega0.f, zname, comp.value)
         rho, core = _collar_primitive(delta_s, zname, cval)
         mu = _divide_by_f(core, omega0.f, zname, cval)
-
-        # right-hand side in the singular coframe: rho_z picks up a factor f
-        rhs = [rho.coefficient(i) for i in range(patch.dim)]
-        rhs[zi] = se.mul(omega0.f, rhs[zi])
-        ev_r = _vector_evaluator(patch, rhs)
-
-        def W_fn(pts, t):
-            if t == 0.0:
-                return ev0(pts)
-            if t == 1.0:
-                return ev1(pts)
-            return (1.0 - t) * ev0(pts) + t * ev1(pts)
-
-        engine = _MoserEngine(patch, zname, omega0.f, W_fn,
-                              lambda pts, t: ev_r(pts))
+        engine = _relative_engine(omega0, omega1, rho)
         pts = _halton_collar(patch, zi, comp.value - r, comp.value + r,
                              n_points)
         # tangency: velocity exactly on the level set
@@ -674,6 +729,18 @@ def _divide_by_f(core: SmoothForm, f, zname, c):
                       {key: se.div(a, h) for key, a in core.comps.items()})
 
 
+def _global_engine(omega_t, mu_t):
+    """The isotopy field of a family: with d(mu_t) = d/dt omega_t it solves
+    -W_t u = -mu_t in the singular coframe (so that L_v omega_t cancels the
+    time derivative); W_t and mu_t read t from the tapes' last column."""
+    patch = omega_t.patch
+    ev_W = _matrix_evaluator(patch, b_matrix(omega_t))
+    ev_mu = _vector_evaluator(
+        patch, [mu_t.b_coefficient(i) for i in range(patch.dim)])
+    return _MoserEngine(patch, omega_t.zname, omega_t.f,
+                        lambda x, t: ev_W(x), ev_mu, timed=True)
+
+
 def moser_global_verify(omega_t: BForm, mu_t: BForm, tname="t",
                         n_points=N_SAMPLE, rk_step=RK_STEP,
                         fd_step=FD_STEP) -> MoserReport:
@@ -716,19 +783,7 @@ def moser_global_verify(omega_t: BForm, mu_t: BForm, tname="t",
         if vmin < 1e-9:
             raise GeometryError("family degenerates at t = %g" % tv)
 
-    W = b_matrix(omega_t)
-    ev_W = _matrix_evaluator(patch, W)
-    rhs = [mu_t.b_coefficient(i) for i in range(patch.dim)]
-    ev_r = _vector_evaluator(patch, rhs)
-
-    def with_t(pts, t):
-        return np.concatenate([pts, np.full((pts.shape[0], 1), t)], axis=1)
-
-    # with d(mu_t) = d/dt omega_t, the isotopy field solves the contraction
-    # equation against -mu_t (so that L_v omega_t cancels the time derivative)
-    engine = _MoserEngine(patch, zname, omega_t.f,
-                          lambda pts, t: ev_W(with_t(pts, t)),
-                          lambda pts, t: -ev_r(with_t(pts, t)))
+    engine = _global_engine(omega_t, mu_t)
 
     worst_resid = 0.0
     worst_dfvZ = 0.0
@@ -747,7 +802,9 @@ def moser_global_verify(omega_t: BForm, mu_t: BForm, tname="t",
         on_Z[:, zi] = comp.value
         for t in (0.0, 0.5, 1.0):
             v = engine.velocity(on_Z, t)
-            dfv = np.sum(ev_df(with_t(on_Z, t)) * v, axis=1)
+            dfm = np.column_stack(np.broadcast_arrays(
+                *ev_df(engine.at(on_Z, t))))
+            dfv = np.sum(dfm * v, axis=1)
             worst_dfvZ = max(worst_dfvZ, float(np.max(np.abs(dfv))))
         resid = engine.pullback_residual(pts, n_steps, fd_step)
         all_resid.append(resid)

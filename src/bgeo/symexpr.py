@@ -8,7 +8,8 @@ rebuilds a tree through the constructors and is idempotent.
 
 Rational constants are carried exactly as fractions.Fraction; anything
 transcendental degrades to float.  Folding a constant power whose exact
-value would pass _FOLD_BIT_LIMIT bits is an ExprError.  Equivalence testing
+value would pass _FOLD_BIT_LIMIT bits is an ExprError, and so is parsing a
+literal of that size or a division by an exact zero.  Equivalence testing
 is exact on rational functions of the atoms and falls back to randomized
 sampling.
 
@@ -606,11 +607,17 @@ def _view(e, index, n, one):
     if isinstance(e, Pow):
         bn, bd = _view(e.base, index, n, one)
         m = int(e.exp)
-        if m >= 0:
-            return poly_pow(bn, m), poly_pow(bd, m)
-        if not bn:
-            raise EvalDomainError("division by symbolic zero")
-        return poly_pow(bd, -m), poly_pow(bn, -m)
+        if m < 0:
+            if not bn:
+                raise EvalDomainError("division by symbolic zero")
+            bn, bd, m = bd, bn, -m
+        # a base of two or more monomials to the power m has at least m + 1
+        if m >= _POLY_MONOMIAL_LIMIT and max(len(bn), len(bd)) > 1:
+            raise _PolyOverflow
+        r = poly_pow(bn, m), poly_pow(bd, m)
+        if max(len(r[0]), len(r[1])) > _POLY_MONOMIAL_LIMIT:
+            raise _PolyOverflow
+        return r
     if isinstance(e, Mul):
         r, op, parts = (one, one), rat_mul, e.factors
     elif isinstance(e, Add):
@@ -949,7 +956,7 @@ def parse_expr(text, patch, extra_params=()):
                 e = mul(e, parse_unary())
             elif kind == "/":
                 toks.next()
-                e = div(e, parse_unary())
+                e = mul(e, _parse_pow(parse_unary(), Fraction(-1)))
             else:
                 return e
 
@@ -973,7 +980,7 @@ def parse_expr(text, patch, extra_params=()):
         if kind == "^":
             toks.next()
             exp = parse_exponent()
-            return powr(e, exp)
+            return _parse_pow(e, exp)
         return e
 
     def parse_exponent():
@@ -993,7 +1000,7 @@ def parse_expr(text, patch, extra_params=()):
             if toks.peek()[0] == "^":  # right-associative constant tower
                 toks.next()
                 nest(1, pos)
-                folded = powr(Num(value), parse_exponent())
+                folded = _parse_pow(Num(value), parse_exponent())
                 nest(-1, pos)
                 if not (isinstance(folded, Num) and isinstance(folded.value, Fraction)):
                     raise ExprSyntaxError("exponent must be a rational constant", pos)
@@ -1040,11 +1047,37 @@ def parse_expr(text, patch, extra_params=()):
     return e
 
 
+def _parse_pow(base, exp):
+    """powr for the parser, where a zero to a negative power (`x/0`,
+    `0^-1`, `h/(h-h)`) is an ExprError; the constructors keep such a pole
+    for evaluation to report.  The canonical constructors fold a zero
+    factor or term into Num(0), so looking at the base alone suffices."""
+    if isinstance(base, Num) and base.value == 0 and exp < 0:
+        raise ExprError("division by zero")
+    return powr(base, exp)
+
+
 def _parse_number(text, pos):
+    """The exact value of a decimal literal.  One whose exact value would
+    pass _FOLD_BIT_LIMIT bits is an ExprSyntaxError; lower bounds on its
+    size from the digits and the exponent decide before the Fraction is
+    built, so that 1e999999999 fails at once."""
     try:
-        return Num(Fraction(Decimal(text)))
+        d = Decimal(text)
     except (InvalidOperation, ValueError):
         raise ExprSyntaxError(f"bad number {text!r}", pos) from None
+    _, digits, exp = d.as_tuple()
+    nd = len(digits)
+    while nd and digits[nd - 1] == 0:
+        nd -= 1
+    # the value is c * 10^e with c of nd digits and no factor 10, so for
+    # e < 0 the reduced denominator is at least 2^-e
+    e = exp + len(digits) - nd
+    bound = (nd - 1 + e) * math.log2(10) if e >= 0 else -e
+    if nd and bound > _FOLD_BIT_LIMIT \
+            or _bits(v := Fraction(d)) > _FOLD_BIT_LIMIT:
+        raise ExprSyntaxError(f"number exceeds {_FOLD_BIT_LIMIT} bits", pos)
+    return Num(v)
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,18 @@ class TestInvariants:
         assert "error" in json.loads(proc.stdout)
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("P", ["h/(h-h)", "h*0^-1", "h + 1/(h-h)"])
+    def test_division_by_zero(self, tmp_path, P):
+        # a parse error, not "non-finite value inf" after sampling
+        doc = {"schema": "bgeo/1", "kind": "surface", "topology": "sphere",
+               "P": P}
+        path = tmp_path / "pole.json"
+        path.write_text(json.dumps(doc))
+        proc = run("invariants", str(path), "--grid", "8")
+        assert proc.returncode == 1
+        assert "division by zero" in json.loads(proc.stdout)["error"]
+        assert "Traceback" not in proc.stderr
+
 
 class TestClassify:
     def test_distinct(self, sphere_doc, scaled_sphere_doc):
@@ -186,6 +198,26 @@ class TestParseCheck:
         proc = run("check", path, "--grid", "8")
         assert proc.returncode == 1
         assert "error" in json.loads(proc.stdout)
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("f, alpha", [("y", "1e999999999"),
+                                          ("y*1e-999999999", "1")])
+    def test_huge_literal(self, tmp_path, f, alpha):
+        # refused from the literal's exponent, before its exact value
+        path = bform_doc(tmp_path, "w.json", {"0": alpha}, {}, f=f)
+        proc = subprocess.run(CMD + ["check", path], capture_output=True,
+                              text=True, timeout=10)
+        assert proc.returncode == 1
+        assert "number exceeds" in json.loads(proc.stdout)["error"]
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("f, alpha", [("y", "x/0"), ("y/(y-y)", "1"),
+                                          ("y", "1 + 0^-1")])
+    def test_division_by_zero(self, tmp_path, f, alpha):
+        path = bform_doc(tmp_path, "w.json", {"0": alpha}, {}, f=f)
+        proc = run("check", path)
+        assert proc.returncode == 1
+        assert "division by zero" in json.loads(proc.stdout)["error"]
         assert "Traceback" not in proc.stderr
 
     def test_grid_only_when_sampled(self, tmp_path):

@@ -1,21 +1,31 @@
 """Tests for Darboux flattening and the Moser-path verifiers."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from bgeo import symexpr as se
+from bgeo.evalcore import compile_tape, evaluate_tape
 from bgeo.forms import (
     BForm,
     GeometryError,
     SmoothForm,
+    b_matrix,
     d_smooth,
+    find_z_components,
     form_equiv,
 )
 from bgeo.normalform import (
+    _collar_primitive,
+    _global_engine,
     _halton,
+    _halton_collar,
+    _relative_engine,
+    _smooth_difference,
+    _snap_root,
     _solve_antisymmetric,
     _standard_model,
     darboux2d,
@@ -179,42 +189,59 @@ def closed_perturbation_pair():
     return w0, BForm(p4, 2, w0.alpha, w0.beta + pert, w0.f, "y1")
 
 
+def upper_rows(W):
+    """The strict upper triangle of (n, m, m) matrices as {(i, j): row}."""
+    m = W.shape[-1]
+    return {(i, j): W[:, i, j].copy() for i in range(m)
+            for j in range(i + 1, m)}
+
+
 def antisymmetric_batch(m, n=500, seed=0):
     """Seeded antisymmetric (n, m, m) matrices with |Pf| >= 0.1, i.e.
-    det = Pf^2 >= 0.01, and right-hand sides (n, m)."""
+    det = Pf^2 >= 0.01, their upper-triangle rows, and right-hand sides
+    (n, m)."""
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((4 * n, m, m))
     W = A - A.transpose(0, 2, 1)
     W = W[np.linalg.det(W) >= 0.01][:n]
     assert W.shape[0] == n
-    return W, rng.standard_normal((n, m))
+    return W, upper_rows(W), rng.standard_normal((n, m))
+
+
+def solve_rows(rows, b):
+    return _solve_antisymmetric(rows, list(b.T), b.shape[0])
 
 
 class TestSolveAntisymmetric:
     def test_2x2_bit_identical_to_solve(self):
-        W, b = antisymmetric_batch(2)
+        W, rows, b = antisymmetric_batch(2)
         want = np.linalg.solve(W, b[..., None])[..., 0]
-        assert np.array_equal(_solve_antisymmetric(W, b), want)
+        u = solve_rows(rows, b)
+        assert u.flags.f_contiguous
+        assert np.array_equal(u, want)
 
     def test_4x4_pfaffian_adjugate(self):
-        W, b = antisymmetric_batch(4)
+        W, rows, b = antisymmetric_batch(4)
         want = np.linalg.solve(W, b[..., None])[..., 0]
-        np.testing.assert_allclose(_solve_antisymmetric(W, b), want,
-                                   rtol=1e-10, atol=0)
+        u = solve_rows(rows, b)
+        assert u.flags.f_contiguous
+        np.testing.assert_allclose(u, want, rtol=1e-10, atol=0)
 
     def test_6x6_uses_solve(self):
-        W, b = antisymmetric_batch(6)
+        W, rows, b = antisymmetric_batch(6)
         want = np.linalg.solve(W, b[..., None])[..., 0]
-        assert np.array_equal(_solve_antisymmetric(W, b), want)
+        u = solve_rows(rows, b)
+        assert u.flags.f_contiguous
+        assert np.array_equal(u, want)
 
     @pytest.mark.parametrize("m", [2, 4, 6])
     def test_singular_matrix_in_batch(self, m):
-        W, b = antisymmetric_batch(m, n=8)
+        W, _, b = antisymmetric_batch(m, n=8)
         W[3] = 0.0
         if m > 2:
             W[3, 0, 1], W[3, 1, 0] = 1.0, -1.0  # rank 2 < m
         with pytest.raises(GeometryError, match="degenerate"):
-            _solve_antisymmetric(W, b)
+            solve_rows(upper_rows(W), b)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -348,3 +375,184 @@ class TestMoserGlobal:
                    sym("y"), "y")
         with pytest.raises(ValueError, match="parameter"):
             moser_global_verify(w, mu)
+
+
+# --- the (n, m, m) velocity path the fused one replaced, kept as an oracle ---
+
+def dense_matrix_evaluator(patch, W):
+    m = patch.dim
+    names = patch.names + patch.params
+    tapes = {(i, j): compile_tape(W[i][j], names) for i in range(m)
+             for j in range(i + 1, m) if not se.is_zero(W[i][j])}
+
+    def evaluate(pts):
+        out = np.zeros((pts.shape[0], m, m))
+        for (i, j), tape in tapes.items():
+            v = evaluate_tape(tape, pts)
+            out[:, i, j] = v
+            out[:, j, i] = -v
+        return out
+
+    return evaluate
+
+
+def dense_vector_evaluator(patch, comps):
+    names = patch.names + patch.params
+    tapes = {i: compile_tape(e, names) for i, e in enumerate(comps)
+             if not se.is_zero(e)}
+
+    def evaluate(pts):
+        out = np.zeros((pts.shape[0], patch.dim))
+        for i, tape in tapes.items():
+            out[:, i] = evaluate_tape(tape, pts)
+        return out
+
+    return evaluate
+
+
+def dense_solve(W, b):
+    m = W.shape[-1]
+    if m == 2:
+        a01 = W[:, 0, 1]
+        return np.stack([b[:, 1] / -a01, b[:, 0] / a01], axis=1)
+    if m == 4:
+        a01, a02, a03 = W[:, 0, 1], W[:, 0, 2], W[:, 0, 3]
+        a12, a13, a23 = W[:, 1, 2], W[:, 1, 3], W[:, 2, 3]
+        pf = a01 * a23 - a02 * a13 + a03 * a12
+        b0, b1, b2, b3 = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
+        u = np.stack([-a23 * b1 + a13 * b2 - a12 * b3,
+                      a23 * b0 - a03 * b2 + a02 * b3,
+                      -a13 * b0 + a03 * b1 - a01 * b3,
+                      a12 * b0 - a02 * b1 + a01 * b2], axis=1)
+        return u / pf[:, None]
+    return np.linalg.solve(W, b[..., None])[..., 0]
+
+
+def dense_velocity(patch, zname, f, W_fn, r_fn):
+    f_tape = compile_tape(f, patch.names)
+    zi = patch.index(zname)
+
+    def velocity(pts, t):
+        u = dense_solve(W_fn(pts, t), -r_fn(pts, t))
+        v = u.copy()
+        v[:, zi] = u[:, zi] * evaluate_tape(f_tape, pts)
+        return v
+
+    return velocity
+
+
+def dense_relative_velocity(w0, w1, rho):
+    patch, zname = w0.patch, w0.zname
+    ev0 = dense_matrix_evaluator(patch, b_matrix(w0))
+    ev1 = dense_matrix_evaluator(patch, b_matrix(w1))
+    rhs = [rho.coefficient(i) for i in range(patch.dim)]
+    zi = patch.index(zname)
+    rhs[zi] = se.mul(w0.f, rhs[zi])
+    ev_r = dense_vector_evaluator(patch, rhs)
+
+    def W_fn(pts, t):
+        if t == 0.0:
+            return ev0(pts)
+        if t == 1.0:
+            return ev1(pts)
+        return (1.0 - t) * ev0(pts) + t * ev1(pts)
+
+    return dense_velocity(patch, zname, w0.f, W_fn,
+                          lambda pts, t: ev_r(pts))
+
+
+def dense_global_velocity(wt, mut):
+    patch = wt.patch
+    ev_W = dense_matrix_evaluator(patch, b_matrix(wt))
+    ev_r = dense_vector_evaluator(
+        patch, [mut.b_coefficient(i) for i in range(patch.dim)])
+
+    def with_t(pts, t):
+        return np.concatenate([pts, np.full((pts.shape[0], 1), t)], axis=1)
+
+    return dense_velocity(patch, wt.zname, wt.f,
+                          lambda pts, t: ev_W(with_t(pts, t)),
+                          lambda pts, t: -ev_r(with_t(pts, t)))
+
+
+def relative_primitive(w0, w1):
+    """rho as moser_relative_verify builds it for the first component."""
+    comp = find_z_components(w0)[0]
+    cval = _snap_root(w0.f, w0.zname, comp.value)
+    _, delta = _smooth_difference(w0 - w1)
+    return _collar_primitive(delta, w0.zname, cval)[0]
+
+
+def seeded_pair4(seed):
+    """dx^dy/y + du^dv and the same plus c1*y dx^dy + c2*y dy^du, with
+    c1, c2 nonzero tenths in [-1/2, 1/2]: the benchmark's 4-D pairs."""
+    rng = random.Random(seed)
+    c1, c2 = (Fraction(rng.choice([k for k in range(-5, 6) if k]), 10)
+              for _ in range(2))
+    p = Patch(("x", "y", "u", "v"), ((-1.0, 1.0),) * 4)
+    alpha = SmoothForm(p, 1, {("x",): num(1)})
+    w0 = BForm(p, 2, alpha, SmoothForm(p, 2, {("u", "v"): num(1)}),
+               sym("y"), "y")
+    pert = SmoothForm(p, 2, {("x", "y"): se.mul(num(c1), sym("y")),
+                             ("y", "u"): se.mul(num(c2), sym("y"))})
+    return w0, BForm(p, 2, alpha, w0.beta + pert, w0.f, "y")
+
+
+def pair6():
+    p6 = Patch(("x1", "y1", "x2", "y2", "x3", "y3"), ((-1.0, 1.0),) * 6)
+    w0 = _standard_model(p6, "y1")
+    pert = SmoothForm(p6, 2, {("x2", "y2"): sym("y1"),
+                              ("y1", "y2"): sym("x2")})
+    return w0, BForm(p6, 2, w0.alpha, w0.beta + pert, w0.f, "y1")
+
+
+FUSED_TIMES = (0.0, 0.3, 0.5, 1.0)
+
+
+def collar_points(patch, zi, n=200):
+    """Collar points as the verifiers sample them, the same points on Z,
+    and a column-contiguous copy as the flow holds them."""
+    pts = _halton_collar(patch, zi, -0.5, 0.5, n)
+    on_Z = pts.copy()
+    on_Z[:, zi] = 0.0
+    return [pts, on_Z, np.asfortranarray(pts)]
+
+
+class TestFusedVelocity:
+    """The fused upper-triangle velocity against the (n, m, m) path it
+    replaced: every entry keeps its floating-point operations, so the
+    velocities agree bit for bit (np.array_equal), not within a tolerance."""
+
+    def check_relative(self, w0, w1):
+        rho = relative_primitive(w0, w1)
+        fused = _relative_engine(w0, w1, rho)
+        dense = dense_relative_velocity(w0, w1, rho)
+        zi = w0.patch.index(w0.zname)
+        for pts in collar_points(w0.patch, zi):
+            for t in FUSED_TIMES:
+                v = fused.velocity(pts, t)
+                assert v.flags.f_contiguous
+                assert np.array_equal(v, dense(pts, t)), t
+
+    def test_relative_pair(self):
+        self.check_relative(*relative_pair())
+
+    def test_closed_perturbation_pair(self):
+        self.check_relative(*closed_perturbation_pair())
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_seeded_4d_pairs(self, seed):
+        self.check_relative(*seeded_pair4(seed))
+
+    def test_6d_pair_uses_solve(self):
+        self.check_relative(*pair6())
+
+    def test_global_family(self):
+        _, wt, mut = global_family()
+        fused = _global_engine(wt, mut)
+        dense = dense_global_velocity(wt, mut)
+        for pts in collar_points(wt.patch, wt.patch.index(wt.zname)):
+            for t in FUSED_TIMES:
+                v = fused.velocity(pts, t)
+                assert v.flags.f_contiguous
+                assert np.array_equal(v, dense(pts, t)), t

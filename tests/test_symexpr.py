@@ -118,6 +118,39 @@ class TestParser:
         assert parse_expr("2^8191", PATCH) == Num(Fraction(2 ** 8191))
         assert parse_expr("(-1)^99999999 * x", PATCH) == neg(sym("x"))
 
+    @pytest.mark.parametrize("text", ["1e999999999*x", "1e-999999999*x",
+                                      "x + 25e2466", "3e-8193"])
+    def test_number_literal_bound(self, text):
+        # the exact value of the literal would have more than 8192 bits
+        t0 = time.perf_counter()
+        with pytest.raises(ExprSyntaxError, match="number exceeds"):
+            parse_expr(text, PATCH)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_number_literal_within_bound(self):
+        assert parse_expr("1e300", PATCH) == Num(Fraction(10) ** 300)
+        assert parse_expr("2.5e-3", PATCH) == Num(Fraction(1, 400))
+        big = 123456789012345678901234567890
+        assert parse_expr(str(big), PATCH) == Num(Fraction(big))
+        # trailing zeros of the digits cancel against the exponent
+        one = "1" + "0" * 9000 + "e-9000"
+        assert parse_expr(one, PATCH) == Num(Fraction(1))
+
+    def test_power_of_sum_view_bound(self):
+        # the exact view of (x+1)^100000 would have 100001 monomials: the
+        # sum gives up on its rational collapse instead of expanding it
+        t0 = time.perf_counter()
+        e = parse_expr("1/(x+1)^100000 + x", PATCH)
+        assert time.perf_counter() - t0 < 1.0
+        assert e == add(powr(add(sym("x"), 1), -100000), sym("x"))
+        assert expr_to_ratpoly(e) is None
+
+    @pytest.mark.parametrize("text", ["0^-1", "x/0", "y/(y-y)", "1/(x-x)",
+                                      "(a-a)^(-2)"])
+    def test_division_by_zero(self, text):
+        with pytest.raises(ExprError, match="division by zero"):
+            parse_expr(text, PATCH)
+
     def test_nesting_within_limit(self):
         n = MAX_NESTING - 1
         assert parse_expr("(" * n + "x" + ")" * n, PATCH) == sym("x")
