@@ -4,9 +4,11 @@ Every subcommand reads JSON documents (schema "bgeo/1") and prints a single
 deterministic JSON report to stdout.  Exit codes: 0 success; 1 a failed
 verification, or an invalid document, expression or knob value (reported
 as a JSON error); 2 a command-line usage error (from argparse) or a missing
-input file.  Reports embed the tolerances, grid sizes, and seed that
-produced them (a grid size only where a grid was sampled), and each
-subcommand accepts only the options it reads.
+input file; 3 any other failure, an internal error reported as a JSON
+error with no traceback.  Reports embed the tolerances, grid sizes, and
+seed that produced them (a grid size only where a grid was sampled), and
+each subcommand accepts only the options it reads.  A --grid below 2 is a
+JSON error (exit 1).
 """
 
 from __future__ import annotations
@@ -291,6 +293,9 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a grid needs two samples per axis to bracket anything
+    if getattr(args, "grid", 2) < 2:
+        return _fail("--grid must be at least 2, got %d" % args.grid)
     try:
         return args.fn(args)
     except FileNotFoundError as exc:
@@ -301,6 +306,9 @@ def main(argv=None) -> int:
     except (ser.SchemaError, GeometryError, ExprError, ValueError,
             OverflowError) as exc:
         return _fail(exc)
+    except Exception as exc:  # last resort: a JSON error, not a traceback
+        return _fail("internal error: %s: %s" % (type(exc).__name__, exc),
+                     code=3)
 
 
 if __name__ == "__main__":

@@ -23,6 +23,22 @@ compares the cross products of its two sides over their shared index, so
 sides with different atoms are compared exactly too.  Float constants have
 no exact view.
 
+Three pieces of state make the exact path cheap, none of which changes a
+tree or a verdict:
+
+* every node caches its structural key (``sort_key``) on first use, built
+  from its children's cached keys; equality, hashing and the grouping in
+  ``mul`` and ``add`` read it, and it lives as long as the node;
+* ``_FAILED_COLLAPSES`` maps the key of a tree whose collapse failed to
+  that tree, weakly, so an equal tree built later is refused at once; an
+  entry goes when its tree is freed.  A collapse depends only on the
+  structure the key spells out, and any float makes it fail, so the memo
+  is exact (a NaN in a key only makes the lookup miss);
+* one ``_to_ratpoly`` call views each atom and each distinct compound
+  subtree once and shares that view wherever the subtree repeats; the memo
+  lives for the call, and the ``bgeo._poly`` functions never mutate their
+  inputs.
+
 Numbers come from one path, the tapes of ``bgeo.evalcore``: sampled
 equivalence evaluates both sides on blocks of candidate points and skips
 the non-finite ones, and ``eval_expr`` is a one-point tape call that
@@ -32,6 +48,7 @@ raises EvalDomainError where the tape gives inf or nan.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -96,7 +113,8 @@ class EquivalenceInconclusive(ExprError):
 
 
 class Expr:
-    __slots__ = ()
+    # _key: the structural key, set by sort_key on first use
+    __slots__ = ("_key", "__weakref__")
 
     def __add__(self, other):
         return add(self, _coerce(other))
@@ -208,6 +226,18 @@ _RANK = {Num: 0, Sym: 1, Fun: 2, Pow: 3, Mul: 4, Add: 5}
 
 
 def sort_key(e):
+    """The structural key of e, computed once per node from its children's
+    cached keys."""
+    try:
+        return e._key
+    except AttributeError:
+        pass
+    k = _structural_key(e)
+    object.__setattr__(e, "_key", k)
+    return k
+
+
+def _structural_key(e):
     if isinstance(e, Num):
         v = e.value
         if isinstance(v, Fraction):
@@ -511,15 +541,23 @@ def _rational_collapse(e):
     return _try_collapse(e)
 
 
+# sort_key -> a live node with that key whose collapse failed; an entry
+# goes when its node is freed
+_FAILED_COLLAPSES = weakref.WeakValueDictionary()
+
+
 def _try_collapse(e):
     """e as a polynomial in its atoms when its rational view divides out
     exactly; otherwise None."""
-    rp = expr_to_ratpoly(e)
-    if rp is None:
+    k = sort_key(e)
+    if k in _FAILED_COLLAPSES:
         return None
-    numer, denom, atoms = rp
-    q = poly_quotient(numer, denom)
-    return None if q is None else poly_to_expr(q, atoms)
+    rp = expr_to_ratpoly(e)
+    q = None if rp is None else poly_quotient(rp[0], rp[1])
+    if q is None:
+        _FAILED_COLLAPSES[k] = e
+        return None
+    return poly_to_expr(q, rp[2])
 
 
 def neg(e):
@@ -598,14 +636,22 @@ def _collect_atoms(e, atoms, seen):
     raise TypeError
 
 
-def _view(e, index, n, one):
+def _view(e, n, one, memo):
+    """The (numerator, denominator) view of e.  memo maps the sort_key of
+    every atom, and of each compound subtree already viewed in this call,
+    to its view, which is shared and never mutated."""
     if isinstance(e, Num):
         return poly_const(e.value, n), one
     k = sort_key(e)
-    if k in index:
-        return poly_var(index[k], n), one
+    r = memo.get(k)
+    if r is None:
+        r = memo[k] = _compound_view(e, n, one, memo)
+    return r
+
+
+def _compound_view(e, n, one, memo):
     if isinstance(e, Pow):
-        bn, bd = _view(e.base, index, n, one)
+        bn, bd = _view(e.base, n, one, memo)
         m = int(e.exp)
         if m < 0:
             if not bn:
@@ -625,7 +671,7 @@ def _view(e, index, n, one):
     else:
         raise TypeError
     for part in parts:
-        r = op(r, _view(part, index, n, one))
+        r = op(r, _view(part, n, one, memo))
         if max(len(r[0]), len(r[1])) > _POLY_MONOMIAL_LIMIT:
             raise _PolyOverflow
     return r
@@ -641,10 +687,11 @@ def _to_ratpoly(exprs):
         for e in exprs:
             _collect_atoms(e, atoms, seen)
         atoms.sort(key=sort_key)
-        index = {sort_key(a): i for i, a in enumerate(atoms)}
         n = len(atoms)
         one = poly_const(Fraction(1), n)
-        return [_view(e, index, n, one) for e in exprs], tuple(atoms)
+        memo = {sort_key(a): (poly_var(i, n), one)
+                for i, a in enumerate(atoms)}
+        return [_view(e, n, one, memo) for e in exprs], tuple(atoms)
     except (_PolyOverflow, EvalDomainError):
         return None
 

@@ -405,6 +405,44 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
 
 
+class TestGridKnob:
+    """A --grid below 2 samples nothing: a JSON error naming --grid."""
+
+    @staticmethod
+    def _argv(tmp_path, sphere_doc, command):
+        bform = bform_doc(tmp_path, "w.json", {"0": "2+x"}, {})
+        zdata = TestExtend._torus3_doc(tmp_path, "(2 + cos(theta1))/6")
+        return {"check": [bform], "invariants": [sphere_doc],
+                "classify": [sphere_doc, sphere_doc], "darboux": [bform],
+                "extend": [zdata]}[command]
+
+    @pytest.mark.parametrize("grid", ["-2", "0", "1"])
+    @pytest.mark.parametrize("command", ["check", "invariants", "classify",
+                                         "darboux", "extend"])
+    def test_grid_below_two(self, tmp_path, sphere_doc, command, grid):
+        argv = self._argv(tmp_path, sphere_doc, command)
+        proc = run(command, *argv, "--grid", grid)
+        assert proc.returncode == 1
+        assert "--grid" in json.loads(proc.stdout)["error"]
+        assert "Traceback" not in proc.stderr
+
+
+class TestLastResort:
+    def test_internal_error(self, monkeypatch, capsys):
+        from bgeo import cli
+
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_cohomology", broken)
+        assert cli.main(["cohomology", "--surface", "1,2"]) == 3
+        out, err = capsys.readouterr()
+        doc = json.loads(out)
+        assert set(doc) == {"schema", "error"}
+        assert "RuntimeError" in doc["error"] and "boom" in doc["error"]
+        assert "Traceback" not in err and err == ""
+
+
 class TestImports:
     def test_no_scipy_at_import(self):
         # numpy is the only runtime dependency; surface2d still hands out

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bgeo import symexpr as se
 from bgeo._poly import poly_mul
 from bgeo.symexpr import (
     MAX_NESTING,
@@ -468,3 +469,197 @@ def _random_expr(rng, depth):
     if op == 4:
         return powr(a, int(rng.integers(1, 4)))
     return fun(str(rng.choice(["sin", "cos", "exp"])), a)
+
+
+# ---------------------------------------------------------------------------
+# cached keys, the failed-collapse memo and shared views
+
+
+def _scratch_key(e):
+    """The structural key computed from scratch, reading no cached key."""
+    if isinstance(e, Num):
+        v = e.value
+        if isinstance(v, Fraction):
+            return (0, 0, v.numerator, v.denominator)
+        return (0, 1, v, 1)
+    if isinstance(e, Sym):
+        return (1, e.name)
+    if isinstance(e, se.Fun):
+        return (2, e.fn, _scratch_key(e.arg))
+    if isinstance(e, se.Pow):
+        return (3, _scratch_key(e.base), e.exp.numerator, e.exp.denominator)
+    if isinstance(e, se.Mul):
+        return (4, tuple(_scratch_key(f) for f in e.factors))
+    return (5, tuple(_scratch_key(t) for t in e.terms))
+
+
+def _subtrees(e):
+    stack, seen = [e], set()
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        yield x
+        if isinstance(x, se.Add):
+            stack.extend(x.terms)
+        elif isinstance(x, se.Mul):
+            stack.extend(x.factors)
+        elif isinstance(x, se.Pow):
+            stack.append(x.base)
+        elif isinstance(x, se.Fun):
+            stack.append(x.arg)
+
+
+@pytest.fixture(scope="module")
+def suite_trees():
+    """Every tree that the first 20 cases of the six seeded property suites
+    hand to expr_equiv or eval_expr, and every tree they try to collapse,
+    kept alive for the tests below."""
+    import test_properties as tp
+
+    handed, collapsed = [], []
+    real_eval, real_collapse = tp.eval_expr, se._try_collapse
+
+    def record_equiv(a, b, *args, **kwargs):
+        handed.extend((a, b))
+        return True
+
+    def record_eval(e, *args, **kwargs):
+        handed.append(e)
+        return real_eval(e, *args, **kwargs)
+
+    def record_collapse(e):
+        collapsed.append(e)
+        return real_collapse(e)
+
+    mp = pytest.MonkeyPatch()
+    try:
+        mp.setattr(tp, "N_CASES", tp.TREE_PIN_CASES)
+        mp.setattr(tp, "expr_equiv", record_equiv)
+        mp.setattr(tp, "eval_expr", record_eval)
+        mp.setattr(se, "_try_collapse", record_collapse)
+        tp.TestExteriorCalculus().test_d_squared_is_zero()
+        tp.TestExteriorCalculus().test_graded_leibniz()
+        tp.TestDualizeRoundTrip().test_round_trip()
+        tp.TestRestrictionCovariance().test_covariance()
+        tp.TestModularField().test_volume_change_covariance()
+        tp.TestModularField().test_pairing_with_intrinsic_form()
+    finally:
+        mp.undo()
+    return handed, collapsed
+
+
+class TestCachedKeys:
+    def test_keys_match_scratch(self, suite_trees):
+        handed, collapsed = suite_trees
+        checked = 0
+        for tree in handed + collapsed:
+            for x in _subtrees(tree):
+                assert se.sort_key(x) == _scratch_key(x)
+                checked += 1
+        assert len(handed) > 1000 and len(collapsed) > 100 and checked
+
+    def test_equality_and_hash_read_the_key(self):
+        a = parse_expr("x/(x + 1) + sin(y)^2", PATCH)
+        b = parse_expr("sin(y)^2 + x/(1 + x)", PATCH)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert hash(a) == hash(_scratch_key(a))
+        assert a != parse_expr("x/(x + 2) + sin(y)^2", PATCH)
+
+
+class TestFailedCollapseMemo:
+    def test_cold_matches_warm(self, suite_trees):
+        _, collapsed = suite_trees
+        distinct = list({se.sort_key(e): e for e in collapsed}.values())
+        cold = []
+        for e in distinct:
+            se._FAILED_COLLAPSES.clear()
+            r = se._try_collapse(e)
+            cold.append(None if r is None else to_string(r))
+        warm = [se._try_collapse(e) for e in distinct]   # fills the memo
+        warm = [se._try_collapse(e) for e in distinct]   # answers from it
+        assert [None if r is None else to_string(r) for r in warm] == cold
+        assert cold.count(None) > 10 and len(cold) - cold.count(None) > 0
+
+    def test_equal_node_needs_no_view(self, monkeypatch):
+        x = sym("x")
+        first = mul(x, powr(add(x, 1), -1))   # x/(x + 1): no collapse
+        assert se.sort_key(first) in se._FAILED_COLLAPSES
+        calls = []
+        real = se._to_ratpoly
+        monkeypatch.setattr(se, "_to_ratpoly",
+                            lambda exprs: calls.append(exprs) or real(exprs))
+        second = mul(x, powr(add(1, x), -1))  # built again, equal
+        assert second is not first and second == first
+        assert se._try_collapse(second) is None
+        assert calls == []
+        # a structure never seen takes the exact path
+        assert se._try_collapse(mul(x, powr(add(x, 2), -1))) is None
+        assert len(calls) == 1
+
+    def test_entry_dies_with_its_tree(self):
+        import gc
+
+        u = sym("u_memo_lifetime")
+        tree = mul(u, powr(add(u, 1), -1))
+        key = se.sort_key(tree)
+        assert key in se._FAILED_COLLAPSES
+        del tree
+        gc.collect()
+        assert key not in se._FAILED_COLLAPSES
+        assert not any("u_memo_lifetime" in repr(k)
+                       for k in se._FAILED_COLLAPSES.keys())
+
+
+class TestSharedViews:
+    """_to_ratpoly gives a repeated subtree one view per call; no caller of
+    the views may mutate them."""
+
+    @staticmethod
+    def _matrix(rng, n=4):
+        # the superdiagonal shares the compound subtree (x + y)^2
+        S = powr(add(sym("x"), sym("y")), 2)
+
+        def entry(i, j):
+            c = Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4)))
+            return mul(c, S) if j == i + 1 else Num(c)
+
+        return [[add(entry(i, j), 5 if i == j else 0) for j in range(n)]
+                for i in range(n)]
+
+    def test_views_not_mutated(self, monkeypatch):
+        import copy
+
+        from bgeo._poly import poly_quotient, rat_add, rat_mul
+        from bgeo.forms import _inverse_expr
+
+        M = self._matrix(np.random.default_rng(61))
+        exprs = [e for row in M for e in row]
+        # an equal copy of a superdiagonal entry, built again: its view is
+        # shared
+        exprs.append(normalize(exprs[1]))
+        views, _ = se._to_ratpoly(exprs)
+        assert exprs[-1] is not exprs[1] and views[-1] is views[1]
+        before = copy.deepcopy(views)
+        for a in views:
+            for b in views:
+                rat_add(a, b)
+                rat_mul(a, b)
+            poly_quotient(a[0], a[1])
+            poly_quotient(a[1], a[0])
+        assert views == before
+
+        seen = []
+        real = se._to_ratpoly
+
+        def record(exprs):
+            rp = real(exprs)
+            seen.append((rp[0], copy.deepcopy(rp[0])))
+            return rp
+
+        monkeypatch.setattr(se, "_to_ratpoly", record)
+        _inverse_expr(M)
+        assert seen
+        for views, before in seen:
+            assert views == before
