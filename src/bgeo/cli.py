@@ -30,7 +30,7 @@ def _fail(msg, code=1):
     return code
 
 
-def _emit(doc, path=None):
+def _emit(doc):
     doc["schema"] = ser.SCHEMA
     print(ser.dumps_canonical(doc))
     return 0

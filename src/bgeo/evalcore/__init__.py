@@ -2,8 +2,12 @@
 
 `compile_tape` flattens an expression into a postfix tape; `evaluate_tape`
 interprets it with numpy, one instruction at a time over the whole point
-batch.  This is the library's only numeric evaluation path: every value a
-verdict rests on, down to `symexpr.eval_expr` at a single point, comes
+batch.  A list of expressions compiles to one multi-output tape, emitted
+back to back on one stack, and evaluates to a (k, n) array in one call;
+every output keeps the floating-point operations of its own single tape.
+Callers that need several expressions at the same points compile them as
+one list.  This is the library's only numeric evaluation path: every value
+a verdict rests on, down to `symexpr.eval_expr` at a single point, comes
 from `evaluate_tape`.  Poles and domain violations come back as inf/nan;
 each caller checks finiteness where it needs a number.
 
@@ -32,8 +36,10 @@ _RTOL = 4 * np.finfo(float).eps   # as scipy's brentq
 
 
 def evaluate_tape(tape, points):
-    """Evaluate a tape at points of shape (n, nvars); returns shape (n,).
-    Poles and domain violations come back as inf/nan, not exceptions."""
+    """Evaluate a tape at points of shape (n, nvars); returns shape (n,)
+    for one expression, (k, n) for a list of k (the first k rows of the
+    stack, which no other call shares).  Poles and domain violations come
+    back as inf/nan, not exceptions."""
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     stack = np.empty((tape.stack_need, n))
@@ -70,7 +76,9 @@ def evaluate_tape(tape, points):
                 np.abs(stack[top], out=stack[top])
             else:
                 raise ValueError(f"bad opcode {op}")
-    return stack[0].copy()
+    if tape.outputs is None:
+        return stack[0].copy()
+    return stack[:tape.outputs]
 
 
 def _solve_brackets(f, a, b, fa, fb, xtol):

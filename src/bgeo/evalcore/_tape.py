@@ -1,7 +1,10 @@
 """Compile expressions to a flat postfix tape for batch evaluation.
 
 The tape is a stack program: each instruction pushes or combines values on
-an evaluation stack; `bgeo.evalcore.evaluate_tape` interprets it.
+an evaluation stack; `bgeo.evalcore.evaluate_tape` interprets it.  A list
+of expressions compiles to one tape that emits them back to back, so
+output k is left in stack row k, computed by the operations of its own
+tape.
 Non-finite values (poles, log of a non-positive number) propagate as
 inf/nan in the output; callers mask them instead of catching exceptions.
 An exact constant too large for a float, or an integer exponent past the
@@ -12,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..symexpr import Add, ExprError, Fun, Mul, Num, Pow, Sym
+from ..symexpr import Add, Expr, ExprError, Fun, Mul, Num, Pow, Sym
 
 OP_CONST = 0
 OP_VAR = 1
@@ -31,23 +34,29 @@ _FUN_OP = {"sin": OP_SIN, "cos": OP_COS, "exp": OP_EXP, "log": OP_LOG,
 
 
 class Tape:
-    """A compiled expression: instruction arrays plus variable layout."""
+    """A compiled expression, or list of expressions: instruction arrays
+    plus variable layout.  outputs is None for one expression, else the
+    length of the list."""
 
-    __slots__ = ("opcodes", "iargs", "consts", "var_names", "stack_need")
+    __slots__ = ("opcodes", "iargs", "consts", "var_names", "stack_need",
+                 "outputs")
 
-    def __init__(self, opcodes, iargs, consts, var_names, stack_need):
+    def __init__(self, opcodes, iargs, consts, var_names, stack_need,
+                 outputs):
         self.opcodes = np.asarray(opcodes, dtype=np.int32)
         self.iargs = np.asarray(iargs, dtype=np.int32)
         self.consts = np.asarray(consts, dtype=np.float64)
         self.var_names = tuple(var_names)
         self.stack_need = int(stack_need)
+        self.outputs = outputs
 
     def __len__(self):
         return len(self.opcodes)
 
 
 def compile_tape(expr, var_names):
-    """Flatten an expression into a Tape over the given variable order."""
+    """Flatten an expression, or a sequence of expressions, into a Tape
+    over the given variable order."""
     var_index = {name: i for i, name in enumerate(var_names)}
     opcodes, iargs, consts = [], [], []
     const_cache = {}
@@ -118,7 +127,11 @@ def compile_tape(expr, var_names):
             return
         raise TypeError(f"cannot compile {e!r}")
 
-    go(expr)
-    if depth != 1:
-        raise AssertionError("tape stack imbalance")
-    return Tape(opcodes, iargs, consts, var_names, max_depth)
+    single = isinstance(expr, Expr)
+    exprs = [expr] if single else list(expr)
+    for k, e in enumerate(exprs):
+        go(e)
+        if depth != k + 1:
+            raise AssertionError("tape stack imbalance")
+    return Tape(opcodes, iargs, consts, var_names, max_depth,
+                None if single else len(exprs))

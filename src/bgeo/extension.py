@@ -23,16 +23,13 @@ from .forms import (
     GeometryError,
     SmoothForm,
     _grid_min_abs,
-    bwedge,
     d_bform,
     d_smooth,
-    find_z_components,
     nondegeneracy_check,
     restrict_to_Z,
-    top_coefficient,
     wedge,
 )
-from .symexpr import Patch, expr_equiv, is_zero, normalize, num, parse_expr, sym
+from .symexpr import Patch, expr_equiv, normalize, num, parse_expr
 
 ZERO = se.num(0)
 

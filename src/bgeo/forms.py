@@ -19,12 +19,10 @@ from . import symexpr as se
 from ._poly import poly_const, poly_quotient, rat_add, rat_mul
 from .evalcore import _solve_brackets, compile_tape, evaluate_tape
 from .symexpr import (
-    ONE,
     ZERO,
     EvalDomainError,
     Expr,
     Num,
-    Patch,
     diff_expr,
     divide_exact,
     expr_equiv,
@@ -41,7 +39,7 @@ __all__ = [
     "find_z_components", "restrict_to_Z", "is_smooth",
     "top_coefficient", "nondegeneracy_check", "transversality_check",
     "dualize", "bivector_to_bform", "form_equiv", "bform_equiv",
-    "eval_form_comps", "GeometryError",
+    "GeometryError",
 ]
 
 
@@ -554,6 +552,8 @@ def top_coefficient(bform):
 
 
 def _grid_min_abs(expr, patch, grid, params=None, cap=2_000_000):
+    """min |expr| over the finite values on a grid of at most cap points,
+    and the points per axis used.  No finite value is a GeometryError."""
     names = patch.names
     n = grid
     while n ** patch.dim > cap and n > 4:
@@ -569,6 +569,8 @@ def _grid_min_abs(expr, patch, grid, params=None, cap=2_000_000):
         ok = np.isfinite(vals)
         if ok.any():
             vmin = min(vmin, float(np.min(np.abs(vals[ok]))))
+    if vmin == np.inf:
+        raise GeometryError("expression has no finite value on the grid")
     return vmin, n
 
 
@@ -758,15 +760,3 @@ def bform_equiv(a, b, n_points=64, tol=1e-9, seed=0, params=None):
                 return False
     return True
 
-
-def eval_form_comps(form, points, params=None):
-    """Evaluate all components of a smooth form on a point batch; returns
-    {key: array}."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = {}
-    for key, c in form.comps.items():
-        if params:
-            c = substitute(c, {k: float(v) for k, v in params.items()})
-        tape = compile_tape(c, form.patch.names)
-        out[key] = evaluate_tape(tape, pts)
-    return out

@@ -7,14 +7,16 @@ system for the time-dependent vector field in the singular frame, integrate
 its time-1 flow with RK4, and measure the pullback residual with
 finite-difference Jacobians at low-discrepancy sample points.
 
-The flow is one fused pass per velocity.  The coefficient matrix enters as
-one (n,) row per strict-upper entry that is not identically zero, never as
-zero-filled (n, m, m) arrays; the interpolation blends only those rows, and
-_solve_antisymmetric reads them with the right-hand side's columns and
-writes the solution into one column-contiguous array.  The RK4 state is
-column-contiguous too, so the tapes read contiguous point columns.  Every
-entry keeps the floating-point operations of the dense formulas, so the
-reports do not depend on the layout.
+The flow is one fused pass per velocity.  Each Moser engine compiles its
+matrix entries, right-hand side and defining function into one
+multi-output tape, so a velocity is one tape call.  The coefficient matrix
+enters as one (n,) row per strict-upper entry that is not identically
+zero, never as zero-filled (n, m, m) arrays; the interpolation blends only
+those rows, and _solve_antisymmetric reads them with the right-hand side's
+columns and writes the solution into one column-contiguous array.  The RK4
+state is column-contiguous too, so the tape reads contiguous point
+columns.  Every entry keeps the floating-point operations of the dense
+formulas, so the reports do not depend on the layout.
 """
 
 from __future__ import annotations
@@ -25,18 +27,18 @@ from fractions import Fraction
 import numpy as np
 
 from . import symexpr as se
-from .evalcore import evaluate_tape
-from .evalcore._tape import compile_tape
+from .evalcore import compile_tape, evaluate_tape
 from .forms import (
     BForm,
     GeometryError,
     SmoothForm,
+    _grid_min_abs,
     b_matrix,
     d_bform,
     d_smooth,
     find_z_components,
-    form_equiv,
     interior_product,
+    is_smooth,
     restrict_to_Z,
     top_coefficient,
 )
@@ -204,17 +206,13 @@ def darboux_verify(omega: BForm, point=None, pairs=None, grid=64,
     model = _standard_model(patch, omega.zname, pairs)
     W = b_matrix(omega)
     Wm = b_matrix(model)
-    worst = 0.0
     m = patch.dim
-    for i in range(m):
-        for j in range(i + 1, m):
-            diff = se.sub(W[i][j], Wm[i][j])
-            if is_zero(normalize(diff)):
-                continue
-            vals = evaluate_tape(compile_tape(diff, names), pts)
-            vals = vals[np.isfinite(vals)]
-            if vals.size:
-                worst = max(worst, float(np.max(np.abs(vals))))
+    diffs = [se.sub(W[i][j], Wm[i][j]) for i in range(m)
+             for j in range(i + 1, m)]
+    vals = evaluate_tape(compile_tape(
+        [d for d in diffs if not is_zero(normalize(d))], names), pts)
+    vals = vals[np.isfinite(vals)]
+    worst = float(np.max(np.abs(vals))) if vals.size else 0.0
     return DarbouxReport(ok=worst < 1e-9, max_residual=worst,
                          detail="compared against the standard model")
 
@@ -383,32 +381,39 @@ def _solve_antisymmetric(rows, b, n):
 class _MoserEngine:
     """Shared flow/residual machinery for the two Moser verifiers.
 
-    W_rows(x, t) must return the strict upper triangle of the coefficient
-    matrix of omega_t in the singular coframe, as a dict of (n,) rows keyed
-    by (i, j) that holds only the entries that can be nonzero; b_cols(x) the
-    m columns of the right-hand side b of W u = b in the same coframe.  x is
-    the point batch the tapes read: the points themselves, or when `timed`
-    the points and a last column holding t.  Velocities are u converted back
-    to coordinate components by scaling the z column with f in place.  The
-    system is solved by _solve_antisymmetric: in closed form for m = 2
-    (Cramer, bit-identical to LAPACK's pivoted LU) and m = 4 (the Pfaffian
-    adjugate), and by numpy.linalg.solve on full matrices for m >= 6.
+    One tape evaluates the groups of expressions and then the defining
+    function f, so a velocity is one tape call; each group is a dict keyed
+    by matrix entry (i, j) or by component i.  From the groups' rows (one
+    dict of (n,) rows per group, keyed like it), W_rows(rows, t) must
+    return the strict upper triangle of the coefficient matrix of omega_t
+    in the singular coframe, as a dict keyed by (i, j) that holds only the
+    entries that can be nonzero; b_cols(rows) the m columns of the
+    right-hand side b of W u = b in the same coframe.  The tape reads the
+    points themselves, or when `timed` the points and a last column holding
+    t.  Velocities are u converted back to coordinate components by scaling
+    the z column with f in place.  The system is solved by
+    _solve_antisymmetric: in closed form for m = 2 (Cramer, bit-identical
+    to LAPACK's pivoted LU) and m = 4 (the Pfaffian adjugate), and by
+    numpy.linalg.solve on full matrices for m >= 6.
 
     The RK4 state is column-contiguous (Fortran order), like the velocities,
-    so the tapes' point columns and the solver's right-hand-side columns are
+    so the tape's point columns and the solver's right-hand-side columns are
     contiguous reads.  Full (n, m, m) matrices are built only for the
     pullback residual, once for each of W_0 and W_1."""
 
-    def __init__(self, patch, zname, f_expr, W_rows, b_cols, timed=False):
+    def __init__(self, patch, zname, f_expr, groups, W_rows, b_cols,
+                 timed=False):
         self.m = patch.dim
         self.zi = patch.index(zname)
-        self.f_tape = compile_tape(f_expr, patch.names)
+        self.keys = [list(g) for g in groups]
+        self.tape = compile_tape([e for g in groups for e in g.values()]
+                                 + [f_expr], patch.names + patch.params)
         self.W_rows = W_rows
         self.b_cols = b_cols
         self.timed = timed
 
     def at(self, pts, t):
-        """The batch the tapes read at time t."""
+        """The batch the tape reads at time t."""
         if not self.timed:
             return pts
         x = np.empty((pts.shape[0], self.m + 1), order="F")
@@ -416,11 +421,21 @@ class _MoserEngine:
         x[:, -1] = t
         return x
 
+    def evaluate(self, pts, t):
+        """The groups' rows and f at the points at time t, from one tape
+        call."""
+        vals = evaluate_tape(self.tape, self.at(pts, t))
+        rows, s = [], 0
+        for keys in self.keys:
+            rows.append(dict(zip(keys, vals[s:s + len(keys)])))
+            s += len(keys)
+        return rows, vals[-1]
+
     def velocity(self, pts, t):
-        x = self.at(pts, t)
-        u = _solve_antisymmetric(self.W_rows(x, t), self.b_cols(x),
+        rows, f = self.evaluate(pts, t)
+        u = _solve_antisymmetric(self.W_rows(rows, t), self.b_cols(rows),
                                  pts.shape[0])
-        u[:, self.zi] *= evaluate_tape(self.f_tape, x)
+        u[:, self.zi] *= f
         return u
 
     def flow(self, pts, n_steps):
@@ -434,11 +449,6 @@ class _MoserEngine:
             k4 = self.velocity(p + h * k3, t + h)
             p = p + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         return p
-
-    def matrix(self, pts, t):
-        """The full (n, m, m) coefficient matrices at time t."""
-        return _antisymmetric(self.W_rows(self.at(pts, t), t), pts.shape[0],
-                              self.m)
 
     def pullback_residual(self, pts, n_steps, fd_step=FD_STEP):
         """max |D J^T Omega_1(flow(p)) J D - W_0(p)| per point, with D the
@@ -458,47 +468,32 @@ class _MoserEngine:
             plus = flowed[(1 + 2 * j) * n:(2 + 2 * j) * n]
             minus = flowed[(2 + 2 * j) * n:(3 + 2 * j) * n]
             J[:, :, j] = (plus - minus) / (2 * fd_step)
-        fq = evaluate_tape(self.f_tape, q)
+        rows, fq = self.evaluate(q, 1.0)
         zi = self.zi
-        Omega1 = self.matrix(q, 1.0)
+        Omega1 = _antisymmetric(self.W_rows(rows, 1.0), n, m)
         Omega1[:, zi, :] /= fq[:, None]
         Omega1[:, :, zi] /= fq[:, None]
         Omega1[:, zi, zi] = 0.0
-        fp = evaluate_tape(self.f_tape, pts)
+        rows, fp = self.evaluate(pts, 0.0)
         A = J.copy()
         A[:, :, zi] *= fp[:, None]
-        R = np.einsum("nia,nij,njb->nab", A, Omega1, A) - self.matrix(pts, 0.0)
+        R = (np.einsum("nia,nij,njb->nab", A, Omega1, A)
+             - _antisymmetric(self.W_rows(rows, 0.0), n, m))
         return np.max(np.abs(R), axis=(1, 2))
 
 
-def _matrix_evaluator(patch, W):
-    """Compile the strict upper triangle of an expression matrix; returns a
-    function giving {(i, j): (n,) row} on a point batch for the entries
-    that are not identically zero."""
-    m = patch.dim
-    names = patch.names + patch.params
-    tapes = {(i, j): compile_tape(W[i][j], names)
-             for i in range(m) for j in range(i + 1, m)
-             if not is_zero(W[i][j])}
-
-    def evaluate(pts):
-        return {key: evaluate_tape(tape, pts) for key, tape in tapes.items()}
-
-    return evaluate
+def _nonzero(exprs):
+    """The entries of a dict of expressions that are not identically zero:
+    the tape skips them and the solver reads the scalar 0.0 instead."""
+    return {key: e for key, e in exprs.items() if not is_zero(e)}
 
 
-def _vector_evaluator(patch, comps):
-    """Compile a vector of expressions; returns a function giving its
-    components on a point batch, each an (n,) array, or the scalar 0.0 for
-    one that is identically zero."""
-    names = patch.names + patch.params
-    tapes = [None if is_zero(e) else compile_tape(e, names) for e in comps]
-
-    def evaluate(pts):
-        return [0.0 if tape is None else evaluate_tape(tape, pts)
-                for tape in tapes]
-
-    return evaluate
+def _upper(W):
+    """The strict upper triangle of an expression matrix, keyed by (i, j),
+    without the entries that are identically zero."""
+    m = len(W)
+    return _nonzero({(i, j): W[i][j] for i in range(m)
+                     for j in range(i + 1, m)})
 
 
 def _halton(n, d):
@@ -605,26 +600,26 @@ def _relative_engine(omega0, omega1, rho):
     """The flow of the relative statement: -W_t u = rho in the singular
     coframe, where W_t = (1 - t) W_0 + t W_1 and rho_z picks up a factor f."""
     patch = omega0.patch
-    ev0 = _matrix_evaluator(patch, b_matrix(omega0))
-    ev1 = _matrix_evaluator(patch, b_matrix(omega1))
-    rhs = [rho.coefficient(i) for i in range(patch.dim)]
+    m = patch.dim
+    rhs = {i: rho.coefficient(i) for i in range(m)}
     zi = patch.index(omega0.zname)
     rhs[zi] = se.mul(omega0.f, rhs[zi])
-    ev_r = _vector_evaluator(patch, rhs)
 
-    def W_rows(x, t):
+    def W_rows(rows, t):
         # entry by entry over the entries nonzero in W_0 or W_1; an entry
         # absent from one of them blends its scalar 0.0
+        w0, w1 = rows[0], rows[1]
         if t == 0.0:
-            return ev0(x)
+            return w0
         if t == 1.0:
-            return ev1(x)
-        w0, w1 = ev0(x), ev1(x)
+            return w1
         return {key: (1.0 - t) * w0.get(key, 0.0) + t * w1.get(key, 0.0)
                 for key in w0.keys() | w1.keys()}
 
-    return _MoserEngine(patch, omega0.zname, omega0.f, W_rows,
-                        lambda x: [-c for c in ev_r(x)])
+    groups = [_upper(b_matrix(omega0)), _upper(b_matrix(omega1)),
+              _nonzero(rhs)]
+    return _MoserEngine(patch, omega0.zname, omega0.f, groups, W_rows,
+                        lambda rows: [-rows[2].get(i, 0.0) for i in range(m)])
 
 
 def moser_relative_verify(omega0: BForm, omega1: BForm, n_points=N_SAMPLE,
@@ -700,8 +695,7 @@ def _smooth_difference(delta: BForm):
     """Smooth-form equivalent of a b-form difference, when one exists."""
     if delta.alpha.is_zero():
         return True, delta.beta
-    from .forms import is_smooth as _is_smooth
-    verdict, smooth = _is_smooth(delta)
+    verdict, smooth = is_smooth(delta)
     if not verdict or smooth is None:
         return False, None
     return True, smooth
@@ -732,13 +726,14 @@ def _divide_by_f(core: SmoothForm, f, zname, c):
 def _global_engine(omega_t, mu_t):
     """The isotopy field of a family: with d(mu_t) = d/dt omega_t it solves
     -W_t u = -mu_t in the singular coframe (so that L_v omega_t cancels the
-    time derivative); W_t and mu_t read t from the tapes' last column."""
-    patch = omega_t.patch
-    ev_W = _matrix_evaluator(patch, b_matrix(omega_t))
-    ev_mu = _vector_evaluator(
-        patch, [mu_t.b_coefficient(i) for i in range(patch.dim)])
-    return _MoserEngine(patch, omega_t.zname, omega_t.f,
-                        lambda x, t: ev_W(x), ev_mu, timed=True)
+    time derivative); W_t and mu_t read t from the tape's last column."""
+    m = omega_t.patch.dim
+    mu = _nonzero({i: mu_t.b_coefficient(i) for i in range(m)})
+    return _MoserEngine(omega_t.patch, omega_t.zname, omega_t.f,
+                        [_upper(b_matrix(omega_t)), mu],
+                        lambda rows, t: rows[0],
+                        lambda rows: [rows[1].get(i, 0.0) for i in range(m)],
+                        timed=True)
 
 
 def moser_global_verify(omega_t: BForm, mu_t: BForm, tname="t",
@@ -778,7 +773,6 @@ def moser_global_verify(omega_t: BForm, mu_t: BForm, tname="t",
     for tv in (0.0, 0.25, 0.5, 0.75, 1.0):
         top = top_coefficient(omega_t)
         top = substitute(top, {tname: tv})
-        from .forms import _grid_min_abs
         vmin, _ = _grid_min_abs(top, patch, 32)
         if vmin < 1e-9:
             raise GeometryError("family degenerates at t = %g" % tv)
@@ -789,8 +783,8 @@ def moser_global_verify(omega_t: BForm, mu_t: BForm, tname="t",
     worst_dfvZ = 0.0
     all_resid = []
     all_pts = []
-    df = [diff_expr(omega_t.f, n) for n in patch.names]
-    ev_df = _vector_evaluator(patch, df)
+    df = compile_tape([diff_expr(omega_t.f, n) for n in patch.names],
+                      patch.names + patch.params)
     for comp in components:
         lo, hi = patch.intervals[zi]
         r = 0.5 * min(comp.value - lo, hi - comp.value)
@@ -802,8 +796,7 @@ def moser_global_verify(omega_t: BForm, mu_t: BForm, tname="t",
         on_Z[:, zi] = comp.value
         for t in (0.0, 0.5, 1.0):
             v = engine.velocity(on_Z, t)
-            dfm = np.column_stack(np.broadcast_arrays(
-                *ev_df(engine.at(on_Z, t))))
+            dfm = np.column_stack(evaluate_tape(df, engine.at(on_Z, t)))
             dfv = np.sum(dfm * v, axis=1)
             worst_dfvZ = max(worst_dfvZ, float(np.max(np.abs(dfv))))
         resid = engine.pullback_residual(pts, n_steps, fd_step)

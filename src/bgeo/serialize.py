@@ -164,5 +164,6 @@ def load(path):
 
 
 def dumps_canonical(obj) -> str:
-    """Deterministic serialization: sorted keys, fixed separators."""
-    return json.dumps(obj, sort_keys=True, indent=2)
+    """Deterministic serialization: sorted keys, fixed separators.  NaN and
+    infinity are not JSON: a ValueError, never invalid output."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)

@@ -9,7 +9,9 @@ form; the regularized volume integrates (1/P) dx2^dx1, i.e. the sign is
 chosen so the asymmetric sphere model comes out positive.
 
 Numerics: every value comes from compiled tapes evaluated over point
-arrays, at most `_CHUNK` points per call, and no scipy routine runs here.
+arrays, at most `_CHUNK` points per call, and no scipy routine runs here;
+the modular field's two components and the gradient of P are each one
+two-output tape.
 Roots along chart lines, the strip edges of the volume cut-off and the
 refined curve vertices are each solved together by the library's one
 bracketed solver, `evalcore._solve_brackets` (Illinois regula falsi with a
@@ -29,16 +31,7 @@ import numpy as np
 from . import symexpr as se
 from .evalcore import _solve_brackets, compile_tape, evaluate_tape
 from .forms import GeometryError
-from .symexpr import (
-    Patch,
-    diff_expr,
-    expr_equiv,
-    is_zero,
-    mul,
-    normalize,
-    parse_expr,
-    substitute,
-)
+from .symexpr import Patch, diff_expr, mul, normalize, parse_expr
 
 __all__ = [
     "SurfaceStructure", "ZeroCurve", "RadkoInvariants",
@@ -79,14 +72,14 @@ def __getattr__(name):
 
 def _evaluate(tape, x1, x2, strict=True):
     """Tape values at the points (x1, x2), broadcast and flattened, in calls
-    of at most _CHUNK points.  With strict, a non-finite value raises
-    EvalDomainError."""
+    of at most _CHUNK points: shape (n,), or (k, n) for a tape of k
+    expressions.  With strict, a non-finite value raises EvalDomainError."""
     pts = np.empty(np.broadcast_shapes(np.shape(x1), np.shape(x2)) + (2,))
     pts[..., 0], pts[..., 1] = x1, x2
     pts = pts.reshape(-1, 2)
     parts = [evaluate_tape(tape, pts[s:s + _CHUNK])
              for s in range(0, max(len(pts), 1), _CHUNK)]
-    out = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
     if strict and not np.isfinite(out).all():
         bad = out[~np.isfinite(out)][0]
         raise se.EvalDomainError(f"non-finite value {bad}")
@@ -151,13 +144,6 @@ class RadkoInvariants:
 # zero-set extraction (marching squares + refinement)
 
 
-def _grid_axes(patch, n):
-    axes = []
-    for (a, b), per in zip(patch.intervals, patch.periods):
-        axes.append(np.linspace(a, b, n, endpoint=per is None))
-    return axes
-
-
 def _eval_grid(expr, patch, ax1, ax2):
     tape = compile_tape(expr, patch.names)
     return _evaluate(tape, ax1[:, None], ax2[None, :], strict=False).reshape(
@@ -168,7 +154,7 @@ def extract_zero_set(S, grid=64):
     """Extract the zero curves of P by marching squares with periodic
     stitching, then refine every vertex onto {P = 0} by 1-D root solving."""
     patch = S.patch
-    ax1, ax2 = _grid_axes(patch, grid)
+    ax1, ax2 = patch.axis_grid(grid)
     vals = _eval_grid(S.P, patch, ax1, ax2)
     per1 = patch.periods[0] is not None
     per2 = patch.periods[1] is not None
@@ -254,8 +240,10 @@ def extract_zero_set(S, grid=64):
         while True:
             nbrs = [t for t, _ in adj[chain[-1]] if t not in visited]
             if not nbrs:
+                # two vertices joined by two segments are a closed loop too
                 last = [t for t, _ in adj[chain[-1]]]
-                closed = chain[0] in last and len(chain) > 2
+                closed = (chain[0] in last
+                          and (len(chain) > 2 or last.count(chain[0]) > 1))
                 break
             chain.append(nbrs[0])
             visited.add(nbrs[0])
@@ -291,8 +279,8 @@ def _refine_curve(S, pts):
     stays where it is; a non-finite gradient raises EvalDomainError."""
     names = S.patch.names
     out = np.array(pts, dtype=float)
-    g1, g2 = (_evaluate(compile_tape(diff_expr(S.P, n), names),
-                        out[:, 0], out[:, 1]) for n in names)
+    g1, g2 = _evaluate(compile_tape([diff_expr(S.P, n) for n in names],
+                                    names), out[:, 0], out[:, 1])
     axis = np.where(np.abs(g1) >= np.abs(g2), 0, 1)
     tape = compile_tape(S.P, names)
 
@@ -360,11 +348,10 @@ def modular_period(S, curve, _refinements=2):
     arclength integral of 1/|X| with Richardson extrapolation; positive by
     construction."""
     names = S.patch.names
-    X1, X2 = (compile_tape(X, names) for X in modular_field(S))
+    X = compile_tape(modular_field(S), names)
 
     def total(pts):
-        speed = np.hypot(_evaluate(X1, pts[:, 0], pts[:, 1]),
-                         _evaluate(X2, pts[:, 0], pts[:, 1]))
+        speed = np.hypot(*_evaluate(X, pts[:, 0], pts[:, 1]))
         if np.any(speed < 1e-6):
             raise GeometryError("modular field vanishes on the zero curve")
         d = _wrapped_diffs(S.patch, pts, curve.closed)

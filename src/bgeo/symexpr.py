@@ -40,8 +40,8 @@ tree or a verdict:
   inputs.
 
 Numbers come from one path, the tapes of ``bgeo.evalcore``: sampled
-equivalence evaluates both sides on blocks of candidate points and skips
-the non-finite ones, and ``eval_expr`` is a one-point tape call that
+equivalence evaluates both sides, as one two-output tape, on blocks of
+candidate points and skips the non-finite ones, and ``eval_expr`` is a one-point tape call that
 raises EvalDomainError where the tape gives inf or nan.
 """
 
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
@@ -1237,12 +1237,12 @@ def expr_equiv(e1, e2, patch, n_points=64, tol=1e-9, seed=0, params=None):
                            else patch.params)
     good = 0
     try:
-        tapes = [compile_tape(x, names) for x in (a, b)]
+        tape = compile_tape([a, b], names)
     except KeyError:   # an unbound symbol: no point can be evaluated
-        tapes = None
+        tape = None
     # candidates are drawn in blocks of n_points, up to 40 blocks, and
     # decided in draw order: the first n_points finite ones must all agree
-    for _ in range(40 if tapes else 0):
+    for _ in range(40 if tape is not None else 0):
         rows = []
         for _ in range(n_points):
             env = patch.random_point(rng)
@@ -1250,7 +1250,7 @@ def expr_equiv(e1, e2, patch, n_points=64, tol=1e-9, seed=0, params=None):
                        else patch.random_params(rng))
             rows.append([float(env[n]) for n in names])
         rows = np.array(rows)
-        v1, v2 = (evaluate_tape(t, rows) for t in tapes)
+        v1, v2 = evaluate_tape(tape, rows)
         ok = np.isfinite(v1) & np.isfinite(v2)
         v1, v2 = v1[ok][:n_points - good], v2[ok][:n_points - good]
         if (np.abs(v1 - v2)

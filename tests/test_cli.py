@@ -231,6 +231,14 @@ class TestParseCheck:
         assert code == 0 and doc["nondegeneracy"] == "nonvanishing-grid"
         assert doc["config"] == {"grid": 8}
 
+    def test_no_finite_grid_value(self, tmp_path):
+        # the top coefficient is nan at every grid point: an error, not a
+        # verdict resting on min_abs = Infinity, which is not JSON
+        path = bform_doc(tmp_path, "w.json", {"0": "(-1-x^2)^(1/2)"}, {})
+        code, doc = run_json("check", path)
+        assert code == 1
+        assert "no finite value" in doc["error"]
+
     def test_check_degenerate(self, tmp_path):
         # top coefficient 1+x vanishes at the grid point x = -1
         path = bform_doc(tmp_path, "w.json", {"0": "1+x"}, {})

@@ -34,6 +34,16 @@ def test_kernel_matches_tree_eval(text):
     want = np.array([tree_eval(e, {"x": p[0], "y": p[1]}, {"a": p[2]})
                      for p in pts])
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+    # as one output of a tape for the whole list it is the same bits, inf
+    # and nan included (x = 0 and x = -0 are poles of 1/x + x^(-2))
+    pts = np.vstack([pts, [[0.0, 1.0, 1.0], [-0.0, 1.0, 1.0]]])
+    multi = evaluate_tape(
+        compile_tape([parse_expr(t, PATCH) for t in EXPRESSIONS],
+                     ("x", "y", "a")), pts)
+    assert multi.shape == (len(EXPRESSIONS), len(pts))
+    assert not np.isfinite(multi).all()
+    single = evaluate_tape(tape, pts)
+    assert multi[EXPRESSIONS.index(text)].tobytes() == single.tobytes()
 
 
 def test_poles_are_nonfinite_not_exceptions():
@@ -50,8 +60,15 @@ def test_poles_are_nonfinite_not_exceptions():
 
 
 def test_missing_variable_reported_at_compile():
-    with pytest.raises(KeyError, match="'y'"):
-        compile_tape(parse_expr("x + y", PATCH), ("x",))
+    x, e = parse_expr("x", PATCH), parse_expr("x + y", PATCH)
+    for exprs in (e, [e, x], [x, e]):
+        with pytest.raises(KeyError, match="'y'"):
+            compile_tape(exprs, ("x",))
+
+
+def test_empty_list_gives_no_rows():
+    v = evaluate_tape(compile_tape([], ("x",)), np.zeros((5, 1)))
+    assert v.shape == (0, 5)
 
 
 @pytest.mark.parametrize("text", ["x*1e400", "x - 1e999999", "x^(10^400/3)",

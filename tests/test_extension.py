@@ -61,6 +61,14 @@ class TestCheckDefiningForms:
         assert rep.alpha_closed and rep.omega_closed
         assert not rep.all_pass
 
+    def test_alpha_without_finite_values_rejected(self):
+        patch = torus_patch3()
+        alpha = SmoothForm(patch, 1, {("theta1",): parse_expr(
+            "(-1 - theta2^2)^(1/2)", patch)})
+        omega = SmoothForm(patch, 2, {("theta2", "theta3"): num(1)})
+        with pytest.raises(GeometryError, match="no finite value"):
+            check_defining_forms(HypersurfaceData(patch, alpha, omega))
+
     def test_nonclosed_omega_fails(self):
         patch = torus_patch3()
         alpha = SmoothForm(patch, 1, {("theta3",): num(1)})

@@ -162,9 +162,12 @@ class TestModularField:
 class TestPeriods:
     def test_sphere_unit(self):
         S = make_surface("sphere", "h")
-        (c,) = extract_zero_set(S)
-        T = modular_period(S, c)
-        assert T == pytest.approx(2 * math.pi, abs=1e-6)
+        # at grid 2 the curve is two vertices joined by two segments
+        for grid in (64, 2):
+            (c,) = extract_zero_set(S, grid=grid)
+            assert c.closed
+            T = modular_period(S, c)
+            assert T == pytest.approx(2 * math.pi, abs=1e-6)
 
     def test_sphere_scaled(self):
         S = make_surface("sphere", "2*h")
