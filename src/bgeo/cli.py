@@ -8,7 +8,9 @@ input file; 3 any other failure, an internal error reported as a JSON
 error with no traceback.  Reports embed the tolerances, grid sizes, and
 seed that produced them (a grid size only where a grid was sampled), and
 each subcommand accepts only the options it reads.  A --grid below 2 is a
-JSON error (exit 1).
+JSON error (exit 1).  A tensor grid is capped at 2,000,000 points: a
+larger --grid samples fewer points per axis, which check always reports
+and darboux reports when the cap lowered them (grid_per_axis).
 """
 
 from __future__ import annotations
@@ -159,6 +161,8 @@ def cmd_darboux(args):
         doc["forward"] = [to_string(e) for e in rep.change.forward]
         doc["jacobian_det"] = to_string(rep.change.jacobian_det)
         doc["target_names"] = list(rep.change.target.names)
+        if rep.change.grid_per_axis is not None:
+            doc["grid_per_axis"] = rep.change.grid_per_axis
     _emit(doc)
     return 0 if rep.ok else 1
 

@@ -551,27 +551,38 @@ def top_coefficient(bform):
     return normalize(se.add(a, b))
 
 
-def _grid_min_abs(expr, patch, grid, params=None, cap=2_000_000):
-    """min |expr| over the finite values on a grid of at most cap points,
-    and the points per axis used.  No finite value is a GeometryError."""
-    names = patch.names
-    n = grid
-    while n ** patch.dim > cap and n > 4:
-        n -= 1
-    pts = patch.grid_points(n)
+def _finite_range(tape, blocks, absolute=False):
+    """(min, max) of the finite values of a tape, or of their absolute
+    values, over a stream of point blocks; None when no value is finite.
+    Min and max are exact, so the result does not depend on the blocks."""
+    lo = hi = None
+    for pts in blocks:
+        v = evaluate_tape(tape, pts)
+        v = v[np.isfinite(v)]
+        if v.size:
+            if absolute:
+                v = np.abs(v)
+            vlo, vhi = float(v.min()), float(v.max())
+            lo, hi = (vlo, vhi) if lo is None else (min(lo, vlo), max(hi, vhi))
+    return None if lo is None else (lo, hi)
+
+
+def _grid_min_abs(expr, patch, grid, params=None):
+    """min |expr| over the finite values on the tensor grid of the patch,
+    and the points per axis used: grid, lowered by se.grid_per_axis so that
+    the grid has at most se.GRID_CAP points.  The grid is streamed in
+    blocks (se.grid_blocks), so memory does not grow with it.  Declared
+    parameters take the values in params.  No finite value is a
+    GeometryError."""
+    n = se.grid_per_axis(grid, patch.dim)
     e = expr
     if params:
         e = substitute(e, {k: float(v) for k, v in params.items()})
-    tape = compile_tape(e, names)
-    vmin = np.inf
-    for lo in range(0, pts.shape[0], 262144):
-        vals = evaluate_tape(tape, pts[lo:lo + 262144])
-        ok = np.isfinite(vals)
-        if ok.any():
-            vmin = min(vmin, float(np.min(np.abs(vals[ok]))))
-    if vmin == np.inf:
+    r = _finite_range(compile_tape(e, patch.names),
+                      se.grid_blocks(patch.axis_grid(n)), absolute=True)
+    if r is None:
         raise GeometryError("expression has no finite value on the grid")
-    return vmin, n
+    return r[0], n
 
 
 def nondegeneracy_check(bform, grid=64, params=None):

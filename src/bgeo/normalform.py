@@ -32,6 +32,7 @@ from .forms import (
     BForm,
     GeometryError,
     SmoothForm,
+    _finite_range,
     _grid_min_abs,
     b_matrix,
     d_bform,
@@ -80,6 +81,8 @@ class CoordinateChange:
     target: Patch
     forward: tuple
     jacobian_det: object
+    # points per axis of the sampled grids when the point cap lowered them
+    grid_per_axis: int = None
 
 
 def _with_params(patch, pts):
@@ -88,14 +91,17 @@ def _with_params(patch, pts):
     return np.hstack([pts, np.ones((len(pts), len(patch.params)))])
 
 
-def _grid_extrema(expr, patch, grid=64):
-    pts = _with_params(patch, patch.grid_points(grid, margin=1e-6))
-    tape = compile_tape(expr, patch.names + patch.params)
-    vals = evaluate_tape(tape, pts)
-    vals = vals[np.isfinite(vals)]
-    if vals.size == 0:
+def _grid_extrema(expr, patch, n):
+    """(min, max) of the finite values of expr on the tensor grid of n
+    points per axis, a relative margin of 1e-6 in from the patch edges,
+    with every declared parameter at 1.0.  The grid is streamed in blocks
+    (se.grid_blocks); no finite value is a GeometryError."""
+    ones = [np.ones(1)] * len(patch.params)   # one sample per parameter
+    r = _finite_range(compile_tape(expr, patch.names + patch.params),
+                      se.grid_blocks(patch.axis_grid(n, margin=1e-6) + ones))
+    if r is None:
         raise GeometryError("expression has no finite values on the patch")
-    return float(vals.min()), float(vals.max())
+    return r
 
 
 def darboux2d(omega: BForm, grid=64, tname="t") -> CoordinateChange:
@@ -118,7 +124,11 @@ def darboux2d(omega: BForm, grid=64, tname="t") -> CoordinateChange:
     if not lo <= 0.0 <= hi:
         raise GeometryError(
             "patch is not star-shaped about %s = 0" % yname)
-    gmin, gmax = _grid_extrema(se.fun("abs", g), patch, grid + 1 - grid % 2)
+    # both grids are capped at se.GRID_CAP points; the change records the
+    # points per axis when the cap lowered them
+    odd = grid + 1 - grid % 2
+    n = se.grid_per_axis(odd, patch.dim)
+    gmin, gmax = _grid_extrema(se.fun("abs", g), patch, n)
     if gmin < max(1e-9, 1e-6 * gmax):
         raise GeometryError("form coefficient vanishes on the patch "
                             "(min |g| = %.3g)" % gmin)
@@ -144,13 +154,14 @@ def darboux2d(omega: BForm, grid=64, tname="t") -> CoordinateChange:
     if not ok:
         raise GeometryError("pullback residual exceeds tolerance")
 
-    tmin, tmax = _grid_extrema(t, patch, grid)
+    tmin, tmax = _grid_extrema(t, patch, se.grid_per_axis(grid, patch.dim))
     pad = 1e-9 + 1e-9 * (tmax - tmin)
     zi = patch.index(zname)
     target = Patch((zname, tname), (patch.intervals[zi], (tmin - pad, tmax + pad)),
                    params=patch.params)
     return CoordinateChange(source=patch, target=target,
-                            forward=(se.sym(zname), t), jacobian_det=ty)
+                            forward=(se.sym(zname), t), jacobian_det=ty,
+                            grid_per_axis=n if n < odd else None)
 
 
 @dataclass(frozen=True)
@@ -537,17 +548,18 @@ def _halton_collar(patch, zi, zlo, zhi, n, z_margin=0.05):
 
 
 def _min_abs_on_collar(expr, patch, zi, zlo, zhi, grid=16):
+    """min |expr| on a tensor grid over the patch with the singular
+    coordinate confined to [zlo, zhi], declared parameters at 1.0; 0.0
+    when no value is finite."""
     axes = []
     for i, (a, b) in enumerate(patch.intervals):
         if i == zi:
             a, b = zlo, zhi
         axes.append(np.linspace(a + 1e-9, b - 1e-9, grid))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    tape = compile_tape(expr, patch.names + patch.params)
-    vals = evaluate_tape(tape, pts)
-    vals = vals[np.isfinite(vals)]
-    return float(np.min(np.abs(vals))) if vals.size else 0.0
+    axes += [np.ones(1)] * len(patch.params)
+    r = _finite_range(compile_tape(expr, patch.names + patch.params),
+                      se.grid_blocks(axes), absolute=True)
+    return 0.0 if r is None else r[0]
 
 
 def _shrink_collar(omega0, omega1, comp, grid=16):

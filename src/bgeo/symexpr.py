@@ -23,7 +23,7 @@ compares the cross products of its two sides over their shared index, so
 sides with different atoms are compared exactly too.  Float constants have
 no exact view.
 
-Three pieces of state make the exact path cheap, none of which changes a
+Four pieces of state make the exact path cheap, none of which changes a
 tree or a verdict:
 
 * every node caches its structural key (``sort_key``) on first use, built
@@ -37,7 +37,12 @@ tree or a verdict:
 * one ``_to_ratpoly`` call views each atom and each distinct compound
   subtree once and shares that view wherever the subtree repeats; the memo
   lives for the call, and the ``bgeo._poly`` functions never mutate their
-  inputs.
+  inputs;
+* ``_VIEWS`` keeps a compound subtree's view across calls, keyed by the
+  call's sorted atom keys and the subtree's key, weakly: the node viewed
+  holds the entry's holder (``Expr._view``), so an entry lives as long as
+  a node that was viewed over that atom index.  A view depends only on
+  the index and the key, so a later call over the same atoms reuses it.
 
 Numbers come from one path, the tapes of ``bgeo.evalcore``: sampled
 equivalence evaluates both sides, as one two-output tape, on blocks of
@@ -64,7 +69,8 @@ __all__ = [
     "ZERO", "ONE",
     "parse_expr", "to_string", "eval_expr", "diff_expr", "expr_equiv",
     "normalize", "substitute", "free_symbols", "antiderivative",
-    "divide_exact", "ExprError", "ExprSyntaxError", "UnknownIdentifierError",
+    "divide_exact", "grid_blocks", "grid_per_axis",
+    "ExprError", "ExprSyntaxError", "UnknownIdentifierError",
     "EvalDomainError", "EquivalenceInconclusive",
 ]
 
@@ -113,8 +119,9 @@ class EquivalenceInconclusive(ExprError):
 
 
 class Expr:
-    # _key: the structural key, set by sort_key on first use
-    __slots__ = ("_key", "__weakref__")
+    # _key: the structural key, set by sort_key on first use; _view: the
+    # holder of the node's last exact view, which keeps its _VIEWS entry
+    __slots__ = ("_key", "_view", "__weakref__")
 
     def __add__(self, other):
         return add(self, _coerce(other))
@@ -348,7 +355,9 @@ def _fold_const_pow(v, exp):
         except OverflowError:  # k is beyond float range: stay symbolic
             return None
         for c in (g - 1, g, g + 1):
-            if c >= 0 and c ** r == k:
+            # c >= 2 has c^r >= 2^r > k once r reaches k's bit length:
+            # skip it rather than build 2^r for a huge r (4^(1/10^300))
+            if c >= 0 and (c < 2 or r < k.bit_length()) and c ** r == k:
                 return c
         return None
     p = _iroot(v.numerator, exp.denominator)
@@ -636,22 +645,45 @@ def _collect_atoms(e, atoms, seen):
     raise TypeError
 
 
-def _view(e, n, one, memo):
-    """The (numerator, denominator) view of e.  memo maps the sort_key of
-    every atom, and of each compound subtree already viewed in this call,
-    to its view, which is shared and never mutated."""
+class _ViewHolder:
+    __slots__ = ("view", "__weakref__")
+
+    def __init__(self, view):
+        self.view = view
+
+
+# (sort keys of an atom index, sort_key of a compound subtree) -> the
+# holder of the subtree's view over that index; the node viewed keeps its
+# holder in Expr._view, so an entry goes when no node holds it any more
+_VIEWS = weakref.WeakValueDictionary()
+
+
+def _view(e, n, one, memo, index):
+    """The (numerator, denominator) view of e over the atom index whose
+    sort keys are `index`.  memo maps the sort_key of every atom, and of
+    each compound subtree already viewed in this call, to its view.  On a
+    miss the view comes from _VIEWS, where an earlier call over the same
+    index left it, or is built and left there.  A view depends only on the
+    index and the subtree's structure, so serving it across calls changes
+    nothing; views are shared and never mutated."""
     if isinstance(e, Num):
         return poly_const(e.value, n), one
     k = sort_key(e)
     r = memo.get(k)
     if r is None:
-        r = memo[k] = _compound_view(e, n, one, memo)
+        key = (index, k)
+        h = _VIEWS.get(key)
+        if h is None:
+            h = _ViewHolder(_compound_view(e, n, one, memo, index))
+            _VIEWS[key] = h
+        object.__setattr__(e, "_view", h)
+        r = memo[k] = h.view
     return r
 
 
-def _compound_view(e, n, one, memo):
+def _compound_view(e, n, one, memo, index):
     if isinstance(e, Pow):
-        bn, bd = _view(e.base, n, one, memo)
+        bn, bd = _view(e.base, n, one, memo, index)
         m = int(e.exp)
         if m < 0:
             if not bn:
@@ -671,7 +703,7 @@ def _compound_view(e, n, one, memo):
     else:
         raise TypeError
     for part in parts:
-        r = op(r, _view(part, n, one, memo))
+        r = op(r, _view(part, n, one, memo, index))
         if max(len(r[0]), len(r[1])) > _POLY_MONOMIAL_LIMIT:
             raise _PolyOverflow
     return r
@@ -691,7 +723,8 @@ def _to_ratpoly(exprs):
         one = poly_const(Fraction(1), n)
         memo = {sort_key(a): (poly_var(i, n), one)
                 for i, a in enumerate(atoms)}
-        return [_view(e, n, one, memo) for e in exprs], tuple(atoms)
+        index = tuple(memo)
+        return [_view(e, n, one, memo, index) for e in exprs], tuple(atoms)
     except (_PolyOverflow, EvalDomainError):
         return None
 
@@ -1134,7 +1167,12 @@ def _parse_number(text, pos):
 @dataclass(frozen=True)
 class Patch:
     """An ordered coordinate chart with per-coordinate domain intervals,
-    optional periodicity, and declared scalar parameters."""
+    optional periodicity, and declared scalar parameters.
+
+    axis_grid gives the samples of each axis.  The grid reductions over
+    the chart (min |c| in nondegeneracy checks, the Darboux extrema) read
+    the tensor grid of those samples block by block from grid_blocks; no
+    (n^dim, dim) array of the whole grid is built."""
 
     names: tuple
     intervals: tuple
@@ -1203,11 +1241,57 @@ class Patch:
                 axes.append(np.linspace(lo, hi, n))
         return axes
 
-    def grid_points(self, n, margin=0.0):
-        """Full tensor grid as an array of shape (n^dim, dim)."""
-        axes = self.axis_grid(n, margin)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+
+# most points one block of grid_blocks holds, and most points of a grid
+# that grid_per_axis allows
+GRID_BLOCK = 1 << 16
+GRID_CAP = 2_000_000
+
+
+def grid_per_axis(grid, dim):
+    """Points per axis of a tensor grid of at most GRID_CAP points: the
+    largest n <= grid with n**dim <= GRID_CAP, but never fewer than
+    min(grid, 4)."""
+    if grid <= 4 or grid ** dim <= GRID_CAP:
+        return grid
+    n = int(GRID_CAP ** (1.0 / dim))   # the integer root, up to rounding
+    while n ** dim > GRID_CAP:
+        n -= 1
+    while (n + 1) ** dim <= GRID_CAP:
+        n += 1
+    return max(n, 4)
+
+
+def grid_blocks(axes):
+    """The tensor grid of the 1-D sample arrays `axes`, in C order (the rows of
+    np.meshgrid(*axes, indexing="ij") raveled and stacked), as fresh
+    (rows, len(axes)) arrays of at most GRID_BLOCK rows each.
+
+    A block covers whole slabs of the leading axes times the grid of the
+    trailing axes that fits one block.  Its trailing columns are filled by
+    broadcasting those axes and its leading columns from the slab numbers,
+    so no grid larger than one block exists at once."""
+    lens = [len(a) for a in axes]
+    d = len(axes)
+    if not all(lens):
+        return
+    lead, inner = d, 1
+    while lead and inner * lens[lead - 1] <= GRID_BLOCK:
+        lead -= 1
+        inner *= lens[lead]
+    slabs = math.prod(lens[:lead])
+    step = GRID_BLOCK // inner
+    for first in range(0, slabs, step):
+        ids = np.arange(first, min(first + step, slabs))
+        block = np.empty((len(ids) * inner, d))
+        view = block.reshape((len(ids), *lens[lead:], d))
+        for j in range(lead, d):   # axis j runs along its own dimension
+            view[..., j] = axes[j].reshape((-1,) + (1,) * (d - 1 - j))
+        view = block.reshape(len(ids), inner, d)
+        for j in reversed(range(lead)):
+            view[:, :, j] = axes[j][ids % lens[j], None]
+            ids //= lens[j]
+        yield block
 
 
 # ---------------------------------------------------------------------------

@@ -435,6 +435,46 @@ class TestGridKnob:
         assert "Traceback" not in proc.stderr
 
 
+class TestGridCap:
+    """A grid past 2,000,000 points is sampled with fewer points per axis,
+    at once, and the report says how many."""
+
+    def test_check_huge_grid(self, tmp_path, capsys):
+        import time
+
+        from bgeo import cli
+
+        path = bform_doc(tmp_path, "w.json", {"0": "2+x"}, {})
+        t0 = time.perf_counter()
+        code = cli.main(["check", path, "--grid", "1000000000"])
+        elapsed = time.perf_counter() - t0
+        out, err = capsys.readouterr()
+        doc = json.loads(out)
+        assert code == 0 and err == ""
+        assert doc["nondegeneracy"] == "nonvanishing-grid"
+        assert doc["detail"]["grid_per_axis"] == 1414
+        assert doc["config"] == {"grid": 1000000000}
+        assert elapsed < 1.0
+
+    def test_darboux_huge_grid(self, tmp_path, capsys):
+        from bgeo import cli
+
+        doc = json.loads(open(bform_doc(tmp_path, "w.json",
+                                        {"1": "-(1+z2^2)"}, {}, f="z1",
+                                        names=("z1", "z2"))).read())
+        doc["zcoord"] = "z1"
+        path = tmp_path / "cubic.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["darboux", str(path), "--grid", "100000"]) == 0
+        out, err = capsys.readouterr()
+        rep = json.loads(out)
+        assert rep["ok"] and rep["grid_per_axis"] == 1414 and err == ""
+        assert rep["forward"] == ["z1", "z2 + 1/3*z2^3"]
+        # the default grid is not capped: the report has no count
+        assert cli.main(["darboux", str(path)]) == 0
+        assert "grid_per_axis" not in json.loads(capsys.readouterr().out)
+
+
 class TestLastResort:
     def test_internal_error(self, monkeypatch, capsys):
         from bgeo import cli

@@ -35,3 +35,34 @@ def unused_imports(tree):
                          ids=lambda p: str(p.relative_to(SRC)))
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+def meshgrid_uses(tree):
+    """The innermost enclosing function ("" at module level) of each
+    reference to a name or attribute `meshgrid`."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "meshgrid"
+                    or isinstance(child, ast.Name)
+                    and child.id == "meshgrid"):
+                found.append(func)
+            visit(child, func)
+
+    visit(tree, "")
+    return found
+
+
+def test_one_grid_path():
+    """Tensor grids come from symexpr.grid_blocks: no other code in the
+    library builds one with meshgrid."""
+    snippet = "def f(a):\n    return np.meshgrid(a, a)\n"
+    assert meshgrid_uses(ast.parse(snippet)) == ["f"]
+    for path in MODULES:
+        uses = meshgrid_uses(ast.parse(path.read_text()))
+        helper = path == SRC / "symexpr.py"
+        assert uses == (["grid_blocks"] * len(uses) if helper else []), path

@@ -439,8 +439,11 @@ class TestPatch:
         assert q.params == ("a", "b")
 
     def test_grid_shapes(self):
-        g = TORUS.grid_points(8)
+        axes = TORUS.axis_grid(8)
+        g = np.concatenate(list(se.grid_blocks(axes)))
         assert g.shape == (64, 2)
+        mesh = np.meshgrid(*axes, indexing="ij")
+        assert np.array_equal(g, np.stack([m.ravel() for m in mesh], axis=-1))
         # periodic axes drop the duplicate endpoint
         ax = TORUS.axis_grid(8)[0]
         assert ax[-1] < 2 * math.pi - 1e-9
@@ -663,3 +666,83 @@ class TestSharedViews:
         assert seen
         for views, before in seen:
             assert views == before
+
+
+class _NeverStore:
+    """A stand-in for _VIEWS that remembers nothing: every view is cold."""
+
+    def get(self, key):
+        return None
+
+    def __setitem__(self, key, value):
+        pass
+
+
+class TestViewMemo:
+    """_view serves a subtree's view across calls from _VIEWS, keyed by the
+    call's atom index and the subtree's key; a cold memo and a warm one
+    give the same views and trees."""
+
+    def test_cold_trees_match_the_pin(self, monkeypatch):
+        # the pinned digest, rebuilt with no view kept across calls
+        import test_properties as tp
+
+        monkeypatch.setattr(se, "_VIEWS", _NeverStore())
+        tp.TestCanonicalTrees().test_tree_digest(monkeypatch)
+
+    def test_cold_matches_warm(self, suite_trees):
+        _, collapsed = suite_trees
+        distinct = list({se.sort_key(e): e for e in collapsed}.values())
+
+        def run(cold):
+            out = []
+            for e in distinct:
+                if cold:
+                    se._VIEWS.clear()
+                se._FAILED_COLLAPSES.clear()
+                rp = se._to_ratpoly([e])
+                r = se._try_collapse(e)
+                out.append((None if rp is None else rp[0],
+                            None if r is None else to_string(r)))
+            return out
+
+        cold = run(cold=True)
+        run(cold=False)                 # fills the memo
+        assert len(se._VIEWS) > 100
+        assert run(cold=False) == cold  # answers from it
+        assert sum(r is None for _, r in cold) > 10
+
+    def test_entry_dies_with_its_node(self):
+        import gc
+
+        u = sym("u_view_lifetime")
+        tree = add(powr(add(u, 1), 2), mul(u, powr(add(u, 2), -1)))
+        se._to_ratpoly([tree])
+        index = (se.sort_key(u),)
+        assert (index, se.sort_key(tree)) in se._VIEWS
+        del tree
+        gc.collect()
+        assert not any("u_view_lifetime" in repr(k)
+                       for k in se._VIEWS.keys())
+
+    def test_served_views_not_mutated(self):
+        import copy
+
+        from bgeo._poly import poly_quotient, rat_add, rat_mul
+        from bgeo.forms import _inverse_expr
+
+        M = TestSharedViews._matrix(np.random.default_rng(62))
+        exprs = [e for row in M for e in row]
+        views, _ = se._to_ratpoly(exprs)
+        before = copy.deepcopy(views)
+        _inverse_expr(M)
+        for a in views:
+            for b in views:
+                rat_add(a, b)
+                rat_mul(a, b)
+            poly_quotient(a[0], a[1])
+        # equal trees built again: a later call is served the same views
+        again, _ = se._to_ratpoly([normalize(e) for e in exprs])
+        assert any(v is w for v, w, e in zip(views, again, exprs)
+                   if not isinstance(e, Num))
+        assert again == before
