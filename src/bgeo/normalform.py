@@ -124,11 +124,11 @@ def darboux2d(omega: BForm, grid=64, tname="t") -> CoordinateChange:
     if not lo <= 0.0 <= hi:
         raise GeometryError(
             "patch is not star-shaped about %s = 0" % yname)
-    # both grids are capped at se.GRID_CAP points; the change records the
-    # points per axis when the cap lowered them
-    odd = grid + 1 - grid % 2
-    n = se.grid_per_axis(odd, patch.dim)
-    gmin, gmax = _grid_extrema(se.fun("abs", g), patch, n)
+    # the grid is capped at se.GRID_CAP points, and the change records the
+    # points per axis when the cap lowered them; g is sampled on the odd
+    # count at or above that, so that y = 0 is a sample of a symmetric patch
+    n = se.grid_per_axis(grid, patch.dim)
+    gmin, gmax = _grid_extrema(se.fun("abs", g), patch, n + 1 - n % 2)
     if gmin < max(1e-9, 1e-6 * gmax):
         raise GeometryError("form coefficient vanishes on the patch "
                             "(min |g| = %.3g)" % gmin)
@@ -154,14 +154,14 @@ def darboux2d(omega: BForm, grid=64, tname="t") -> CoordinateChange:
     if not ok:
         raise GeometryError("pullback residual exceeds tolerance")
 
-    tmin, tmax = _grid_extrema(t, patch, se.grid_per_axis(grid, patch.dim))
+    tmin, tmax = _grid_extrema(t, patch, n)
     pad = 1e-9 + 1e-9 * (tmax - tmin)
     zi = patch.index(zname)
     target = Patch((zname, tname), (patch.intervals[zi], (tmin - pad, tmax + pad)),
                    params=patch.params)
     return CoordinateChange(source=patch, target=target,
                             forward=(se.sym(zname), t), jacobian_det=ty,
-                            grid_per_axis=n if n < odd else None)
+                            grid_per_axis=n if n < grid else None)
 
 
 @dataclass(frozen=True)

@@ -1243,7 +1243,8 @@ class Patch:
 
 
 # most points one block of grid_blocks holds, and most points of a grid
-# that grid_per_axis allows
+# that grid_per_axis allows; a block stays small next to the tape registers
+# evaluated on it, which set the peak memory of a 4-D check
 GRID_BLOCK = 1 << 16
 GRID_CAP = 2_000_000
 
@@ -1270,7 +1271,8 @@ def grid_blocks(axes):
     A block covers whole slabs of the leading axes times the grid of the
     trailing axes that fits one block.  Its trailing columns are filled by
     broadcasting those axes and its leading columns from the slab numbers,
-    so no grid larger than one block exists at once."""
+    so no grid larger than one block exists at once, and no per-point
+    index array (a gather through np.unravel_index) is built either."""
     lens = [len(a) for a in axes]
     d = len(axes)
     if not all(lens):

@@ -470,9 +470,10 @@ class TestGridCap:
         rep = json.loads(out)
         assert rep["ok"] and rep["grid_per_axis"] == 1414 and err == ""
         assert rep["forward"] == ["z1", "z2 + 1/3*z2^3"]
-        # the default grid is not capped: the report has no count
-        assert cli.main(["darboux", str(path)]) == 0
-        assert "grid_per_axis" not in json.loads(capsys.readouterr().out)
+        # a grid the cap does not lower has no count in the report
+        for extra in ([], ["--grid", "1414"]):
+            assert cli.main(["darboux", str(path)] + extra) == 0
+            assert "grid_per_axis" not in json.loads(capsys.readouterr().out)
 
 
 class TestLastResort:

@@ -22,7 +22,7 @@ TAU = 2 * math.pi
 
 
 # ---------------------------------------------------------------------------
-# the full-grid path, as it was
+# the full-grid path: one (n^dim, dim) array, as the old code built it
 
 
 def full_grid(axes):
@@ -69,6 +69,10 @@ def ref_extrema(expr, patch, grid):
 
 
 def ref_min_abs_on_collar(expr, patch, zi, zlo, zhi, grid):
+    """The old collar path with one fix: the old code built only patch.dim
+    columns for a tape over names + params, so a coefficient that read a
+    declared parameter raised IndexError; here, as in _min_abs_on_collar,
+    every parameter is a column of 1.0."""
     axes = []
     for i, (a, b) in enumerate(patch.intervals):
         if i == zi:
@@ -157,6 +161,15 @@ class TestStreamedReductions:
         zlo, zhi = a + 0.3 * (b - a), a + 0.6 * (b - a)
         assert repr(_min_abs_on_collar(expr, patch, zi, zlo, zhi, grid)) \
             == repr(ref_min_abs_on_collar(expr, patch, zi, zlo, zhi, grid))
+
+    def test_collar_reads_parameter(self):
+        # the old collar path raised IndexError here; the parameter is 1.0
+        patch = Patch(("x", "z"), ((-1.0, 1.0), (-1.0, 1.0)), params=("a",))
+        expr = parse_expr("3*a + x - z", patch)
+        got = _min_abs_on_collar(expr, patch, 1, 0.25, 0.5, 16)
+        assert got == pytest.approx(1.5 + 2e-9, abs=1e-15)
+        assert repr(got) == repr(
+            ref_min_abs_on_collar(expr, patch, 1, 0.25, 0.5, 16))
 
     def test_capped_grid(self):
         # 3,000,000 points asked on a line: capped at GRID_CAP, in blocks

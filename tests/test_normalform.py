@@ -90,6 +90,13 @@ class TestDarboux2d:
         with pytest.raises(GeometryError, match="vanishes"):
             darboux2d(bform2d(p2, "z2"))
 
+    @pytest.mark.parametrize("grid", [1414, 1415, 100000])
+    def test_vanishing_g_rejected_on_capped_grid(self, p2, grid):
+        # the grid of g stays odd when the point cap lowers it, so the
+        # zero of g at z2 = 0 is still sampled
+        with pytest.raises(GeometryError, match="vanishes"):
+            darboux2d(bform2d(p2, "z2"), grid=grid)
+
     def test_not_star_shaped(self):
         patch = Patch(("z1", "z2"), ((-1.0, 1.0), (0.5, 1.0)))
         with pytest.raises(GeometryError, match="star-shaped"):
