@@ -8,14 +8,18 @@ input file; 3 any other failure, an internal error reported as a JSON
 error with no traceback.  Reports embed the tolerances, grid sizes, and
 seed that produced them (a grid size only where a grid was sampled), and
 each subcommand accepts only the options it reads.  A --grid below 2 is a
-JSON error (exit 1).  A tensor grid is capped at 2,000,000 points: a
-larger --grid samples fewer points per axis, which check always reports
-and darboux reports when the cap lowered them (grid_per_axis).
+JSON error (exit 1), and so is a tolerance (--tol, --tol-log,
+--tol-residual, --tol-tangency) that is negative or not finite, or an
+--eps that is not finite and positive.  A tensor grid is capped at
+2,000,000 points: a larger --grid samples fewer points per axis, which
+check always reports and darboux, invariants and classify report when the
+cap lowered them (grid_per_axis).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -24,7 +28,7 @@ from .cohomology import BettiData, b_betti, nonvanishing_witness, poisson_betti
 from .forms import GeometryError, nondegeneracy_check, transversality_check
 from .surface2d import classify_pair, extract_zero_set, modular_period, \
     regularized_volume
-from .symexpr import ExprError, to_string
+from .symexpr import ExprError, grid_per_axis, to_string
 
 
 def _fail(msg, code=1):
@@ -43,6 +47,15 @@ def _write_csv(path, header, rows):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
+
+
+def _surface_grid(doc, grid):
+    """doc with the points per axis of a surface grid, when the cap lowered
+    grid."""
+    n = grid_per_axis(grid, 2)
+    if n < grid:
+        doc["grid_per_axis"] = n
+    return doc
 
 
 def _grid_config(grid, detail):
@@ -99,13 +112,13 @@ def cmd_invariants(args):
                                            return_series=True)
     if args.emit_plot:
         _write_csv(args.emit_plot, ("eps", "volume"), series)
-    return _emit({
+    return _emit(_surface_grid({
         "n": len(curves),
         "periods": [float(p) for p in periods],
         "volume": float(vol),
         "log_coefficient": float(logc),
         "config": {"grid": args.grid, "tol_log": args.tol_log},
-    })
+    }, args.grid))
 
 
 def cmd_classify(args):
@@ -113,14 +126,14 @@ def cmd_classify(args):
     S2 = ser.surface_from_dict(ser.load(args.other))
     verdict, witness, r1, r2 = classify_pair(S1, S2, tol=args.tol,
                                              grid=args.grid)
-    _emit({
+    _emit(_surface_grid({
         "verdict": verdict,
         "witness": witness,
         "invariants": [
             {"n": r.n, "periods": [float(p) for p in r.periods],
              "volume": float(r.volume)} for r in (r1, r2)],
         "config": {"grid": args.grid, "tol": args.tol},
-    })
+    }, args.grid))
     return 0 if verdict == "invariant-equivalent" else 1
 
 
@@ -294,12 +307,28 @@ def build_parser():
     return p
 
 
+def _knob_error(args):
+    """Why a knob of args is out of range, or None."""
+    # a grid needs two samples per axis to bracket anything
+    if getattr(args, "grid", 2) < 2:
+        return "--grid must be at least 2, got %d" % args.grid
+    for name in ("tol", "tol_log", "tol_residual", "tol_tangency"):
+        value = getattr(args, name, 0.0)
+        if not (math.isfinite(value) and value >= 0):
+            return "--%s must be finite and not negative, got %r" % (
+                name.replace("_", "-"), value)
+    eps = getattr(args, "eps", 1.0)
+    if not (math.isfinite(eps) and eps > 0):
+        return "--eps must be finite and positive, got %r" % eps
+    return None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # a grid needs two samples per axis to bracket anything
-    if getattr(args, "grid", 2) < 2:
-        return _fail("--grid must be at least 2, got %d" % args.grid)
+    error = _knob_error(args)
+    if error:
+        return _fail(error)
     try:
         return args.fn(args)
     except FileNotFoundError as exc:

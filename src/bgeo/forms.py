@@ -585,22 +585,20 @@ def _grid_min_abs(expr, patch, grid, params=None):
     return r[0], n
 
 
-def nondegeneracy_check(bform, grid=64, params=None):
+def nondegeneracy_check(bform, grid=64):
     """Return (verdict, detail) for nondegeneracy as a singular 2-form.
 
     verdict 'nonvanishing-symbolic' when the top coefficient normalizes to
     a nonzero constant; otherwise a numeric minimum of |c| over the grid
-    decides, with 'degenerate' when a zero (or near-zero) is found."""
+    decides, with 'degenerate' when a zero (or near-zero) is found.  Free
+    symbols of the coefficient that are not coordinates are set to 1.0."""
     c = top_coefficient(bform)
     if isinstance(c, Num):
         if c.value == 0:
             return "degenerate", {"top_coefficient": str(c), "min_abs": 0.0}
         return "nonvanishing-symbolic", {"top_coefficient": str(c),
                                          "min_abs": abs(float(c.value))}
-    free = se.free_symbols(c)
-    missing = free - set(bform.patch.names)
-    if missing and not params:
-        params = {p: 1.0 for p in missing}
+    params = {p: 1.0 for p in se.free_symbols(c) - set(bform.patch.names)}
     vmin, used = _grid_min_abs(c, bform.patch, grid, params=params)
     verdict = "nonvanishing-grid" if vmin > 1e-9 else "degenerate"
     return verdict, {"top_coefficient": str(c), "min_abs": vmin,

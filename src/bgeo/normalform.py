@@ -65,8 +65,9 @@ MAX_COLLAR_HALVINGS = 6
 _DEGENERATE = "interpolated form is degenerate at a flow point"
 
 
-def _gauss01(n=32):
-    x, w = np.polynomial.legendre.leggauss(n)
+def _gauss01():
+    """The 32-point Gauss-Legendre rule on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(32)
     return 0.5 * (x + 1.0), 0.5 * w
 
 
@@ -245,13 +246,13 @@ def _sample_box(patch, point, box, n_points, rng):
 # Poincare primitives
 
 
-def poincare_primitive(rho: SmoothForm, center=None, n_nodes=32) -> SmoothForm:
+def poincare_primitive(rho: SmoothForm, center=None) -> SmoothForm:
     """Primitive of a closed form via the radial homotopy about `center`.
 
     The ray integral int_0^1 t^(k-1) a(c + t(x-c)) dt is evaluated by
-    Gauss-Legendre quadrature with the nodes substituted symbolically, so
-    the result is an explicit form (exact for polynomial coefficients up to
-    degree 2*n_nodes - 1).
+    32-point Gauss-Legendre quadrature with the nodes substituted
+    symbolically, so the result is an explicit form (exact for polynomial
+    coefficients up to degree 63).
     """
     patch = rho.patch
     k = rho.degree
@@ -264,7 +265,7 @@ def poincare_primitive(rho: SmoothForm, center=None, n_nodes=32) -> SmoothForm:
     if center is None:
         center = {n: 0.5 * (a + b)
                   for n, (a, b) in zip(patch.names, patch.intervals)}
-    nodes, weights = _gauss01(n_nodes)
+    nodes, weights = _gauss01()
     names = patch.names
     disp = {n: se.sub(se.sym(n), Num(float(center[n]))) for n in names}
     out = {}
@@ -283,7 +284,7 @@ def poincare_primitive(rho: SmoothForm, center=None, n_nodes=32) -> SmoothForm:
     return SmoothForm(patch, k - 1, out)
 
 
-def _collar_primitive(delta: SmoothForm, zname, c, n_nodes=32):
+def _collar_primitive(delta: SmoothForm, zname, c):
     """Primitive of a closed form along the retraction of a collar onto
     {z = c}; valid when the pullback of delta to the level set vanishes.
 
@@ -299,7 +300,7 @@ def _collar_primitive(delta: SmoothForm, zname, c, n_nodes=32):
                 raise GeometryError(
                     "form does not pull back to zero on the level set")
     eta = interior_product({zname: se.num(1)}, delta)
-    nodes, weights = _gauss01(n_nodes)
+    nodes, weights = _gauss01()
     zdisp = se.sub(se.sym(zname), Num(float(c)))
     out = {}
     core = {}
@@ -461,7 +462,7 @@ class _MoserEngine:
             p = p + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         return p
 
-    def pullback_residual(self, pts, n_steps, fd_step=FD_STEP):
+    def pullback_residual(self, pts, n_steps):
         """max |D J^T Omega_1(flow(p)) J D - W_0(p)| per point, with D the
         diagonal singular-frame scaling at p and J the flow Jacobian from
         central finite differences."""
@@ -469,7 +470,7 @@ class _MoserEngine:
         batch = [pts]
         for j in range(m):
             e = np.zeros(m)
-            e[j] = fd_step
+            e[j] = FD_STEP
             batch += [pts + e, pts - e]
         start = np.empty((n * (1 + 2 * m), m), order="F")
         flowed = self.flow(np.concatenate(batch, out=start), n_steps)
@@ -478,7 +479,7 @@ class _MoserEngine:
         for j in range(m):
             plus = flowed[(1 + 2 * j) * n:(2 + 2 * j) * n]
             minus = flowed[(2 + 2 * j) * n:(3 + 2 * j) * n]
-            J[:, :, j] = (plus - minus) / (2 * fd_step)
+            J[:, :, j] = (plus - minus) / (2 * FD_STEP)
         rows, fq = self.evaluate(q, 1.0)
         zi = self.zi
         Omega1 = _antisymmetric(self.W_rows(rows, 1.0), n, m)
@@ -529,9 +530,11 @@ def _halton(n, d):
     return u
 
 
-def _halton_collar(patch, zi, zlo, zhi, n, z_margin=0.05):
+def _halton_collar(patch, zi, zlo, zhi, n):
     """Low-discrepancy sample points with the singular coordinate confined
-    to the collar (excluding a small margin around the level set)."""
+    to the collar, a margin of 5% of its half-width in from its ends and out
+    from the level set."""
+    z_margin = 0.05
     u = _halton(n + 1, patch.dim)[1:]  # drop the origin sample
     lo = np.array([iv[0] for iv in patch.intervals])
     hi = np.array([iv[1] for iv in patch.intervals])
@@ -635,7 +638,7 @@ def _relative_engine(omega0, omega1, rho):
 
 
 def moser_relative_verify(omega0: BForm, omega1: BForm, n_points=N_SAMPLE,
-                          rk_step=RK_STEP, fd_step=FD_STEP) -> MoserReport:
+                          rk_step=RK_STEP) -> MoserReport:
     """Numerically verify the relative normal-form statement: two singular
     symplectic forms with equal restriction data are related, near the
     hypersurface, by the time-1 flow of the interpolation vector field.
@@ -690,7 +693,7 @@ def moser_relative_verify(omega0: BForm, omega1: BForm, n_points=N_SAMPLE,
         for t in (0.0, 0.5, 1.0):
             worst_vZ = max(worst_vZ, float(np.max(np.abs(
                 engine.velocity(on_Z, t)))))
-        resid = engine.pullback_residual(pts, n_steps, fd_step)
+        resid = engine.pullback_residual(pts, n_steps)
         all_resid.append(resid)
         all_pts.append(pts)
         worst_resid = max(worst_resid, float(np.max(resid)))
@@ -749,8 +752,7 @@ def _global_engine(omega_t, mu_t):
 
 
 def moser_global_verify(omega_t: BForm, mu_t: BForm, tname="t",
-                        n_points=N_SAMPLE, rk_step=RK_STEP,
-                        fd_step=FD_STEP) -> MoserReport:
+                        n_points=N_SAMPLE, rk_step=RK_STEP) -> MoserReport:
     """Verify the global statement for a symbolically given family.
 
     omega_t and mu_t are forms whose coefficients contain the declared
@@ -811,7 +813,7 @@ def moser_global_verify(omega_t: BForm, mu_t: BForm, tname="t",
             dfm = np.column_stack(evaluate_tape(df, engine.at(on_Z, t)))
             dfv = np.sum(dfm * v, axis=1)
             worst_dfvZ = max(worst_dfvZ, float(np.max(np.abs(dfv))))
-        resid = engine.pullback_residual(pts, n_steps, fd_step)
+        resid = engine.pullback_residual(pts, n_steps)
         all_resid.append(resid)
         all_pts.append(pts)
         worst_resid = max(worst_resid, float(np.max(resid)))

@@ -9,9 +9,12 @@ form; the regularized volume integrates (1/P) dx2^dx1, i.e. the sign is
 chosen so the asymmetric sphere model comes out positive.
 
 Numerics: every value comes from compiled tapes evaluated over point
-arrays, at most `_CHUNK` points per call, and no scipy routine runs here;
-the modular field's two components and the gradient of P are each one
-two-output tape.
+arrays, and no scipy routine runs here; the modular field's two components
+and the gradient of P are each one two-output tape.  The marching-squares
+value grid is evaluated in the blocks of `symexpr.grid_blocks`, every other
+point set in calls of at most `_CHUNK` points.  That grid and the volume's
+lines along axis 2 have at most `symexpr.grid_per_axis(grid, 2)` points
+per axis.
 Roots along chart lines, the strip edges of the volume cut-off and the
 refined curve vertices are each solved together by the library's one
 bracketed solver, `evalcore._solve_brackets` (Illinois regula falsi with a
@@ -144,71 +147,60 @@ class RadkoInvariants:
 # zero-set extraction (marching squares + refinement)
 
 
-def _eval_grid(expr, patch, ax1, ax2):
-    tape = compile_tape(expr, patch.names)
-    return _evaluate(tape, ax1[:, None], ax2[None, :], strict=False).reshape(
-        len(ax1), len(ax2))
+# the segments of a cell by its sign code (bit k set when corner k of
+# (i,j), (i+1,j), (i+1,j+1), (i,j+1) is negative), each edge as (kind, di,
+# dj) from corner (i,j): bottom, right, top and left
+_B, _R, _T, _L = ("h", 0, 0), ("v", 1, 0), ("h", 0, 1), ("v", 0, 0)
+_CASES = {1: ((_B, _L),), 2: ((_B, _R),), 3: ((_L, _R),), 4: ((_R, _T),),
+          5: ((_B, _R), (_T, _L)), 6: ((_B, _T),), 7: ((_L, _T),),
+          8: ((_T, _L),), 9: ((_B, _T),), 10: ((_B, _L), (_R, _T)),
+          11: ((_R, _T),), 12: ((_L, _R),), 13: ((_B, _R),),
+          14: ((_B, _L),)}
 
 
 def extract_zero_set(S, grid=64):
     """Extract the zero curves of P by marching squares with periodic
-    stitching, then refine every vertex onto {P = 0} by 1-D root solving."""
+    stitching, then refine every vertex onto {P = 0} by 1-D root solving.
+
+    P is sampled block by block (se.grid_blocks) on at most
+    se.grid_per_axis(grid, 2) points per axis; exact zeros count as 1e-300.
+    Edge ("h", i, j) joins nodes (i,j)-(i+1,j) and ("v", i, j) joins
+    (i,j)-(i,j+1), and a periodic axis repeats its first node.  Each edge
+    whose ends differ in sign is crossed once, interpolated from its first
+    node; only the crossed cells are visited in Python, in C order."""
     patch = S.patch
-    ax1, ax2 = patch.axis_grid(grid)
-    vals = _eval_grid(S.P, patch, ax1, ax2)
-    per1 = patch.periods[0] is not None
-    per2 = patch.periods[1] is not None
-    n1 = len(ax1) if per1 else len(ax1) - 1
-    n2 = len(ax2) if per2 else len(ax2) - 1
-    (lo1, hi1), (lo2, hi2) = patch.intervals
-    w1, w2 = hi1 - lo1, hi2 - lo2
-    step1 = ax1[1] - ax1[0]
-    step2 = ax2[1] - ax2[0]
+    ax1, ax2 = patch.axis_grid(se.grid_per_axis(grid, 2))
+    per1, per2 = (p is not None for p in patch.periods)
+    tape = compile_tape(S.P, patch.names)
+    vals = np.concatenate([evaluate_tape(tape, block) for block in
+                           se.grid_blocks([ax1, ax2])])
+    vals[vals == 0.0] = 1e-300
+    vals = np.pad(vals.reshape(len(ax1), len(ax2)),
+                  ((0, int(per1)), (0, int(per2))), mode="wrap")
+    n1, n2 = vals.shape[0] - 1, vals.shape[1] - 1   # cells per axis
+    (lo1, _), (lo2, _) = patch.intervals
+    x1 = lo1 + np.arange(n1 + 1) * (ax1[1] - ax1[0])
+    x2 = lo2 + np.arange(n2 + 1) * (ax2[1] - ax2[0])
 
-    def node(i, j):
-        return vals[i % len(ax1), j % len(ax2)]
-
-    def coord(i, j):
-        return lo1 + i * step1, lo2 + j * step2
-
-    def interp(p, q, vp, vq):
-        t = vp / (vp - vq)
-        return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
-
-    # each segment endpoint is tagged by its grid edge so segments join
-    # exactly; edges are ("h", i, j) between (i,j)-(i+1,j) and ("v", i, j)
-    # between (i,j)-(i,j+1)
+    cross = {}   # the crossing point of every edge whose ends differ in sign
+    for kind, di, dj in (("h", 1, 0), ("v", 0, 1)):
+        a, b = vals[:n1 + 1 - di, :n2 + 1 - dj], vals[di:, dj:]
+        i, j = np.nonzero((a < 0) != (b < 0))
+        p = np.column_stack([x1[i], x2[j]])
+        q = np.column_stack([x1[i + di], x2[j + dj]])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            t = a[i, j] / (a[i, j] - b[i, j])
+            pts = p + t[:, None] * (q - p)
+        cross.update(zip(zip([kind] * len(i), i.tolist(), j.tolist()), pts))
+    neg = vals < 0
+    code = (neg[:-1, :-1] + 2 * neg[1:, :-1] + 4 * neg[1:, 1:]
+            + 8 * neg[:-1, 1:])
+    ci, cj = np.nonzero((code != 0) & (code != 15))
     segs = []
-    for i in range(n1):
-        for j in range(n2):
-            c = [node(i, j), node(i + 1, j), node(i + 1, j + 1), node(i, j + 1)]
-            if any(v == 0.0 for v in c):
-                # nudge exact zeros to keep the case analysis binary
-                c = [v if v != 0.0 else 1e-300 for v in c]
-            code = sum((1 << k) for k, v in enumerate(c) if v < 0)
-            if code in (0, 15):
-                continue
-            p = [coord(i, j), coord(i + 1, j), coord(i + 1, j + 1), coord(i, j + 1)]
-
-            def edge(which):
-                # only called for edges the case table says are crossed
-                if which == "b":
-                    return (("h", i, j), interp(p[0], p[1], c[0], c[1]))
-                if which == "r":
-                    return (("v", i + 1, j), interp(p[1], p[2], c[1], c[2]))
-                if which == "t":
-                    return (("h", i, j + 1), interp(p[3], p[2], c[3], c[2]))
-                return (("v", i, j), interp(p[0], p[3], c[0], c[3]))
-            table = {
-                1: [("b", "l")], 2: [("b", "r")], 3: [("l", "r")],
-                4: [("r", "t")], 5: [("b", "r"), ("t", "l")],
-                6: [("b", "t")], 7: [("l", "t")],
-                8: [("t", "l")], 9: [("b", "t")],
-                10: [("b", "l"), ("r", "t")], 11: [("r", "t")],
-                12: [("l", "r")], 13: [("b", "r")], 14: [("b", "l")],
-            }
-            for e1, e2 in table[code]:
-                segs.append((edge(e1), edge(e2)))
+    for i, j, c in zip(ci.tolist(), cj.tolist(), code[ci, cj].tolist()):
+        for pair in _CASES[c]:
+            tags = [(kind, i + di, j + dj) for kind, di, dj in pair]
+            segs.append(tuple((tag, cross[tag]) for tag in tags))
 
     def canon_edge(tag):
         kind, i, j = tag
@@ -343,10 +335,10 @@ def modular_field(S):
     return (normalize(X1), normalize(X2))
 
 
-def modular_period(S, curve, _refinements=2):
+def modular_period(S, curve):
     """Traversal time of the curve under the modular field, computed as the
-    arclength integral of 1/|X| with Richardson extrapolation; positive by
-    construction."""
+    arclength integral of 1/|X| with Richardson extrapolation over two
+    subdivisions; positive by construction."""
     names = S.patch.names
     X = compile_tape(modular_field(S), names)
 
@@ -362,7 +354,7 @@ def modular_period(S, curve, _refinements=2):
 
     pts = curve.points
     estimates = [total(pts)]
-    for _ in range(_refinements):
+    for _ in range(2):
         pts = _subdivide(S, pts, curve.closed)
         estimates.append(total(pts))
     # trapezoid is O(h^2): one Richardson sweep per refinement
@@ -389,17 +381,20 @@ def _subdivide(S, pts, closed):
 # regularized volume
 
 
-def regularized_volume(S, grid=64, eps0=1e-2, halvings=8, tau_log=1e-4,
-                       cutoff_factor=None, return_series=False):
+def regularized_volume(S, grid=64, tau_log=1e-4, cutoff_factor=None,
+                       return_series=False):
     """Principal-value volume of the dual singular area form.
 
     V(eps) integrates orientation * (1/P) over {|P| > eps} (sign fixed so
-    the asymmetric sphere model is positive); the sequence eps0, eps0/2, ...
-    is fitted against c*log(eps) + V0 and V0 returned when |c| < tau_log."""
+    the asymmetric sphere model is positive); the sequence 1e-2, 1e-2/2,
+    ..., 1e-2/2^8 is fitted against c*log(eps) + V0 and V0 returned when
+    |c| < tau_log.  The lines along axis 2 number at most
+    se.grid_per_axis(grid, 2)."""
     patch = S.patch
     names = patch.names
     (lo1, hi1), (lo2, hi2) = patch.intervals
     per2 = patch.periods[1]
+    grid = se.grid_per_axis(grid, 2)
     # nodes along axis 2; periodic axes use the uniform (spectrally
     # accurate) rule, bounded axes use Gauss-Legendre
     if per2 is not None:
@@ -495,7 +490,7 @@ def regularized_volume(S, grid=64, eps0=1e-2, halvings=8, tau_log=1e-4,
                                       inv.reshape(nodes.shape) @ _GL_W))
         return math.fsum(w2s * totals)
 
-    eps_list = [eps0 / 2 ** k for k in range(halvings + 1)]
+    eps_list = [1e-2 / 2 ** k for k in range(9)]
     series = [-S.orientation * level(eps) for eps in eps_list]
     # fit V(eps) = c log(eps) + V0 + a*eps; the linear term soaks up the
     # strip-asymmetry correction so it does not contaminate c or V0

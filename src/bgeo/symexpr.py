@@ -1002,7 +1002,10 @@ class _Tokens:
 
 def parse_expr(text, patch, extra_params=()):
     """Parse an infix expression; identifiers must be patch coordinates or
-    declared parameters."""
+    declared parameters.  Any text that is not a str is an ExprSyntaxError."""
+    if not isinstance(text, str):
+        raise ExprSyntaxError("an expression must be a string, got %s"
+                              % type(text).__name__, 0)
     allowed = set(patch.names) | set(patch.params) | set(extra_params)
     toks = _Tokens(text)
     depth = 0

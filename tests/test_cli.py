@@ -476,6 +476,105 @@ class TestGridCap:
             assert "grid_per_axis" not in json.loads(capsys.readouterr().out)
 
 
+    def test_invariants_huge_grid(self, sphere_doc, capsys):
+        from bgeo import cli
+
+        assert cli.main(["invariants", sphere_doc, "--grid", "100000"]) == 0
+        out, err = capsys.readouterr()
+        rep = json.loads(out)
+        assert rep["grid_per_axis"] == 1414 and err == ""
+        assert rep["n"] == 1 and rep["config"]["grid"] == 100000
+        assert rep["periods"][0] == pytest.approx(2 * math.pi, abs=1e-6)
+        # the largest grid the cap does not lower has no count in the report
+        assert cli.main(["invariants", sphere_doc, "--grid", "1414"]) == 0
+        assert "grid_per_axis" not in json.loads(capsys.readouterr().out)
+
+
+class TestKnobRange:
+    """A tolerance below 0 or not finite, or an --eps that is not finite
+    and positive, is a JSON error naming the flag, before any document is
+    read."""
+
+    @pytest.mark.parametrize("value", ["-1", "-1e-300", "nan", "inf"])
+    @pytest.mark.parametrize("argv,flag", [
+        (["invariants", "DOC"], "--tol-log"),
+        (["classify", "DOC", "DOC"], "--tol"),
+        (["moser", "DOC", "DOC"], "--tol-residual"),
+        (["moser", "DOC", "DOC"], "--tol-tangency"),
+    ])
+    def test_tolerance(self, capsys, argv, flag, value):
+        from bgeo import cli
+
+        # the document does not exist: a knob error comes first
+        argv = [a.replace("DOC", "/does/not/exist.json") for a in argv]
+        assert cli.main(argv + [flag + "=" + value]) == 1
+        out, err = capsys.readouterr()
+        assert set(json.loads(out)) == {"schema", "error"} and err == ""
+        assert json.loads(out)["error"].startswith(flag + " must be")
+
+    @pytest.mark.parametrize("value", ["0", "-2", "nan", "inf"])
+    def test_eps(self, capsys, value):
+        from bgeo import cli
+
+        argv = ["extend", "/does/not/exist.json", "--eps=" + value]
+        assert cli.main(argv) == 1
+        assert json.loads(capsys.readouterr().out)["error"].startswith(
+            "--eps must be")
+
+    def test_zero_tolerance_runs(self, tmp_path, capsys):
+        from bgeo import cli
+
+        doc = {"schema": "bgeo/1", "kind": "surface", "topology": "torus",
+               "P": "sin(t1)"}
+        path = tmp_path / "torus.json"
+        path.write_text(json.dumps(doc))
+        # the same structure: equivalent at any tolerance, 0 included
+        argv = ["classify", str(path), str(path), "--grid", "16", "--tol"]
+        assert cli.main(argv + ["0"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["tol"] == 0.0
+
+
+class TestNonStringExpression:
+    """An expression that is JSON null or a number is an invalid document
+    (exit 1), never an internal error."""
+
+    @staticmethod
+    def _run(capsys, tmp_path, command, doc):
+        from bgeo import cli
+
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main([command, str(path)])
+        out, err = capsys.readouterr()
+        assert code == 1 and err == ""
+        assert "must be a string" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("value", [None, 5])
+    @pytest.mark.parametrize("field", ["P", "V"])
+    def test_surface(self, capsys, tmp_path, field, value):
+        doc = {"schema": "bgeo/1", "kind": "surface", "topology": "sphere",
+               "P": "h", "V": "1"}
+        doc[field] = value
+        self._run(capsys, tmp_path, "invariants", doc)
+
+    @pytest.mark.parametrize("value", [None, 2.5])
+    @pytest.mark.parametrize("where", ["f", "alpha"])
+    def test_bform(self, capsys, tmp_path, where, value):
+        doc = json.loads(open(bform_doc(tmp_path, "w.json",
+                                        {"0": "2+x"}, {})).read())
+        if where == "f":
+            doc["f"] = value
+        else:
+            doc["alpha"]["0"] = value
+        self._run(capsys, tmp_path, "check", doc)
+
+    @pytest.mark.parametrize("value", [None, 3])
+    def test_zdata(self, capsys, tmp_path, value):
+        doc = json.loads(open(TestExtend._torus3_doc(tmp_path, "1/6")).read())
+        doc["alpha"]["1"] = value
+        self._run(capsys, tmp_path, "extend", doc)
+
+
 class TestLastResort:
     def test_internal_error(self, monkeypatch, capsys):
         from bgeo import cli
