@@ -27,7 +27,7 @@ from . import serialize as ser
 from .cohomology import BettiData, b_betti, nonvanishing_witness, poisson_betti
 from .forms import GeometryError, nondegeneracy_check, transversality_check
 from .surface2d import classify_pair, extract_zero_set, modular_period, \
-    regularized_volume
+    regularized_volume, surface_poisson_cohomology
 from .symexpr import ExprError, grid_per_axis, to_string
 
 
@@ -144,6 +144,7 @@ def _parse_int_list(text):
 def cmd_cohomology(args):
     if args.surface:
         g, n = _parse_int_list(args.surface)
+        surface_poisson_cohomology(g, n)  # ValueError unless g >= 0, n >= 1
         data = BettiData(2, (1, 2 * g, 1), tuple((1, 1) for _ in range(n)))
     elif args.betti_m:
         bm = _parse_int_list(args.betti_m)

@@ -25,11 +25,12 @@ from .forms import (
     _grid_min_abs,
     d_bform,
     d_smooth,
+    form_equiv,
     nondegeneracy_check,
     restrict_to_Z,
     wedge,
 )
-from .symexpr import Patch, expr_equiv, normalize, num, parse_expr
+from .symexpr import Patch, expr_equiv, num, parse_expr
 
 ZERO = se.num(0)
 
@@ -88,15 +89,15 @@ def check_defining_forms(data: HypersurfaceData, grid=32) -> DefiningFormsReport
     norm2 = se.add(*[se.mul(c, c) for c in data.alpha.comps.values()]) \
         if data.alpha.comps else ZERO
     detail = {}
-    if isinstance(normalize(norm2), se.Num):
-        alpha_nv = float(normalize(norm2).value) > 0
-        detail["alpha_min_norm2"] = float(normalize(norm2).value)
+    if isinstance(norm2, se.Num):
+        alpha_nv = float(norm2.value) > 0
+        detail["alpha_min_norm2"] = float(norm2.value)
     else:
         vmin, _ = _grid_min_abs(norm2, patch, grid, params=params)
         alpha_nv = vmin > 1e-12
         detail["alpha_min_norm2"] = vmin
     top = leaf_volume_form(data)
-    c = normalize(top.coefficient(*patch.names)) if top.comps else ZERO
+    c = top.coefficient(*patch.names) if top.comps else ZERO
     detail["top_coefficient"] = se.to_string(c)
     if isinstance(c, se.Num):
         top_nv = c.value != 0
@@ -166,23 +167,14 @@ def build_extension(data: HypersurfaceData, eps=1.0, tname="t",
     provenance["components"] = [p.component.value for p in pairs]
     if f is None:
         (pair,) = pairs
-        ok = (_forms_match(pair.alpha_tilde, data.alpha)
-              and _forms_match(pair.beta_tilde, data.omega))
+        ok = (form_equiv(pair.alpha_tilde, data.alpha)
+              and form_equiv(pair.beta_tilde, data.omega))
         if not ok:
             raise GeometryError("restriction of the model does not return "
                                 "the input data")
         provenance["restriction_returns_data"] = True
     return ExtensionModel(patch=product, bform=omega_t, data=data,
                           provenance=provenance)
-
-
-def _forms_match(a, b):
-    keys = set(a.comps) | set(b.comps)
-    patch = a.patch
-    for k in keys:
-        if not expr_equiv(a.comps.get(k, ZERO), b.comps.get(k, ZERO), patch):
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -209,8 +201,8 @@ def compare_extensions(m1: ExtensionModel, m2: ExtensionModel,
         return ComparisonVerdict(False, "distinct",
                                  detail="different component counts")
     for a, b in zip(pairs1, pairs2):
-        if not (_forms_match(a.alpha_tilde, b.alpha_tilde)
-                and _forms_match(a.beta_tilde, b.beta_tilde)):
+        if not (form_equiv(a.alpha_tilde, b.alpha_tilde)
+                and form_equiv(a.beta_tilde, b.beta_tilde)):
             return ComparisonVerdict(False, "distinct",
                                      detail="restriction pairs differ")
     if not moser:

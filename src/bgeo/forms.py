@@ -28,7 +28,6 @@ from .symexpr import (
     expr_equiv,
     is_zero,
     mul,
-    normalize,
     substitute,
 )
 
@@ -276,11 +275,11 @@ class BForm:
         if not isinstance(other, BForm):
             raise TypeError("expected a BForm")
         if (self.patch != other.patch or self.zname != other.zname
-                or normalize(self.f) != normalize(other.f)):
+                or self.f != other.f):
             raise ValueError("b-forms use different hypersurface data")
 
     def f_depends_only_on_z(self):
-        return all(is_zero(normalize(diff_expr(self.f, n)))
+        return all(is_zero(diff_expr(self.f, n))
                    for n in self.patch.names if n != self.zname)
 
     def with_defining_function(self, h):
@@ -449,9 +448,9 @@ def _kappa_form(bform, comp):
         if n == zname:
             continue
         g = diff_expr(bform.f, n)
-        if is_zero(normalize(g)):
+        if is_zero(g):
             continue
-        g_on_z = normalize(substitute(g, {zname: comp.value}))
+        g_on_z = substitute(g, {zname: comp.value})
         if not is_zero(g_on_z):
             # transversality violated: f = 0 is not the level {z = value}
             raise GeometryError(
@@ -477,7 +476,7 @@ def restrict_to_Z(bform, components=None):
     out = []
     for comp in components:
         sub = {zname: comp.value}
-        fz_there = normalize(substitute(dfdz, sub))
+        fz_there = substitute(dfdz, sub)
         a_intrinsic = bform.alpha.map_coefficients(
             lambda c: se.div(substitute(c, sub), fz_there))
         alpha_t = pullback_to_level(a_intrinsic, zname, comp.value)
@@ -548,7 +547,7 @@ def top_coefficient(bform):
     sign = Fraction((-1) ** (m - 1 - zi))  # move dz into its slot
     a = mul(Num(sign), power.alpha.coefficient(*rest))
     b = mul(power.f, power.beta.coefficient(*allkey))
-    return normalize(se.add(a, b))
+    return se.add(a, b)
 
 
 def _finite_range(tape, blocks, absolute=False):
@@ -588,10 +587,11 @@ def _grid_min_abs(expr, patch, grid, params=None):
 def nondegeneracy_check(bform, grid=64):
     """Return (verdict, detail) for nondegeneracy as a singular 2-form.
 
-    verdict 'nonvanishing-symbolic' when the top coefficient normalizes to
-    a nonzero constant; otherwise a numeric minimum of |c| over the grid
-    decides, with 'degenerate' when a zero (or near-zero) is found.  Free
-    symbols of the coefficient that are not coordinates are set to 1.0."""
+    verdict 'nonvanishing-symbolic' when the top coefficient, as the
+    canonical constructors build it, is a nonzero constant Num; otherwise
+    a numeric minimum of |c| over the grid decides, with 'degenerate' when
+    a zero (or near-zero) is found.  Free symbols of the coefficient that
+    are not coordinates are set to 1.0."""
     c = top_coefficient(bform)
     if isinstance(c, Num):
         if c.value == 0:
@@ -675,7 +675,7 @@ def _inverse_expr(M):
     A matrix with no exact view (a float constant, or an entry past the
     monomial limit) or a singular one raises GeometryError."""
     n = len(M)
-    rp = se._to_ratpoly([normalize(e) for row in M for e in row])
+    rp = se._to_ratpoly([e for row in M for e in row])
     if rp is None:
         raise GeometryError("matrix has no exact rational view (a float "
                             "constant or too many monomials)")
@@ -744,7 +744,7 @@ def bivector_to_bform(biv):
     for i in range(patch.dim):
         for j in range(i + 1, patch.dim):
             c = se.neg(Winv[i][j])
-            if is_zero(normalize(c)):
+            if is_zero(c):
                 continue
             if j == zi:
                 alpha_comps[(i,)] = se.add(alpha_comps.get((i,), ZERO), c)

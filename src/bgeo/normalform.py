@@ -52,7 +52,6 @@ from .symexpr import (
     divide_exact,
     expr_equiv,
     is_zero,
-    normalize,
     substitute,
 )
 
@@ -120,7 +119,7 @@ def darboux2d(omega: BForm, grid=64, tname="t") -> CoordinateChange:
     if not expr_equiv(omega.f, se.sym(zname), patch):
         raise GeometryError(
             "defining function must be the coordinate %r itself" % zname)
-    g = normalize(omega.b_coefficient(zname, yname))
+    g = omega.b_coefficient(zname, yname)
     lo, hi = patch.intervals[patch.index(yname)]
     if not lo <= 0.0 <= hi:
         raise GeometryError(
@@ -144,10 +143,9 @@ def darboux2d(omega: BForm, grid=64, tname="t") -> CoordinateChange:
         terms = [se.mul(Num(float(w)), substitute(g, {yname: se.mul(Num(float(u)), y)}))
                  for u, w in zip(nodes, weights)]
         t = se.mul(y, se.add(*terms))
-    t = normalize(t)
 
     # pullback identity: dt/dy must reproduce g
-    ty = normalize(diff_expr(t, yname))
+    ty = diff_expr(t, yname)
     try:
         ok = expr_equiv(ty, g, patch, tol=1e-9)
     except EquivalenceInconclusive:
@@ -222,7 +220,7 @@ def darboux_verify(omega: BForm, point=None, pairs=None, grid=64,
     diffs = [se.sub(W[i][j], Wm[i][j]) for i in range(m)
              for j in range(i + 1, m)]
     vals = evaluate_tape(compile_tape(
-        [d for d in diffs if not is_zero(normalize(d))], names), pts)
+        [d for d in diffs if not is_zero(d)], names), pts)
     vals = vals[np.isfinite(vals)]
     worst = float(np.max(np.abs(vals))) if vals.size else 0.0
     return DarbouxReport(ok=worst < 1e-9, max_residual=worst,
@@ -295,7 +293,7 @@ def _collar_primitive(delta: SmoothForm, zname, c):
     zi = patch.index(zname)
     for key, a in delta.comps.items():
         if zi not in key:
-            lvl = normalize(substitute(a, {zname: c}))
+            lvl = substitute(a, {zname: c})
             if not is_zero(lvl) and not expr_equiv(lvl, ZERO, patch):
                 raise GeometryError(
                     "form does not pull back to zero on the level set")

@@ -34,7 +34,7 @@ import numpy as np
 from . import symexpr as se
 from .evalcore import _solve_brackets, compile_tape, evaluate_tape
 from .forms import GeometryError
-from .symexpr import Patch, diff_expr, mul, normalize, parse_expr
+from .symexpr import Patch, diff_expr, mul, parse_expr
 
 __all__ = [
     "SurfaceStructure", "ZeroCurve", "RadkoInvariants",
@@ -332,7 +332,7 @@ def modular_field(S):
     PV = mul(S.P, S.V)
     X1 = se.div(diff_expr(PV, n2), S.V)
     X2 = se.neg(se.div(diff_expr(PV, n1), S.V))
-    return (normalize(X1), normalize(X2))
+    return X1, X2
 
 
 def modular_period(S, curve):

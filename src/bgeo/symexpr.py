@@ -3,8 +3,10 @@
 Expression trees are canonical by construction: the module-level
 constructors (add, mul, powr, fun, ...) flatten, fold rational constants,
 sort, and cancel like terms, so structural equality of two expressions
-built through them is already a normal-form comparison.  ``normalize``
-rebuilds a tree through the constructors and is idempotent.
+built through them is already a normal-form comparison.  ``add`` runs its
+rewrite c*sin(u)^2*R + c*cos(u)^2*R -> c*R to a fixed point, rebuilding
+the sum after each pass, so no library code re-normalises a tree;
+``normalize`` (idempotent) is the tests' oracle of canonical output.
 
 Rational constants are carried exactly as fractions.Fraction; anything
 transcendental degrades to float.  Folding a constant power whose exact
@@ -470,7 +472,9 @@ def add(*terms):
             by_rest[k] = [c, rest]
             order.append(k)
     pairs = [(c, rest) for c, rest in (by_rest[k] for k in order) if c != 0]
-    pairs, const = _pythagoras(pairs, const)
+    rewritten = _pythagoras(pairs, const)
+    if rewritten is not None:
+        return add(*rewritten)
     out = [mul(Num(c), rest) for c, rest in pairs]
     out = [t for t in out if not is_zero(t)]
     if const != 0 or isinstance(const, float):
@@ -487,7 +491,10 @@ def add(*terms):
 
 
 def _pythagoras(pairs, const):
-    """Single rewrite pass: c*sin(u)^2*R + c*cos(u)^2*R -> c*R."""
+    """One pass of c*sin(u)^2*R + c*cos(u)^2*R -> c*R over add's pairs and
+    constant: the terms of the rewritten sum, or None when no pair matches.
+    add rebuilds the sum from them, so like terms regroup and the rewrite
+    repeats to a fixed point; each pass removes two squared trig factors."""
     sin_slots = {}
     cos_slots = {}
     for i, (c, rest) in enumerate(pairs):
@@ -499,12 +506,10 @@ def _pythagoras(pairs, const):
                 sig = (sort_key(f.base.arg), tuple(sort_key(o) for o in others))
                 slot = sin_slots if f.base.fn == "sin" else cos_slots
                 if sig not in slot:
-                    slot[sig] = (i, j, f.base.arg, others)
-    if not sin_slots or not cos_slots:
-        return pairs, const
+                    slot[sig] = (i, others)
     drop = set()
-    extra = []
-    for sig, (i, j, arg, others) in sin_slots.items():
+    terms = []
+    for sig, (i, others) in sin_slots.items():
         if sig not in cos_slots:
             continue
         i2 = cos_slots[sig][0]
@@ -516,19 +521,13 @@ def _pythagoras(pairs, const):
         drop.add(i)
         drop.add(i2)
         if others:
-            extra.append((c1, others[0] if len(others) == 1 else Mul(others)))
+            terms.append(mul(Num(c1), *others))
         else:
             const = _cadd(const, c1)
     if not drop:
-        return pairs, const
-    new_pairs = [p for i, p in enumerate(pairs) if i not in drop]
-    for c, rest in extra:
-        cc, rr = _split_coeff(mul(Num(c), rest))
-        if rr is None:
-            const = _cadd(const, cc)
-        else:
-            new_pairs.append((cc, rr))
-    return new_pairs, const
+        return None
+    return [Num(const)] + terms + [mul(Num(c), rest) for i, (c, rest)
+                                   in enumerate(pairs) if i not in drop]
 
 
 def _has_neg_pow(e):
@@ -760,7 +759,9 @@ def divide_exact(e, f):
 
 
 def normalize(e):
-    """Rebuild through the canonical constructors (idempotent)."""
+    """Rebuild a tree through the canonical constructors (idempotent).
+    Constructor output is already a fixed point, so no library code calls
+    this; the tests use it as the oracle of that."""
     if isinstance(e, Num):
         return Num(e.value)
     if isinstance(e, Sym):
@@ -1307,10 +1308,9 @@ def expr_equiv(e1, e2, patch, n_points=64, tol=1e-9, seed=0, params=None):
     """Semidecision: exact on rational functions of the atoms, randomized
     numeric sampling otherwise.  True is reliable up to sampling; False means
     a genuine countersample (or distinct polynomials) was found."""
-    a, b = normalize(e1), normalize(e2)
-    if a == b:
+    if e1 == e2:
         return True
-    rp = _to_ratpoly([a, b])
+    rp = _to_ratpoly([e1, e2])
     if rp is not None:
         ((n1, d1), (n2, d2)), _ = rp
         if poly_mul(n1, d2) == poly_mul(n2, d1):
@@ -1326,7 +1326,7 @@ def expr_equiv(e1, e2, patch, n_points=64, tol=1e-9, seed=0, params=None):
                            else patch.params)
     good = 0
     try:
-        tape = compile_tape([a, b], names)
+        tape = compile_tape([e1, e2], names)
     except KeyError:   # an unbound symbol: no point can be evaluated
         tape = None
     # candidates are drawn in blocks of n_points, up to 40 blocks, and

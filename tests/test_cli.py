@@ -153,6 +153,18 @@ class TestCohomology:
         assert not doc["consistent"]
         assert any("b_1" in r for r in doc["reasons"])
 
+    @pytest.mark.parametrize("surface", ["1,0", "1,-2"])
+    def test_surface_needs_a_curve(self, capsys, surface):
+        from bgeo import cli
+
+        assert cli.main(["cohomology", "--surface=" + surface]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert set(doc) == {"schema", "error"}
+        assert "at least one zero curve" in doc["error"]
+        assert cli.main(["cohomology", "--surface=1,2"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert tuple(doc["poisson_betti"]) == (1, 4, 3)
+
 
 class TestParseCheck:
     def test_parse_roundtrip(self, tmp_path):

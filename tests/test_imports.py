@@ -37,9 +37,9 @@ def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
 
 
-def meshgrid_uses(tree):
+def name_uses(tree, name):
     """The innermost enclosing function ("" at module level) of each
-    reference to a name or attribute `meshgrid`."""
+    reference to a name or attribute `name`."""
     found = []
 
     def visit(node, func):
@@ -47,9 +47,8 @@ def meshgrid_uses(tree):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if (isinstance(child, ast.Attribute) and child.attr == "meshgrid"
-                    or isinstance(child, ast.Name)
-                    and child.id == "meshgrid"):
+            if (isinstance(child, ast.Attribute) and child.attr == name
+                    or isinstance(child, ast.Name) and child.id == name):
                 found.append(func)
             visit(child, func)
 
@@ -61,8 +60,19 @@ def test_one_grid_path():
     """Tensor grids come from symexpr.grid_blocks: no other code in the
     library builds one with meshgrid."""
     snippet = "def f(a):\n    return np.meshgrid(a, a)\n"
-    assert meshgrid_uses(ast.parse(snippet)) == ["f"]
+    assert name_uses(ast.parse(snippet), "meshgrid") == ["f"]
     for path in MODULES:
-        uses = meshgrid_uses(ast.parse(path.read_text()))
+        uses = name_uses(ast.parse(path.read_text()), "meshgrid")
         helper = path == SRC / "symexpr.py"
         assert uses == (["grid_blocks"] * len(uses) if helper else []), path
+
+
+def test_no_renormalising():
+    """Constructor output is canonical: no module but symexpr uses
+    normalize, and symexpr only in the recursion of normalize itself."""
+    snippet = "def f(e):\n    return se.normalize(normalize(e))\n"
+    assert name_uses(ast.parse(snippet), "normalize") == ["f", "f"]
+    for path in MODULES:
+        uses = name_uses(ast.parse(path.read_text()), "normalize")
+        helper = path == SRC / "symexpr.py"
+        assert uses == (["normalize"] * len(uses) if helper else []), path

@@ -261,3 +261,25 @@ class TestCanonicalTrees:
         TestModularField().test_pairing_with_intrinsic_form()
         digest = hashlib.sha256("\n".join(trees).encode()).hexdigest()
         assert (len(trees), digest) == TREE_DIGEST
+
+    def test_handed_trees_are_fixed_points(self, monkeypatch):
+        """Every tree the suites hand to expr_equiv or eval_expr is already
+        canonical: normalize leaves it as it is."""
+        real_se = se
+        trees = []
+
+        class Recording:
+            """symexpr, with to_string also keeping each tree it prints."""
+
+            def to_string(self, e):
+                trees.append(e)
+                return real_se.to_string(e)
+
+            def __getattr__(self, name):
+                return getattr(real_se, name)
+
+        monkeypatch.setitem(globals(), "se", Recording())
+        self.test_tree_digest(monkeypatch)
+        assert len(trees) == TREE_DIGEST[0]
+        for tree in trees:
+            assert real_se.normalize(tree) == tree, real_se.to_string(tree)

@@ -197,6 +197,34 @@ class TestNormalize:
         e = parse_expr("3*x*sin(y)^2 + 3*x*cos(y)^2", PATCH)
         assert e == parse_expr("3*x", PATCH)
 
+    def test_pythagoras_regroups(self):
+        # the rewrite's c*v meets the v already in the sum
+        u, v = sym("u"), sym("v")
+        s2, c2 = powr(fun("sin", u), 2), powr(fun("cos", u), 2)
+        e = add(mul(s2, v), mul(c2, v), v)
+        assert e == mul(2, v)
+        raw = se.Add([mul(s2, v), mul(c2, v), v])
+        _assert_fixed_point(e, raw)
+
+    def test_pythagoras_to_fixed_point(self):
+        # each rewrite exposes the next pair: one add call reaches 1
+        sq = {(fn, n): powr(fun(fn, sym(n)), 2)
+              for fn in ("sin", "cos") for n in "uvw"}
+        terms = [mul(sq["sin", "u"], sq["sin", "v"], sq["sin", "w"]),
+                 mul(sq["cos", "u"], sq["sin", "v"], sq["sin", "w"]),
+                 mul(sq["cos", "v"], sq["sin", "w"]),
+                 sq["cos", "w"]]
+        e = add(*terms)
+        assert e == Num(Fraction(1))
+        raw = se.Add([se.Add(terms[:2]), se.Add(terms[2:])])
+        _assert_fixed_point(e, raw)
+
+    def test_pythagoras_needs_equal_coefficients(self):
+        u = sym("u")
+        e = add(mul(2, powr(fun("sin", u), 2)), mul(3, powr(fun("cos", u), 2)))
+        assert isinstance(e, se.Add) and len(e.terms) == 2
+        assert to_string(e) == "2*sin(u)^2 + 3*cos(u)^2"
+
     def test_rational_cancellation(self):
         e = parse_expr("(a^2 + b^2 + 1)/(a^2 + b^2 + 1)", PATCH)
         assert e == Num(Fraction(1))
@@ -447,6 +475,16 @@ class TestPatch:
         # periodic axes drop the duplicate endpoint
         ax = TORUS.axis_grid(8)[0]
         assert ax[-1] < 2 * math.pi - 1e-9
+
+
+def _assert_fixed_point(e, raw):
+    """e, built by the constructors, is a fixed point of normalize, and
+    normalize takes raw, the same sum assembled from the node classes, to
+    e in one pass."""
+    assert normalize(e) == e
+    assert normalize(normalize(e)) == normalize(e)
+    assert normalize(raw) == e
+    assert normalize(normalize(raw)) == normalize(raw)
 
 
 def _random_expr(rng, depth):
