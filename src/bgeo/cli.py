@@ -3,8 +3,9 @@
 Every subcommand reads JSON documents (schema "bgeo/1") and prints a single
 deterministic JSON report to stdout.  Exit codes: 0 success; 1 a failed
 verification, or an invalid document, expression or knob value (reported
-as a JSON error); 2 a command-line usage error (from argparse) or a missing
-input file; 3 any other failure, an internal error reported as a JSON
+as a JSON error); 2 a command-line usage error (from argparse), or a file
+that cannot be opened, read or written (a missing input, a directory), as
+a JSON error; 3 any other failure, an internal error reported as a JSON
 error with no traceback.  Reports embed the tolerances, grid sizes, and
 seed that produced them (a grid size only where a grid was sampled), and
 each subcommand accepts only the options it reads.  A --grid below 2 is a
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 from . import serialize as ser
@@ -70,16 +72,10 @@ def cmd_parse(args):
     doc = ser.load(args.input)
     ser.check_schema(doc)
     kind = doc.get("kind")
-    if kind == "surface":
-        S = ser.surface_from_dict(doc)
-        out = ser.surface_to_dict(S)
-    elif kind == "bform":
-        out = ser.bform_to_dict(ser.bform_from_dict(doc))
-    elif kind == "zdata":
-        out = ser.zdata_to_dict(ser.zdata_from_dict(doc))
-    else:
-        raise ser.SchemaError("unknown document kind %r" % kind)
-    return _emit({"kind": kind, "ok": True, "normalized": out})
+    if not isinstance(kind, str) or kind not in ser.KINDS:
+        raise ser.SchemaError("unknown document kind %r" % (kind,))
+    read, write = ser.KINDS[kind]
+    return _emit({"kind": kind, "ok": True, "normalized": write(read(doc))})
 
 
 def cmd_check(args):
@@ -142,24 +138,31 @@ def _parse_int_list(text):
 
 
 def cmd_cohomology(args):
-    if args.surface:
-        g, n = _parse_int_list(args.surface)
-        surface_poisson_cohomology(g, n)  # ValueError unless g >= 0, n >= 1
-        data = BettiData(2, (1, 2 * g, 1), tuple((1, 1) for _ in range(n)))
-    elif args.betti_m:
-        bm = _parse_int_list(args.betti_m)
-        comps = tuple(tuple(_parse_int_list(part))
-                      for part in (args.betti_z or "").split(";") if part)
-        data = BettiData(len(bm) - 1, tuple(bm), comps)
-    else:
-        raise ser.SchemaError("need --surface g,n or --betti-m/--betti-z")
+    # BettiData warns about Betti numbers without Poincare symmetry; the
+    # report lists the warnings, so stderr stays empty
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if args.surface:
+            g, n = _parse_int_list(args.surface)
+            surface_poisson_cohomology(g, n)  # ValueError unless g>=0, n>=1
+            data = BettiData(2, (1, 2 * g, 1), tuple((1, 1) for _ in range(n)))
+        elif args.betti_m:
+            bm = _parse_int_list(args.betti_m)
+            comps = tuple(tuple(_parse_int_list(part))
+                          for part in (args.betti_z or "").split(";") if part)
+            data = BettiData(len(bm) - 1, tuple(bm), comps)
+        else:
+            raise ser.SchemaError("need --surface g,n or --betti-m/--betti-z")
     witness = nonvanishing_witness(data)
-    return _emit({
+    doc = {
         "b_betti": b_betti(data),
         "poisson_betti": poisson_betti(data),
         "consistent": witness.consistent,
         "reasons": list(witness.reasons),
-    })
+    }
+    if caught:
+        doc["warnings"] = [str(w.message) for w in caught]
+    return _emit(doc)
 
 
 def cmd_darboux(args):
@@ -332,10 +335,8 @@ def main(argv=None) -> int:
         return _fail(error)
     try:
         return args.fn(args)
-    except FileNotFoundError as exc:
-        print(ser.dumps_canonical({"schema": ser.SCHEMA,
-                                   "error": str(exc)}))
-        return 2
+    except OSError as exc:   # a file that cannot be opened, read or written
+        return _fail(exc, code=2)
     # OverflowError: float() of an exact constant past the float range
     except (ser.SchemaError, GeometryError, ExprError, ValueError,
             OverflowError) as exc:

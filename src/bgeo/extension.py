@@ -85,7 +85,6 @@ def leaf_volume_form(data: HypersurfaceData) -> SmoothForm:
 def check_defining_forms(data: HypersurfaceData, grid=32) -> DefiningFormsReport:
     """Verdicts for the four hypotheses of the extension construction."""
     patch = data.patch
-    params = {p: 1.0 for p in patch.params}
     norm2 = se.add(*[se.mul(c, c) for c in data.alpha.comps.values()]) \
         if data.alpha.comps else ZERO
     detail = {}
@@ -93,7 +92,7 @@ def check_defining_forms(data: HypersurfaceData, grid=32) -> DefiningFormsReport
         alpha_nv = float(norm2.value) > 0
         detail["alpha_min_norm2"] = float(norm2.value)
     else:
-        vmin, _ = _grid_min_abs(norm2, patch, grid, params=params)
+        vmin, _ = _grid_min_abs(norm2, patch, grid)
         alpha_nv = vmin > 1e-12
         detail["alpha_min_norm2"] = vmin
     top = leaf_volume_form(data)
@@ -102,7 +101,7 @@ def check_defining_forms(data: HypersurfaceData, grid=32) -> DefiningFormsReport
     if isinstance(c, se.Num):
         top_nv = c.value != 0
     else:
-        vmin, _ = _grid_min_abs(c, patch, grid, params=params)
+        vmin, _ = _grid_min_abs(c, patch, grid)
         top_nv = vmin > 1e-12
         detail["top_min_abs"] = vmin
     return DefiningFormsReport(

@@ -6,6 +6,8 @@ A BForm represents alpha ^ (dz/f) + beta, where f is a defining function
 of the hypersurface Z = {f = 0} and z is the distinguished coordinate.
 Everything downstream (restriction to Z, smoothness tests, nondegeneracy,
 duality with bivectors) is phrased in terms of that decomposition.
+Numeric checks evaluate every declared parameter at 1.0: _chart_range
+scans grids, _with_params gives point sets their parameter columns.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .symexpr import (
     ZERO,
     EvalDomainError,
     Expr,
+    ExprError,
     Num,
     diff_expr,
     divide_exact,
@@ -362,14 +365,12 @@ def find_z_components(bform, n_samples=2048):
     # probe f as a function of z with the other coordinates at midpoints and
     # the parameters at 1.0; validity of that probe is checked afterwards
     # component by component
-    names = patch.names + patch.params
-    mid = np.array([0.5 * (lo + hi) for lo, hi in patch.intervals]
-                   + [1.0] * len(patch.params))
+    mid = np.array([0.5 * (lo + hi) for lo, hi in patch.intervals])
 
     def probe(z):
         pts = np.tile(mid, (len(z), 1))
         pts[:, zi] = z
-        return pts
+        return _with_params(patch, pts)
 
     def f_at(z):
         v = evaluate_tape(ftape, probe(z))
@@ -377,7 +378,7 @@ def find_z_components(bform, n_samples=2048):
             raise EvalDomainError(f"non-finite value {v[~np.isfinite(v)][0]}")
         return v
 
-    ftape = compile_tape(bform.f, names)
+    ftape = _chart_tape(bform.f, patch)
     zs = np.linspace(a, b, n_samples, endpoint=period is None)
     vals = f_at(zs)
     # a scan interval holds a root at its left end when f is zero there,
@@ -425,7 +426,7 @@ def find_z_components(bform, n_samples=2048):
     for r in roots:
         if not any(abs(r - q) < 1e-8 for q in kept):
             kept.append(r)
-    fzs = evaluate_tape(compile_tape(diff_expr(bform.f, zname), names),
+    fzs = evaluate_tape(_chart_tape(diff_expr(bform.f, zname), patch),
                         probe(kept))
     out = []
     for r, fz in zip(kept, fzs):
@@ -550,12 +551,33 @@ def top_coefficient(bform):
     return se.add(a, b)
 
 
-def _finite_range(tape, blocks, absolute=False):
-    """(min, max) of the finite values of a tape, or of their absolute
-    values, over a stream of point blocks; None when no value is finite.
-    Min and max are exact, so the result does not depend on the blocks."""
+def _chart_tape(exprs, patch):
+    """Tape over the coordinates and then the declared parameters; a
+    symbol that the patch does not declare is an ExprError naming it."""
+    try:
+        return compile_tape(exprs, patch.names + patch.params)
+    except KeyError as exc:
+        raise ExprError(*exc.args) from None
+
+
+def _with_params(patch, pts, values=None):
+    """pts with a column appended per declared parameter, in the order of
+    patch.params: 1.0, or the value that `values` gives it."""
+    x = np.ones((len(pts), patch.dim + len(patch.params)), order="F")
+    x[:, :patch.dim] = pts
+    for name, v in (values or {}).items():
+        x[:, patch.dim + patch.params.index(name)] = v
+    return x
+
+
+def _chart_range(expr, patch, axes, absolute=False):
+    """(min, max) of the finite values of expr, or of their absolute
+    values, on the tensor grid of the coordinate samples `axes` with every
+    declared parameter at 1.0, streamed by se.grid_blocks; None when no
+    value is finite.  Min and max are exact, whatever the blocks."""
+    tape = _chart_tape(expr, patch)
     lo = hi = None
-    for pts in blocks:
+    for pts in se.grid_blocks(list(axes) + [np.ones(1)] * len(patch.params)):
         v = evaluate_tape(tape, pts)
         v = v[np.isfinite(v)]
         if v.size:
@@ -566,19 +588,12 @@ def _finite_range(tape, blocks, absolute=False):
     return None if lo is None else (lo, hi)
 
 
-def _grid_min_abs(expr, patch, grid, params=None):
+def _grid_min_abs(expr, patch, grid):
     """min |expr| over the finite values on the tensor grid of the patch,
-    and the points per axis used: grid, lowered by se.grid_per_axis so that
-    the grid has at most se.GRID_CAP points.  The grid is streamed in
-    blocks (se.grid_blocks), so memory does not grow with it.  Declared
-    parameters take the values in params.  No finite value is a
-    GeometryError."""
+    and its points per axis: grid, lowered to at most se.GRID_CAP points by
+    se.grid_per_axis.  No finite value is a GeometryError."""
     n = se.grid_per_axis(grid, patch.dim)
-    e = expr
-    if params:
-        e = substitute(e, {k: float(v) for k, v in params.items()})
-    r = _finite_range(compile_tape(e, patch.names),
-                      se.grid_blocks(patch.axis_grid(n)), absolute=True)
+    r = _chart_range(expr, patch, patch.axis_grid(n), absolute=True)
     if r is None:
         raise GeometryError("expression has no finite value on the grid")
     return r[0], n
@@ -590,16 +605,15 @@ def nondegeneracy_check(bform, grid=64):
     verdict 'nonvanishing-symbolic' when the top coefficient, as the
     canonical constructors build it, is a nonzero constant Num; otherwise
     a numeric minimum of |c| over the grid decides, with 'degenerate' when
-    a zero (or near-zero) is found.  Free symbols of the coefficient that
-    are not coordinates are set to 1.0."""
+    a zero (or near-zero) is found.  Declared parameters are 1.0 there, as
+    in every numeric check (_chart_range)."""
     c = top_coefficient(bform)
     if isinstance(c, Num):
         if c.value == 0:
             return "degenerate", {"top_coefficient": str(c), "min_abs": 0.0}
         return "nonvanishing-symbolic", {"top_coefficient": str(c),
                                          "min_abs": abs(float(c.value))}
-    params = {p: 1.0 for p in se.free_symbols(c) - set(bform.patch.names)}
-    vmin, used = _grid_min_abs(c, bform.patch, grid, params=params)
+    vmin, used = _grid_min_abs(c, bform.patch, grid)
     verdict = "nonvanishing-grid" if vmin > 1e-9 else "degenerate"
     return verdict, {"top_coefficient": str(c), "min_abs": vmin,
                      "grid_per_axis": used}

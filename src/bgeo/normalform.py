@@ -16,7 +16,8 @@ those rows, and _solve_antisymmetric reads them with the right-hand side's
 columns and writes the solution into one column-contiguous array.  The RK4
 state is column-contiguous too, so the tape reads contiguous point
 columns.  Every entry keeps the floating-point operations of the dense
-formulas, so the reports do not depend on the layout.
+formulas, so the reports do not depend on the layout.  Declared
+parameters are 1.0 (forms._chart_range, forms._with_params).
 """
 
 from __future__ import annotations
@@ -27,13 +28,15 @@ from fractions import Fraction
 import numpy as np
 
 from . import symexpr as se
-from .evalcore import compile_tape, evaluate_tape
+from .evalcore import evaluate_tape
 from .forms import (
     BForm,
     GeometryError,
     SmoothForm,
-    _finite_range,
+    _chart_range,
+    _chart_tape,
     _grid_min_abs,
+    _with_params,
     b_matrix,
     d_bform,
     d_smooth,
@@ -85,20 +88,12 @@ class CoordinateChange:
     grid_per_axis: int = None
 
 
-def _with_params(patch, pts):
-    """Points with a column of 1.0 appended for each declared parameter,
-    the value find_z_components and nondegeneracy_check give them."""
-    return np.hstack([pts, np.ones((len(pts), len(patch.params)))])
-
-
 def _grid_extrema(expr, patch, n):
     """(min, max) of the finite values of expr on the tensor grid of n
     points per axis, a relative margin of 1e-6 in from the patch edges,
-    with every declared parameter at 1.0.  The grid is streamed in blocks
-    (se.grid_blocks); no finite value is a GeometryError."""
-    ones = [np.ones(1)] * len(patch.params)   # one sample per parameter
-    r = _finite_range(compile_tape(expr, patch.names + patch.params),
-                      se.grid_blocks(patch.axis_grid(n, margin=1e-6) + ones))
+    with every declared parameter at 1.0 (forms._chart_range); no finite
+    value is a GeometryError."""
+    r = _chart_range(expr, patch, patch.axis_grid(n, margin=1e-6))
     if r is None:
         raise GeometryError("expression has no finite values on the patch")
     return r
@@ -203,14 +198,13 @@ def darboux_verify(omega: BForm, point=None, pairs=None, grid=64,
     patch = omega.patch
     rng = np.random.default_rng(seed)
     pts = _with_params(patch, _sample_box(patch, point, box, n_points, rng))
-    names = patch.names + patch.params
     if patch.dim == 2:
         change = darboux2d(omega, grid=grid)
         zname = omega.zname
         yname = next(n for n in patch.names if n != zname)
         g = omega.b_coefficient(zname, yname)
         resid = se.sub(diff_expr(change.forward[1], yname), g)
-        vals = evaluate_tape(compile_tape(resid, names), pts)
+        vals = evaluate_tape(_chart_tape(resid, patch), pts)
         r = float(np.max(np.abs(vals[np.isfinite(vals)])))
         return DarbouxReport(ok=r < 1e-9, max_residual=r, change=change)
     model = _standard_model(patch, omega.zname, pairs)
@@ -219,8 +213,8 @@ def darboux_verify(omega: BForm, point=None, pairs=None, grid=64,
     m = patch.dim
     diffs = [se.sub(W[i][j], Wm[i][j]) for i in range(m)
              for j in range(i + 1, m)]
-    vals = evaluate_tape(compile_tape(
-        [d for d in diffs if not is_zero(d)], names), pts)
+    vals = evaluate_tape(_chart_tape(
+        [d for d in diffs if not is_zero(d)], patch), pts)
     vals = vals[np.isfinite(vals)]
     worst = float(np.max(np.abs(vals))) if vals.size else 0.0
     return DarbouxReport(ok=worst < 1e-9, max_residual=worst,
@@ -399,12 +393,12 @@ class _MoserEngine:
     in the singular coframe, as a dict keyed by (i, j) that holds only the
     entries that can be nonzero; b_cols(rows) the m columns of the
     right-hand side b of W u = b in the same coframe.  The tape reads the
-    points themselves, or when `timed` the points and a last column holding
-    t.  Velocities are u converted back to coordinate components by scaling
-    the z column with f in place.  The system is solved by
-    _solve_antisymmetric: in closed form for m = 2 (Cramer, bit-identical
-    to LAPACK's pivoted LU) and m = 4 (the Pfaffian adjugate), and by
-    numpy.linalg.solve on full matrices for m >= 6.
+    points themselves, or with a time parameter `tname` the points with
+    their parameter columns, t in that of tname.  Velocities are u
+    converted back to coordinate components by scaling the z column with f
+    in place.  The system is solved by _solve_antisymmetric: in closed form
+    for m = 2 (Cramer, bit-identical to LAPACK's pivoted LU) and m = 4 (the
+    Pfaffian adjugate), and by numpy.linalg.solve on full matrices for m >= 6.
 
     The RK4 state is column-contiguous (Fortran order), like the velocities,
     so the tape's point columns and the solver's right-hand-side columns are
@@ -412,24 +406,21 @@ class _MoserEngine:
     pullback residual, once for each of W_0 and W_1."""
 
     def __init__(self, patch, zname, f_expr, groups, W_rows, b_cols,
-                 timed=False):
-        self.m = patch.dim
+                 tname=None):
+        self.patch = patch
         self.zi = patch.index(zname)
         self.keys = [list(g) for g in groups]
-        self.tape = compile_tape([e for g in groups for e in g.values()]
-                                 + [f_expr], patch.names + patch.params)
+        self.tape = _chart_tape([e for g in groups for e in g.values()]
+                                + [f_expr], patch)
         self.W_rows = W_rows
         self.b_cols = b_cols
-        self.timed = timed
+        self.tname = tname
 
     def at(self, pts, t):
         """The batch the tape reads at time t."""
-        if not self.timed:
+        if self.tname is None:
             return pts
-        x = np.empty((pts.shape[0], self.m + 1), order="F")
-        x[:, :-1] = pts
-        x[:, -1] = t
-        return x
+        return _with_params(self.patch, pts, {self.tname: t})
 
     def evaluate(self, pts, t):
         """The groups' rows and f at the points at time t, from one tape
@@ -550,16 +541,14 @@ def _halton_collar(patch, zi, zlo, zhi, n):
 
 def _min_abs_on_collar(expr, patch, zi, zlo, zhi, grid=16):
     """min |expr| on a tensor grid over the patch with the singular
-    coordinate confined to [zlo, zhi], declared parameters at 1.0; 0.0
-    when no value is finite."""
+    coordinate confined to [zlo, zhi], declared parameters at 1.0
+    (forms._chart_range); 0.0 when no value is finite."""
     axes = []
     for i, (a, b) in enumerate(patch.intervals):
         if i == zi:
             a, b = zlo, zhi
         axes.append(np.linspace(a + 1e-9, b - 1e-9, grid))
-    axes += [np.ones(1)] * len(patch.params)
-    r = _finite_range(compile_tape(expr, patch.names + patch.params),
-                      se.grid_blocks(axes), absolute=True)
+    r = _chart_range(expr, patch, axes, absolute=True)
     return 0.0 if r is None else r[0]
 
 
@@ -736,17 +725,18 @@ def _divide_by_f(core: SmoothForm, f, zname, c):
                       {key: se.div(a, h) for key, a in core.comps.items()})
 
 
-def _global_engine(omega_t, mu_t):
+def _global_engine(omega_t, mu_t, tname="t"):
     """The isotopy field of a family: with d(mu_t) = d/dt omega_t it solves
     -W_t u = -mu_t in the singular coframe (so that L_v omega_t cancels the
-    time derivative); W_t and mu_t read t from the tape's last column."""
+    time derivative); W_t and mu_t read t from the column of the parameter
+    tname, and every other declared parameter as 1.0."""
     m = omega_t.patch.dim
     mu = _nonzero({i: mu_t.b_coefficient(i) for i in range(m)})
     return _MoserEngine(omega_t.patch, omega_t.zname, omega_t.f,
                         [_upper(b_matrix(omega_t)), mu],
                         lambda rows, t: rows[0],
                         lambda rows: [rows[1].get(i, 0.0) for i in range(m)],
-                        timed=True)
+                        tname=tname)
 
 
 def moser_global_verify(omega_t: BForm, mu_t: BForm, tname="t",
@@ -782,21 +772,19 @@ def moser_global_verify(omega_t: BForm, mu_t: BForm, tname="t",
 
     components = find_z_components(omega_t)
     # nondegeneracy of the family across the time grid
+    top = top_coefficient(omega_t)
     for tv in (0.0, 0.25, 0.5, 0.75, 1.0):
-        top = top_coefficient(omega_t)
-        top = substitute(top, {tname: tv})
-        vmin, _ = _grid_min_abs(top, patch, 32)
+        vmin, _ = _grid_min_abs(substitute(top, {tname: tv}), patch, 32)
         if vmin < 1e-9:
             raise GeometryError("family degenerates at t = %g" % tv)
 
-    engine = _global_engine(omega_t, mu_t)
+    engine = _global_engine(omega_t, mu_t, tname)
 
     worst_resid = 0.0
     worst_dfvZ = 0.0
     all_resid = []
     all_pts = []
-    df = compile_tape([diff_expr(omega_t.f, n) for n in patch.names],
-                      patch.names + patch.params)
+    df = _chart_tape([diff_expr(omega_t.f, n) for n in patch.names], patch)
     for comp in components:
         lo, hi = patch.intervals[zi]
         r = 0.5 * min(comp.value - lo, hi - comp.value)

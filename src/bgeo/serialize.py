@@ -10,10 +10,12 @@ only has meaning relative to it.
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import replace
 
 from .forms import BForm, SmoothForm
 from .surface2d import SurfaceStructure, make_surface
-from .symexpr import Patch, parse_expr, to_string
+from .symexpr import Patch, parse_expr, substitute, to_string
 
 SCHEMA = "bgeo/1"
 
@@ -22,10 +24,63 @@ class SchemaError(ValueError):
     pass
 
 
-def _require(doc, *keys):
-    for k in keys:
-        if k not in doc:
-            raise SchemaError("missing field %r" % k)
+# --- typed reads -------------------------------------------------------------
+
+_MISSING = object()
+
+
+def _is_number(v):
+    """A JSON number with a finite float value (a boolean is not one)."""
+    try:
+        return not isinstance(v, bool) and math.isfinite(v)
+    except (TypeError, OverflowError):
+        return False
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_str(v):
+    return isinstance(v, str)
+
+
+def _is_object(v):
+    return isinstance(v, dict)
+
+
+def _is_names(v):
+    return isinstance(v, list) and all(isinstance(s, str) for s in v)
+
+
+def _is_intervals(v):
+    return isinstance(v, list) and all(
+        isinstance(iv, list) and len(iv) == 2 and all(map(_is_number, iv))
+        for iv in v)
+
+
+def _is_periods(v):
+    return v is None or isinstance(v, list) and all(
+        p is None or _is_number(p) for p in v)
+
+
+def _is_values(v):
+    return isinstance(v, dict) and all(map(_is_number, v.values()))
+
+
+def _read(doc, key, ok=None, what=None, default=_MISSING):
+    """doc[key], or default when the field is absent.  A SchemaError names
+    the field when it is absent without a default, or when ok rejects its
+    value; expressions are checked by parse_expr, not here."""
+    if key not in doc:
+        if default is _MISSING:
+            raise SchemaError("missing field %r" % key)
+        return default
+    value = doc[key]
+    if ok is not None and not ok(value):
+        raise SchemaError("field %r must be %s, got %s"
+                          % (key, what, type(value).__name__))
+    return value
 
 
 def check_schema(doc):
@@ -49,12 +104,18 @@ def patch_to_dict(patch: Patch) -> dict:
 
 
 def patch_from_dict(doc) -> Patch:
-    _require(doc, "names", "intervals")
-    return Patch(tuple(doc["names"]),
-                 tuple(tuple(iv) for iv in doc["intervals"]),
-                 periods=tuple(doc.get("periods") or
-                               [None] * len(doc["names"])),
-                 params=tuple(doc.get("params", ())))
+    if not _is_object(doc):
+        raise SchemaError("field 'patch' must be an object, got %s"
+                          % type(doc).__name__)
+    # null or empty periods: no coordinate is periodic
+    return Patch(_read(doc, "names", _is_names, "a list of strings"),
+                 _read(doc, "intervals", _is_intervals,
+                       "a list of pairs of finite numbers"),
+                 periods=_read(doc, "periods", _is_periods,
+                               "a list of finite numbers and nulls",
+                               None) or None,
+                 params=_read(doc, "params", _is_names, "a list of strings",
+                              ()))
 
 
 # --- forms -----------------------------------------------------------------
@@ -64,10 +125,13 @@ def _comps_to_dict(form: SmoothForm) -> dict:
             for key, c in sorted(form.comps.items())}
 
 
-def _comps_from_dict(patch, degree, doc) -> SmoothForm:
+def _comps_from_dict(patch, degree, doc, key, default=_MISSING) -> SmoothForm:
+    """The form in field `key` of doc: an object from comma-joined indices
+    to expressions."""
     comps = {}
-    for key, text in doc.items():
-        idx = tuple(int(s) for s in key.split(",")) if key else ()
+    for idx, text in _read(doc, key, _is_object, "an object",
+                           default).items():
+        idx = tuple(int(s) for s in idx.split(",")) if idx else ()
         comps[idx] = parse_expr(text, patch)
     return SmoothForm(patch, degree, comps)
 
@@ -87,13 +151,13 @@ def bform_to_dict(bform: BForm) -> dict:
 
 def bform_from_dict(doc) -> BForm:
     check_schema(doc)
-    _require(doc, "patch", "degree", "f", "zcoord")
-    patch = patch_from_dict(doc["patch"])
-    degree = int(doc["degree"])
-    alpha = _comps_from_dict(patch, degree - 1, doc.get("alpha", {}))
-    beta = _comps_from_dict(patch, degree, doc.get("beta", {}))
-    return BForm(patch, degree, alpha, beta,
-                 parse_expr(doc["f"], patch), doc["zcoord"])
+    patch = patch_from_dict(_read(doc, "patch"))
+    degree = _read(doc, "degree", _is_int, "an integer")
+    return BForm(patch, degree,
+                 _comps_from_dict(patch, degree - 1, doc, "alpha", {}),
+                 _comps_from_dict(patch, degree, doc, "beta", {}),
+                 parse_expr(_read(doc, "f"), patch),
+                 _read(doc, "zcoord", _is_str, "a string"))
 
 
 # --- surfaces ---------------------------------------------------------------
@@ -111,9 +175,9 @@ def surface_to_dict(S: SurfaceStructure) -> dict:
 
 def surface_from_dict(doc) -> SurfaceStructure:
     check_schema(doc)
-    _require(doc, "topology", "P")
-    return make_surface(doc["topology"], doc["P"], doc.get("V", "1"),
-                        int(doc.get("orientation", 1)))
+    return make_surface(_read(doc, "topology", _is_str, "a string"),
+                        _read(doc, "P"), _read(doc, "V", default="1"),
+                        _read(doc, "orientation", _is_int, "an integer", 1))
 
 
 # --- hypersurface data -------------------------------------------------------
@@ -131,36 +195,39 @@ def zdata_to_dict(data) -> dict:
 def zdata_from_dict(doc):
     from .extension import HypersurfaceData
     check_schema(doc)
-    _require(doc, "patch", "alpha")
-    patch = patch_from_dict(doc["patch"])
-    params = doc.get("params", {})
-    if params:
-        # numeric parameter values replace declared parameter symbols
-        subs = {k: float(v) for k, v in params.items()}
-        names = tuple(n for n in patch.params if n not in subs)
-        patch = Patch(patch.names, patch.intervals, patch.periods, names)
+    patch = patch_from_dict(_read(doc, "patch"))
+    subs = _read(doc, "params", _is_values, "an object of numbers", {})
+    for name in subs:
+        if name not in patch.params:
+            raise SchemaError("params names %r, which the patch does not "
+                              "declare" % name)
+    forms = [_comps_from_dict(patch, 1, doc, "alpha"),
+             _comps_from_dict(patch, 2, doc, "omega", {})]
+    if subs:   # numbers replace the parameters they name
+        subs = {k: float(v) for k, v in subs.items()}
+        patch = replace(patch, params=tuple(p for p in patch.params
+                                            if p not in subs))
+        forms = [SmoothForm(patch, form.degree,
+                            {k: substitute(c, subs)
+                             for k, c in form.comps.items()})
+                 for form in forms]
+    return HypersurfaceData(patch, *forms)
 
-        def build(degree, comps_doc):
-            from .symexpr import substitute
-            form = _comps_from_dict(
-                Patch(patch.names, patch.intervals, patch.periods,
-                      tuple(subs)), degree, comps_doc)
-            return SmoothForm(patch, degree,
-                              {k: substitute(c, subs)
-                               for k, c in form.comps.items()})
-        alpha = build(1, doc["alpha"])
-        omega = build(2, doc.get("omega", {}))
-    else:
-        alpha = _comps_from_dict(patch, 1, doc["alpha"])
-        omega = _comps_from_dict(patch, 2, doc.get("omega", {}))
-    return HypersurfaceData(patch, alpha, omega)
+
+# the readers and writers of the document kinds that `bgeo parse` takes
+KINDS = {"surface": (surface_from_dict, surface_to_dict),
+         "bform": (bform_from_dict, bform_to_dict),
+         "zdata": (zdata_from_dict, zdata_to_dict)}
 
 
 # --- helpers -----------------------------------------------------------------
 
 def load(path):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise SchemaError("document nested too deeply") from None
 
 
 def dumps_canonical(obj) -> str:

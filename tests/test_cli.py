@@ -153,6 +153,17 @@ class TestCohomology:
         assert not doc["consistent"]
         assert any("b_1" in r for r in doc["reasons"])
 
+    def test_poincare_warning_in_report(self):
+        # Betti numbers without Poincare symmetry: the library's warning is
+        # listed in the report, and stderr stays empty
+        proc = run("cohomology", "--betti-m", "1,0,0", "--betti-z", "1,1")
+        doc = json.loads(proc.stdout)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert len(doc["warnings"]) == 1 and "Poincare" in doc["warnings"][0]
+        assert doc["b_betti"] == [1, 1, 1]
+        # a symmetric input has no warnings key
+        assert "warnings" not in run_json("cohomology", "--surface", "1,2")[1]
+
     @pytest.mark.parametrize("surface", ["1,0", "1,-2"])
     def test_surface_needs_a_curve(self, capsys, surface):
         from bgeo import cli
@@ -371,6 +382,33 @@ class TestExtend:
         path.write_text(json.dumps(doc))
         return str(path)
 
+    @staticmethod
+    def _torus3_params_doc(tmp_path, params):
+        """test_torus3's document with the given "params" field."""
+        two_pi = 2 * math.pi
+        doc = {"schema": "bgeo/1", "kind": "zdata",
+               "patch": {"names": ["theta1", "theta2", "theta3"],
+                         "intervals": [[0, two_pi]] * 3,
+                         "periods": [two_pi] * 3, "params": ["a", "b"]},
+               "alpha": {"0": "a/(a^2+b^2+1)", "1": "b/(a^2+b^2+1)",
+                         "2": "-1/(a^2+b^2+1)"},
+               "omega": {"0,1": "1", "0,2": "b", "1,2": "-a"},
+               "params": params}
+        path = tmp_path / "zdata.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_some_params_substituted(self, capsys, tmp_path):
+        # a is replaced by 2.0; b stays declared and is 1.0 in the checks
+        path = self._torus3_params_doc(tmp_path, {"a": 2})
+        code, out = _main_json(capsys, "extend", path)
+        assert code == 0 and out["ok"] and all(out["defining_forms"].values())
+        patch = out["model"]["patch"]
+        assert patch["params"] == ["b"]
+        assert out["model"]["alpha"]["0"] == "2.0/(5.0 + b^2)"
+        code, out = _main_json(capsys, "parse", path)
+        assert code == 0 and out["normalized"]["patch"]["params"] == ["b"]
+
     def test_grid_reported(self, tmp_path):
         # alpha depends on theta1: the grid decides nondegeneracy
         path = self._torus3_doc(tmp_path, "(2 + cos(theta1))/6")
@@ -393,6 +431,19 @@ class TestExitCodes:
 
     def test_unknown_command(self):
         assert run("frobnicate").returncode == 2
+
+    def test_deeply_nested_document(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, out = _main_json(capsys, "parse", path)
+        assert code == 1 and "nested" in out["error"]
+
+    def test_unreadable_input(self, tmp_path):
+        # a directory cannot be read as a document: exit 2, like a missing
+        # file, with a JSON error
+        proc = run("parse", str(tmp_path))
+        assert proc.returncode == 2 and proc.stderr == ""
+        assert set(json.loads(proc.stdout)) == {"schema", "error"}
 
     def test_missing_argument(self):
         assert run("classify").returncode == 2
@@ -585,6 +636,70 @@ class TestNonStringExpression:
         doc = json.loads(open(TestExtend._torus3_doc(tmp_path, "1/6")).read())
         doc["alpha"]["1"] = value
         self._run(capsys, tmp_path, "extend", doc)
+
+
+def _main_json(capsys, *argv):
+    """Exit code and report of one in-process run, checking that it prints
+    one JSON object and nothing on stderr."""
+    from bgeo import cli
+
+    code = cli.main([str(a) for a in argv])
+    out, err = capsys.readouterr()
+    assert err == ""
+    return code, json.loads(out)
+
+
+class TestTypedReads:
+    """A field of the wrong JSON type is an invalid document (exit 1)
+    whose error names the field, never an internal error."""
+
+    @staticmethod
+    def _docs(tmp_path):
+        return {"surface": {"schema": "bgeo/1", "kind": "surface",
+                            "topology": "sphere", "P": "h", "V": "1",
+                            "orientation": 1},
+                "bform": json.loads(open(bform_doc(
+                    tmp_path, "w.json", {"0": "2+x"}, {})).read()),
+                "zdata": json.loads(open(TestExtend._torus3_doc(
+                    tmp_path, "1/6")).read())}
+
+    @pytest.mark.parametrize("kind,path,value,command", [
+        ("surface", ("orientation",), True, "invariants"),
+        ("surface", ("orientation",), [1], "parse"),
+        ("surface", ("topology",), ["sphere"], "parse"),
+        ("bform", ("degree",), [2], "check"),
+        ("bform", ("degree",), 2.0, "parse"),
+        ("bform", ("patch", "intervals"), [1, 2], "check"),
+        ("bform", ("patch", "intervals"), [[-1, 1], [-1, "1"]], "darboux"),
+        ("bform", ("patch", "intervals"), [[-1, 1], [-1, 10 ** 400]],
+         "check"),
+        ("bform", ("patch", "names"), "xy", "check"),
+        ("bform", ("patch", "periods"), [None, "2"], "parse"),
+        ("bform", ("patch", "params"), {"a": 1}, "parse"),
+        ("bform", ("patch",), [], "check"),
+        ("bform", ("alpha",), ["2+x"], "check"),
+        ("bform", ("zcoord",), {"y": 1}, "darboux"),
+        ("zdata", ("omega",), [], "extend"),
+        ("zdata", ("params",), ["a"], "extend"),
+        ("zdata", ("params",), {"a": "1"}, "parse"),
+        ("zdata", ("kind",), ["zdata"], "parse"),
+    ])
+    def test_wrong_type(self, capsys, tmp_path, kind, path, value, command):
+        top = self._docs(tmp_path)[kind]
+        doc = top
+        for k in path[:-1]:
+            doc = doc[k]
+        doc[path[-1]] = value
+        target = tmp_path / "doc.json"
+        target.write_text(json.dumps(top))
+        code, out = _main_json(capsys, command, target)
+        assert code == 1
+        assert path[-1] in out["error"]
+
+    def test_params_name_undeclared(self, capsys, tmp_path):
+        doc = TestExtend._torus3_params_doc(tmp_path, {"a": 1.0, "c": 2.0})
+        code, out = _main_json(capsys, "extend", doc)
+        assert code == 1 and "'c'" in out["error"]
 
 
 class TestLastResort:

@@ -1,11 +1,24 @@
-"""Grammar-directed fuzzing of the expression parser.
+"""Fuzzing of the expression parser and of the CLI's document reads.
 
 Every input to parse_expr must end in an expression (which prints), an
 ExprError or a SchemaError: never another exception and never a hang.
-The run is derandomized, so it draws the same inputs every time."""
+Every mutated document that a subcommand reads must end in one JSON
+report with exit code 0, 1 or 2 and nothing on stderr.  The runs are
+derandomized, so they draw the same inputs every time."""
+
+import copy
+import io
+import json
+import math
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+
+from bgeo import cli
 
 from bgeo.serialize import SchemaError
 from bgeo.symexpr import (FUNCTIONS, MAX_NESTING, ExprError, Patch,
@@ -68,3 +81,80 @@ def test_parse_ends_in_value_or_documented_error(text):
     except (ExprError, SchemaError):
         return
     assert isinstance(to_string(e), str)
+
+
+# --- mutated documents through cli.main -------------------------------------
+
+TWO_PI = 2 * math.pi
+DOCS = {
+    "surface": {"schema": "bgeo/1", "kind": "surface", "topology": "sphere",
+                "P": "h", "V": "1", "orientation": 1},
+    "bform": {"schema": "bgeo/1", "kind": "bform", "degree": 2,
+              "zcoord": "y", "f": "y",
+              "patch": {"names": ["x", "y"], "intervals": [[-1, 1], [-1, 1]],
+                        "periods": [None, None], "params": ["a"]},
+              "alpha": {"0": "a + x^2"}, "beta": {"0,1": "y"}},
+    "zdata": {"schema": "bgeo/1", "kind": "zdata",
+              "patch": {"names": ["u", "v", "w"],
+                        "intervals": [[0, TWO_PI]] * 3,
+                        "periods": [TWO_PI] * 3, "params": ["a", "b"]},
+              "alpha": {"0": "1/(a^2 + 2)", "1": "b/3", "2": "-1/6"},
+              "omega": {"0,1": "1", "0,2": "2", "1,2": "-1"},
+              "params": {"a": 1.0}},
+}
+# the subcommands that read each kind, with small grids and flows; DOC
+# stands for the mutated document
+COMMANDS = {"surface": [["parse", "DOC"],
+                        ["invariants", "DOC", "--grid", "8"],
+                        ["classify", "DOC", "DOC", "--grid", "8"]],
+            "bform": [["parse", "DOC"], ["check", "DOC", "--grid", "6"],
+                      ["darboux", "DOC", "--grid", "6"],
+                      ["moser", "DOC", "DOC", "--points", "4", "--steps", "2"]],
+            "zdata": [["parse", "DOC"], ["extend", "DOC", "--grid", "4"]]}
+# the fields a mutation may replace or delete, as paths into a document
+FIELDS = {kind: [(k,) for k in doc if k != "schema"]
+          + [("patch", k) for k in doc.get("patch", {})]
+          + [(k, c) for k in ("alpha", "beta", "omega", "params")
+             for c in doc.get(k, {})]
+          for kind, doc in DOCS.items()}
+JSON_VALUES = st.one_of(
+    st.sampled_from([None, True, False, 0, 1, -1, 2.5, 1e300, "", "x",
+                     "sphere", [], [1, 2], [[0, 1]], ["x", "y"], {},
+                     {"a": 1}, {"0": "x"}]),
+    st.integers(-3, 3), st.text(max_size=4))
+
+
+@st.composite
+def mutated_runs(draw):
+    kind = draw(st.sampled_from(sorted(DOCS)))
+    doc = copy.deepcopy(DOCS[kind])
+    for path in draw(st.lists(st.sampled_from(FIELDS[kind]), min_size=1,
+                              max_size=3, unique=True)):
+        parent = doc
+        for key in path[:-1]:
+            parent = parent.get(key) if isinstance(parent, dict) else None
+        if not isinstance(parent, dict):
+            continue   # an earlier mutation replaced the enclosing object
+        if draw(st.booleans()):
+            parent.pop(path[-1], None)
+        else:
+            parent[path[-1]] = draw(JSON_VALUES)
+    return draw(st.sampled_from(COMMANDS[kind])), doc
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=5000,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_runs())
+def test_cli_reports_every_mutated_document(run):
+    argv, doc = run
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main([str(path) if a == "DOC" else a for a in argv])
+    assert code in (0, 1, 2), out.getvalue()
+    assert err.getvalue() == "" and not caught
+    assert isinstance(json.loads(out.getvalue()), dict)

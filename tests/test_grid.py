@@ -142,7 +142,7 @@ class TestStreamedReductions:
     def test_min_abs(self, case):
         patch, expr, grid = CASES[case]
         params = {p: 1.0 for p in patch.params}
-        new, old = _both(lambda: _grid_min_abs(expr, patch, grid, params),
+        new, old = _both(lambda: _grid_min_abs(expr, patch, grid),
                          lambda: ref_min_abs(expr, patch, grid, params))
         assert new == old
 

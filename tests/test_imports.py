@@ -67,6 +67,17 @@ def test_one_grid_path():
         assert uses == (["grid_blocks"] * len(uses) if helper else []), path
 
 
+def test_one_chart_scan():
+    """Grid checks scan the chart through forms._chart_range, which puts
+    every declared parameter at 1.0; the only other reader of
+    symexpr.grid_blocks is the marching-squares grid of surface2d."""
+    expected = {"forms.py": ["_chart_range"],
+                "surface2d.py": ["extract_zero_set"]}
+    for path in MODULES:
+        uses = name_uses(ast.parse(path.read_text()), "grid_blocks")
+        assert uses == expected.get(path.name, []), path
+
+
 def test_no_renormalising():
     """Constructor output is canonical: no module but symexpr uses
     normalize, and symexpr only in the recursion of normalize itself."""

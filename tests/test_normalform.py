@@ -17,6 +17,7 @@ from bgeo.forms import (
     d_smooth,
     find_z_components,
     form_equiv,
+    nondegeneracy_check,
 )
 from bgeo.normalform import (
     _collar_primitive,
@@ -331,14 +332,16 @@ class TestMoserRelative:
             moser_relative_verify(w0, w1, n_points=20)
 
 
-def global_family():
-    p = Patch(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)), params=("t",))
+def global_family(params=("t",), factor=""):
+    """omega_t = dx^dy/y + t*y dx^dy with primitive mu_t = x*y dy, both
+    times `factor` (an expression text ending in '*') when one is given."""
+    p = Patch(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)), params=params)
     alpha = SmoothForm(p, 1, {("x",): num(1)})
     wt = BForm(p, 2, alpha,
-               SmoothForm(p, 2, {("x", "y"): parse_expr("t*y", p)}),
+               SmoothForm(p, 2, {("x", "y"): parse_expr(factor + "t*y", p)}),
                sym("y"), "y")
     mut = BForm(p, 1, SmoothForm(p, 0, {}),
-                SmoothForm(p, 1, {("y",): parse_expr("x*y", p)}),
+                SmoothForm(p, 1, {("y",): parse_expr(factor + "x*y", p)}),
                 sym("y"), "y")
     return p, wt, mut
 
@@ -374,6 +377,18 @@ class TestMoserGlobal:
         with pytest.raises(ValueError, match="n_points|rk_step"):
             moser_global_verify(wt, mut, **knobs)
 
+    @pytest.mark.parametrize("factor", ["", "a*"])
+    @pytest.mark.parametrize("params", [("t", "a"), ("a", "t")])
+    def test_second_parameter(self, params, factor):
+        # a second declared parameter is 1.0, and t is read from its own
+        # column wherever it is declared: the one-parameter family's report
+        ref = moser_global_verify(*global_family()[1:], n_points=40)
+        rep = moser_global_verify(*global_family(params, factor)[1:],
+                                  n_points=40)
+        assert rep.max_residual == ref.max_residual
+        assert rep.v_on_Z_max == ref.v_on_Z_max
+        assert np.array_equal(rep.residuals, ref.residuals)
+
     def test_needs_declared_parameter(self):
         p = Patch(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)))
         alpha = SmoothForm(p, 1, {("x",): num(1)})
@@ -382,6 +397,22 @@ class TestMoserGlobal:
                    sym("y"), "y")
         with pytest.raises(ValueError, match="parameter"):
             moser_global_verify(w, mu)
+
+
+def test_undeclared_symbol_is_an_expr_error():
+    """A symbol that the patch does not declare cannot take the 1.0 of a
+    declared parameter: every numeric check names it in an ExprError."""
+    p = Patch(("z", "y"), ((-1.0, 1.0), (-1.0, 1.0)))
+    q = se.add(num(2), sym("q"))
+    w = BForm(p, 2, SmoothForm(p, 1, {("y",): q}), SmoothForm(p, 2, {}),
+              sym("z"), "z")
+    bad_f = BForm(p, 2, SmoothForm(p, 1, {("y",): num(1)}),
+                  SmoothForm(p, 2, {}), se.mul(sym("z"), q), "z")
+    for check in (lambda: nondegeneracy_check(w), lambda: darboux_verify(w),
+                  lambda: find_z_components(bad_f)):
+        with pytest.raises(se.ExprError, match="'q'") as info:
+            check()
+        assert not isinstance(info.value, KeyError)
 
 
 # --- the (n, m, m) velocity path the fused one replaced, kept as an oracle ---
