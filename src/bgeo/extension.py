@@ -82,8 +82,9 @@ def leaf_volume_form(data: HypersurfaceData) -> SmoothForm:
     return power
 
 
-def check_defining_forms(data: HypersurfaceData, grid=32) -> DefiningFormsReport:
-    """Verdicts for the four hypotheses of the extension construction."""
+def check_defining_forms(data: HypersurfaceData) -> DefiningFormsReport:
+    """Verdicts for the four hypotheses of the extension construction, on
+    grids of 32 points per axis where a coefficient is not constant."""
     patch = data.patch
     norm2 = se.add(*[se.mul(c, c) for c in data.alpha.comps.values()]) \
         if data.alpha.comps else ZERO
@@ -92,7 +93,7 @@ def check_defining_forms(data: HypersurfaceData, grid=32) -> DefiningFormsReport
         alpha_nv = float(norm2.value) > 0
         detail["alpha_min_norm2"] = float(norm2.value)
     else:
-        vmin, _ = _grid_min_abs(norm2, patch, grid)
+        vmin, _ = _grid_min_abs(norm2, patch, 32)
         alpha_nv = vmin > 1e-12
         detail["alpha_min_norm2"] = vmin
     top = leaf_volume_form(data)
@@ -101,7 +102,7 @@ def check_defining_forms(data: HypersurfaceData, grid=32) -> DefiningFormsReport
     if isinstance(c, se.Num):
         top_nv = c.value != 0
     else:
-        vmin, _ = _grid_min_abs(c, patch, grid)
+        vmin, _ = _grid_min_abs(c, patch, 32)
         top_nv = vmin > 1e-12
         detail["top_min_abs"] = vmin
     return DefiningFormsReport(

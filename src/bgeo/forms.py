@@ -212,14 +212,13 @@ def pullback_to_level(a, zname, value):
     return SmoothForm(sub_patch, a.degree, out)
 
 
-def form_equiv(a, b, n_points=64, tol=1e-9, seed=0, params=None):
+def form_equiv(a, b, tol=1e-9):
     """Componentwise semidecidable equality of smooth forms."""
     _check_compatible(a, b)
     keys = set(a.comps) | set(b.comps)
     for k in keys:
         if not expr_equiv(a.comps.get(k, ZERO), b.comps.get(k, ZERO),
-                          a.patch, n_points=n_points, tol=tol, seed=seed,
-                          params=params):
+                          a.patch, tol=tol):
             return False
     return True
 
@@ -354,9 +353,10 @@ class RestrictionPair:
     beta_tilde: SmoothForm
 
 
-def find_z_components(bform, n_samples=2048):
-    """Locate the roots of f along the distinguished coordinate.  Requires
-    the z-partial of f to be bounded away from zero at each root."""
+def find_z_components(bform):
+    """Locate the roots of f along the distinguished coordinate, scanned at
+    2048 samples.  Requires the z-partial of f to be bounded away from zero
+    at each root."""
     patch = bform.patch
     zname = bform.zname
     zi = patch.index(zname)
@@ -379,7 +379,7 @@ def find_z_components(bform, n_samples=2048):
         return v
 
     ftape = _chart_tape(bform.f, patch)
-    zs = np.linspace(a, b, n_samples, endpoint=period is None)
+    zs = np.linspace(a, b, 2048, endpoint=period is None)
     vals = f_at(zs)
     # a scan interval holds a root at its left end when f is zero there,
     # otherwise one inside when f changes sign across it
@@ -489,14 +489,14 @@ def restrict_to_Z(bform, components=None):
     return out
 
 
-def is_smooth(bform, components=None):
+def is_smooth(bform):
     """Decide whether a b-form is actually smooth across Z.
 
     Returns (verdict, smooth_equivalent).  verdict is True with the
     equivalent SmoothForm when alpha/f divides exactly; True with None when
     the restriction vanishes but no exact quotient was found (smooth, but
     only semidecided symbolically); False with None otherwise."""
-    pairs = restrict_to_Z(bform, components)
+    pairs = restrict_to_Z(bform)
     for pair in pairs:
         if not pair.alpha_tilde.is_zero():
             if not all(expr_equiv(c, ZERO, pair.alpha_tilde.patch)
@@ -562,7 +562,10 @@ def _chart_tape(exprs, patch):
 
 def _with_params(patch, pts, values=None):
     """pts with a column appended per declared parameter, in the order of
-    patch.params: 1.0, or the value that `values` gives it."""
+    patch.params: 1.0, or the value that `values` gives it; pts itself,
+    not a copy, when the patch declares no parameter."""
+    if not patch.params:
+        return pts
     x = np.ones((len(pts), patch.dim + len(patch.params)), order="F")
     x[:, :patch.dim] = pts
     for name, v in (values or {}).items():
@@ -770,7 +773,7 @@ def bivector_to_bform(biv):
                  SmoothForm(patch, 2, beta_comps), biv.f, biv.zname)
 
 
-def bform_equiv(a, b, n_points=64, tol=1e-9, seed=0, params=None):
+def bform_equiv(a, b):
     """Equality of degree-2 b-forms as b-coframe matrices (insensitive to
     how coefficients are split between alpha and f*beta)."""
     a._check(b)
@@ -778,8 +781,7 @@ def bform_equiv(a, b, n_points=64, tol=1e-9, seed=0, params=None):
     for i in range(m):
         for j in range(i + 1, m):
             if not expr_equiv(a.b_coefficient(i, j), b.b_coefficient(i, j),
-                              a.patch, n_points=n_points, tol=tol, seed=seed,
-                              params=params):
+                              a.patch):
                 return False
     return True
 

@@ -16,8 +16,12 @@ those rows, and _solve_antisymmetric reads them with the right-hand side's
 columns and writes the solution into one column-contiguous array.  The RK4
 state is column-contiguous too, so the tape reads contiguous point
 columns.  Every entry keeps the floating-point operations of the dense
-formulas, so the reports do not depend on the layout.  Declared
-parameters are 1.0 (forms._chart_range, forms._with_params).
+formulas, so the reports do not depend on the layout.  Both Moser
+statements run one collar loop, _collar_flow, and differ only in their
+input checks, collar radius, engine and tangency defect (the velocity, or
+df.v for a family).  Declared parameters are 1.0 (forms._chart_range on
+grids, forms._with_params on every batch the flow reads), except a
+family's time TIME.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ RK_STEP = Fraction(1, 256)
 FD_STEP = 1e-5
 N_SAMPLE = 200
 MAX_COLLAR_HALVINGS = 6
+TIME = "t"   # the declared parameter of a family's time (moser_global_verify)
 _DEGENERATE = "interpolated form is degenerate at a flow point"
 
 
@@ -166,12 +171,11 @@ class DarbouxReport:
     detail: str = ""
 
 
-def _standard_model(patch, zname, pairs=None):
-    """Model form dx1^dz/z + sum dx_i^dy_i for paired coordinates."""
+def _standard_model(patch, zname):
+    """Model form dx1^dz/z + sum dx_i^dy_i, coordinates paired in order."""
     names = patch.names
-    if pairs is None:
-        pairs = [(names[2 * i], names[2 * i + 1])
-                 for i in range(len(names) // 2)]
+    pairs = [(names[2 * i], names[2 * i + 1])
+             for i in range(len(names) // 2)]
     zpair = [p for p in pairs if zname in p]
     if len(zpair) != 1:
         raise GeometryError("exactly one coordinate pair must contain %r"
@@ -187,17 +191,17 @@ def _standard_model(patch, zname, pairs=None):
                  SmoothForm(patch, 2, beta), se.sym(zname), zname)
 
 
-def darboux_verify(omega: BForm, point=None, pairs=None, grid=64,
-                   n_points=N_SAMPLE, box=0.1, seed=0) -> DarbouxReport:
+def darboux_verify(omega: BForm, point=None, grid=64, seed=0) -> DarbouxReport:
     """Residual of omega against its flat model near a point of Z.
 
     Dimension 2 is constructive (via darboux2d); higher dimensions compare
     coefficient matrices in the singular coframe against the standard model
-    at sampled points.
+    at N_SAMPLE sampled points, in a box of a tenth of the patch about
+    `point` when one is given.
     """
     patch = omega.patch
     rng = np.random.default_rng(seed)
-    pts = _with_params(patch, _sample_box(patch, point, box, n_points, rng))
+    pts = _with_params(patch, _sample_box(patch, point, rng))
     if patch.dim == 2:
         change = darboux2d(omega, grid=grid)
         zname = omega.zname
@@ -207,7 +211,7 @@ def darboux_verify(omega: BForm, point=None, pairs=None, grid=64,
         vals = evaluate_tape(_chart_tape(resid, patch), pts)
         r = float(np.max(np.abs(vals[np.isfinite(vals)])))
         return DarbouxReport(ok=r < 1e-9, max_residual=r, change=change)
-    model = _standard_model(patch, omega.zname, pairs)
+    model = _standard_model(patch, omega.zname)
     W = b_matrix(omega)
     Wm = b_matrix(model)
     m = patch.dim
@@ -221,16 +225,16 @@ def darboux_verify(omega: BForm, point=None, pairs=None, grid=64,
                          detail="compared against the standard model")
 
 
-def _sample_box(patch, point, box, n_points, rng):
+def _sample_box(patch, point, rng):
     lo = np.array([iv[0] for iv in patch.intervals])
     hi = np.array([iv[1] for iv in patch.intervals])
     if point is not None:
         c = np.array([point[n] if isinstance(point, dict) else point[i]
                       for i, n in enumerate(patch.names)])
-        half = box * (hi - lo) / 2
+        half = 0.1 * (hi - lo) / 2
         lo = np.maximum(lo, c - half)
         hi = np.minimum(hi, c + half)
-    u = rng.random((n_points, patch.dim))
+    u = rng.random((N_SAMPLE, patch.dim))
     return lo + u * (hi - lo)
 
 
@@ -285,20 +289,21 @@ def _collar_primitive(delta: SmoothForm, zname, c):
     available in closed form for smooth division by a defining function."""
     patch = delta.patch
     zi = patch.index(zname)
+    level = Num(float(c))   # a float constant, also for a Fraction c
     for key, a in delta.comps.items():
         if zi not in key:
-            lvl = substitute(a, {zname: c})
+            lvl = substitute(a, {zname: level})
             if not is_zero(lvl) and not expr_equiv(lvl, ZERO, patch):
                 raise GeometryError(
                     "form does not pull back to zero on the level set")
     eta = interior_product({zname: se.num(1)}, delta)
     nodes, weights = _gauss01()
-    zdisp = se.sub(se.sym(zname), Num(float(c)))
+    zdisp = se.sub(se.sym(zname), level)
     out = {}
     core = {}
     for key, a in eta.comps.items():
         ray = [se.mul(Num(float(w)),
-                      substitute(a, {zname: se.add(Num(float(c)),
+                      substitute(a, {zname: se.add(level,
                                                    se.mul(Num(float(u)), zdisp))}))
                for u, w in zip(nodes, weights)]
         core[key] = se.add(*ray)
@@ -393,8 +398,8 @@ class _MoserEngine:
     in the singular coframe, as a dict keyed by (i, j) that holds only the
     entries that can be nonzero; b_cols(rows) the m columns of the
     right-hand side b of W u = b in the same coframe.  The tape reads the
-    points themselves, or with a time parameter `tname` the points with
-    their parameter columns, t in that of tname.  Velocities are u
+    points with their parameter columns (forms._with_params): 1.0, and t
+    in that of a time parameter `tname`.  Velocities are u
     converted back to coordinate components by scaling the z column with f
     in place.  The system is solved by _solve_antisymmetric: in closed form
     for m = 2 (Cramer, bit-identical to LAPACK's pivoted LU) and m = 4 (the
@@ -418,9 +423,8 @@ class _MoserEngine:
 
     def at(self, pts, t):
         """The batch the tape reads at time t."""
-        if self.tname is None:
-            return pts
-        return _with_params(self.patch, pts, {self.tname: t})
+        return _with_params(self.patch, pts,
+                            {self.tname: t} if self.tname else None)
 
     def evaluate(self, pts, t):
         """The groups' rows and f at the points at time t, from one tape
@@ -552,7 +556,7 @@ def _min_abs_on_collar(expr, patch, zi, zlo, zhi, grid=16):
     return 0.0 if r is None else r[0]
 
 
-def _shrink_collar(omega0, omega1, comp, grid=16):
+def _shrink_collar(omega0, omega1, comp):
     """Find a collar about the component on which every interpolated form
     stays nondegenerate; halve the radius up to the retry budget."""
     patch = omega0.patch
@@ -567,7 +571,7 @@ def _shrink_collar(omega0, omega1, comp, grid=16):
             omt = omega0.scale(1.0 - t) + omega1.scale(t) if t else omega0
             top = top_coefficient(omt)
             if _min_abs_on_collar(top, patch, zi, comp.value - r,
-                                  comp.value + r, grid) < 1e-9:
+                                  comp.value + r) < 1e-9:
                 ok = False
                 break
         if ok:
@@ -596,6 +600,34 @@ def _flow_steps(n_points, rk_step):
     if not 0 < rk_step <= 1:
         raise ValueError("rk_step must lie in (0, 1], got %s" % (rk_step,))
     return int(round(1 / float(rk_step)))
+
+
+def _collar_flow(engine, comp, r, n_points, n_steps, tangency):
+    """The flow of one component of Z on its collar of radius r: the
+    n_points Halton collar points, the largest |tangency(p, t)| over the
+    same points moved onto Z at t = 0, 1/2 and 1, and the per-point
+    pullback residual of the n_steps-step flow."""
+    zi = engine.zi
+    pts = _halton_collar(engine.patch, zi, comp.value - r, comp.value + r,
+                         n_points)
+    on_Z = pts.copy()
+    on_Z[:, zi] = comp.value
+    worst = max([0.0] + [float(np.max(np.abs(tangency(on_Z, t))))
+                         for t in (0.0, 0.5, 1.0)])
+    return pts, worst, engine.pullback_residual(pts, n_steps)
+
+
+def _moser_report(flows, n_steps, **fields):
+    """The MoserReport of the components' _collar_flow results; its maxima
+    fold from 0.0, as a running max over the components would."""
+    if not flows:
+        raise GeometryError("defining function has no zeros in the patch")
+    pts, tangency, resid = zip(*flows)
+    return MoserReport(
+        max_residual=max([0.0] + [float(np.max(r)) for r in resid]),
+        v_on_Z_max=max((0.0,) + tangency), steps=n_steps,
+        residuals=np.concatenate(resid), sample_points=np.concatenate(pts),
+        **fields)
 
 
 def _relative_engine(omega0, omega1, rho):
@@ -637,9 +669,6 @@ def moser_relative_verify(omega0: BForm, omega1: BForm, n_points=N_SAMPLE,
     n_steps = _flow_steps(n_points, rk_step)
     omega0._check(omega1)
     patch = omega0.patch
-    if patch.params:
-        raise ValueError("substitute numeric values for %r before running "
-                         "the flow verification" % (patch.params,))
     zname = omega0.zname
     components = find_z_components(omega0)
     if not _restrictions_agree(omega0, omega1, components):
@@ -655,15 +684,9 @@ def moser_relative_verify(omega0: BForm, omega1: BForm, n_points=N_SAMPLE,
             raise GeometryError("difference of the two forms is not closed; "
                                 "inputs are not both symplectic")
 
-    zi = patch.index(zname)
-    worst_resid = 0.0
-    worst_vZ = 0.0
-    halvings_used = 0
-    radius_used = np.inf
-    all_resid = []
-    all_pts = []
-    mu = None
-    rho = None
+    flows = []
+    halvings_used, radius_used = 0, np.inf
+    mu = rho = None
     for comp in components:
         r, halvings = _shrink_collar(omega0, omega1, comp)
         halvings_used = max(halvings_used, halvings)
@@ -672,25 +695,12 @@ def moser_relative_verify(omega0: BForm, omega1: BForm, n_points=N_SAMPLE,
         rho, core = _collar_primitive(delta_s, zname, cval)
         mu = _divide_by_f(core, omega0.f, zname, cval)
         engine = _relative_engine(omega0, omega1, rho)
-        pts = _halton_collar(patch, zi, comp.value - r, comp.value + r,
-                             n_points)
-        # tangency: velocity exactly on the level set
-        on_Z = pts.copy()
-        on_Z[:, zi] = comp.value
-        for t in (0.0, 0.5, 1.0):
-            worst_vZ = max(worst_vZ, float(np.max(np.abs(
-                engine.velocity(on_Z, t)))))
-        resid = engine.pullback_residual(pts, n_steps)
-        all_resid.append(resid)
-        all_pts.append(pts)
-        worst_resid = max(worst_resid, float(np.max(resid)))
-
-    return MoserReport(max_residual=worst_resid, v_on_Z_max=worst_vZ,
-                       collar_halvings=halvings_used,
-                       collar_radius=float(radius_used), steps=n_steps,
-                       mu=mu, primitive=rho,
-                       residuals=np.concatenate(all_resid),
-                       sample_points=np.concatenate(all_pts))
+        # tangency: the velocity itself vanishes on the level set
+        flows.append(_collar_flow(engine, comp, r, n_points, n_steps,
+                                  engine.velocity))
+    return _moser_report(flows, n_steps, collar_halvings=halvings_used,
+                         collar_radius=float(radius_used), mu=mu,
+                         primitive=rho)
 
 
 def _smooth_difference(delta: BForm):
@@ -704,12 +714,12 @@ def _smooth_difference(delta: BForm):
 
 
 def _snap_root(f, zname, c):
-    """Round a numerically found root to a nearby exact rational when the
-    defining function divides exactly there; otherwise keep the float."""
+    """The nearby exact rational of a numerically found root, as a Fraction,
+    when the defining function divides exactly there; otherwise the float."""
     cand = Fraction(c).limit_denominator(10 ** 6)
     if abs(float(cand) - c) < 1e-9:
         if divide_exact(f, se.sub(se.sym(zname), Num(cand))) is not None:
-            return float(cand)
+            return cand
     return c
 
 
@@ -725,43 +735,42 @@ def _divide_by_f(core: SmoothForm, f, zname, c):
                       {key: se.div(a, h) for key, a in core.comps.items()})
 
 
-def _global_engine(omega_t, mu_t, tname="t"):
+def _global_engine(omega_t, mu_t):
     """The isotopy field of a family: with d(mu_t) = d/dt omega_t it solves
     -W_t u = -mu_t in the singular coframe (so that L_v omega_t cancels the
     time derivative); W_t and mu_t read t from the column of the parameter
-    tname, and every other declared parameter as 1.0."""
+    TIME, and every other declared parameter as 1.0."""
     m = omega_t.patch.dim
     mu = _nonzero({i: mu_t.b_coefficient(i) for i in range(m)})
     return _MoserEngine(omega_t.patch, omega_t.zname, omega_t.f,
                         [_upper(b_matrix(omega_t)), mu],
                         lambda rows, t: rows[0],
                         lambda rows: [rows[1].get(i, 0.0) for i in range(m)],
-                        tname=tname)
+                        tname=TIME)
 
 
-def moser_global_verify(omega_t: BForm, mu_t: BForm, tname="t",
-                        n_points=N_SAMPLE, rk_step=RK_STEP) -> MoserReport:
+def moser_global_verify(omega_t: BForm, mu_t: BForm, n_points=N_SAMPLE,
+                        rk_step=RK_STEP) -> MoserReport:
     """Verify the global statement for a symbolically given family.
 
     omega_t and mu_t are forms whose coefficients contain the declared
-    parameter `tname`; mu_t must satisfy d(mu_t) = d/dt omega_t (checked
+    parameter TIME, "t"; mu_t must satisfy d(mu_t) = d/dt omega_t (checked
     symbolically).  The vector field solved from the contraction equation
     is automatically tangent to the hypersurface; its time-1 flow pulls the
     final form back to the initial one up to the reported residual.
     """
     n_steps = _flow_steps(n_points, rk_step)
     patch = omega_t.patch
-    if tname not in patch.params:
-        raise ValueError("patch must declare %r as a parameter" % tname)
-    zname = omega_t.zname
-    zi = patch.index(zname)
-    if tname in se.free_symbols(omega_t.f):
+    if TIME not in patch.params:
+        raise ValueError("patch must declare %r as a parameter" % TIME)
+    zi = omega_t.zindex
+    if TIME in se.free_symbols(omega_t.f):
         raise GeometryError("defining function may not depend on time")
 
     dmu = d_bform(mu_t)
     dot = BForm(patch, omega_t.degree,
-                omega_t.alpha.map_coefficients(lambda e: diff_expr(e, tname)),
-                omega_t.beta.map_coefficients(lambda e: diff_expr(e, tname)),
+                omega_t.alpha.map_coefficients(lambda e: diff_expr(e, TIME)),
+                omega_t.beta.map_coefficients(lambda e: diff_expr(e, TIME)),
                 omega_t.f, omega_t.zname)
     for pair in ((dmu.alpha, dot.alpha), (dmu.beta, dot.beta)):
         diff = pair[0] - pair[1]
@@ -774,38 +783,25 @@ def moser_global_verify(omega_t: BForm, mu_t: BForm, tname="t",
     # nondegeneracy of the family across the time grid
     top = top_coefficient(omega_t)
     for tv in (0.0, 0.25, 0.5, 0.75, 1.0):
-        vmin, _ = _grid_min_abs(substitute(top, {tname: tv}), patch, 32)
+        vmin, _ = _grid_min_abs(substitute(top, {TIME: tv}), patch, 32)
         if vmin < 1e-9:
             raise GeometryError("family degenerates at t = %g" % tv)
 
-    engine = _global_engine(omega_t, mu_t, tname)
-
-    worst_resid = 0.0
-    worst_dfvZ = 0.0
-    all_resid = []
-    all_pts = []
+    engine = _global_engine(omega_t, mu_t)
     df = _chart_tape([diff_expr(omega_t.f, n) for n in patch.names], patch)
+
+    def df_v(on_Z, t):
+        # tangency: the velocity is tangent to Z where df.v vanishes
+        v = engine.velocity(on_Z, t)
+        dfm = np.column_stack(evaluate_tape(df, engine.at(on_Z, t)))
+        return np.sum(dfm * v, axis=1)
+
+    lo, hi = patch.intervals[zi]
+    flows = []
     for comp in components:
-        lo, hi = patch.intervals[zi]
         r = 0.5 * min(comp.value - lo, hi - comp.value)
         if patch.periods[zi] is not None and r <= 0:
             r = 0.25 * patch.periods[zi]
-        pts = _halton_collar(patch, zi, comp.value - r, comp.value + r,
-                             n_points)
-        on_Z = pts.copy()
-        on_Z[:, zi] = comp.value
-        for t in (0.0, 0.5, 1.0):
-            v = engine.velocity(on_Z, t)
-            dfm = np.column_stack(evaluate_tape(df, engine.at(on_Z, t)))
-            dfv = np.sum(dfm * v, axis=1)
-            worst_dfvZ = max(worst_dfvZ, float(np.max(np.abs(dfv))))
-        resid = engine.pullback_residual(pts, n_steps)
-        all_resid.append(resid)
-        all_pts.append(pts)
-        worst_resid = max(worst_resid, float(np.max(resid)))
-
-    return MoserReport(max_residual=worst_resid, v_on_Z_max=worst_dfvZ,
-                       collar_halvings=0, collar_radius=float("nan"),
-                       steps=n_steps, mu=mu_t,
-                       residuals=np.concatenate(all_resid),
-                       sample_points=np.concatenate(all_pts))
+        flows.append(_collar_flow(engine, comp, r, n_points, n_steps, df_v))
+    return _moser_report(flows, n_steps, collar_halvings=0,
+                         collar_radius=float("nan"), mu=mu_t)

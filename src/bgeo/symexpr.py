@@ -122,8 +122,13 @@ class EquivalenceInconclusive(ExprError):
 
 class Expr:
     # _key: the structural key, set by sort_key on first use; _view: the
-    # holder of the node's last exact view, which keeps its _VIEWS entry
+    # holder of the node's last exact view, which keeps its _VIEWS entry.
+    # Nodes are immutable: constructors, sort_key and _view write through
+    # object.__setattr__
     __slots__ = ("_key", "_view", "__weakref__")
+
+    def __setattr__(self, *a):
+        raise AttributeError("immutable")
 
     def __add__(self, other):
         return add(self, _coerce(other))
@@ -175,18 +180,12 @@ class Num(Expr):
         # Fraction for exact rationals, float otherwise.
         object.__setattr__(self, "value", value)
 
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
 
 class Sym(Expr):
     __slots__ = ("name",)
 
     def __init__(self, name):
         object.__setattr__(self, "name", name)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
 
 class Add(Expr):
@@ -195,18 +194,12 @@ class Add(Expr):
     def __init__(self, terms):
         object.__setattr__(self, "terms", tuple(terms))
 
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
 
 class Mul(Expr):
     __slots__ = ("factors",)
 
     def __init__(self, factors):
         object.__setattr__(self, "factors", tuple(factors))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
 
 class Pow(Expr):
@@ -216,9 +209,6 @@ class Pow(Expr):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exp", exp)  # Fraction
 
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
 
 class Fun(Expr):
     __slots__ = ("fn", "arg")
@@ -226,9 +216,6 @@ class Fun(Expr):
     def __init__(self, fn, arg):
         object.__setattr__(self, "fn", fn)
         object.__setattr__(self, "arg", arg)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
 
 _RANK = {Num: 0, Sym: 1, Fun: 2, Pow: 3, Mul: 4, Add: 5}
@@ -860,16 +847,14 @@ def diff_expr(e, name):
 # evaluation
 
 
-def eval_expr(e, point, params=None):
-    """Evaluate at a point (dict name -> float), as a one-point tape call.
-    Raises EvalDomainError on poles, non-finite results and unbound
-    symbols instead of returning them."""
+def eval_expr(e, point):
+    """Evaluate at a point (dict name -> float, parameters included), as a
+    one-point tape call.  Raises EvalDomainError on poles, non-finite
+    results and unbound symbols instead of returning them."""
     # imported here: bgeo.evalcore._tape imports this module
     from .evalcore import compile_tape, evaluate_tape
 
     env = dict(point)
-    if params:
-        env.update(params)
     try:
         tape = compile_tape(e, tuple(env))
     except KeyError:
@@ -1223,11 +1208,12 @@ class Patch:
         return Patch(self.names + (name,), self.intervals + (tuple(interval),),
                      self.periods + (period,), self.params)
 
-    def random_point(self, rng, margin=1e-3):
+    def random_point(self, rng):
+        """A uniform point, a relative margin of 1e-3 in from the edges."""
         pt = {}
         for nm, (a, b) in zip(self.names, self.intervals):
             w = b - a
-            pt[nm] = float(rng.uniform(a + margin * w, b - margin * w))
+            pt[nm] = float(rng.uniform(a + 1e-3 * w, b - 1e-3 * w))
         return pt
 
     def random_params(self, rng):

@@ -38,12 +38,13 @@ def scaled_sphere_doc(tmp_path):
     return str(path)
 
 
-def bform_doc(tmp_path, name, alpha, beta, f="y", names=("x", "y")):
+def bform_doc(tmp_path, name, alpha, beta, f="y", names=("x", "y"),
+              params=(), y_interval=(-1, 1)):
     doc = {"schema": "bgeo/1", "kind": "bform", "degree": 2, "zcoord": "y",
            "f": f,
            "patch": {"names": list(names),
-                     "intervals": [[-1, 1], [-1, 1]],
-                     "periods": [None, None], "params": []},
+                     "intervals": [[-1, 1], list(y_interval)],
+                     "periods": [None, None], "params": list(params)},
            "alpha": alpha, "beta": beta}
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -321,6 +322,41 @@ class TestMoser:
         lines = csv.read_text().splitlines()
         assert lines[0] == "x,y,residual"
         assert len(lines) == 21
+
+    @staticmethod
+    def _moser_out(capsys, tmp_path, beta, **patch):
+        """Exit code and stdout of moser, in process, on dx^dy/f against
+        dx^dy/f + beta dx^dy."""
+        from bgeo import cli
+
+        p0 = bform_doc(tmp_path, "w0.json", {"0": "1"}, {}, **patch)
+        p1 = bform_doc(tmp_path, "w1.json", {"0": "1"}, {"0,1": beta},
+                       **patch)
+        code = cli.main(["moser", p0, p1, "--points", "50"])
+        out, err = capsys.readouterr()
+        assert err == ""
+        return code, out
+
+    def test_declared_parameter_is_one(self, capsys, tmp_path):
+        # a declared parameter reads 1.0 in the flow: the report is that
+        # of the pair with 1 in its place, byte for byte
+        code, out = self._moser_out(capsys, tmp_path, "a*y/4", params=["a"])
+        assert code == 0 and json.loads(out)["ok"]
+        assert (code, out) == self._moser_out(capsys, tmp_path, "y/4")
+
+    def test_component_away_from_zero(self, capsys, tmp_path):
+        # the root y = 1/2 is snapped to an exact rational, so f factors
+        code, out = self._moser_out(capsys, tmp_path, "(y - 1/2)/4",
+                                    f="y - 1/2")
+        doc = json.loads(out)
+        assert code == 0 and doc["ok"] and doc["collar_radius"] == 0.25
+
+    def test_no_zeros_in_patch(self, capsys, tmp_path):
+        code, out = self._moser_out(capsys, tmp_path, "y/4",
+                                    y_interval=(1, 2))
+        assert code == 1
+        assert json.loads(out)["error"] == ("defining function has no "
+                                            "zeros in the patch")
 
     @pytest.mark.parametrize("knob", [("--steps", "0"), ("--steps", "-3"),
                                       ("--points", "0")])

@@ -87,3 +87,95 @@ def test_no_renormalising():
         uses = name_uses(ast.parse(path.read_text()), "normalize")
         helper = path == SRC / "symexpr.py"
         assert uses == (["normalize"] * len(uses) if helper else []), path
+
+
+ROOT = SRC.parent.parent
+CALLERS = sorted(p for d in ("src", "tests", "perfbench")
+                 for p in (ROOT / d).rglob("*.py"))
+
+
+def optional_parameters(tree):
+    """(callee, position, name) of each parameter with a default of every
+    function and method in the tree.  callee is the name a call uses: the
+    class name for __init__; position counts the arguments a call passes
+    by position (self and cls excluded), None for keyword-only ones."""
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                if cls is not None and not static:
+                    positional = positional[1:]
+                callee = cls if child.name == "__init__" else child.name
+                first = len(positional) - len(args.defaults)
+                found.extend((callee, i, a.arg)
+                             for i, a in enumerate(positional) if i >= first)
+                found.extend((callee, None, a.arg) for a, d in
+                             zip(args.kwonlyargs, args.kw_defaults)
+                             if d is not None)
+                visit(child, None)
+                continue
+            visit(child, cls)
+
+    visit(tree, None)
+    return found
+
+
+def calls_by_name(trees):
+    """The calls in the trees, keyed by the name called (f(...) or
+    x.f(...)).  A function handed to a call, as in verdict(f, x, **kw),
+    counts as called with the arguments that follow it, as a wrapper that
+    forwards them calls it."""
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            for k, f in [(-1, node.func)] + list(enumerate(node.args)):
+                name = getattr(f, "id", None) or getattr(f, "attr", None)
+                if name is not None:
+                    calls.setdefault(name, []).append(ast.Call(
+                        f, node.args[k + 1:], node.keywords))
+    return calls
+
+
+def passes(call, position, name):
+    """Whether a call passes a parameter: by keyword, by a ** splat, or by
+    position (a * splat passes every positional one)."""
+    if any(k.arg in (None, name) for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return (len(call.args) > position
+            or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def unset_parameters(library, callers):
+    calls = calls_by_name(callers)
+    return [(callee, name) for tree in library
+            for callee, position, name in optional_parameters(tree)
+            if not any(passes(c, position, name)
+                       for c in calls.get(callee, []))]
+
+
+def test_every_optional_parameter_is_set():
+    """A default that no call in the library, the tests or the benchmark
+    overrides is a constant: write it as one."""
+    snippet = ast.parse(
+        "def f(a, b=1, *, c=2):\n    pass\n"
+        "class K:\n    def __init__(self, d=3):\n        pass\n"
+        "    def g(self, e=4):\n        pass\n"
+        "f(0, 1)\nK()\nk.g(**{})\nrun(f, 0, c=5)\n")
+    assert unset_parameters([snippet], [snippet]) == [("K", "d")]
+    library = [ast.parse(p.read_text()) for p in sorted(SRC.rglob("*.py"))]
+    callers = [ast.parse(p.read_text()) for p in CALLERS]
+    assert unset_parameters(library, callers) == []
+    # the guard's own count: 75 before these defaults became constants
+    assert sum(len(optional_parameters(t)) for t in library) <= 56

@@ -180,11 +180,13 @@ class TestPoincarePrimitive:
         assert form_equiv(d_smooth(mu), rho, tol=1e-8)
 
 
-def relative_pair():
-    p = Patch(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)))
+def relative_pair(params=(), beta="y", y_interval=(-1.0, 1.0)):
+    """dx^dy/y and the same plus beta dx^dy."""
+    p = Patch(("x", "y"), ((-1.0, 1.0), y_interval), params=params)
     alpha = SmoothForm(p, 1, {("x",): num(1)})
     w0 = BForm(p, 2, alpha, SmoothForm(p, 2, {}), sym("y"), "y")
-    w1 = BForm(p, 2, alpha, SmoothForm(p, 2, {("x", "y"): sym("y")}),
+    w1 = BForm(p, 2, alpha,
+               SmoothForm(p, 2, {("x", "y"): parse_expr(beta, p)}),
                sym("y"), "y")
     return w0, w1
 
@@ -322,6 +324,12 @@ class TestMoserRelative:
         with pytest.raises(ValueError, match="n_points|rk_step"):
             moser_relative_verify(w0, w1, **knobs)
 
+    def test_no_zeros_in_patch(self):
+        w0, _ = relative_pair(y_interval=(1.0, 2.0))
+        with pytest.raises(GeometryError, match="^defining function has no "
+                                                "zeros in the patch$"):
+            moser_relative_verify(w0, w0, n_points=20)
+
     def test_differing_restrictions_rejected(self):
         p = Patch(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)))
         alpha0 = SmoothForm(p, 1, {("x",): num(1)})
@@ -388,6 +396,16 @@ class TestMoserGlobal:
         assert rep.max_residual == ref.max_residual
         assert rep.v_on_Z_max == ref.v_on_Z_max
         assert np.array_equal(rep.residuals, ref.residuals)
+
+    def test_no_zeros_in_patch(self):
+        p = Patch(("x", "y"), ((-1.0, 1.0), (1.0, 2.0)), params=("t",))
+        alpha = SmoothForm(p, 1, {("x",): num(1)})
+        w = BForm(p, 2, alpha, SmoothForm(p, 2, {}), sym("y"), "y")
+        mu = BForm(p, 1, SmoothForm(p, 0, {}), SmoothForm(p, 1, {}),
+                   sym("y"), "y")
+        with pytest.raises(GeometryError, match="^defining function has no "
+                                                "zeros in the patch$"):
+            moser_global_verify(w, mu, n_points=20)
 
     def test_needs_declared_parameter(self):
         p = Patch(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)))
@@ -565,18 +583,23 @@ class TestFusedVelocity:
         rho = relative_primitive(w0, w1)
         fused = _relative_engine(w0, w1, rho)
         dense = dense_relative_velocity(w0, w1, rho)
-        zi = w0.patch.index(w0.zname)
-        for pts in collar_points(w0.patch, zi):
+        patch = w0.patch
+        for pts in collar_points(patch, patch.index(w0.zname)):
+            # the oracle reads every declared parameter's column at 1.0
+            ones = np.ones((len(pts), len(patch.params)))
             for t in FUSED_TIMES:
                 v = fused.velocity(pts, t)
                 assert v.flags.f_contiguous
-                assert np.array_equal(v, dense(pts, t)), t
+                assert np.array_equal(v, dense(np.hstack([pts, ones]), t)), t
 
     def test_relative_pair(self):
         self.check_relative(*relative_pair())
 
     def test_closed_perturbation_pair(self):
         self.check_relative(*closed_perturbation_pair())
+
+    def test_pair_with_parameter(self):
+        self.check_relative(*relative_pair(params=("a",), beta="a*y/4"))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_seeded_4d_pairs(self, seed):

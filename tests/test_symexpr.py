@@ -608,6 +608,21 @@ class TestCachedKeys:
         assert hash(a) == hash(_scratch_key(a))
         assert a != parse_expr("x/(x + 2) + sin(y)^2", PATCH)
 
+    @pytest.mark.parametrize("text,cls,attr", [
+        ("3/4", Num, "value"), ("x", Sym, "name"), ("x + 1", se.Add, "terms"),
+        ("2*x*y", se.Mul, "factors"), ("(x + y)^3", se.Pow, "exp"),
+        ("sin(x)", se.Fun, "arg")])
+    def test_nodes_are_immutable(self, text, cls, attr):
+        # only object.__setattr__ writes a node: its fields, the cached
+        # key and any other name are all refused
+        node = parse_expr(text, PATCH)
+        assert type(node) is cls
+        key, text = se.sort_key(node), to_string(node)
+        for name in (attr, "_key", "_view", "other"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(node, name, None)
+        assert se.sort_key(node) == key and to_string(node) == text
+
 
 class TestFailedCollapseMemo:
     def test_cold_matches_warm(self, suite_trees):
