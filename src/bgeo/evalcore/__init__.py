@@ -2,9 +2,14 @@
 
 `compile_tape` flattens an expression into a postfix tape; `evaluate_tape`
 interprets it with numpy, one instruction at a time over the whole point
-batch.  A list of expressions compiles to one multi-output tape, emitted
-back to back on one stack, and evaluates to a (k, n) array in one call;
-every output keeps the floating-point operations of its own single tape.
+batch.  A constant term or factor is folded into the instruction that
+combines it (OP_ADDC, OP_MULC: one in-place pass over the other operand's
+row, no row filled with the constant), and a square is an in-place
+np.square, which is what x ** 2 calls; IEEE addition and multiplication
+commute, so the bits are those of the unfolded tape.  A list of
+expressions compiles to one multi-output tape, emitted back to back on one
+stack, and evaluates to a (k, n) array in one call; every output keeps the
+floating-point operations of its own single tape.
 Callers that need several expressions at the same points compile them as
 one list.  This is the library's only numeric evaluation path: every value
 a verdict rests on, down to `symexpr.eval_expr` at a single point, comes
@@ -20,14 +25,14 @@ and `forms.find_z_components` both call it; it lives here because
 
 import numpy as np
 
-from ._tape import (OP_ABS, OP_ADD, OP_CONST, OP_COS, OP_EXP, OP_LOG,
-                    OP_MUL, OP_POWF, OP_POWI, OP_SIN, OP_VAR, Tape,
-                    compile_tape)
+from ._tape import (OP_ABS, OP_ADD, OP_ADDC, OP_CONST, OP_COS, OP_EXP,
+                    OP_LOG, OP_MUL, OP_MULC, OP_POWF, OP_POWI, OP_SIN, OP_VAR,
+                    Tape, as_float, compile_tape)
 
 # Recorded as `evalcore_kernel` in benchmark results; kept so they stay comparable.
 KERNEL_NAME = "python"
 
-__all__ = ["Tape", "compile_tape", "evaluate_tape", "KERNEL_NAME"]
+__all__ = ["Tape", "as_float", "compile_tape", "evaluate_tape", "KERNEL_NAME"]
 
 # a bracket at least halves every three solver steps: 200 take a chart-wide
 # bracket far below xtol = 1e-15
@@ -43,26 +48,34 @@ def evaluate_tape(tape, points):
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     stack = np.empty((tape.stack_need, n))
+    consts = tape.consts
     top = -1
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for op, arg in zip(tape.opcodes, tape.iargs):
-            if op == OP_CONST:
-                top += 1
-                stack[top] = tape.consts[arg]
-            elif op == OP_VAR:
+            if op == OP_VAR:
                 top += 1
                 stack[top] = points[:, arg]
-            elif op == OP_ADD:
-                stack[top - 1] += stack[top]
-                top -= 1
+            elif op == OP_MULC:
+                stack[top] *= consts[arg]
+            elif op == OP_ADDC:
+                stack[top] += consts[arg]
             elif op == OP_MUL:
                 stack[top - 1] *= stack[top]
                 top -= 1
+            elif op == OP_ADD:
+                stack[top - 1] += stack[top]
+                top -= 1
             elif op == OP_POWI:
-                stack[top] = stack[top] ** int(arg)
+                if arg == 2:   # what x ** 2 calls, in place
+                    np.square(stack[top], out=stack[top])
+                else:
+                    stack[top] = stack[top] ** arg
+            elif op == OP_CONST:
+                top += 1
+                stack[top] = consts[arg]
             elif op == OP_POWF:
                 x = stack[top]
-                stack[top] = np.where(x >= 0, x, np.nan) ** tape.consts[arg]
+                stack[top] = np.where(x >= 0, x, np.nan) ** consts[arg]
             elif op == OP_SIN:
                 np.sin(stack[top], out=stack[top])
             elif op == OP_COS:

@@ -5,6 +5,17 @@ an evaluation stack; `bgeo.evalcore.evaluate_tape` interprets it.  A list
 of expressions compiles to one tape that emits them back to back, so
 output k is left in stack row k, computed by the operations of its own
 tape.
+
+A constant term of an Add or factor of a Mul is folded into the operation
+that combines it: OP_ADDC and OP_MULC add or multiply the row on top of
+the stack by the constant in place, so no row is filled with it.  The
+tree's left fold c + x (or c*x) becomes x + c (x*c); IEEE addition and
+multiplication are commutative, a finite constant leaves a nan operand's
+payload alone, and the order of every other operation is kept, so a
+folded tape gives the bits of the unfolded one.  A constant that stands
+alone (the whole expression, or the argument of a function) is still a
+row, OP_CONST.
+
 Non-finite values (poles, log of a non-positive number) propagate as
 inf/nan in the output; callers mask them instead of catching exceptions.
 An exact constant too large for a float, or an integer exponent past the
@@ -28,13 +39,23 @@ OP_COS = 7
 OP_EXP = 8
 OP_LOG = 9
 OP_ABS = 10
+OP_ADDC = 11  # top += consts[iarg]
+OP_MULC = 12  # top *= consts[iarg]
 
 _FUN_OP = {"sin": OP_SIN, "cos": OP_COS, "exp": OP_EXP, "log": OP_LOG,
            "abs": OP_ABS}
 
 
+def as_float(v):
+    """The float of an exact constant; ExprError when no float holds it."""
+    try:
+        return float(v)
+    except OverflowError:
+        raise ExprError("constant too large for a float") from None
+
+
 class Tape:
-    """A compiled expression, or list of expressions: instruction arrays
+    """A compiled expression, or list of expressions: instruction lists
     plus variable layout.  outputs is None for one expression, else the
     length of the list."""
 
@@ -43,9 +64,9 @@ class Tape:
 
     def __init__(self, opcodes, iargs, consts, var_names, stack_need,
                  outputs):
-        self.opcodes = np.asarray(opcodes, dtype=np.int32)
-        self.iargs = np.asarray(iargs, dtype=np.int32)
-        self.consts = np.asarray(consts, dtype=np.float64)
+        self.opcodes = list(opcodes)
+        self.iargs = list(iargs)
+        self.consts = list(consts)
         self.var_names = tuple(var_names)
         self.stack_need = int(stack_need)
         self.outputs = outputs
@@ -62,10 +83,7 @@ def compile_tape(expr, var_names):
     const_cache = {}
 
     def const_slot(v):
-        try:
-            v = float(v)
-        except OverflowError:
-            raise ExprError("constant too large for a float") from None
+        v = as_float(v)
         key = np.float64(v).tobytes()
         if key not in const_cache:
             const_cache[key] = len(consts)
@@ -84,8 +102,21 @@ def compile_tape(expr, var_names):
         depth += n
         max_depth = max(max_depth, depth)
 
+    def fold(parts, op, op_const):
+        # the left fold of parts; a constant is folded into the operation
+        # that combines it, and a leading one combines with the second part
+        # (c + x is computed as x + c)
+        lead = 1 if len(parts) > 1 and isinstance(parts[0], Num) else 0
+        go(parts[lead])
+        for p in parts[:lead] + parts[lead + 1:]:
+            if isinstance(p, Num):
+                emit(op_const, const_slot(p.value))
+            else:
+                go(p)
+                emit(op)
+                push(-1)
+
     def go(e):
-        nonlocal depth
         if isinstance(e, Num):
             emit(OP_CONST, const_slot(e.value))
             push(1)
@@ -99,18 +130,10 @@ def compile_tape(expr, var_names):
             push(1)
             return
         if isinstance(e, Add):
-            for i, t in enumerate(e.terms):
-                go(t)
-                if i:
-                    emit(OP_ADD)
-                    depth -= 1
+            fold(e.terms, OP_ADD, OP_ADDC)
             return
         if isinstance(e, Mul):
-            for i, f in enumerate(e.factors):
-                go(f)
-                if i:
-                    emit(OP_MUL)
-                    depth -= 1
+            fold(e.factors, OP_MUL, OP_MULC)
             return
         if isinstance(e, Pow):
             go(e.base)

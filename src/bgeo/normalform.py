@@ -11,11 +11,12 @@ The flow is one fused pass per velocity.  Each Moser engine compiles its
 matrix entries, right-hand side and defining function into one
 multi-output tape, so a velocity is one tape call.  The coefficient matrix
 enters as one (n,) row per strict-upper entry that is not identically
-zero, never as zero-filled (n, m, m) arrays; the interpolation blends only
-those rows, and _solve_antisymmetric reads them with the right-hand side's
-columns and writes the solution into one column-contiguous array.  The RK4
-state is column-contiguous too, so the tape reads contiguous point
-columns.  Every entry keeps the floating-point operations of the dense
+zero, or as a float for a constant one, never as zero-filled (n, m, m)
+arrays; the interpolation blends only those rows, and _solve_antisymmetric
+reads them with the right-hand side's columns and writes the solution into
+one column-contiguous array.  The RK4 state is column-contiguous too, so
+the tape reads contiguous point columns, and RK4 runs in two preallocated
+buffers.  Every entry keeps the floating-point operations of the dense
 formulas, so the reports do not depend on the layout.  Both Moser
 statements run one collar loop, _collar_flow, and differ only in their
 input checks, collar radius, engine and tangency defect (the velocity, or
@@ -32,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import symexpr as se
-from .evalcore import evaluate_tape
+from .evalcore import as_float, evaluate_tape
 from .forms import (
     BForm,
     GeometryError,
@@ -68,6 +69,7 @@ RK_STEP = Fraction(1, 256)
 FD_STEP = 1e-5
 N_SAMPLE = 200
 MAX_COLLAR_HALVINGS = 6
+COLLAR_GRID = 16   # points per axis of the collar nondegeneracy grid
 TIME = "t"   # the declared parameter of a family's time (moser_global_verify)
 _DEGENERATE = "interpolated form is degenerate at a flow point"
 
@@ -342,18 +344,19 @@ def _solve_antisymmetric(rows, b, n):
     """Solve W u = b for a batch of n antisymmetric m x m matrices.
 
     W is given by its strict upper triangle: rows maps (i, j), i < j, to
-    the (n,) array of entries W[:, i, j]; an absent entry is 0.  b is the
-    list of the m right-hand-side columns, each an (n,) array or a scalar.
+    the (n,) array of entries W[:, i, j], or a scalar for an entry that is
+    the same at every point; an absent entry is 0.  b is the list of the m
+    right-hand-side columns, each an (n,) array or a scalar.
     u comes back as one column-contiguous (n, m) array.
 
     m = 2 performs the operations of LAPACK's partially pivoted LU on
     [[0, a], [-a, 0]], so the result is bit-identical to numpy.linalg.solve.
     m = 4 uses W^-1 = adj(W) / Pf(W), where adj(W) is the antisymmetric
-    matrix of complementary entries and Pf(W) the Pfaffian; an absent entry
-    takes part as the scalar 0.0, so every component sees the operations of
-    the dense formula.  m >= 6 builds the full matrices for
-    numpy.linalg.solve.  A singular matrix anywhere in the batch raises
-    GeometryError."""
+    matrix of complementary entries and Pf(W) the Pfaffian; an absent or
+    constant entry takes part as a scalar (0.0 for an absent one), so every
+    component sees the operations of the dense formula.  m >= 6 builds the
+    full matrices for numpy.linalg.solve.  A singular matrix anywhere in the
+    batch raises GeometryError."""
     m = len(b)
     u = np.empty((n, m), order="F")
     if m == 2:
@@ -392,8 +395,11 @@ class _MoserEngine:
 
     One tape evaluates the groups of expressions and then the defining
     function f, so a velocity is one tape call; each group is a dict keyed
-    by matrix entry (i, j) or by component i.  From the groups' rows (one
-    dict of (n,) rows per group, keyed like it), W_rows(rows, t) must
+    by matrix entry (i, j) or by component i.  An entry that is a constant
+    (a Num) is not a tape output: it is held as a float, and the blend and
+    the solver combine it as a scalar, with the operations, so the bits, of
+    a row filled with it.  From the groups' rows (one dict per group, keyed
+    like it, of (n,) rows and constant floats), W_rows(rows, t) must
     return the strict upper triangle of the coefficient matrix of omega_t
     in the singular coframe, as a dict keyed by (i, j) that holds only the
     entries that can be nonzero; b_cols(rows) the m columns of the
@@ -407,16 +413,26 @@ class _MoserEngine:
 
     The RK4 state is column-contiguous (Fortran order), like the velocities,
     so the tape's point columns and the solver's right-hand-side columns are
-    contiguous reads.  Full (n, m, m) matrices are built only for the
-    pullback residual, once for each of W_0 and W_1."""
+    contiguous reads.  flow copies its points once and forms every stage
+    point and the final combination in two preallocated buffers with out=
+    ufuncs, in the order of the textbook formulas, so it makes no temporary
+    arrays and gives their bits.  Full (n, m, m) matrices are built only for
+    the pullback residual, once for each of W_0 and W_1."""
 
     def __init__(self, patch, zname, f_expr, groups, W_rows, b_cols,
                  tname=None):
         self.patch = patch
         self.zi = patch.index(zname)
-        self.keys = [list(g) for g in groups]
-        self.tape = _chart_tape([e for g in groups for e in g.values()]
-                                + [f_expr], patch)
+        # per group: its constant entries as floats, and the keys of the
+        # entries that the tape evaluates
+        self.groups, exprs = [], []
+        for g in groups:
+            consts = {key: as_float(e.value) for key, e in g.items()
+                      if isinstance(e, Num)}
+            keys = [key for key in g if key not in consts]
+            self.groups.append((consts, keys))
+            exprs += [g[key] for key in keys]
+        self.tape = _chart_tape(exprs + [f_expr], patch)
         self.W_rows = W_rows
         self.b_cols = b_cols
         self.tname = tname
@@ -431,8 +447,9 @@ class _MoserEngine:
         call."""
         vals = evaluate_tape(self.tape, self.at(pts, t))
         rows, s = [], 0
-        for keys in self.keys:
-            rows.append(dict(zip(keys, vals[s:s + len(keys)])))
+        for consts, keys in self.groups:
+            rows.append(dict(consts))
+            rows[-1].update(zip(keys, vals[s:s + len(keys)]))
             s += len(keys)
         return rows, vals[-1]
 
@@ -444,15 +461,29 @@ class _MoserEngine:
         return u
 
     def flow(self, pts, n_steps):
-        p = np.asarray(pts, order="F")
+        """The RK4 flow of the points over [0, 1] in n_steps steps.  The
+        points are copied once; each stage point and the weighted sum of
+        the slopes are formed in two buffers, in the order of
+        p + h/2*k1 and p + h/6*(k1 + 2*k2 + 2*k3 + k4)."""
+        p = np.array(pts, order="F")
+        stage = np.empty_like(p)
+        slope = np.empty_like(p)
+
+        def stage_point(c, kj):
+            # p + c*kj, into stage
+            return np.add(p, np.multiply(c, kj, out=stage), out=stage)
+
         h = 1.0 / n_steps
         for k in range(n_steps):
             t = k * h
             k1 = self.velocity(p, t)
-            k2 = self.velocity(p + h / 2 * k1, t + h / 2)
-            k3 = self.velocity(p + h / 2 * k2, t + h / 2)
-            k4 = self.velocity(p + h * k3, t + h)
-            p = p + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            k2 = self.velocity(stage_point(h / 2, k1), t + h / 2)
+            np.add(k1, np.multiply(2, k2, out=slope), out=slope)
+            k3 = self.velocity(stage_point(h / 2, k2), t + h / 2)
+            k4 = self.velocity(stage_point(h, k3), t + h)
+            np.add(slope, np.multiply(2, k3, out=stage), out=slope)
+            np.add(slope, k4, out=slope)
+            np.add(p, np.multiply(h / 6, slope, out=slope), out=p)
         return p
 
     def pullback_residual(self, pts, n_steps):
@@ -543,15 +574,15 @@ def _halton_collar(patch, zi, zlo, zhi, n):
     return pts
 
 
-def _min_abs_on_collar(expr, patch, zi, zlo, zhi, grid=16):
-    """min |expr| on a tensor grid over the patch with the singular
-    coordinate confined to [zlo, zhi], declared parameters at 1.0
-    (forms._chart_range); 0.0 when no value is finite."""
+def _min_abs_on_collar(expr, patch, zi, zlo, zhi):
+    """min |expr| on the tensor grid of COLLAR_GRID points per axis over
+    the patch with the singular coordinate confined to [zlo, zhi], declared
+    parameters at 1.0 (forms._chart_range); 0.0 when no value is finite."""
     axes = []
     for i, (a, b) in enumerate(patch.intervals):
         if i == zi:
             a, b = zlo, zhi
-        axes.append(np.linspace(a + 1e-9, b - 1e-9, grid))
+        axes.append(np.linspace(a + 1e-9, b - 1e-9, COLLAR_GRID))
     r = _chart_range(expr, patch, axes, absolute=True)
     return 0.0 if r is None else r[0]
 
@@ -592,11 +623,17 @@ def _restrictions_agree(omega0, omega1, components):
     return True
 
 
-def _flow_steps(n_points, rk_step):
+def _flow_steps(n_points, rk_step, dim):
     """Number of RK4 steps for a step size in (0, 1], after checking that
-    there is at least one sample point."""
+    there is at least one sample point and that the flow batch, each point
+    with its 2*dim finite-difference neighbours, holds at most se.GRID_CAP
+    points."""
     if n_points < 1:
         raise ValueError("n_points must be at least 1, got %r" % (n_points,))
+    most = se.GRID_CAP // (1 + 2 * dim)
+    if n_points > most:
+        raise ValueError("n_points (--points) must be at most %d on a %d-D "
+                         "patch, got %r" % (most, dim, n_points))
     if not 0 < rk_step <= 1:
         raise ValueError("rk_step must lie in (0, 1], got %s" % (rk_step,))
     return int(round(1 / float(rk_step)))
@@ -666,7 +703,7 @@ def moser_relative_verify(omega0: BForm, omega1: BForm, n_points=N_SAMPLE,
     solves the contraction equation for v_t in the singular coframe,
     integrates the flow, and reports the pullback residual.
     """
-    n_steps = _flow_steps(n_points, rk_step)
+    n_steps = _flow_steps(n_points, rk_step, omega0.patch.dim)
     omega0._check(omega1)
     patch = omega0.patch
     zname = omega0.zname
@@ -759,8 +796,8 @@ def moser_global_verify(omega_t: BForm, mu_t: BForm, n_points=N_SAMPLE,
     is automatically tangent to the hypersurface; its time-1 flow pulls the
     final form back to the initial one up to the reported residual.
     """
-    n_steps = _flow_steps(n_points, rk_step)
     patch = omega_t.patch
+    n_steps = _flow_steps(n_points, rk_step, patch.dim)
     if TIME not in patch.params:
         raise ValueError("patch must declare %r as a parameter" % TIME)
     zi = omega_t.zindex

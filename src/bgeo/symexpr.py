@@ -1290,10 +1290,16 @@ def grid_blocks(axes):
 # equivalence and calculus helpers
 
 
-def expr_equiv(e1, e2, patch, n_points=64, tol=1e-9, seed=0, params=None):
+EQUIV_POINTS = 64   # finite sample points that must agree in expr_equiv
+EQUIV_SEED = 0
+
+
+def expr_equiv(e1, e2, patch, tol=1e-9):
     """Semidecision: exact on rational functions of the atoms, randomized
-    numeric sampling otherwise.  True is reliable up to sampling; False means
-    a genuine countersample (or distinct polynomials) was found."""
+    numeric sampling otherwise: EQUIV_POINTS finite points, coordinates and
+    declared parameters drawn alike from a generator seeded with EQUIV_SEED.
+    True is reliable up to sampling; False means a genuine countersample (or
+    distinct polynomials) was found."""
     if e1 == e2:
         return True
     rp = _to_ratpoly([e1, e2])
@@ -1306,36 +1312,33 @@ def expr_equiv(e1, e2, patch, n_points=64, tol=1e-9, seed=0, params=None):
     # imported here: bgeo.evalcore._tape imports this module
     from .evalcore import compile_tape, evaluate_tape
 
-    rng = np.random.default_rng(seed)
-    fixed_params = dict(params) if params else None
-    names = patch.names + (tuple(fixed_params) if fixed_params is not None
-                           else patch.params)
+    rng = np.random.default_rng(EQUIV_SEED)
+    names = patch.names + patch.params
     good = 0
     try:
         tape = compile_tape([e1, e2], names)
     except KeyError:   # an unbound symbol: no point can be evaluated
         tape = None
-    # candidates are drawn in blocks of n_points, up to 40 blocks, and
-    # decided in draw order: the first n_points finite ones must all agree
+    # candidates are drawn in blocks of EQUIV_POINTS, up to 40 blocks, and
+    # decided in draw order: the first EQUIV_POINTS finite ones must all agree
     for _ in range(40 if tape is not None else 0):
         rows = []
-        for _ in range(n_points):
+        for _ in range(EQUIV_POINTS):
             env = patch.random_point(rng)
-            env.update(fixed_params if fixed_params is not None
-                       else patch.random_params(rng))
+            env.update(patch.random_params(rng))
             rows.append([float(env[n]) for n in names])
         rows = np.array(rows)
         v1, v2 = evaluate_tape(tape, rows)
         ok = np.isfinite(v1) & np.isfinite(v2)
-        v1, v2 = v1[ok][:n_points - good], v2[ok][:n_points - good]
+        v1, v2 = v1[ok][:EQUIV_POINTS - good], v2[ok][:EQUIV_POINTS - good]
         if (np.abs(v1 - v2)
                 > tol * (1.0 + np.maximum(np.abs(v1), np.abs(v2)))).any():
             return False
         good += len(v1)
-        if good >= n_points:
+        if good >= EQUIV_POINTS:
             return True
     raise EquivalenceInconclusive(
-        f"only {good}/{n_points} valid sample points for equivalence test")
+        f"only {good}/{EQUIV_POINTS} valid sample points for equivalence test")
 
 
 def antiderivative(e, name):

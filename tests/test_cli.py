@@ -312,6 +312,16 @@ class TestMoser:
         assert doc["vfield_on_Z_max"] < 1e-8
         assert doc["steps"] == 256
 
+    def test_points_past_the_flow_batch_cap(self, tmp_path):
+        # 10^11 points tried to allocate terabytes (exit 3); the flow
+        # batch is capped at GRID_CAP points, so 400,000 on a 2-D patch
+        p0 = bform_doc(tmp_path, "w0.json", {"0": "1"}, {})
+        p1 = bform_doc(tmp_path, "w1.json", {"0": "1"}, {"0,1": "y"})
+        for points in ("100000000000", "400001"):
+            code, doc = run_json("moser", p0, p1, "--points", points)
+            assert code == 1
+            assert "--points" in doc["error"] and "400000" in doc["error"]
+
     def test_emit_plot(self, tmp_path):
         p0 = bform_doc(tmp_path, "w0.json", {"0": "1"}, {})
         p1 = bform_doc(tmp_path, "w1.json", {"0": "1"}, {"0,1": "y"})

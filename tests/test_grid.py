@@ -14,7 +14,7 @@ import pytest
 from bgeo.evalcore import compile_tape, evaluate_tape
 from bgeo.forms import (BForm, GeometryError, _grid_min_abs,
                         nondegeneracy_check, smooth_form)
-from bgeo.normalform import _grid_extrema, _min_abs_on_collar
+from bgeo.normalform import COLLAR_GRID, _grid_extrema, _min_abs_on_collar
 from bgeo.symexpr import (GRID_BLOCK, GRID_CAP, Patch, grid_blocks,
                           grid_per_axis, parse_expr, substitute, sym)
 
@@ -159,17 +159,18 @@ class TestStreamedReductions:
         zi = patch.dim - 1
         a, b = patch.intervals[zi]
         zlo, zhi = a + 0.3 * (b - a), a + 0.6 * (b - a)
-        assert repr(_min_abs_on_collar(expr, patch, zi, zlo, zhi, grid)) \
-            == repr(ref_min_abs_on_collar(expr, patch, zi, zlo, zhi, grid))
+        # at the library's collar grid
+        assert repr(_min_abs_on_collar(expr, patch, zi, zlo, zhi)) == repr(
+            ref_min_abs_on_collar(expr, patch, zi, zlo, zhi, COLLAR_GRID))
 
     def test_collar_reads_parameter(self):
         # the old collar path raised IndexError here; the parameter is 1.0
         patch = Patch(("x", "z"), ((-1.0, 1.0), (-1.0, 1.0)), params=("a",))
         expr = parse_expr("3*a + x - z", patch)
-        got = _min_abs_on_collar(expr, patch, 1, 0.25, 0.5, 16)
+        got = _min_abs_on_collar(expr, patch, 1, 0.25, 0.5)
         assert got == pytest.approx(1.5 + 2e-9, abs=1e-15)
         assert repr(got) == repr(
-            ref_min_abs_on_collar(expr, patch, 1, 0.25, 0.5, 16))
+            ref_min_abs_on_collar(expr, patch, 1, 0.25, 0.5, COLLAR_GRID))
 
     def test_capped_grid(self):
         # 3,000,000 points asked on a line: capped at GRID_CAP, in blocks
@@ -186,7 +187,7 @@ class TestStreamedReductions:
             _grid_min_abs(expr, patch, 9)
         with pytest.raises(GeometryError):
             _grid_extrema(expr, patch, 9)
-        assert _min_abs_on_collar(expr, patch, 1, -0.5, 0.5, 9) == 0.0
+        assert _min_abs_on_collar(expr, patch, 1, -0.5, 0.5) == 0.0
 
 
 class TestGridBlocks:

@@ -178,4 +178,4 @@ def test_every_optional_parameter_is_set():
     callers = [ast.parse(p.read_text()) for p in CALLERS]
     assert unset_parameters(library, callers) == []
     # the guard's own count: 75 before these defaults became constants
-    assert sum(len(optional_parameters(t)) for t in library) <= 56
+    assert sum(len(optional_parameters(t)) for t in library) <= 52

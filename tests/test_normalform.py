@@ -1,5 +1,6 @@
 """Tests for Darboux flattening and the Moser-path verifiers."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -20,7 +21,9 @@ from bgeo.forms import (
     nondegeneracy_check,
 )
 from bgeo.normalform import (
+    RK_STEP,
     _collar_primitive,
+    _flow_steps,
     _global_engine,
     _halton,
     _halton_collar,
@@ -318,7 +321,8 @@ class TestMoserRelative:
     @pytest.mark.parametrize("knobs", [{"n_points": 0},
                                        {"rk_step": Fraction(0)},
                                        {"rk_step": Fraction(-1, 3)},
-                                       {"rk_step": 3}])
+                                       {"rk_step": 3},
+                                       {"n_points": 400_001}])
     def test_knobs_range_checked(self, knobs):
         w0, w1 = relative_pair()
         with pytest.raises(ValueError, match="n_points|rk_step"):
@@ -379,7 +383,8 @@ class TestMoserGlobal:
 
     @pytest.mark.parametrize("knobs", [{"n_points": 0},
                                        {"rk_step": Fraction(0)},
-                                       {"rk_step": Fraction(-1, 3)}])
+                                       {"rk_step": Fraction(-1, 3)},
+                                       {"n_points": 400_001}])
     def test_knobs_range_checked(self, knobs):
         _, wt, mut = global_family()
         with pytest.raises(ValueError, match="n_points|rk_step"):
@@ -617,3 +622,78 @@ class TestFusedVelocity:
                 v = fused.velocity(pts, t)
                 assert v.flags.f_contiguous
                 assert np.array_equal(v, dense(pts, t)), t
+
+
+@pytest.mark.parametrize("dim,most", [(2, 400_000), (4, 222_222)])
+def test_flow_batch_capped(dim, most):
+    # the flow batch, each point with its 2*dim neighbours, holds at most
+    # GRID_CAP points; a larger --points is refused before any work
+    assert most * (1 + 2 * dim) <= se.GRID_CAP < (most + 1) * (1 + 2 * dim)
+    assert _flow_steps(most, RK_STEP, dim) == 256
+    with pytest.raises(ValueError, match=f"--points.* at most {most} "):
+        _flow_steps(most + 1, RK_STEP, dim)
+    with pytest.raises(ValueError, match="--points"):
+        _flow_steps(10 ** 11, RK_STEP, dim)
+
+
+def family4():
+    """dx^dy/y + du^dv + t*y dx^dy with primitive mu_t = x*y dy: the
+    constant du^dv entry reaches the solver through rows[0] as a float."""
+    p = Patch(("x", "y", "u", "v"), ((-1.0, 1.0),) * 4, params=("t",))
+    alpha = SmoothForm(p, 1, {("x",): num(1)})
+    wt = BForm(p, 2, alpha,
+               SmoothForm(p, 2, {("u", "v"): num(1),
+                                 ("x", "y"): parse_expr("t*y", p)}),
+               sym("y"), "y")
+    mut = BForm(p, 1, SmoothForm(p, 0, {}),
+                SmoothForm(p, 1, {("y",): parse_expr("x*y", p)}),
+                sym("y"), "y")
+    return wt, mut
+
+
+class TestReportsUnchanged:
+    """repr of the maxima and sha256 of the residual bytes, as the flow
+    gave them when every constant entry was a tape row filled with it and
+    each RK4 stage made temporaries: folding constants and running RK4 in
+    place must not move a bit."""
+
+    CASES = {
+        "relative_2d": (
+            lambda: moser_relative_verify(*relative_pair()),
+            "6.143885400433646e-11", "0.0",
+            "c8334cd08cd7d6883a0f5f5f5da16970234d7e715aa54050309a63b6cf496c86"),
+        "relative_4d": (
+            lambda: moser_relative_verify(*seeded_pair4(3), n_points=64,
+                                          rk_step=Fraction(1, 16)),
+            "1.9735324485736783e-11", "0.0",
+            "694f50d48821745db0f4394130a07371de88ff8d4dfc56a23685a4507e041453"),
+        "global_4d": (
+            lambda: moser_global_verify(*family4(), n_points=64,
+                                        rk_step=Fraction(1, 32)),
+            "3.703637396768045e-11", "0.0",
+            "988f486d74ee6bc5ebb8489675272eb37fd10482bb54966a2adda6a9108e6c14"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_report_bits(self, case):
+        run, max_residual, v_on_Z_max, digest = self.CASES[case]
+        rep = run()
+        assert repr(rep.max_residual) == max_residual
+        assert repr(rep.v_on_Z_max) == v_on_Z_max
+        assert hashlib.sha256(rep.residuals.tobytes()).hexdigest() == digest
+
+    def test_constant_entries_off_the_tape(self):
+        engine = _global_engine(*family4())
+        assert engine.groups[0] == ({(2, 3): 1.0}, [(0, 1)])
+        assert engine.tape.outputs == 3   # (0, 1), mu_y and f
+
+    @pytest.mark.parametrize("pair", ["relative_2d", "relative_4d"])
+    def test_flow_leaves_its_input(self, pair):
+        w0, w1 = relative_pair() if pair == "relative_2d" else seeded_pair4(3)
+        engine = _relative_engine(w0, w1, relative_primitive(w0, w1))
+        zi = w0.patch.index(w0.zname)
+        for pts in collar_points(w0.patch, zi, n=50)[::2]:
+            before = pts.copy()
+            out = engine.flow(pts, 4)
+            assert np.array_equal(pts, before)
+            assert not np.shares_memory(out, pts)
