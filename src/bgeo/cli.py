@@ -138,15 +138,18 @@ def _parse_int_list(text):
 
 
 def cmd_cohomology(args):
+    if args.surface:
+        g, n = _parse_int_list(args.surface)
+        # in closed form, so a huge n costs nothing: every curve has b_1 = 1
+        # and b-H^2 has dimension n + 1, so the witness finds no reason
+        betti = list(surface_poisson_cohomology(g, n))
+        return _emit({"b_betti": betti, "poisson_betti": betti,
+                      "consistent": True, "reasons": []})
     # BettiData warns about Betti numbers without Poincare symmetry; the
     # report lists the warnings, so stderr stays empty
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        if args.surface:
-            g, n = _parse_int_list(args.surface)
-            surface_poisson_cohomology(g, n)  # ValueError unless g>=0, n>=1
-            data = BettiData(2, (1, 2 * g, 1), tuple((1, 1) for _ in range(n)))
-        elif args.betti_m:
+        if args.betti_m:
             bm = _parse_int_list(args.betti_m)
             comps = tuple(tuple(_parse_int_list(part))
                           for part in (args.betti_z or "").split(";") if part)
@@ -167,6 +170,8 @@ def cmd_cohomology(args):
 
 def cmd_darboux(args):
     from .normalform import darboux_verify
+    if args.seed < 0:
+        raise ValueError("--seed must be non-negative, got %d" % args.seed)
     bform = ser.bform_from_dict(ser.load(args.input))
     rep = darboux_verify(bform, grid=args.grid, seed=args.seed)
     doc = {

@@ -18,10 +18,11 @@ per axis.
 Roots along chart lines, the strip edges of the volume cut-off and the
 refined curve vertices are each solved together by the library's one
 bracketed solver, `evalcore._solve_brackets` (Illinois regula falsi with a
-bisection fallback).  The volume integrates every strip by composite
-8-point Gauss-Legendre on panels between the uniform nodes, graded
-geometrically toward every strip edge.  A non-finite value where a number
-is needed raises `EvalDomainError`.
+bisection fallback); the strip edges of all nine eps-levels of the volume
+share one call.  The volume integrates every strip by composite 8-point
+Gauss-Legendre on panels between the uniform nodes, graded geometrically
+toward every strip edge.  A non-finite value where a number is needed
+raises `EvalDomainError`.
 """
 
 from __future__ import annotations
@@ -381,6 +382,34 @@ def _subdivide(S, pts, closed):
 # regularized volume
 
 
+def _strip_edges(gate_abs, mesh, m_line, eps_list):
+    """The strip edges of every level eps on the sorted mesh points of each
+    line, as one (z_i, e_i, edges) per level: z_i the mesh points where
+    |P * cut| - eps is exactly 0, e_i the mesh intervals within a line
+    where it changes sign, and edges the roots solved in those intervals.
+    The brackets of all levels are solved in one call, level after level;
+    each bracket steps on its own values, so every edge has the bits of a
+    solve of its level alone."""
+    mesh_abs = gate_abs(mesh, m_line)
+    same = m_line[1:] == m_line[:-1]
+    levels, ga, gb = [], [], []
+    for eps in eps_list:
+        g = mesh_abs - eps
+        e_i = np.flatnonzero(same & (g[:-1] * g[1:] < 0))
+        levels.append((np.flatnonzero(same & (g[:-1] == 0.0)), e_i))
+        ga.append(g[e_i])
+        gb.append(g[e_i + 1])
+    sizes = [e_i.size for _, e_i in levels]
+    e_all = np.concatenate([e_i for _, e_i in levels])
+    eps_of = np.repeat(eps_list, sizes)
+    edges = _solve_brackets(
+        lambda x, k: gate_abs(x, m_line[e_all[k]]) - eps_of[k],
+        mesh[e_all], mesh[e_all + 1], np.concatenate(ga), np.concatenate(gb),
+        1e-15)
+    return [(z_i, e_i, part) for (z_i, e_i), part in
+            zip(levels, np.split(edges, np.cumsum(sizes)[:-1]))]
+
+
 def regularized_volume(S, grid=64, tau_log=1e-4, cutoff_factor=None,
                        return_series=False):
     """Principal-value volume of the dual singular area form.
@@ -389,7 +418,9 @@ def regularized_volume(S, grid=64, tau_log=1e-4, cutoff_factor=None,
     the asymmetric sphere model is positive); the sequence 1e-2, 1e-2/2,
     ..., 1e-2/2^8 is fitted against c*log(eps) + V0 and V0 returned when
     |c| < tau_log.  The lines along axis 2 number at most
-    se.grid_per_axis(grid, 2)."""
+    se.grid_per_axis(grid, 2).  The strip {|P * cutoff_factor| > eps}
+    (|P| > eps without a factor) is cut at edges solved for every level in
+    one call (_strip_edges), before any level is integrated."""
     patch = S.patch
     names = patch.names
     (lo1, hi1), (lo2, hi2) = patch.intervals
@@ -405,16 +436,17 @@ def regularized_volume(S, grid=64, tau_log=1e-4, cutoff_factor=None,
         x2s = 0.5 * (x2s + 1) * (hi2 - lo2) + lo2
         w2s = 0.5 * (hi2 - lo2) * w2s
 
-    cut = cutoff_factor if cutoff_factor is not None else se.ONE
     P = compile_tape(S.P, names)
-    C = compile_tape(cut, names)
+    C = None if cutoff_factor is None else compile_tape(cutoff_factor, names)
     nl = len(x2s)
     lines = np.arange(nl)
 
     def gate_abs(x1, line):
-        """|P * cut| at x1 on the given lines; the gate is that minus eps."""
+        """|P * cut| at x1 on the given lines (|P| with no cut-off factor);
+        the gate is that minus eps."""
         x2 = x2s[line]
-        return np.abs(_evaluate(P, x1, x2) * _evaluate(C, x1, x2))
+        p = _evaluate(P, x1, x2)
+        return np.abs(p if C is None else p * _evaluate(C, x1, x2))
 
     # roots of P along every line: exact zeros of a 257-point scan and one
     # solved root per sign change
@@ -442,20 +474,12 @@ def regularized_volume(S, grid=64, tau_log=1e-4, cutoff_factor=None,
     m_line, mesh = m_line[order], mesh[order]
     fresh = np.r_[True, (m_line[1:] != m_line[:-1]) | (mesh[1:] != mesh[:-1])]
     m_line, mesh = m_line[fresh], mesh[fresh]
-    mesh_abs = gate_abs(mesh, m_line)
-    same = m_line[1:] == m_line[:-1]
     # integration panels: the uniform nodes plus knots graded geometrically
     # toward each strip edge, where 1/P is steepest
     graded = (hi1 - lo1) * np.geomspace(1e-10, 0.5, 36)
 
-    def level(eps):
+    def level(eps, z_i, e_i, edges):
         """V(eps) before the orientation sign."""
-        g = mesh_abs - eps
-        e_i = np.flatnonzero(same & (g[:-1] * g[1:] < 0))
-        z_i = np.flatnonzero(same & (g[:-1] == 0.0))
-        edges = _solve_brackets(
-            lambda x, k: gate_abs(x, m_line[e_i[k]]) - eps,
-            mesh[e_i], mesh[e_i + 1], g[e_i], g[e_i + 1], 1e-15)
         # every line runs lo1, its strip edges in mesh order, hi1
         c_line = np.concatenate([lines, m_line[z_i], m_line[e_i], lines])
         c_key = np.concatenate([np.full(nl, -1), z_i, e_i,
@@ -491,7 +515,9 @@ def regularized_volume(S, grid=64, tau_log=1e-4, cutoff_factor=None,
         return math.fsum(w2s * totals)
 
     eps_list = [1e-2 / 2 ** k for k in range(9)]
-    series = [-S.orientation * level(eps) for eps in eps_list]
+    levels = _strip_edges(gate_abs, mesh, m_line, eps_list)
+    series = [-S.orientation * level(eps, *edges)
+              for eps, edges in zip(eps_list, levels)]
     # fit V(eps) = c log(eps) + V0 + a*eps; the linear term soaks up the
     # strip-asymmetry correction so it does not contaminate c or V0
     L = np.log(eps_list)

@@ -177,6 +177,33 @@ class TestCohomology:
         doc = json.loads(capsys.readouterr().out)
         assert tuple(doc["poisson_betti"]) == (1, 4, 3)
 
+    @pytest.mark.parametrize("surface", ["1,2", "2,3", "0,1"])
+    def test_surface_report_as_per_curve_table(self, capsys, surface):
+        # the closed form prints the report that the table of one (1, 1)
+        # component per curve gives, byte for byte
+        from bgeo import cli, serialize as ser
+        from bgeo.cohomology import (BettiData, b_betti, nonvanishing_witness,
+                                     poisson_betti)
+
+        g, n = map(int, surface.split(","))
+        data = BettiData(2, (1, 2 * g, 1), ((1, 1),) * n)
+        witness = nonvanishing_witness(data)
+        want = ser.dumps_canonical({
+            "b_betti": b_betti(data), "poisson_betti": poisson_betti(data),
+            "consistent": witness.consistent,
+            "reasons": list(witness.reasons), "schema": ser.SCHEMA}) + "\n"
+        assert cli.main(["cohomology", "--surface", surface]) == 0
+        assert capsys.readouterr() == (want, "")
+
+    def test_surface_huge_curve_count(self, capsys):
+        from bgeo import cli
+
+        n = 10 ** 11
+        assert cli.main(["cohomology", "--surface", "0,%d" % n]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["b_betti"] == doc["poisson_betti"] == [1, n, n + 1]
+        assert doc["consistent"] and doc["reasons"] == []
+
 
 class TestParseCheck:
     def test_parse_roundtrip(self, tmp_path):
@@ -284,6 +311,17 @@ class TestDarboux:
         assert out["forward"] == ["z1", "z2 + 1/3*z2^3"]
         assert out["max_residual"] < 1e-9
 
+
+    def test_negative_seed_names_the_flag(self, tmp_path, capsys):
+        from bgeo import cli
+
+        path = bform_doc(tmp_path, "w.json", {"1": "-(1+z2^2)"}, {},
+                         f="z1", names=("z1", "z2"))
+        assert cli.main(["darboux", path, "--seed", "-5"]) == 1
+        out, err = capsys.readouterr()
+        doc = json.loads(out)
+        assert set(doc) == {"schema", "error"} and err == ""
+        assert "--seed" in doc["error"] and "-5" in doc["error"]
 
     def test_declared_parameter(self, tmp_path):
         # declared parameters take the value 1.0 in the grid checks

@@ -458,3 +458,177 @@ class TestStripEdges:
         assert max(abs(v) for _, v in series) < 1e-9
         assert abs(v0) < 1e-9
         assert max(sizes) <= surface2d._CHUNK
+
+
+class TestVolumeBitsUnchanged:
+    """repr of V0, c and every series value at grid 32, as the volume gave
+    them when each eps-level solved its strip edges in its own call and
+    every gate multiplied |P| by a cut-off tape, 1 when none was given:
+    one solve for all levels and no constant tape must not move a bit."""
+
+    CASES = [
+        ("sphere", "h", None,
+         "8.344350718981606e-15", "1.0098895661496794e-15",
+         ["-3.2438477380637983e-16",
+          "3.032688655526928e-15",
+          "-6.7115439607846865e-15",
+          "3.948254136254194e-15",
+          "1.942729749899231e-15",
+          "-4.987781987068115e-16",
+          "2.7710985181762813e-15",
+          "2.771098518176281e-15",
+          "-7.648908619624507e-15"]),
+        ("sphere", "2*h", None,
+         "1.074023533780628e-14", "1.4025754055901544e-15",
+         ["1.516344327763464e-15",
+          "-3.3557719803923433e-15",
+          "1.974127068127097e-15",
+          "9.713648749496154e-16",
+          "-2.4938909935340573e-16",
+          "1.3855492590881406e-15",
+          "1.3855492590881404e-15",
+          "-3.8244543098122535e-15",
+          "-5.5356897916477386e-15"]),
+        ("sphere", "h*(2+h)/2", None,
+         "6.902792590101267", "8.563867243645816e-07",
+         ["6.777110410347635",
+          "6.839951428315817",
+          "6.871368500283975",
+          "6.8870766067253335",
+          "6.894930606255822",
+          "6.898857599309865",
+          "6.900821094997949",
+          "6.901802842716402",
+          "6.902293716593078"]),
+        ("sphere", "h*(2 + h/5 + cos(theta)/4)", None,
+         "0.6456175550535721", "5.304268678058901e-10",
+         ["0.6390309909215519",
+          "0.6423242729433534",
+          "0.6439709118253463",
+          "0.6447942310001206",
+          "0.6452058905541681",
+          "0.6454117203256775",
+          "0.6455146352129977",
+          "0.6455660926561453",
+          "0.6455918213776258"]),
+        ("torus", "sin(t1)", None,
+         "1.3310083602897596e-10", "1.6526724786296073e-11",
+         ["3.251574995924897e-13",
+          "1.104548461530809e-12",
+          "-1.599653685556317e-12",
+          "1.9154561909220828e-12",
+          "2.0039432171515313e-12",
+          "9.88720086880482e-12",
+          "6.9358723670022e-11",
+          "-3.933776232158724e-11",
+          "-7.736986821879835e-11"]),
+        ("torus", "sin(2*t1)", None,
+         "-1.569049125238284e-10", "-2.0722201465505543e-11",
+         ["2.96392115595441e-13",
+          "-4.510891902706036e-13",
+          "-1.6071045332709785e-13",
+          "4.8817691476114405e-12",
+          "-2.5141351719159545e-12",
+          "-1.0270588867211256e-11",
+          "5.550755026637545e-12",
+          "9.3893609165802e-13",
+          "1.0809308505745134e-10"]),
+        ("sphere", "h*(2+h)/2", "2 + sin(theta) + h/2",
+         "6.902792385252357", "8.344574556228771e-07",
+         ["6.806038418819742",
+          "6.854415332068991",
+          "6.878600439518152",
+          "6.890692574759558",
+          "6.896738590074576",
+          "6.899761591194412",
+          "6.901273090930784",
+          "6.90202884070334",
+          "6.902406715576929"]),
+    ]
+
+    @pytest.mark.parametrize("topology, P, cutoff, v0, c, series", CASES,
+                             ids=[f"{t}:{p}:{f}" for t, p, f, *_ in CASES])
+    def test_volume_bits(self, topology, P, cutoff, v0, c, series):
+        S = make_surface(topology, P)
+        cut = None if cutoff is None else parse_expr(cutoff, S.patch)
+        got_v0, got_c, got = regularized_volume(S, grid=32, cutoff_factor=cut,
+                                                return_series=True)
+        assert (repr(got_v0), repr(got_c)) == (v0, c)
+        assert [repr(v) for _, v in got] == series
+
+
+def volume_with_edges(S, monkeypatch, strip_edges, cutoff=None):
+    """The series, V0 and c of S at grid 16, as an array, and the
+    (z_i, e_i, edges) of every level, with strip_edges solving the edges."""
+    from bgeo import surface2d
+
+    got = []
+
+    def record(*args):
+        got.append(strip_edges(*args))
+        return got[-1]
+
+    monkeypatch.setattr(surface2d, "_strip_edges", record)
+    v0, c, series = regularized_volume(
+        S, grid=16, tau_log=math.inf, return_series=True,
+        cutoff_factor=None if cutoff is None else parse_expr(cutoff, S.patch))
+    assert len(got) == 1
+    return np.array([v for _, v in series] + [v0, c]), got[0]
+
+
+# |P| >= 3/1000, so the levels from 1e-2/4 on have no strip edge at all
+NO_EDGES_BELOW = make_surface("sphere", "h^2 + 3/1000")
+
+
+class TestEdgesAgainstPerLevel:
+    """The strip edges of all levels solved in one call against one solve
+    per level (tests/per_level_edges.py): the same bits."""
+
+    @pytest.mark.parametrize("S, cutoff", [
+        (S, None) for S in DIFFERENTIAL[:3] + DIFFERENTIAL[-2:]
+    ] + [(NO_EDGES_BELOW, None),
+         (make_surface("sphere", "h*(2+h)/2"), "2 + sin(theta) + h/2")],
+        ids=lambda v: str(getattr(v, "P", v)))
+    def test_same_bits(self, S, cutoff, monkeypatch):
+        from bgeo.surface2d import _strip_edges
+        from per_level_edges import strip_edges_per_level
+
+        got, levels = volume_with_edges(S, monkeypatch, _strip_edges, cutoff)
+        want, per_level = volume_with_edges(S, monkeypatch,
+                                            strip_edges_per_level, cutoff)
+        assert got.tobytes() == want.tobytes()
+        assert len(levels) == len(per_level) == 9
+        for (z, e, edges), (wz, we, wedges) in zip(levels, per_level):
+            assert np.array_equal(z, wz) and np.array_equal(e, we)
+            assert edges.tobytes() == wedges.tobytes()
+        if S is NO_EDGES_BELOW:
+            sizes = [e.size for _, e, _ in levels]
+            assert sizes[0] > 0 and not any(sizes[2:])
+
+
+class TestOneEdgeSolve:
+    @pytest.mark.parametrize("cutoff", [None, "2 + sin(theta) + h/2"])
+    def test_two_solves_and_no_constant_tape(self, cutoff, monkeypatch):
+        # one call for the line roots and one for the strip edges of every
+        # level; a cut-off tape only when a cut-off factor is given
+        from bgeo import surface2d
+
+        solves, compiled = [], []
+
+        def solve(*args):
+            solves.append(args)
+            return real_solve(*args)
+
+        def compile_tape(expr, names):
+            compiled.append(expr)
+            return real_compile(expr, names)
+
+        real_solve, real_compile = (surface2d._solve_brackets,
+                                    surface2d.compile_tape)
+        monkeypatch.setattr(surface2d, "_solve_brackets", solve)
+        monkeypatch.setattr(surface2d, "compile_tape", compile_tape)
+        S = make_surface("sphere", "h*(2+h)/2")
+        cut = None if cutoff is None else parse_expr(cutoff, S.patch)
+        regularized_volume(S, grid=16, cutoff_factor=cut)
+        assert len(solves) == 2
+        assert compiled == [S.P] + ([] if cut is None else [cut])
