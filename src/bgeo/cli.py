@@ -8,22 +8,21 @@ that cannot be opened, read or written (a missing input, a directory), as
 a JSON error; 3 any other failure, an internal error reported as a JSON
 error with no traceback.  Reports embed the tolerances, grid sizes, and
 seed that produced them (a grid size only where a grid was sampled), and
-each subcommand accepts only the options it reads.  A --grid below 2 is a
-JSON error (exit 1), and so is a tolerance (--tol, --tol-log,
---tol-residual, --tol-tangency) that is negative or not finite, or an
---eps that is not finite and positive.  A tensor grid is capped at
+each subcommand accepts only the options it reads.  Every knob has its
+rule in KNOBS, checked before any document is read; a value that breaks
+it is a JSON error (exit 1) naming the flag.  A tensor grid is capped at
 2,000,000 points: a larger --grid samples fewer points per axis, which
 check always reports and darboux, invariants and classify report when the
-cap lowered them (grid_per_axis).
-"""
+cap lowered them (grid_per_axis).  moser's --points and --steps are
+charged against the flow budget of normalform._check_flow."""
 
 from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 import warnings
-from fractions import Fraction
 
 from . import serialize as ser
 from .cohomology import BettiData, b_betti, nonvanishing_witness, poisson_betti
@@ -134,7 +133,7 @@ def cmd_classify(args):
 
 
 def _parse_int_list(text):
-    return [int(s) for s in text.split(",") if s != ""]
+    return [int(s) for s in text.split(",")]
 
 
 def cmd_cohomology(args):
@@ -170,8 +169,6 @@ def cmd_cohomology(args):
 
 def cmd_darboux(args):
     from .normalform import darboux_verify
-    if args.seed < 0:
-        raise ValueError("--seed must be non-negative, got %d" % args.seed)
     bform = ser.bform_from_dict(ser.load(args.input))
     rep = darboux_verify(bform, grid=args.grid, seed=args.seed)
     doc = {
@@ -183,20 +180,17 @@ def cmd_darboux(args):
         doc["forward"] = [to_string(e) for e in rep.change.forward]
         doc["jacobian_det"] = to_string(rep.change.jacobian_det)
         doc["target_names"] = list(rep.change.target.names)
-        if rep.change.grid_per_axis is not None:
-            doc["grid_per_axis"] = rep.change.grid_per_axis
+        _surface_grid(doc, args.grid)   # a change exists on 2-D patches only
     _emit(doc)
     return 0 if rep.ok else 1
 
 
 def cmd_moser(args):
     from .normalform import moser_relative_verify
-    if args.steps < 1:
-        raise ValueError("--steps must be at least 1, got %d" % args.steps)
     w0 = ser.bform_from_dict(ser.load(args.input))
     w1 = ser.bform_from_dict(ser.load(args.other))
     rep = moser_relative_verify(w0, w1, n_points=args.points,
-                                rk_step=Fraction(1, args.steps))
+                                n_steps=args.steps)
     if args.emit_plot:
         rows = [tuple(p) + (r,)
                 for p, r in zip(rep.sample_points, rep.residuals)]
@@ -247,97 +241,82 @@ def cmd_extend(args):
 
 # --- argument parsing ---------------------------------------------------------
 
+def _at_least(low):
+    return (lambda v: v >= low), "at least %d" % low
+
+
+def _matches(pattern, rule):
+    return (lambda v: re.fullmatch(pattern, v) is not None), rule
+
+
+_NOT_NEGATIVE = (lambda v: math.isfinite(v) and v >= 0,
+                 "finite and not negative")
+_INT = r"\s*[+-]?\d+\s*"
+_INTS = "%s(,%s)*" % (_INT, _INT)
+# the rule of every knob, by argparse dest: a test of its value and what the
+# error says the value must be (a grid needs two samples per axis to bracket
+# anything; a list knob holds integers, and no empty entry)
+KNOBS = {"grid": _at_least(2), "steps": _at_least(1), "points": _at_least(1),
+         "seed": _at_least(0), "tol": _NOT_NEGATIVE, "tol_log": _NOT_NEGATIVE,
+         "tol_residual": _NOT_NEGATIVE, "tol_tangency": _NOT_NEGATIVE,
+         "eps": (lambda v: math.isfinite(v) and v > 0, "finite and positive"),
+         "surface": _matches("%s,%s" % (_INT, _INT), "two integers G,N"),
+         "betti_m": _matches(_INTS, "integers separated by commas"),
+         "betti_z": _matches("%s(;%s)*" % (_INTS, _INTS),
+                             "lists of integers separated by semicolons")}
+METAVARS = {"surface": "G,N", "betti_m": "B0,B1,...",
+            "betti_z": "B0,...;B0,...", "emit_plot": "CSV"}
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="bgeo",
         description="symbolic/numerical toolkit for singular (b-)symplectic "
                     "structures on coordinate patches")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def grid(sp, default=64):
-        sp.add_argument("--grid", type=int, default=default)
-
-    sp = sub.add_parser("parse", help="validate and normalize a document")
-    sp.add_argument("input")
-    sp.set_defaults(fn=cmd_parse)
-
-    sp = sub.add_parser("check", help="transversality and nondegeneracy of "
-                                      "a b-form document")
-    sp.add_argument("input")
-    grid(sp)
-    sp.set_defaults(fn=cmd_check)
-
-    sp = sub.add_parser("invariants", help="curve count, periods, and "
-                                           "regularized volume of a surface")
-    sp.add_argument("input")
-    sp.add_argument("--tol-log", type=float, default=1e-4)
-    grid(sp)
-    sp.add_argument("--emit-plot", metavar="CSV", default=None)
-    sp.set_defaults(fn=cmd_invariants)
-
-    sp = sub.add_parser("classify", help="compare the invariants of two "
-                                         "surface structures")
-    sp.add_argument("input")
-    sp.add_argument("other")
-    sp.add_argument("--tol", type=float, default=1e-4)
-    grid(sp)
-    sp.set_defaults(fn=cmd_classify)
-
-    sp = sub.add_parser("cohomology", help="Betti arithmetic of the "
-                                           "splitting")
-    sp.add_argument("--surface", metavar="G,N", default=None)
-    sp.add_argument("--betti-m", metavar="B0,B1,...", default=None)
-    sp.add_argument("--betti-z", metavar="B0,...;B0,...", default=None)
-    sp.set_defaults(fn=cmd_cohomology)
-
-    sp = sub.add_parser("darboux", help="flatten/verify a 2-D singular form")
-    sp.add_argument("input")
-    grid(sp)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(fn=cmd_darboux)
-
-    sp = sub.add_parser("moser", help="flow verification for two forms with "
-                                      "equal restriction data")
-    sp.add_argument("input")
-    sp.add_argument("other")
-    sp.add_argument("--points", type=int, default=200)
-    sp.add_argument("--steps", type=int, default=256)
-    sp.add_argument("--tol-residual", type=float, default=1e-5)
-    sp.add_argument("--tol-tangency", type=float, default=1e-8)
-    sp.add_argument("--emit-plot", metavar="CSV", default=None)
-    sp.set_defaults(fn=cmd_moser)
-
-    sp = sub.add_parser("extend", help="build the product extension of "
-                                       "hypersurface data")
-    sp.add_argument("input")
-    sp.add_argument("--eps", type=float, default=1.0)
-    grid(sp, default=24)
-    sp.set_defaults(fn=cmd_extend)
+    # each subcommand: its name, handler, documents, knobs with their
+    # defaults (a knob's type is that of its default, str for None) and help
+    for name, fn, docs, knobs, help_ in [
+            ("parse", cmd_parse, ["input"], {},
+             "validate and normalize a document"),
+            ("check", cmd_check, ["input"], {"grid": 64},
+             "transversality and nondegeneracy of a b-form document"),
+            ("invariants", cmd_invariants, ["input"],
+             {"tol_log": 1e-4, "grid": 64, "emit_plot": None},
+             "curve count, periods, and regularized volume of a surface"),
+            ("classify", cmd_classify, ["input", "other"],
+             {"tol": 1e-4, "grid": 64},
+             "compare the invariants of two surface structures"),
+            ("cohomology", cmd_cohomology, [],
+             {"surface": None, "betti_m": None, "betti_z": None},
+             "Betti arithmetic of the splitting"),
+            ("darboux", cmd_darboux, ["input"], {"grid": 64, "seed": 0},
+             "flatten/verify a 2-D singular form"),
+            ("moser", cmd_moser, ["input", "other"],
+             {"points": 200, "steps": 256, "tol_residual": 1e-5,
+              "tol_tangency": 1e-8, "emit_plot": None},
+             "flow verification for two forms with equal restriction data"),
+            ("extend", cmd_extend, ["input"], {"eps": 1.0, "grid": 24},
+             "build the product extension of hypersurface data")]:
+        sp = sub.add_parser(name, help=help_)
+        for doc in docs:
+            sp.add_argument(doc)
+        for dest, default in knobs.items():
+            sp.add_argument("--" + dest.replace("_", "-"), default=default,
+                            type=None if default is None else type(default),
+                            metavar=METAVARS.get(dest))
+        sp.set_defaults(fn=fn)
     return p
-
-
-def _knob_error(args):
-    """Why a knob of args is out of range, or None."""
-    # a grid needs two samples per axis to bracket anything
-    if getattr(args, "grid", 2) < 2:
-        return "--grid must be at least 2, got %d" % args.grid
-    for name in ("tol", "tol_log", "tol_residual", "tol_tangency"):
-        value = getattr(args, name, 0.0)
-        if not (math.isfinite(value) and value >= 0):
-            return "--%s must be finite and not negative, got %r" % (
-                name.replace("_", "-"), value)
-    eps = getattr(args, "eps", 1.0)
-    if not (math.isfinite(eps) and eps > 0):
-        return "--eps must be finite and positive, got %r" % eps
-    return None
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    error = _knob_error(args)
-    if error:
-        return _fail(error)
+    for dest, (ok, rule) in KNOBS.items():
+        value = getattr(args, dest, None)
+        if value is not None and not ok(value):
+            return _fail("--%s must be %s, got %r" % (dest.replace("_", "-"),
+                                                      rule, value))
     try:
         return args.fn(args)
     except OSError as exc:   # a file that cannot be opened, read or written

@@ -86,9 +86,9 @@ def nonvanishing_witness(data: BettiData) -> WitnessReport:
     Passing is necessary, not sufficient.
     """
     reasons = []
-    bb = b_betti(data)
+    bb = b_betti(data) + [0]   # a missing degree (dim 1) counts 0
     for i, comp in enumerate(data.components):
-        if comp[1] < 1:
+        if (comp + (0,))[1] < 1:
             reasons.append("component %d has b_1 = 0" % i)
         if data.dim >= 4 and comp[2] < 1:
             reasons.append("component %d has b_2 = 0" % i)

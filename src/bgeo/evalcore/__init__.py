@@ -117,7 +117,8 @@ def _solve_brackets(f, a, b, fa, fb, xtol):
             v[going] for v in (k, a, b, fa, fb, ma, mb, kept, w, w1, w2))
         if not k.size:
             break
-        x = (a * fb * mb - b * fa * ma) / (fb * mb - fa * ma)
+        with np.errstate(over="ignore", invalid="ignore"):   # nan bisects
+            x = (a * fb * mb - b * fa * ma) / (fb * mb - fa * ma)
         bisect = ~((x > a) & (x < b)) | (w > 0.5 * w2)
         x = np.where(bisect, 0.5 * (a + b), x)
         fx = f(x, k)

@@ -384,7 +384,8 @@ def find_z_components(bform):
     # a scan interval holds a root at its left end when f is zero there,
     # otherwise one inside when f changes sign across it
     zero = vals[:-1] == 0.0
-    cross = ~zero & (vals[:-1] * vals[1:] < 0)
+    with np.errstate(over="ignore"):   # an overflow keeps its sign
+        cross = ~zero & (vals[:-1] * vals[1:] < 0)
     lo, hi = zs[:-1][cross], zs[1:][cross]
     flo, fhi = vals[:-1][cross], vals[1:][cross]
     wrap = period is not None and vals[-1] != 0.0 and vals[-1] * vals[0] < 0

@@ -65,7 +65,9 @@ from .symexpr import (
 
 ZERO = se.num(0)
 
-RK_STEP = Fraction(1, 256)
+N_STEPS = 256   # RK4 steps of a Moser flow over [0, 1]
+STEP_OVERHEAD = 1900   # in batch points, measured (_check_flow)
+FLOW_BUDGET = N_STEPS * (se.GRID_CAP + STEP_OVERHEAD)
 FD_STEP = 1e-5
 N_SAMPLE = 200
 MAX_COLLAR_HALVINGS = 6
@@ -91,8 +93,6 @@ class CoordinateChange:
     target: Patch
     forward: tuple
     jacobian_det: object
-    # points per axis of the sampled grids when the point cap lowered them
-    grid_per_axis: int = None
 
 
 def _grid_extrema(expr, patch, n):
@@ -126,8 +126,7 @@ def darboux2d(omega: BForm, grid=64, tname="t") -> CoordinateChange:
     if not lo <= 0.0 <= hi:
         raise GeometryError(
             "patch is not star-shaped about %s = 0" % yname)
-    # the grid is capped at se.GRID_CAP points, and the change records the
-    # points per axis when the cap lowered them; g is sampled on the odd
+    # the grid is capped at se.GRID_CAP points; g is sampled on the odd
     # count at or above that, so that y = 0 is a sample of a symmetric patch
     n = se.grid_per_axis(grid, patch.dim)
     gmin, gmax = _grid_extrema(se.fun("abs", g), patch, n + 1 - n % 2)
@@ -161,8 +160,7 @@ def darboux2d(omega: BForm, grid=64, tname="t") -> CoordinateChange:
     target = Patch((zname, tname), (patch.intervals[zi], (tmin - pad, tmax + pad)),
                    params=patch.params)
     return CoordinateChange(source=patch, target=target,
-                            forward=(se.sym(zname), t), jacobian_det=ty,
-                            grid_per_axis=n if n < grid else None)
+                            forward=(se.sym(zname), t), jacobian_det=ty)
 
 
 @dataclass(frozen=True)
@@ -623,20 +621,27 @@ def _restrictions_agree(omega0, omega1, components):
     return True
 
 
-def _flow_steps(n_points, rk_step, dim):
-    """Number of RK4 steps for a step size in (0, 1], after checking that
-    there is at least one sample point and that the flow batch, each point
-    with its 2*dim finite-difference neighbours, holds at most se.GRID_CAP
-    points."""
-    if n_points < 1:
-        raise ValueError("n_points must be at least 1, got %r" % (n_points,))
-    most = se.GRID_CAP // (1 + 2 * dim)
-    if n_points > most:
+def _check_flow(n_points, n_steps, dim):
+    """Refuse a flow of fewer than one sample point or step, a batch (each
+    point with its 2*dim finite-difference neighbours) of more than
+    se.GRID_CAP points, or work n_steps * (batch + STEP_OVERHEAD) past
+    FLOW_BUDGET, that of the largest batch at N_STEPS steps.  STEP_OVERHEAD
+    is the time of a step at one sample point over the time per batch point
+    of a step at 40,000, on a 2-D pair: 1,700 to 2,000 on a 2-core Xeon.  A
+    4-D pair reads about 1,300, which would allow more steps."""
+    if n_points < 1 or n_steps < 1:
+        raise ValueError("n_points and n_steps must be at least 1, got %r "
+                         "and %r" % (n_points, n_steps))
+    batch = n_points * (1 + 2 * dim)
+    if batch > se.GRID_CAP:
         raise ValueError("n_points (--points) must be at most %d on a %d-D "
-                         "patch, got %r" % (most, dim, n_points))
-    if not 0 < rk_step <= 1:
-        raise ValueError("rk_step must lie in (0, 1], got %s" % (rk_step,))
-    return int(round(1 / float(rk_step)))
+                         "patch, got %r" % (se.GRID_CAP // (1 + 2 * dim), dim,
+                                            n_points))
+    most = FLOW_BUDGET // (batch + STEP_OVERHEAD)
+    if n_steps > most:
+        raise ValueError("n_steps (--steps) must be at most %d for %d points "
+                         "on a %d-D patch, got %r" % (most, n_points, dim,
+                                                      n_steps))
 
 
 def _collar_flow(engine, comp, r, n_points, n_steps, tangency):
@@ -694,7 +699,7 @@ def _relative_engine(omega0, omega1, rho):
 
 
 def moser_relative_verify(omega0: BForm, omega1: BForm, n_points=N_SAMPLE,
-                          rk_step=RK_STEP) -> MoserReport:
+                          n_steps=N_STEPS) -> MoserReport:
     """Numerically verify the relative normal-form statement: two singular
     symplectic forms with equal restriction data are related, near the
     hypersurface, by the time-1 flow of the interpolation vector field.
@@ -703,7 +708,7 @@ def moser_relative_verify(omega0: BForm, omega1: BForm, n_points=N_SAMPLE,
     solves the contraction equation for v_t in the singular coframe,
     integrates the flow, and reports the pullback residual.
     """
-    n_steps = _flow_steps(n_points, rk_step, omega0.patch.dim)
+    _check_flow(n_points, n_steps, omega0.patch.dim)
     omega0._check(omega1)
     patch = omega0.patch
     zname = omega0.zname
@@ -787,7 +792,7 @@ def _global_engine(omega_t, mu_t):
 
 
 def moser_global_verify(omega_t: BForm, mu_t: BForm, n_points=N_SAMPLE,
-                        rk_step=RK_STEP) -> MoserReport:
+                        n_steps=N_STEPS) -> MoserReport:
     """Verify the global statement for a symbolically given family.
 
     omega_t and mu_t are forms whose coefficients contain the declared
@@ -797,7 +802,7 @@ def moser_global_verify(omega_t: BForm, mu_t: BForm, n_points=N_SAMPLE,
     final form back to the initial one up to the reported residual.
     """
     patch = omega_t.patch
-    n_steps = _flow_steps(n_points, rk_step, patch.dim)
+    _check_flow(n_points, n_steps, patch.dim)
     if TIME not in patch.params:
         raise ValueError("patch must declare %r as a parameter" % TIME)
     zi = omega_t.zindex

@@ -3,7 +3,6 @@ each checked at its stated tolerance and runtime budget."""
 
 import math
 import time
-from fractions import Fraction
 
 import pytest
 
@@ -154,12 +153,9 @@ def _perturbed_pair():
 def test_moser_relative():
     w0, w1 = _perturbed_pair()
     with Timer() as t:
-        rep = moser_relative_verify(w0, w1, n_points=64 * 64,
-                                    rk_step=Fraction(1, 256))
-        coarse = moser_relative_verify(w0, w1, n_points=200,
-                                       rk_step=Fraction(1, 16))
-        fine = moser_relative_verify(w0, w1, n_points=400,
-                                     rk_step=Fraction(1, 32))
+        rep = moser_relative_verify(w0, w1, n_points=64 * 64, n_steps=256)
+        coarse = moser_relative_verify(w0, w1, n_points=200, n_steps=16)
+        fine = moser_relative_verify(w0, w1, n_points=400, n_steps=32)
     ratio = coarse.max_residual / max(fine.max_residual, 1e-300)
     ok = (rep.max_residual < 1e-5
           and rep.v_on_Z_max < 1e-8

@@ -195,6 +195,38 @@ class TestCohomology:
         assert cli.main(["cohomology", "--surface", surface]) == 0
         assert capsys.readouterr() == (want, "")
 
+    @pytest.mark.parametrize("betti_z,reasons", [
+        ([], ["b-H^2 vanishes"]),
+        (["--betti-z", "1;1"], ["component 0 has b_1 = 0",
+                                "component 1 has b_1 = 0", "b-H^2 vanishes"]),
+    ])
+    def test_one_manifold(self, capsys, betti_z, reasons):
+        # a 1-manifold has no b-H^2, and its hypersurface no b_1: each
+        # missing degree counts 0
+        from bgeo import cli
+
+        assert cli.main(["cohomology", "--betti-m", "1,1"] + betti_z) == 0
+        out, err = capsys.readouterr()
+        doc = json.loads(out)
+        assert err == "" and doc["consistent"] is False
+        assert doc["reasons"] == reasons
+
+    @pytest.mark.parametrize("argv", [
+        ["--surface", "1"], ["--surface", "a,b"], ["--surface", "1,2,3"],
+        ["--surface", "1,"], ["--betti-m", "1,,1"], ["--betti-m", "1,x,1"],
+        ["--betti-m", "1,0,1", "--betti-z", "1,a"],
+        ["--betti-m", "1,0,1", "--betti-z", "1,1;;1,1"],
+        ["--betti-m", "1,0,1", "--betti-z", ""],
+    ])
+    def test_list_knob_names_its_flag(self, capsys, argv):
+        from bgeo import cli
+
+        assert cli.main(["cohomology"] + argv) == 1
+        out, err = capsys.readouterr()
+        doc = json.loads(out)
+        assert set(doc) == {"schema", "error"} and err == ""
+        assert doc["error"].startswith(argv[-2] + " must be")
+
     def test_surface_huge_curve_count(self, capsys):
         from bgeo import cli
 
@@ -406,6 +438,26 @@ class TestMoser:
         assert json.loads(out)["error"] == ("defining function has no "
                                             "zeros in the patch")
 
+    @pytest.mark.parametrize("steps", ["1000000", "1" + "0" * 400])
+    def test_steps_past_the_flow_budget(self, tmp_path, capsys, steps):
+        # at one point a million steps would take minutes, and 10^400 made
+        # a step size of 0.0 (exit 3); the flow budget refuses both at once
+        import time
+
+        from bgeo import cli
+        from bgeo.normalform import FLOW_BUDGET, STEP_OVERHEAD
+
+        p0 = bform_doc(tmp_path, "w0.json", {"0": "1"}, {})
+        p1 = bform_doc(tmp_path, "w1.json", {"0": "1"}, {"0,1": "y"})
+        t0 = time.perf_counter()
+        code = cli.main(["moser", p0, p1, "--points", "1", "--steps", steps])
+        elapsed = time.perf_counter() - t0
+        out, err = capsys.readouterr()
+        assert code == 1 and err == "" and elapsed < 1.0
+        most = FLOW_BUDGET // (5 + STEP_OVERHEAD)
+        assert "--steps" in json.loads(out)["error"]
+        assert " at most %d " % most in json.loads(out)["error"]
+
     @pytest.mark.parametrize("knob", [("--steps", "0"), ("--steps", "-3"),
                                       ("--points", "0")])
     def test_bad_knob(self, tmp_path, knob):
@@ -436,6 +488,17 @@ class TestExtend:
         assert out["components"] == [0.0]
         assert out["nondegeneracy"].startswith("nonvanishing")
         assert out["model"]["f"] == "t"
+
+    def test_huge_eps_is_quiet(self, tmp_path):
+        # products past the float range in the zero scan and the falsi
+        # point printed RuntimeWarnings; the report is the bytes it was
+        import hashlib
+
+        path = self._torus3_doc(tmp_path, "(2 + cos(theta1))/6")
+        proc = run("extend", path, "--eps", "1e300")
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+            "571a0c4ee549df7440de206248790d6da0bc1a69098c86312693021c29ef7f6b")
 
     def test_failing_data(self, tmp_path):
         two_pi = 2 * math.pi
@@ -667,6 +730,23 @@ class TestKnobRange:
         assert cli.main(argv) == 1
         assert json.loads(capsys.readouterr().out)["error"].startswith(
             "--eps must be")
+
+    @pytest.mark.parametrize("argv,flag,value", [
+        (["check", "DOC"], "--grid", "1"),
+        (["moser", "DOC", "DOC"], "--points", "0"),
+        (["moser", "DOC", "DOC"], "--steps", "-1"),
+        (["darboux", "DOC"], "--seed", "-1"),
+    ])
+    def test_integer(self, capsys, argv, flag, value):
+        from bgeo import cli
+
+        # the document does not exist: a knob error comes first
+        argv = [a.replace("DOC", "/does/not/exist.json") for a in argv]
+        assert cli.main(argv + [flag, value]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["error"] == "%s must be at least %d, got %s" % (
+            flag, {"--grid": 2, "--seed": 0}.get(flag, 1), value)
 
     def test_zero_tolerance_runs(self, tmp_path, capsys):
         from bgeo import cli

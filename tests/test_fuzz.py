@@ -3,8 +3,9 @@
 Every input to parse_expr must end in an expression (which prints), an
 ExprError or a SchemaError: never another exception and never a hang.
 Every mutated document that a subcommand reads must end in one JSON
-report with exit code 0, 1 or 2 and nothing on stderr.  The runs are
-derandomized, so they draw the same inputs every time."""
+report with exit code 0, 1 or 2 and nothing on stderr, and so must every
+subcommand run with extreme knob values.  The runs are derandomized, so
+they draw the same inputs every time."""
 
 import copy
 import io
@@ -15,7 +16,7 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from bgeo import cli
@@ -155,6 +156,70 @@ def test_cli_reports_every_mutated_document(run):
                 warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = cli.main([str(path) if a == "DOC" else a for a in argv])
+    assert code in (0, 1, 2), out.getvalue()
+    assert err.getvalue() == "" and not caught
+    assert isinstance(json.loads(out.getvalue()), dict)
+
+
+# --- knob values through cli.main -------------------------------------------
+
+INT_VALUES = ["-1", "0", "1", "2", "3", "1000000", "100000000000",
+              "1" + "0" * 400]
+FLOAT_VALUES = ["nan", "inf", "-inf", "-0.0", "5e-324", "1e300"]
+LIST_VALUES = ["1,1", "1,,1", "1", "a,b", "", "1,2", "1,0,1", "1,1;1,1",
+               "1;1"]
+# each subcommand with the kinds of its documents (as in DOCS) and the
+# values each of its knobs is drawn from
+KNOB_RUNS = {
+    "parse": (["bform"], {}),
+    "check": (["bform"], {"--grid": INT_VALUES}),
+    "invariants": (["surface"], {"--grid": INT_VALUES,
+                                 "--tol-log": FLOAT_VALUES}),
+    "classify": (["surface", "surface"], {"--grid": INT_VALUES,
+                                          "--tol": FLOAT_VALUES}),
+    "cohomology": ([], {"--surface": LIST_VALUES, "--betti-m": LIST_VALUES,
+                        "--betti-z": LIST_VALUES}),
+    "darboux": (["bform"], {"--grid": INT_VALUES, "--seed": INT_VALUES}),
+    "moser": (["bform", "bform"], {
+        "--points": INT_VALUES, "--steps": INT_VALUES,
+        "--tol-residual": FLOAT_VALUES, "--tol-tangency": FLOAT_VALUES}),
+    "extend": (["zdata"], {"--grid": INT_VALUES, "--eps": FLOAT_VALUES}),
+}
+
+
+@st.composite
+def knob_runs(draw):
+    command = draw(st.sampled_from(sorted(KNOB_RUNS)))
+    kinds, knobs = KNOB_RUNS[command]
+    argv = [command] + kinds
+    for flag, values in knobs.items():
+        value = draw(st.one_of(st.none(), st.sampled_from(values)))
+        if value is not None:
+            argv.append(flag + "=" + value)
+    return argv
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=10000,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(knob_runs())
+# a step size of 0.0 (exit 3), a flow of minutes, RuntimeWarnings on
+# stderr and a degree that a 1-manifold lacks (exit 3), once
+@example(["moser", "bform", "bform", "--steps=1" + "0" * 400])
+@example(["moser", "bform", "bform", "--points=1", "--steps=1000000"])
+@example(["extend", "zdata", "--eps=1e300"])
+@example(["cohomology", "--betti-m=1,1"])
+def test_cli_reports_every_knob_value(argv):
+    # a value past every cap must end at once: a grid is sampled with fewer
+    # points per axis, and a flow past its budget is refused
+    with tempfile.TemporaryDirectory() as tmp:
+        for kind, doc in DOCS.items():
+            (Path(tmp) / kind).write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main([str(Path(tmp) / a) if a in DOCS else a
+                             for a in argv])
     assert code in (0, 1, 2), out.getvalue()
     assert err.getvalue() == "" and not caught
     assert isinstance(json.loads(out.getvalue()), dict)

@@ -21,9 +21,11 @@ from bgeo.forms import (
     nondegeneracy_check,
 )
 from bgeo.normalform import (
-    RK_STEP,
+    FLOW_BUDGET,
+    N_STEPS,
+    STEP_OVERHEAD,
+    _check_flow,
     _collar_primitive,
-    _flow_steps,
     _global_engine,
     _halton,
     _halton_collar,
@@ -290,10 +292,8 @@ class TestMoserRelative:
         # halving the step cuts the residual by >= 8x while the time
         # integration error dominates the finite-difference floor
         w0, w1 = relative_pair()
-        coarse = moser_relative_verify(w0, w1, n_points=50,
-                                       rk_step=Fraction(1, 8))
-        fine = moser_relative_verify(w0, w1, n_points=50,
-                                     rk_step=Fraction(1, 16))
+        coarse = moser_relative_verify(w0, w1, n_points=50, n_steps=8)
+        fine = moser_relative_verify(w0, w1, n_points=50, n_steps=16)
         assert coarse.max_residual / fine.max_residual >= 8.0
 
     def test_4d_closed_perturbation(self):
@@ -319,13 +319,13 @@ class TestMoserRelative:
             moser_relative_verify(w0, w1, n_points=20)
 
     @pytest.mark.parametrize("knobs", [{"n_points": 0},
-                                       {"rk_step": Fraction(0)},
-                                       {"rk_step": Fraction(-1, 3)},
-                                       {"rk_step": 3},
+                                       {"n_steps": 0},
+                                       {"n_steps": -3},
+                                       {"n_steps": 10 ** 400},
                                        {"n_points": 400_001}])
     def test_knobs_range_checked(self, knobs):
         w0, w1 = relative_pair()
-        with pytest.raises(ValueError, match="n_points|rk_step"):
+        with pytest.raises(ValueError, match="n_points|n_steps"):
             moser_relative_verify(w0, w1, **knobs)
 
     def test_no_zeros_in_patch(self):
@@ -382,12 +382,12 @@ class TestMoserGlobal:
             moser_global_verify(wt, bad, n_points=20)
 
     @pytest.mark.parametrize("knobs", [{"n_points": 0},
-                                       {"rk_step": Fraction(0)},
-                                       {"rk_step": Fraction(-1, 3)},
+                                       {"n_steps": 0},
+                                       {"n_steps": -3},
                                        {"n_points": 400_001}])
     def test_knobs_range_checked(self, knobs):
         _, wt, mut = global_family()
-        with pytest.raises(ValueError, match="n_points|rk_step"):
+        with pytest.raises(ValueError, match="n_points|n_steps"):
             moser_global_verify(wt, mut, **knobs)
 
     @pytest.mark.parametrize("factor", ["", "a*"])
@@ -629,11 +629,28 @@ def test_flow_batch_capped(dim, most):
     # the flow batch, each point with its 2*dim neighbours, holds at most
     # GRID_CAP points; a larger --points is refused before any work
     assert most * (1 + 2 * dim) <= se.GRID_CAP < (most + 1) * (1 + 2 * dim)
-    assert _flow_steps(most, RK_STEP, dim) == 256
+    _check_flow(most, N_STEPS, dim)
     with pytest.raises(ValueError, match=f"--points.* at most {most} "):
-        _flow_steps(most + 1, RK_STEP, dim)
+        _check_flow(most + 1, N_STEPS, dim)
     with pytest.raises(ValueError, match="--points"):
-        _flow_steps(10 ** 11, RK_STEP, dim)
+        _check_flow(10 ** 11, N_STEPS, dim)
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_flow_budget(dim):
+    # the largest batch runs N_STEPS steps and no more, and the benchmark's
+    # flows fit; at one sample point the most steps is the budget over the
+    # batch and STEP_OVERHEAD, and one more is refused naming --steps
+    most = se.GRID_CAP // (1 + 2 * dim)
+    _check_flow(most, N_STEPS, dim)
+    with pytest.raises(ValueError, match="--steps"):
+        _check_flow(most, N_STEPS + 1, dim)
+    _check_flow(4096 if dim == 2 else 1024, 256 if dim == 2 else 64, dim)
+    steps = FLOW_BUDGET // (1 + 2 * dim + STEP_OVERHEAD)
+    _check_flow(1, steps, dim)
+    for huge in (steps + 1, 10 ** 400):
+        with pytest.raises(ValueError, match=f"--steps.* at most {steps} "):
+            _check_flow(1, huge, dim)
 
 
 def family4():
@@ -664,12 +681,12 @@ class TestReportsUnchanged:
             "c8334cd08cd7d6883a0f5f5f5da16970234d7e715aa54050309a63b6cf496c86"),
         "relative_4d": (
             lambda: moser_relative_verify(*seeded_pair4(3), n_points=64,
-                                          rk_step=Fraction(1, 16)),
+                                          n_steps=16),
             "1.9735324485736783e-11", "0.0",
             "694f50d48821745db0f4394130a07371de88ff8d4dfc56a23685a4507e041453"),
         "global_4d": (
             lambda: moser_global_verify(*family4(), n_points=64,
-                                        rk_step=Fraction(1, 32)),
+                                        n_steps=32),
             "3.703637396768045e-11", "0.0",
             "988f486d74ee6bc5ebb8489675272eb37fd10482bb54966a2adda6a9108e6c14"),
     }
