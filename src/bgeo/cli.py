@@ -27,8 +27,8 @@ import warnings
 from . import serialize as ser
 from .cohomology import BettiData, b_betti, nonvanishing_witness, poisson_betti
 from .forms import GeometryError, nondegeneracy_check, transversality_check
-from .surface2d import classify_pair, extract_zero_set, modular_period, \
-    regularized_volume, surface_poisson_cohomology
+from .surface2d import classify_pair, radko_invariants, \
+    surface_poisson_cohomology
 from .symexpr import ExprError, grid_per_axis, to_string
 
 
@@ -97,21 +97,14 @@ def cmd_check(args):
 
 def cmd_invariants(args):
     S = ser.surface_from_dict(ser.load(args.input))
-    curves = extract_zero_set(S, grid=args.grid)
-    if not curves:
-        return _fail("defining function has no zeros: not a b-Poisson "
-                     "structure on this surface")
-    periods = sorted(modular_period(S, c) for c in curves)
-    vol, logc, series = regularized_volume(S, grid=args.grid,
-                                           tau_log=args.tol_log,
-                                           return_series=True)
+    r = radko_invariants(S, grid=args.grid, tau_log=args.tol_log)
     if args.emit_plot:
-        _write_csv(args.emit_plot, ("eps", "volume"), series)
+        _write_csv(args.emit_plot, ("eps", "volume"), r.diagnostics["series"])
     return _emit(_surface_grid({
-        "n": len(curves),
-        "periods": [float(p) for p in periods],
-        "volume": float(vol),
-        "log_coefficient": float(logc),
+        "n": r.n,
+        "periods": [float(p) for p in r.periods],
+        "volume": float(r.volume),
+        "log_coefficient": float(r.diagnostics["log_coefficient"]),
         "config": {"grid": args.grid, "tol_log": args.tol_log},
     }, args.grid))
 
@@ -174,13 +167,14 @@ def cmd_darboux(args):
     doc = {
         "ok": rep.ok,
         "max_residual": float(rep.max_residual),
-        "config": {"grid": args.grid, "seed": args.seed},
+        "config": {"seed": args.seed},
     }
-    if rep.change is not None:
+    if rep.change is not None:   # a 2-D patch, the only kind with a grid
         doc["forward"] = [to_string(e) for e in rep.change.forward]
         doc["jacobian_det"] = to_string(rep.change.jacobian_det)
         doc["target_names"] = list(rep.change.target.names)
-        _surface_grid(doc, args.grid)   # a change exists on 2-D patches only
+        doc["config"]["grid"] = args.grid
+        _surface_grid(doc, args.grid)
     _emit(doc)
     return 0 if rep.ok else 1
 
@@ -246,12 +240,16 @@ def _at_least(low):
 
 
 def _matches(pattern, rule):
-    return (lambda v: re.fullmatch(pattern, v) is not None), rule
+    return ((lambda v: re.fullmatch(pattern, v) is not None),
+            rule + ", each of at most %d digits" % _DIGITS)
 
 
 _NOT_NEGATIVE = (lambda v: math.isfinite(v) and v >= 0,
                  "finite and not negative")
-_INT = r"\s*[+-]?\d+\s*"
+# an entry, and any sum of fewer than 10^300 entries that a report prints,
+# stays within Python's limit of 4,300 digits on int/str conversion
+_DIGITS = 4000
+_INT = r"\s*[+-]?\d{1,%d}\s*" % _DIGITS
 _INTS = "%s(,%s)*" % (_INT, _INT)
 # the rule of every knob, by argparse dest: a test of its value and what the
 # error says the value must be (a grid needs two samples per axis to bracket

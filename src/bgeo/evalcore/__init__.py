@@ -14,7 +14,8 @@ Callers that need several expressions at the same points compile them as
 one list.  This is the library's only numeric evaluation path: every value
 a verdict rests on, down to `symexpr.eval_expr` at a single point, comes
 from `evaluate_tape`.  Poles and domain violations come back as inf/nan;
-each caller checks finiteness where it needs a number.
+a caller that needs numbers passes them through `finite`, the library's
+only check that raises on a non-finite value.
 
 `_solve_brackets` is the library's only root finder: a batched Illinois
 regula falsi with a bisection fallback that solves many sign-change
@@ -28,11 +29,13 @@ import numpy as np
 from ._tape import (OP_ABS, OP_ADD, OP_ADDC, OP_CONST, OP_COS, OP_EXP,
                     OP_LOG, OP_MUL, OP_MULC, OP_POWF, OP_POWI, OP_SIN, OP_VAR,
                     Tape, as_float, compile_tape)
+from ..symexpr import EvalDomainError
 
 # Recorded as `evalcore_kernel` in benchmark results; kept so they stay comparable.
 KERNEL_NAME = "python"
 
-__all__ = ["Tape", "as_float", "compile_tape", "evaluate_tape", "KERNEL_NAME"]
+__all__ = ["Tape", "as_float", "compile_tape", "evaluate_tape", "finite",
+           "KERNEL_NAME"]
 
 # a bracket at least halves every three solver steps: 200 take a chart-wide
 # bracket far below xtol = 1e-15
@@ -94,6 +97,15 @@ def evaluate_tape(tape, points):
     return stack[:tape.outputs]
 
 
+def finite(values):
+    """values as an array; EvalDomainError names the first non-finite one."""
+    values = np.asarray(values)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise EvalDomainError(f"non-finite value {values[bad][0]}")
+    return values
+
+
 def _solve_brackets(f, a, b, fa, fb, xtol):
     """Roots of f in the brackets [a, b], a < b, whose end values fa and fb
     have opposite signs, all solved together.  f(x, k) gives the values at
@@ -122,8 +134,8 @@ def _solve_brackets(f, a, b, fa, fb, xtol):
         bisect = ~((x > a) & (x < b)) | (w > 0.5 * w2)
         x = np.where(bisect, 0.5 * (a + b), x)
         fx = f(x, k)
-        finite = np.isfinite(fx)
-        root[k[~finite]] = np.nan
+        real = np.isfinite(fx)
+        root[k[~real]] = np.nan
         root[k[fx == 0]] = x[fx == 0]
         left = np.sign(fx) == np.sign(fa)   # x replaces a, b is kept
         mb = np.where(left, np.where(kept == 1, 0.5 * mb, mb), 1.0)
@@ -131,7 +143,7 @@ def _solve_brackets(f, a, b, fa, fb, xtol):
         a, fa = np.where(left, x, a), np.where(left, fx, fa)
         b, fb = np.where(left, b, x), np.where(left, fb, fx)
         kept = np.where(left, 1, -1)
-        live = finite & (fx != 0)
+        live = real & (fx != 0)
         k, a, b, fa, fb, ma, mb, kept, w1, w2 = (
             v[live] for v in (k, a, b, fa, fb, ma, mb, kept, w, w1))
     root[k] = np.where(np.abs(fa) <= np.abs(fb), a, b)

@@ -17,7 +17,8 @@ alone (the whole expression, or the argument of a function) is still a
 row, OP_CONST.
 
 Non-finite values (poles, log of a non-positive number) propagate as
-inf/nan in the output; callers mask them instead of catching exceptions.
+inf/nan in the output; a caller either masks them or, where it needs
+numbers, passes them through `bgeo.evalcore.finite`.
 An exact constant too large for a float, or an integer exponent past the
 int32 range, cannot be compiled: compile_tape raises ExprError.
 """

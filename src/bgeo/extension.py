@@ -28,9 +28,10 @@ from .forms import (
     form_equiv,
     nondegeneracy_check,
     restrict_to_Z,
+    vanishes,
     wedge,
 )
-from .symexpr import Patch, expr_equiv, num, parse_expr
+from .symexpr import Patch, num, parse_expr
 
 ZERO = se.num(0)
 
@@ -69,11 +70,6 @@ class DefiningFormsReport:
                 and self.omega_closed and self.top_nonvanishing)
 
 
-def _form_is_closed(form):
-    d = d_smooth(form)
-    return all(expr_equiv(c, ZERO, form.patch) for c in d.comps.values())
-
-
 def leaf_volume_form(data: HypersurfaceData) -> SmoothForm:
     """alpha ^ omega^(n-1), a top-degree form on the hypersurface."""
     power = data.alpha
@@ -107,8 +103,8 @@ def check_defining_forms(data: HypersurfaceData) -> DefiningFormsReport:
         detail["top_min_abs"] = vmin
     return DefiningFormsReport(
         alpha_nonvanishing=alpha_nv,
-        alpha_closed=_form_is_closed(data.alpha),
-        omega_closed=_form_is_closed(data.omega),
+        alpha_closed=vanishes(d_smooth(data.alpha)),
+        omega_closed=vanishes(d_smooth(data.omega)),
         top_nonvanishing=top_nv,
         detail=detail)
 
@@ -152,10 +148,7 @@ def build_extension(data: HypersurfaceData, eps=1.0, tname="t",
     provenance = {"defining_forms": report}
     # closedness of the model
     d = d_bform(omega_t)
-    closed = (all(expr_equiv(c, ZERO, product) for c in d.alpha.comps.values())
-              and all(expr_equiv(c, ZERO, product)
-                      for c in d.beta.comps.values()))
-    if not closed:
+    if not (vanishes(d.alpha) and vanishes(d.beta)):
         raise GeometryError("extension model is not closed")
     provenance["closed"] = True
     verdict, detail = nondegeneracy_check(omega_t, grid=grid)

@@ -8,6 +8,8 @@ Everything downstream (restriction to Z, smoothness tests, nondegeneracy,
 duality with bivectors) is phrased in terms of that decomposition.
 Numeric checks evaluate every declared parameter at 1.0: _chart_range
 scans grids, _with_params gives point sets their parameter columns.
+`vanishes` is the library's one test that a smooth form is zero, and a
+value that must be a number passes through `evalcore.finite`.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ import numpy as np
 
 from . import symexpr as se
 from ._poly import poly_const, poly_quotient, rat_add, rat_mul
-from .evalcore import _solve_brackets, compile_tape, evaluate_tape
+from .evalcore import _solve_brackets, compile_tape, evaluate_tape, finite
 from .symexpr import (
     ZERO,
-    EvalDomainError,
     Expr,
     ExprError,
     Num,
@@ -38,7 +39,7 @@ __all__ = [
     "SmoothForm", "BForm", "BBivector", "RestrictionPair", "ZComponent",
     "smooth_form", "wedge", "d_smooth", "d_bform", "bwedge",
     "interior_product", "pullback_to_level",
-    "find_z_components", "restrict_to_Z", "is_smooth",
+    "find_z_components", "restrict_to_Z", "is_smooth", "vanishes",
     "top_coefficient", "nondegeneracy_check", "transversality_check",
     "dualize", "bivector_to_bform", "form_equiv", "bform_equiv",
     "GeometryError",
@@ -212,6 +213,12 @@ def pullback_to_level(a, zname, value):
     return SmoothForm(sub_patch, a.degree, out)
 
 
+def vanishes(form):
+    """Whether every component of a smooth form is zero by expr_equiv at
+    its default tolerance, decided in key order up to the first that is not."""
+    return all(expr_equiv(c, ZERO, form.patch) for c in form.comps.values())
+
+
 def form_equiv(a, b, tol=1e-9):
     """Componentwise semidecidable equality of smooth forms."""
     _check_compatible(a, b)
@@ -373,10 +380,7 @@ def find_z_components(bform):
         return _with_params(patch, pts)
 
     def f_at(z):
-        v = evaluate_tape(ftape, probe(z))
-        if not np.isfinite(v).all():
-            raise EvalDomainError(f"non-finite value {v[~np.isfinite(v)][0]}")
-        return v
+        return finite(evaluate_tape(ftape, probe(z)))
 
     ftape = _chart_tape(bform.f, patch)
     zs = np.linspace(a, b, 2048, endpoint=period is None)
@@ -427,12 +431,10 @@ def find_z_components(bform):
     for r in roots:
         if not any(abs(r - q) < 1e-8 for q in kept):
             kept.append(r)
-    fzs = evaluate_tape(_chart_tape(diff_expr(bform.f, zname), patch),
-                        probe(kept))
+    fzs = finite(evaluate_tape(_chart_tape(diff_expr(bform.f, zname), patch),
+                               probe(kept)))
     out = []
     for r, fz in zip(kept, fzs):
-        if not np.isfinite(fz):
-            raise EvalDomainError(f"non-finite value {fz}")
         if abs(fz) < 1e-8:
             raise GeometryError(
                 f"degenerate zero of the defining function at {zname}={r:.6g}")
@@ -497,12 +499,8 @@ def is_smooth(bform):
     equivalent SmoothForm when alpha/f divides exactly; True with None when
     the restriction vanishes but no exact quotient was found (smooth, but
     only semidecided symbolically); False with None otherwise."""
-    pairs = restrict_to_Z(bform)
-    for pair in pairs:
-        if not pair.alpha_tilde.is_zero():
-            if not all(expr_equiv(c, ZERO, pair.alpha_tilde.patch)
-                       for c in pair.alpha_tilde.comps.values()):
-                return False, None
+    if not all(vanishes(pair.alpha_tilde) for pair in restrict_to_Z(bform)):
+        return False, None
     # try the exact quotient alpha/f
     quotient = {}
     for key, c in bform.alpha.comps.items():

@@ -22,7 +22,9 @@ statements run one collar loop, _collar_flow, and differ only in their
 input checks, collar radius, engine and tangency defect (the velocity, or
 df.v for a family).  Declared parameters are 1.0 (forms._chart_range on
 grids, forms._with_params on every batch the flow reads), except a
-family's time TIME.
+family's time TIME.  Each symbolic hypothesis is a forms.vanishes, f is
+factored at a component once (_factor_at), and a non-finite residual or
+tangency value raises EvalDomainError (evalcore.finite).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import symexpr as se
-from .evalcore import as_float, evaluate_tape
+from .evalcore import as_float, evaluate_tape, finite
 from .forms import (
     BForm,
     GeometryError,
@@ -50,6 +52,7 @@ from .forms import (
     is_smooth,
     restrict_to_Z,
     top_coefficient,
+    vanishes,
 )
 from .symexpr import (
     EquivalenceInconclusive,
@@ -168,7 +171,6 @@ class DarbouxReport:
     ok: bool
     max_residual: float
     change: CoordinateChange = None
-    detail: str = ""
 
 
 def _standard_model(patch, zname):
@@ -194,35 +196,30 @@ def _standard_model(patch, zname):
 def darboux_verify(omega: BForm, point=None, grid=64, seed=0) -> DarbouxReport:
     """Residual of omega against its flat model near a point of Z.
 
-    Dimension 2 is constructive (via darboux2d); higher dimensions compare
-    coefficient matrices in the singular coframe against the standard model
-    at N_SAMPLE sampled points, in a box of a tenth of the patch about
-    `point` when one is given.
+    Dimension 2 is constructive (via darboux2d): the residual is dt/dy - g.
+    Higher dimensions compare coefficient matrices in the singular coframe
+    against the standard model.  Either residual is sampled at N_SAMPLE
+    points, in a box of a tenth of the patch about `point` when one is
+    given, and a non-finite value there raises EvalDomainError.
     """
     patch = omega.patch
     rng = np.random.default_rng(seed)
     pts = _with_params(patch, _sample_box(patch, point, rng))
     if patch.dim == 2:
         change = darboux2d(omega, grid=grid)
-        zname = omega.zname
-        yname = next(n for n in patch.names if n != zname)
-        g = omega.b_coefficient(zname, yname)
-        resid = se.sub(diff_expr(change.forward[1], yname), g)
-        vals = evaluate_tape(_chart_tape(resid, patch), pts)
-        r = float(np.max(np.abs(vals[np.isfinite(vals)])))
-        return DarbouxReport(ok=r < 1e-9, max_residual=r, change=change)
-    model = _standard_model(patch, omega.zname)
-    W = b_matrix(omega)
-    Wm = b_matrix(model)
-    m = patch.dim
-    diffs = [se.sub(W[i][j], Wm[i][j]) for i in range(m)
-             for j in range(i + 1, m)]
-    vals = evaluate_tape(_chart_tape(
-        [d for d in diffs if not is_zero(d)], patch), pts)
-    vals = vals[np.isfinite(vals)]
+        yname = next(n for n in patch.names if n != omega.zname)
+        resid = [se.sub(change.jacobian_det,   # dt/dy
+                        omega.b_coefficient(omega.zname, yname))]
+    else:
+        change = None
+        W = b_matrix(omega)
+        Wm = b_matrix(_standard_model(patch, omega.zname))
+        resid = [se.sub(W[i][j], Wm[i][j]) for i in range(patch.dim)
+                 for j in range(i + 1, patch.dim)]
+    vals = finite(evaluate_tape(_chart_tape(
+        [d for d in resid if not is_zero(d)], patch), pts))
     worst = float(np.max(np.abs(vals))) if vals.size else 0.0
-    return DarbouxReport(ok=worst < 1e-9, max_residual=worst,
-                         detail="compared against the standard model")
+    return DarbouxReport(ok=worst < 1e-9, max_residual=worst, change=change)
 
 
 def _sample_box(patch, point, rng):
@@ -611,14 +608,10 @@ def _shrink_collar(omega0, omega1, comp):
 
 
 def _restrictions_agree(omega0, omega1, components):
-    p0 = restrict_to_Z(omega0, components)
-    p1 = restrict_to_Z(omega1, components)
-    for a, b in zip(p0, p1):
-        for da in (a.alpha_tilde - b.alpha_tilde, a.beta_tilde - b.beta_tilde):
-            for coef in da.comps.values():
-                if not expr_equiv(coef, ZERO, da.patch):
-                    return False
-    return True
+    return all(vanishes(a.alpha_tilde - b.alpha_tilde)
+               and vanishes(a.beta_tilde - b.beta_tilde)
+               for a, b in zip(restrict_to_Z(omega0, components),
+                               restrict_to_Z(omega1, components)))
 
 
 def _check_flow(n_points, n_steps, dim):
@@ -648,26 +641,27 @@ def _collar_flow(engine, comp, r, n_points, n_steps, tangency):
     """The flow of one component of Z on its collar of radius r: the
     n_points Halton collar points, the largest |tangency(p, t)| over the
     same points moved onto Z at t = 0, 1/2 and 1, and the per-point
-    pullback residual of the n_steps-step flow."""
+    pullback residual of the n_steps-step flow.  A non-finite tangency
+    value or residual raises EvalDomainError."""
     zi = engine.zi
     pts = _halton_collar(engine.patch, zi, comp.value - r, comp.value + r,
                          n_points)
     on_Z = pts.copy()
     on_Z[:, zi] = comp.value
-    worst = max([0.0] + [float(np.max(np.abs(tangency(on_Z, t))))
-                         for t in (0.0, 0.5, 1.0)])
-    return pts, worst, engine.pullback_residual(pts, n_steps)
+    worst = max(float(np.max(np.abs(finite(tangency(on_Z, t)))))
+                for t in (0.0, 0.5, 1.0))
+    return pts, worst, finite(engine.pullback_residual(pts, n_steps))
 
 
 def _moser_report(flows, n_steps, **fields):
-    """The MoserReport of the components' _collar_flow results; its maxima
-    fold from 0.0, as a running max over the components would."""
+    """The MoserReport of the components' _collar_flow results, whose
+    values are finite (_collar_flow) and not negative."""
     if not flows:
         raise GeometryError("defining function has no zeros in the patch")
     pts, tangency, resid = zip(*flows)
     return MoserReport(
-        max_residual=max([0.0] + [float(np.max(r)) for r in resid]),
-        v_on_Z_max=max((0.0,) + tangency), steps=n_steps,
+        max_residual=max(float(np.max(r)) for r in resid),
+        v_on_Z_max=max(tangency), steps=n_steps,
         residuals=np.concatenate(resid), sample_points=np.concatenate(pts),
         **fields)
 
@@ -710,7 +704,6 @@ def moser_relative_verify(omega0: BForm, omega1: BForm, n_points=N_SAMPLE,
     """
     _check_flow(n_points, n_steps, omega0.patch.dim)
     omega0._check(omega1)
-    patch = omega0.patch
     zname = omega0.zname
     components = find_z_components(omega0)
     if not _restrictions_agree(omega0, omega1, components):
@@ -721,10 +714,9 @@ def moser_relative_verify(omega0: BForm, omega1: BForm, n_points=N_SAMPLE,
     if not smooth_ok:
         raise GeometryError("difference form is not smooth across the "
                             "hypersurface (inconsistent input)")
-    for coef in d_smooth(delta_s).comps.values():
-        if not expr_equiv(coef, ZERO, patch):
-            raise GeometryError("difference of the two forms is not closed; "
-                                "inputs are not both symplectic")
+    if not vanishes(d_smooth(delta_s)):
+        raise GeometryError("difference of the two forms is not closed; "
+                            "inputs are not both symplectic")
 
     flows = []
     halvings_used, radius_used = 0, np.inf
@@ -733,9 +725,12 @@ def moser_relative_verify(omega0: BForm, omega1: BForm, n_points=N_SAMPLE,
         r, halvings = _shrink_collar(omega0, omega1, comp)
         halvings_used = max(halvings_used, halvings)
         radius_used = min(radius_used, r)
-        cval = _snap_root(omega0.f, zname, comp.value)
+        cval, h = _factor_at(omega0.f, zname, comp.value)
         rho, core = _collar_primitive(delta_s, zname, cval)
-        mu = _divide_by_f(core, omega0.f, zname, cval)
+        if h is None:
+            raise GeometryError("cannot factor the defining function at the "
+                                "component; mu = rho/f not certified smooth")
+        mu = core.map_coefficients(lambda a: se.div(a, h))   # rho/f
         engine = _relative_engine(omega0, omega1, rho)
         # tangency: the velocity itself vanishes on the level set
         flows.append(_collar_flow(engine, comp, r, n_points, n_steps,
@@ -755,26 +750,17 @@ def _smooth_difference(delta: BForm):
     return True, smooth
 
 
-def _snap_root(f, zname, c):
-    """The nearby exact rational of a numerically found root, as a Fraction,
-    when the defining function divides exactly there; otherwise the float."""
+def _factor_at(f, zname, c):
+    """(level, h) with f = (z - level) * h at a component found at c: level
+    is the nearby exact rational, as a Fraction, when f divides exactly
+    there, otherwise c itself; h is None when f does not divide by
+    z - level.  Each candidate level is divided once."""
     cand = Fraction(c).limit_denominator(10 ** 6)
     if abs(float(cand) - c) < 1e-9:
-        if divide_exact(f, se.sub(se.sym(zname), Num(cand))) is not None:
-            return cand
-    return c
-
-
-def _divide_by_f(core: SmoothForm, f, zname, c):
-    """mu = rho / f for rho = (z - c) * core: factor f = (z - c) * h with h
-    nonvanishing near the component, so mu = core / h is smooth."""
-    zdisp = se.sub(se.sym(zname), se._coerce(c))
-    h = divide_exact(f, zdisp)
-    if h is None:
-        raise GeometryError("cannot factor the defining function at the "
-                            "component; mu = rho/f not certified smooth")
-    return SmoothForm(core.patch, core.degree,
-                      {key: se.div(a, h) for key, a in core.comps.items()})
+        h = divide_exact(f, se.sub(se.sym(zname), Num(cand)))
+        if h is not None:
+            return cand, h
+    return c, divide_exact(f, se.sub(se.sym(zname), se._coerce(c)))
 
 
 def _global_engine(omega_t, mu_t):
@@ -814,12 +800,9 @@ def moser_global_verify(omega_t: BForm, mu_t: BForm, n_points=N_SAMPLE,
                 omega_t.alpha.map_coefficients(lambda e: diff_expr(e, TIME)),
                 omega_t.beta.map_coefficients(lambda e: diff_expr(e, TIME)),
                 omega_t.f, omega_t.zname)
-    for pair in ((dmu.alpha, dot.alpha), (dmu.beta, dot.beta)):
-        diff = pair[0] - pair[1]
-        for coef in diff.comps.values():
-            if not expr_equiv(coef, ZERO, patch):
-                raise GeometryError("d(mu_t) != d/dt omega_t; the family is "
-                                    "not certified isotopic")
+    if not (vanishes(dmu.alpha - dot.alpha) and vanishes(dmu.beta - dot.beta)):
+        raise GeometryError("d(mu_t) != d/dt omega_t; the family is not "
+                            "certified isotopic")
 
     components = find_z_components(omega_t)
     # nondegeneracy of the family across the time grid

@@ -11,10 +11,11 @@ chosen so the asymmetric sphere model comes out positive.
 Numerics: every value comes from compiled tapes evaluated over point
 arrays, and no scipy routine runs here; the modular field's two components
 and the gradient of P are each one two-output tape.  The marching-squares
-value grid is evaluated in the blocks of `symexpr.grid_blocks`, every other
-point set in calls of at most `_CHUNK` points.  That grid and the volume's
-lines along axis 2 have at most `symexpr.grid_per_axis(grid, 2)` points
-per axis.
+value grid is evaluated in the blocks of `symexpr.grid_blocks`, the curve
+vertices' brackets in one call per sweep, every other point set by
+`_evaluate` in calls of at most `_CHUNK` points.  That grid and the
+volume's lines along axis 2 have at most `symexpr.grid_per_axis(grid, 2)`
+points per axis.
 Roots along chart lines, the strip edges of the volume cut-off and the
 refined curve vertices are each solved together by the library's one
 bracketed solver, `evalcore._solve_brackets` (Illinois regula falsi with a
@@ -22,7 +23,7 @@ bisection fallback); the strip edges of all nine eps-levels of the volume
 share one call.  The volume integrates every strip by composite 8-point
 Gauss-Legendre on panels between the uniform nodes, graded geometrically
 toward every strip edge.  A non-finite value where a number is needed
-raises `EvalDomainError`.
+raises `EvalDomainError` (`_evaluate` calls `evalcore.finite`).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import symexpr as se
-from .evalcore import _solve_brackets, compile_tape, evaluate_tape
+from .evalcore import _solve_brackets, compile_tape, evaluate_tape, finite
 from .forms import GeometryError
 from .symexpr import Patch, diff_expr, mul, parse_expr
 
@@ -74,20 +75,17 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _evaluate(tape, x1, x2, strict=True):
+def _evaluate(tape, x1, x2):
     """Tape values at the points (x1, x2), broadcast and flattened, in calls
     of at most _CHUNK points: shape (n,), or (k, n) for a tape of k
-    expressions.  With strict, a non-finite value raises EvalDomainError."""
+    expressions.  A non-finite value raises EvalDomainError."""
     pts = np.empty(np.broadcast_shapes(np.shape(x1), np.shape(x2)) + (2,))
     pts[..., 0], pts[..., 1] = x1, x2
     pts = pts.reshape(-1, 2)
     parts = [evaluate_tape(tape, pts[s:s + _CHUNK])
              for s in range(0, max(len(pts), 1), _CHUNK)]
-    out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
-    if strict and not np.isfinite(out).all():
-        bad = out[~np.isfinite(out)][0]
-        raise se.EvalDomainError(f"non-finite value {bad}")
-    return out
+    return finite(parts[0] if len(parts) == 1
+                  else np.concatenate(parts, axis=-1))
 
 
 def sphere_patch():
@@ -280,21 +278,21 @@ def _refine_curve(S, pts):
     def along(v, k):
         moved = out[k].copy()
         moved[np.arange(len(k)), axis[k]] = v
-        return _evaluate(tape, moved[:, 0], moved[:, 1], strict=False)
+        return evaluate_tape(tape, moved)
 
     k = np.arange(len(out))
     v0 = out[k, axis]
     h = np.full(k.size, 1e-2)
     fa, fb = along(v0 - h, k), along(v0 + h, k)
     while True:
-        finite = np.isfinite(fa) & np.isfinite(fb)
-        grow = np.flatnonzero(finite & (fa * fb > 0) & (h < 0.3))
+        real = np.isfinite(fa) & np.isfinite(fb)
+        grow = np.flatnonzero(real & (fa * fb > 0) & (h < 0.3))
         if not grow.size:
             break
         h[grow] *= 2
         fa[grow] = along(v0[grow] - h[grow], k[grow])
         fb[grow] = along(v0[grow] + h[grow], k[grow])
-    ok = finite & (fa * fb <= 0)
+    ok = real & (fa * fb <= 0)
     k, v0, h, fa, fb = k[ok], v0[ok], h[ok], fa[ok], fb[ok]
     root = np.where(fa == 0, v0 - h, v0 + h)
     o = np.flatnonzero((fa != 0) & (fb != 0))
@@ -410,17 +408,17 @@ def _strip_edges(gate_abs, mesh, m_line, eps_list):
             zip(levels, np.split(edges, np.cumsum(sizes)[:-1]))]
 
 
-def regularized_volume(S, grid=64, tau_log=1e-4, cutoff_factor=None,
-                       return_series=False):
+def regularized_volume(S, grid=64, tau_log=1e-4, cutoff_factor=None):
     """Principal-value volume of the dual singular area form.
 
     V(eps) integrates orientation * (1/P) over {|P| > eps} (sign fixed so
     the asymmetric sphere model is positive); the sequence 1e-2, 1e-2/2,
-    ..., 1e-2/2^8 is fitted against c*log(eps) + V0 and V0 returned when
-    |c| < tau_log.  The lines along axis 2 number at most
-    se.grid_per_axis(grid, 2).  The strip {|P * cutoff_factor| > eps}
-    (|P| > eps without a factor) is cut at edges solved for every level in
-    one call (_strip_edges), before any level is integrated."""
+    ..., 1e-2/2^8 is fitted against c*log(eps) + V0, and (V0, c, series)
+    returned when |c| < tau_log, series the (eps, V(eps)) pairs.  The lines
+    along axis 2 number at most se.grid_per_axis(grid, 2).  The strip
+    {|P * cutoff_factor| > eps} (|P| > eps without a factor) is cut at edges
+    solved for every level in one call (_strip_edges), before any level is
+    integrated."""
     patch = S.patch
     names = patch.names
     (lo1, hi1), (lo2, hi2) = patch.intervals
@@ -527,27 +525,25 @@ def regularized_volume(S, grid=64, tau_log=1e-4, cutoff_factor=None,
         raise GeometryError(
             f"regularized volume does not converge: log coefficient "
             f"{c:.3e} >= {tau_log:g}")
-    if return_series:
-        return float(v0), float(c), list(zip(eps_list, series))
-    return float(v0), float(c)
+    return float(v0), float(c), list(zip(eps_list, series))
 
 
 # ---------------------------------------------------------------------------
 # invariants and classification
 
 
-def radko_invariants(S, grid=64):
+def radko_invariants(S, grid=64, tau_log=1e-4):
+    """Curve count, sorted modular periods and regularized volume, with the
+    volume fit's log coefficient and (eps, V(eps)) series as diagnostics."""
     curves = extract_zero_set(S, grid=grid)
     if not curves:
-        raise GeometryError(
-            "Poisson coefficient has no zeros: not a b-type structure "
-            "on this surface")
+        raise GeometryError("defining function has no zeros: not a "
+                            "b-Poisson structure on this surface")
     periods = sorted(modular_period(S, c) for c in curves)
-    vol, logc = regularized_volume(S, grid=grid)
+    vol, logc, series = regularized_volume(S, grid=grid, tau_log=tau_log)
     return RadkoInvariants(
         n=len(curves), periods=tuple(periods), volume=vol,
-        diagnostics={"log_coefficient": logc, "grid": grid,
-                     "curve_lengths": [c.length for c in curves]})
+        diagnostics={"log_coefficient": logc, "series": series})
 
 
 def classify_pair(S1, S2, tol=1e-4, grid=64):

@@ -48,8 +48,8 @@ tree or a verdict:
 
 Numbers come from one path, the tapes of ``bgeo.evalcore``: sampled
 equivalence evaluates both sides, as one two-output tape, on blocks of
-candidate points and skips the non-finite ones, and ``eval_expr`` is a one-point tape call that
-raises EvalDomainError where the tape gives inf or nan.
+candidate points and skips the non-finite ones, and ``eval_expr`` is a
+one-point tape call that raises EvalDomainError where it gives inf or nan.
 """
 
 from __future__ import annotations
@@ -852,7 +852,7 @@ def eval_expr(e, point):
     one-point tape call.  Raises EvalDomainError on poles, non-finite
     results and unbound symbols instead of returning them."""
     # imported here: bgeo.evalcore._tape imports this module
-    from .evalcore import compile_tape, evaluate_tape
+    from .evalcore import compile_tape, evaluate_tape, finite
 
     env = dict(point)
     try:
@@ -860,10 +860,8 @@ def eval_expr(e, point):
     except KeyError:
         unbound = sorted(free_symbols(e) - env.keys())
         raise EvalDomainError(f"unbound symbol '{unbound[0]}'") from None
-    v = float(evaluate_tape(tape, [[float(x) for x in env.values()]])[0])
-    if not math.isfinite(v):
-        raise EvalDomainError(f"non-finite value {v}")
-    return v
+    pts = [[float(x) for x in env.values()]]
+    return float(finite(evaluate_tape(tape, pts))[0])
 
 
 # ---------------------------------------------------------------------------

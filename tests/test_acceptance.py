@@ -60,7 +60,7 @@ def test_sphere_invariants():
         S = make_surface("sphere", "h")
         curves = extract_zero_set(S, grid=64)
         period = modular_period(S, curves[0])
-        vol, logc = regularized_volume(S, grid=64)
+        vol, logc, _ = regularized_volume(S, grid=64)
     ok = (len(curves) == 1
           and abs(period - 2 * math.pi) < 1e-6
           and abs(vol) < 1e-6
@@ -85,7 +85,7 @@ def test_scaled_sphere_classified():
 
 def test_asymmetric_sphere_volume():
     S = make_surface("sphere", "h*(2+h)/2")
-    vol, logc = regularized_volume(S, grid=64)
+    vol, logc, _ = regularized_volume(S, grid=64)
     target = 2 * math.pi * math.log(3.0)
     ok = abs(vol - target) < 1e-4 and abs(logc) < 1e-4
     _announce("asymmetric sphere (volume 2pi*log3, finite limit)", ok,

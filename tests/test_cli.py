@@ -217,6 +217,11 @@ class TestCohomology:
         ["--betti-m", "1,0,1", "--betti-z", "1,a"],
         ["--betti-m", "1,0,1", "--betti-z", "1,1;;1,1"],
         ["--betti-m", "1,0,1", "--betti-z", ""],
+        # past 4000 digits: int() refused 5000 ones, and str() the n + 1 of
+        # 4300 nines, in errors that did not name the flag
+        ["--surface", "1," + "1" * 5000], ["--surface", "0," + "9" * 4300],
+        ["--betti-m", "1," + "1" * 5000 + ",1"],
+        ["--betti-m", "1,0,1", "--betti-z", "1," + "9" * 4001],
     ])
     def test_list_knob_names_its_flag(self, capsys, argv):
         from bgeo import cli
@@ -226,6 +231,20 @@ class TestCohomology:
         doc = json.loads(out)
         assert set(doc) == {"schema", "error"} and err == ""
         assert doc["error"].startswith(argv[-2] + " must be")
+
+    def test_longest_integers_print(self, capsys):
+        # 4000 digits is the most a list-knob entry may have
+        from bgeo import cli
+
+        n = 10 ** 4000 - 1
+        assert cli.main(["cohomology", "--surface", "%d,%d" % (n, n)]) == 0
+        assert json.loads(capsys.readouterr().out)["b_betti"] == [
+            1, 3 * n, n + 1]
+        m = ",".join([str(n)] * 3)
+        assert cli.main(["cohomology", "--betti-m", m,
+                         "--betti-z", ";".join([str(n) + ",1"] * 20)]) == 0
+        assert json.loads(capsys.readouterr().out)["b_betti"] == [
+            n, 21 * n, n + 20]
 
     def test_surface_huge_curve_count(self, capsys):
         from bgeo import cli
@@ -355,6 +374,51 @@ class TestDarboux:
         assert set(doc) == {"schema", "error"} and err == ""
         assert "--seed" in doc["error"] and "-5" in doc["error"]
 
+    @staticmethod
+    def _darboux_out(capsys, path, *extra):
+        from bgeo import cli
+
+        code = cli.main(["darboux", str(path)] + list(extra))
+        out, err = capsys.readouterr()
+        assert err == ""
+        return code, out
+
+    @pytest.mark.parametrize("names, f, alpha, beta", [
+        # 2-D: dt/dy - g is nan for z1 < -1/2, where g is
+        (("z1", "z2"), "z1", {"1": "-(3 + sin(z2^2) + (z1 + 1/2)^(1/2))"},
+         {}),
+        # 4-D: the beta entry is the log of a negative number everywhere
+        (("x1", "y1", "x2", "y2"), "x1", {"1": "1"},
+         {"2,3": "1 + log(-1 - x2^2)"}),
+    ], ids=["2d", "4d"])
+    def test_non_finite_residual(self, tmp_path, capsys, names, f, alpha,
+                                 beta):
+        # the residuals were masked: ok true with max_residual over the
+        # finite ones only (0.0 in 4-D, where none is finite)
+        doc = {"schema": "bgeo/1", "kind": "bform", "degree": 2,
+               "zcoord": f, "f": f,
+               "patch": {"names": list(names),
+                         "intervals": [[-1, 1]] * len(names)},
+               "alpha": alpha, "beta": beta}
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(doc))
+        code, out = self._darboux_out(capsys, path)
+        assert code == 1
+        assert json.loads(out)["error"] == "non-finite value nan"
+
+    def test_no_grid_above_two_dimensions(self, tmp_path, capsys):
+        # no grid is sampled on a 4-D patch: the report does not list one
+        doc = {"schema": "bgeo/1", "kind": "bform", "degree": 2,
+               "zcoord": "x1", "f": "x1",
+               "patch": {"names": ["x1", "y1", "x2", "y2"],
+                         "intervals": [[-1, 1]] * 4},
+               "alpha": {"1": "1"}, "beta": {"2,3": "1 + x2*y1/4"}}
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(doc))
+        code, out = self._darboux_out(capsys, path, "--grid", "8")
+        assert (code, out) == self._darboux_out(capsys, path, "--grid", "64")
+        assert code == 1 and json.loads(out)["config"] == {"seed": 0}
+
     def test_declared_parameter(self, tmp_path):
         # declared parameters take the value 1.0 in the grid checks
         doc = {"schema": "bgeo/1", "kind": "bform", "degree": 2,
@@ -430,6 +494,19 @@ class TestMoser:
                                     f="y - 1/2")
         doc = json.loads(out)
         assert code == 0 and doc["ok"] and doc["collar_radius"] == 0.25
+
+    def test_non_finite_residual(self, capsys, tmp_path):
+        # 12 of the 50 residuals are nan: the report said ok true with
+        # max_residual 0.0, as max([0.0, nan]) is 0.0
+        from bgeo import cli
+
+        p0 = bform_doc(tmp_path, "w0.json", {"0": "1"}, {})
+        p1 = bform_doc(tmp_path, "w1.json", {"0": "1"},
+                       {"0,1": "y*log(x + 1/2)"})
+        code = cli.main(["moser", p0, p1, "--points", "50", "--steps", "32"])
+        out, err = capsys.readouterr()
+        assert code == 1 and err == ""
+        assert json.loads(out)["error"] == "non-finite value nan"
 
     def test_no_zeros_in_patch(self, capsys, tmp_path):
         code, out = self._moser_out(capsys, tmp_path, "y/4",

@@ -78,6 +78,43 @@ def test_one_chart_scan():
         assert uses == expected.get(path.name, []), path
 
 
+def non_finite_messages(tree):
+    """The innermost enclosing function ("" at module level) of each
+    string, plain or part of an f-string, that holds "non-finite value";
+    docstrings are exempt."""
+    docs = {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))
+            and ast.get_docstring(node, clean=False) is not None}
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Constant) and id(child) not in docs
+                    and "non-finite value" in str(child.value)):
+                found.append(func)
+            visit(child, func)
+
+    visit(tree, "")
+    return found
+
+
+def test_one_finite_check():
+    """Only evalcore.finite builds the "non-finite value" EvalDomainError;
+    every other caller that needs numbers passes them through it."""
+    snippet = ('def f(v):\n    """non-finite value"""\n'
+               '    raise E(f"non-finite value {v}")\n'
+               'def g(v):\n    m = "non-finite value %s" % v\n')
+    assert non_finite_messages(ast.parse(snippet)) == ["f", "g"]
+    for path in MODULES:
+        uses = non_finite_messages(ast.parse(path.read_text()))
+        helper = path == SRC / "evalcore" / "__init__.py"
+        assert uses == (["finite"] if helper else []), path
+
+
 def test_no_renormalising():
     """Constructor output is canonical: no module but symexpr uses
     normalize, and symexpr only in the recursion of normalize itself."""
@@ -178,4 +215,4 @@ def test_every_optional_parameter_is_set():
     callers = [ast.parse(p.read_text()) for p in CALLERS]
     assert unset_parameters(library, callers) == []
     # the guard's own count: 75 before these defaults became constants
-    assert sum(len(optional_parameters(t)) for t in library) <= 52
+    assert sum(len(optional_parameters(t)) for t in library) <= 50

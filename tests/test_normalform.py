@@ -26,12 +26,12 @@ from bgeo.normalform import (
     STEP_OVERHEAD,
     _check_flow,
     _collar_primitive,
+    _factor_at,
     _global_engine,
     _halton,
     _halton_collar,
     _relative_engine,
     _smooth_difference,
-    _snap_root,
     _solve_antisymmetric,
     _standard_model,
     darboux2d,
@@ -539,7 +539,7 @@ def dense_global_velocity(wt, mut):
 def relative_primitive(w0, w1):
     """rho as moser_relative_verify builds it for the first component."""
     comp = find_z_components(w0)[0]
-    cval = _snap_root(w0.f, w0.zname, comp.value)
+    cval, _ = _factor_at(w0.f, w0.zname, comp.value)
     _, delta = _smooth_difference(w0 - w1)
     return _collar_primitive(delta, w0.zname, cval)[0]
 

@@ -199,18 +199,18 @@ class TestPeriods:
 
 class TestVolume:
     def test_sphere_odd_symmetry(self):
-        v, c = regularized_volume(make_surface("sphere", "h"))
+        v, c, _ = regularized_volume(make_surface("sphere", "h"))
         assert abs(v) < 1e-6 and abs(c) < 1e-4
 
     def test_torus_odd_symmetry(self):
-        v, c = regularized_volume(make_surface("torus", "sin(t1)"))
+        v, c, _ = regularized_volume(make_surface("torus", "sin(t1)"))
         assert abs(v) < 1e-6 and abs(c) < 1e-4
 
     def test_asymmetric_sphere_against_pv_oracle(self):
         # oracle: 2/(h(2+h)) = 1/h - 1/(h+2); PV of 1/h over [-1,1] is 0,
         # so the volume is -2*pi*(-log 3) = 2*pi*log(3)
         want = 2 * math.pi * math.log(3.0)
-        v, c = regularized_volume(make_surface("sphere", "h*(2+h)/2"))
+        v, c, _ = regularized_volume(make_surface("sphere", "h*(2+h)/2"))
         assert v == pytest.approx(want, abs=1e-4)
         assert abs(c) < 1e-4
 
@@ -224,8 +224,8 @@ class TestVolume:
     def test_cutoff_invariance(self):
         # cutting off with |P*h| > eps for nonvanishing h changes nothing
         S = make_surface("sphere", "h*(2+h)/2")
-        v1, _ = regularized_volume(S)
-        v2, _ = regularized_volume(
+        v1, _, _ = regularized_volume(S)
+        v2, _, _ = regularized_volume(
             S, cutoff_factor=parse_expr("2 + sin(theta) + h/2", S.patch))
         assert v1 == pytest.approx(v2, abs=1e-5)
 
@@ -406,7 +406,7 @@ PARTIAL = make_surface("sphere", "h*log(h+1/2)")
 class TestBatchedAgainstScalar:
     @pytest.mark.parametrize("S", DIFFERENTIAL, ids=lambda S: str(S.P))
     def test_volume(self, S):
-        v0, c, series = regularized_volume(S, grid=8, return_series=True)
+        v0, c, series = regularized_volume(S, grid=8)
         w0, d, want = scalar_regularized_volume(S, grid=8)
         assert [e for e, _ in series] == [1e-2 / 2 ** k for k in range(9)]
         assert np.allclose([v for _, v in series], want, rtol=0, atol=1e-8)
@@ -453,8 +453,7 @@ class TestStripEdges:
 
         real = surface2d.evaluate_tape
         monkeypatch.setattr(surface2d, "evaluate_tape", evaluate_tape)
-        v0, c, series = regularized_volume(make_surface("torus", P),
-                                           return_series=True)
+        v0, c, series = regularized_volume(make_surface("torus", P))
         assert max(abs(v) for _, v in series) < 1e-9
         assert abs(v0) < 1e-9
         assert max(sizes) <= surface2d._CHUNK
@@ -551,8 +550,7 @@ class TestVolumeBitsUnchanged:
     def test_volume_bits(self, topology, P, cutoff, v0, c, series):
         S = make_surface(topology, P)
         cut = None if cutoff is None else parse_expr(cutoff, S.patch)
-        got_v0, got_c, got = regularized_volume(S, grid=32, cutoff_factor=cut,
-                                                return_series=True)
+        got_v0, got_c, got = regularized_volume(S, grid=32, cutoff_factor=cut)
         assert (repr(got_v0), repr(got_c)) == (v0, c)
         assert [repr(v) for _, v in got] == series
 
@@ -570,7 +568,7 @@ def volume_with_edges(S, monkeypatch, strip_edges, cutoff=None):
 
     monkeypatch.setattr(surface2d, "_strip_edges", record)
     v0, c, series = regularized_volume(
-        S, grid=16, tau_log=math.inf, return_series=True,
+        S, grid=16, tau_log=math.inf,
         cutoff_factor=None if cutoff is None else parse_expr(cutoff, S.patch))
     assert len(got) == 1
     return np.array([v for _, v in series] + [v0, c]), got[0]

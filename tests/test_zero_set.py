@@ -11,15 +11,15 @@ did not change.  Curves must agree bit for bit (points bytes, `closed`,
 import numpy as np
 import pytest
 
-from bgeo.evalcore import compile_tape
-from bgeo.surface2d import (_check_pole_margin, _evaluate, _finish_curve,
-                            _refine_curve, extract_zero_set, make_surface)
+from bgeo.evalcore import compile_tape, evaluate_tape
+from bgeo.surface2d import (_check_pole_margin, _finish_curve, _refine_curve,
+                            extract_zero_set, make_surface)
 
 
 def loop_eval_grid(expr, patch, ax1, ax2):
     tape = compile_tape(expr, patch.names)
-    return _evaluate(tape, ax1[:, None], ax2[None, :], strict=False).reshape(
-        len(ax1), len(ax2))
+    pts = np.column_stack([np.repeat(ax1, len(ax2)), np.tile(ax2, len(ax1))])
+    return evaluate_tape(tape, pts).reshape(len(ax1), len(ax2))
 
 
 def loop_extract_zero_set(S, grid=64):
