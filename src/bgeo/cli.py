@@ -86,8 +86,7 @@ def cmd_check(args):
         "components": [{"coordinate": c.zname, "value": c.value}
                        for c in comps],
         "nondegeneracy": verdict,
-        "detail": {k: (float(v) if isinstance(v, (int, float)) else str(v))
-                   for k, v in detail.items()},
+        "detail": detail,
         "config": _grid_config(args.grid, detail),
     }
     code = 0 if verdict != "degenerate" else 1

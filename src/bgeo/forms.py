@@ -572,33 +572,31 @@ def _with_params(patch, pts, values=None):
     return x
 
 
-def _chart_range(expr, patch, axes, absolute=False):
-    """(min, max) of the finite values of expr, or of their absolute
-    values, on the tensor grid of the coordinate samples `axes` with every
-    declared parameter at 1.0, streamed by se.grid_blocks; None when no
-    value is finite.  Min and max are exact, whatever the blocks."""
+def _chart_range(expr, patch, axes, view):
+    """(min, max) of view(values) over the blocks of values of expr on the
+    tensor grid of the coordinate samples `axes`, with every declared
+    parameter at 1.0, streamed by se.grid_blocks; None when no view holds a
+    value.  Min and max are exact, whatever the blocks."""
     tape = _chart_tape(expr, patch)
     lo = hi = None
     for pts in se.grid_blocks(list(axes) + [np.ones(1)] * len(patch.params)):
-        v = evaluate_tape(tape, pts)
-        v = v[np.isfinite(v)]
+        v = view(evaluate_tape(tape, pts))
         if v.size:
-            if absolute:
-                v = np.abs(v)
             vlo, vhi = float(v.min()), float(v.max())
             lo, hi = (vlo, vhi) if lo is None else (min(lo, vlo), max(hi, vhi))
     return None if lo is None else (lo, hi)
 
 
 def _grid_min_abs(expr, patch, grid):
-    """min |expr| over the finite values on the tensor grid of the patch,
-    and its points per axis: grid, lowered to at most se.GRID_CAP points by
-    se.grid_per_axis.  No finite value is a GeometryError."""
+    """min |expr| on the tensor grid of the patch, and its points per axis:
+    grid, lowered to at most se.GRID_CAP points by se.grid_per_axis.  The
+    first non-finite value raises EvalDomainError (evalcore.finite): a
+    coefficient that is not a number somewhere on the grid gets no
+    nonvanishing verdict from its other values."""
     n = se.grid_per_axis(grid, patch.dim)
-    r = _chart_range(expr, patch, patch.axis_grid(n), absolute=True)
-    if r is None:
-        raise GeometryError("expression has no finite value on the grid")
-    return r[0], n
+    lo, _ = _chart_range(expr, patch, patch.axis_grid(n),
+                         lambda v: np.abs(finite(v)))
+    return lo, n
 
 
 def nondegeneracy_check(bform, grid=64):

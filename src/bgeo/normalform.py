@@ -16,7 +16,12 @@ arrays; the interpolation blends only those rows, and _solve_antisymmetric
 reads them with the right-hand side's columns and writes the solution into
 one column-contiguous array.  The RK4 state is column-contiguous too, so
 the tape reads contiguous point columns, and RK4 runs in two preallocated
-buffers.  Every entry keeps the floating-point operations of the dense
+buffers.  A flow large enough to pay for a fork (_flow_parts) is cut into
+contiguous parts, one per usable CPU on Linux: forked children flow all
+but the first into one shared anonymous mmap while this process flows the
+first, and every child is reaped before the flow returns (_forked_flow).
+RK4 is elementwise, so each point gets the bits of the serial flow; there
+is no knob.  Every entry keeps the floating-point operations of the dense
 formulas, so the reports do not depend on the layout.  Both Moser
 statements run one collar loop, _collar_flow, and differ only in their
 input checks, collar radius, engine and tangency defect (the velocity, or
@@ -29,6 +34,12 @@ tangency value raises EvalDomainError (evalcore.finite).
 
 from __future__ import annotations
 
+import mmap
+import os
+import signal
+import sys
+import threading
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -70,6 +81,7 @@ ZERO = se.num(0)
 
 N_STEPS = 256   # RK4 steps of a Moser flow over [0, 1]
 STEP_OVERHEAD = 1900   # in batch points, measured (_check_flow)
+PART_WORK = 250_000   # points x steps of a flow part, measured (_flow_parts)
 FLOW_BUDGET = N_STEPS * (se.GRID_CAP + STEP_OVERHEAD)
 FD_STEP = 1e-5
 N_SAMPLE = 200
@@ -102,8 +114,13 @@ def _grid_extrema(expr, patch, n):
     """(min, max) of the finite values of expr on the tensor grid of n
     points per axis, a relative margin of 1e-6 in from the patch edges,
     with every declared parameter at 1.0 (forms._chart_range); no finite
-    value is a GeometryError."""
-    r = _chart_range(expr, patch, patch.axis_grid(n, margin=1e-6))
+    value is a GeometryError.  Finite values only, unlike
+    forms._grid_min_abs: these extrema screen g and bound the target patch
+    of darboux2d, and darboux_verify passes its sampled residual through
+    evalcore.finite, so a coefficient that is not a number there still
+    ends in EvalDomainError."""
+    r = _chart_range(expr, patch, patch.axis_grid(n, margin=1e-6),
+                     lambda v: v[np.isfinite(v)])
     if r is None:
         raise GeometryError("expression has no finite values on the patch")
     return r
@@ -408,10 +425,11 @@ class _MoserEngine:
 
     The RK4 state is column-contiguous (Fortran order), like the velocities,
     so the tape's point columns and the solver's right-hand-side columns are
-    contiguous reads.  flow copies its points once and forms every stage
+    contiguous reads.  _rk4 copies its points once and forms every stage
     point and the final combination in two preallocated buffers with out=
     ufuncs, in the order of the textbook formulas, so it makes no temporary
-    arrays and gives their bits.  Full (n, m, m) matrices are built only for
+    arrays and gives their bits; a large batch is flowed by parts in forked
+    children (_forked_flow).  Full (n, m, m) matrices are built only for
     the pullback residual, once for each of W_0 and W_1."""
 
     def __init__(self, patch, zname, f_expr, groups, W_rows, b_cols,
@@ -456,10 +474,24 @@ class _MoserEngine:
         return u
 
     def flow(self, pts, n_steps):
-        """The RK4 flow of the points over [0, 1] in n_steps steps.  The
-        points are copied once; each stage point and the weighted sum of
-        the slopes are formed in two buffers, in the order of
-        p + h/2*k1 and p + h/6*(k1 + 2*k2 + 2*k3 + k4)."""
+        """The RK4 flow of the points over [0, 1] in n_steps steps
+        (_rk4).  The batch is cut into _flow_parts contiguous parts, flowed
+        side by side by _forked_flow; every RK4 operation is elementwise,
+        so each point gets the bits of the serial flow, which runs when
+        there is one part or the forked flow fails."""
+        n = len(pts)
+        parts = _flow_parts(n, n_steps)
+        if parts > 1:
+            cuts = [n * k // parts for k in range(parts + 1)]
+            out = _forked_flow(self._rk4, pts, n_steps, cuts)
+            if out is not None:
+                return out
+        return self._rk4(pts, n_steps)
+
+    def _rk4(self, pts, n_steps):
+        """The serial RK4 flow.  The points are copied once; each stage
+        point and the weighted sum of the slopes are formed in two buffers,
+        in the order of p + h/2*k1 and p + h/6*(k1 + 2*k2 + 2*k3 + k4)."""
         p = np.array(pts, order="F")
         stage = np.empty_like(p)
         slope = np.empty_like(p)
@@ -572,13 +604,17 @@ def _halton_collar(patch, zi, zlo, zhi, n):
 def _min_abs_on_collar(expr, patch, zi, zlo, zhi):
     """min |expr| on the tensor grid of COLLAR_GRID points per axis over
     the patch with the singular coordinate confined to [zlo, zhi], declared
-    parameters at 1.0 (forms._chart_range); 0.0 when no value is finite."""
+    parameters at 1.0 (forms._chart_range); 0.0 when no value is finite.
+    Finite values only, unlike forms._grid_min_abs: this scan only picks
+    the collar radius, and _collar_flow passes the flow's tangency values
+    and residuals through evalcore.finite, so a non-finite value on the
+    collar still ends in EvalDomainError there."""
     axes = []
     for i, (a, b) in enumerate(patch.intervals):
         if i == zi:
             a, b = zlo, zhi
         axes.append(np.linspace(a + 1e-9, b - 1e-9, COLLAR_GRID))
-    r = _chart_range(expr, patch, axes, absolute=True)
+    r = _chart_range(expr, patch, axes, lambda v: np.abs(v[np.isfinite(v)]))
     return 0.0 if r is None else r[0]
 
 
@@ -635,6 +671,72 @@ def _check_flow(n_points, n_steps, dim):
         raise ValueError("n_steps (--steps) must be at most %d for %d points "
                          "on a %d-D patch, got %r" % (most, n_points, dim,
                                                       n_steps))
+
+
+def _flow_parts(n, n_steps):
+    """Into how many parts flow cuts a batch of n points flowed n_steps
+    steps: one per usable CPU, but no part of fewer than STEP_OVERHEAD
+    points (each part pays the per-step overhead in full) or of less work
+    than PART_WORK points times steps.  PART_WORK is the time a flow cut in
+    two takes over the serial flow of one half (the fork, the child's late
+    start, copy-on-write faults and the reap), over the serial time per
+    batch point per step: a part of that much work saves what the fork
+    costs.  At 9,216 and 20,480 batch points and 8 and 32 steps it read
+    129,000 to 258,000 on the 2-D pair of the acceptance tests (8.7 to
+    13.6 ms over 52 to 79 ns) and 39,000 to 87,000 on a 4-D pair (10.1 to
+    17.9 ms over 186 to 273 ns); 2-core Xeon, Python 3.11.7, numpy 2.4.6,
+    one BLAS thread, where an empty child takes 4.7 ms to fork and reap.
+    The 2-D figure is the larger, so it splits the fewer flows.  One part,
+    the serial flow, off Linux, when SIGCHLD is ignored (the kernel would
+    reap the children, exit status and all) and while another thread runs
+    (a fork copies only the calling thread, so a lock that another thread
+    holds would stay held in the child)."""
+    if (sys.platform != "linux"
+            or signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN
+            or threading.active_count() > 1):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n // STEP_OVERHEAD,
+                      n * n_steps // PART_WORK))
+
+
+def _forked_flow(rk4, pts, n_steps, cuts):
+    """rk4(pts, n_steps) by parts: rows cuts[k]:cuts[k + 1] are flowed by
+    a forked child for each k >= 1 and here for k = 0, all into one shared
+    anonymous mmap.  A child runs rk4 on its part, so it never forks, with
+    warnings as errors, and leaves through os._exit with a status that says
+    whether its rows are in place.  None when a child fails, or when the
+    mmap or a fork raises OSError: the caller's serial flow then raises or
+    warns as it always did.  What the first part raises is raised here.
+    Every child is reaped before this returns or raises; after a failure
+    the children still running are killed first."""
+    n, m = pts.shape
+    children, ok = [], False
+    try:
+        try:
+            out = np.ndarray((n, m), buffer=mmap.mmap(-1, 8 * n * m),
+                             order="F")
+            for lo, hi in zip(cuts[1:-1], cuts[2:]):
+                pid = os.fork()
+                if pid == 0:
+                    code = 1
+                    try:
+                        with warnings.catch_warnings():
+                            warnings.simplefilter("error")
+                            out[lo:hi] = rk4(pts[lo:hi], n_steps)
+                        code = 0
+                    finally:
+                        os._exit(code)
+                children.append(pid)
+        except OSError:   # no memory or no process left
+            return None
+        out[:cuts[1]] = rk4(pts[:cuts[1]], n_steps)
+        ok = True
+    finally:
+        for pid in children:
+            if not ok:
+                os.kill(pid, signal.SIGKILL)
+            ok = os.waitpid(pid, 0)[1] == 0 and ok
+    return out if ok else None
 
 
 def _collar_flow(engine, comp, r, n_points, n_steps, tangency):

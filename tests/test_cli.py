@@ -332,6 +332,8 @@ class TestParseCheck:
         code, doc = run_json("check", path, "--grid", "8")
         assert code == 0 and doc["nondegeneracy"] == "nonvanishing-grid"
         assert doc["config"] == {"grid": 8}
+        # an integer, as invariants, classify and darboux print it
+        assert type(doc["detail"]["grid_per_axis"]) is int
 
     def test_no_finite_grid_value(self, tmp_path):
         # the top coefficient is nan at every grid point: an error, not a
@@ -339,7 +341,15 @@ class TestParseCheck:
         path = bform_doc(tmp_path, "w.json", {"0": "(-1-x^2)^(1/2)"}, {})
         code, doc = run_json("check", path)
         assert code == 1
-        assert "no finite value" in doc["error"]
+        assert doc["error"] == "non-finite value nan"
+
+    def test_partly_non_finite_grid_value(self, tmp_path):
+        # nan for x < -1/2, half the grid: an error, not nonvanishing-grid
+        # from the finite half (min_abs 1.089)
+        path = bform_doc(tmp_path, "w.json", {"0": "1 + (x + 1/2)^(1/2)"}, {})
+        code, doc = run_json("check", path)
+        assert code == 1
+        assert doc["error"] == "non-finite value nan"
 
     def test_check_degenerate(self, tmp_path):
         # top coefficient 1+x vanishes at the grid point x = -1
@@ -641,6 +651,14 @@ class TestExtend:
         assert out["config"] == {"eps": 1.0, "grid": 16}
         code, out = run_json("extend", path)
         assert code == 0 and out["config"]["grid"] == 24
+
+    def test_partly_non_finite_alpha(self, tmp_path):
+        # alpha's first component is nan for theta1 < 1: an error, not a
+        # nonvanishing verdict from the finite values
+        path = self._torus3_doc(tmp_path, "(theta1 - 1)^(1/2)")
+        code, out = run_json("extend", path, "--grid", "16")
+        assert code == 1
+        assert out["error"] == "non-finite value nan"
 
     def test_symbolic_verdict_has_no_grid(self, tmp_path):
         path = self._torus3_doc(tmp_path, "1/6")

@@ -15,8 +15,9 @@ from bgeo.evalcore import compile_tape, evaluate_tape
 from bgeo.forms import (BForm, GeometryError, _grid_min_abs,
                         nondegeneracy_check, smooth_form)
 from bgeo.normalform import COLLAR_GRID, _grid_extrema, _min_abs_on_collar
-from bgeo.symexpr import (GRID_BLOCK, GRID_CAP, Patch, grid_blocks,
-                          grid_per_axis, parse_expr, substitute, sym)
+from bgeo.symexpr import (GRID_BLOCK, GRID_CAP, EvalDomainError, Patch,
+                          grid_blocks, grid_per_axis, parse_expr, substitute,
+                          sym)
 
 TAU = 2 * math.pi
 
@@ -38,6 +39,8 @@ def loop_per_axis(grid, dim, cap=GRID_CAP):
 
 
 def ref_min_abs(expr, patch, grid, params=None):
+    """The old full-grid path, with the one rule that came later: the first
+    non-finite value in grid order raises EvalDomainError naming it."""
     n = loop_per_axis(grid, patch.dim)
     pts = full_grid(patch.axis_grid(n))
     e = expr
@@ -47,11 +50,10 @@ def ref_min_abs(expr, patch, grid, params=None):
     vmin = np.inf
     for lo in range(0, pts.shape[0], 262144):
         vals = evaluate_tape(tape, pts[lo:lo + 262144])
-        ok = np.isfinite(vals)
-        if ok.any():
-            vmin = min(vmin, float(np.min(np.abs(vals[ok]))))
-    if vmin == np.inf:
-        raise GeometryError("expression has no finite value on the grid")
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            raise EvalDomainError(f"non-finite value {vals[bad][0]}")
+        vmin = min(vmin, float(np.min(np.abs(vals))))
     return vmin, n
 
 
@@ -120,13 +122,13 @@ CASES = [seeded_case(s) for s in range(24)]
 
 
 def _both(f, g):
-    """(result or exception type) of f and of g."""
+    """(result, or exception type and message) of f and of g."""
     out = []
     for h in (f, g):
         try:
             out.append(repr(h()))
-        except GeometryError:
-            out.append("GeometryError")
+        except (GeometryError, EvalDomainError) as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
     return out
 
 
@@ -173,9 +175,14 @@ class TestStreamedReductions:
             ref_min_abs_on_collar(expr, patch, 1, 0.25, 0.5, COLLAR_GRID))
 
     def test_capped_grid(self):
-        # 3,000,000 points asked on a line: capped at GRID_CAP, in blocks
+        # 3,000,000 points asked on a line: capped at GRID_CAP, in blocks;
+        # log(x) is nan for x < 0, and the first nan raises
         patch = Patch(("x",), ((-1.0, 2.0),))
         expr = parse_expr("log(x) + 1/(x - 1/2)", patch)
+        new, old = _both(lambda: _grid_min_abs(expr, patch, 3_000_000),
+                         lambda: ref_min_abs(expr, patch, 3_000_000))
+        assert new == old == "EvalDomainError: non-finite value nan"
+        expr = parse_expr("log(2 + x) + 1/(x^2 - 1/2)", patch)
         streamed = _grid_min_abs(expr, patch, 3_000_000)
         assert streamed == ref_min_abs(expr, patch, 3_000_000)
         assert streamed[1] == GRID_CAP
@@ -183,7 +190,7 @@ class TestStreamedReductions:
     def test_no_finite_value(self):
         patch = Patch(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)))
         expr = parse_expr("log(-1 - x^2)", patch)
-        with pytest.raises(GeometryError):
+        with pytest.raises(EvalDomainError, match="non-finite value nan"):
             _grid_min_abs(expr, patch, 9)
         with pytest.raises(GeometryError):
             _grid_extrema(expr, patch, 9)

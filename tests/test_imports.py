@@ -115,6 +115,42 @@ def test_one_finite_check():
         assert uses == (["finite"] if helper else []), path
 
 
+def imported_modules(tree):
+    """The top-level names of the modules that a tree imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_one_fork():
+    """Only normalform._forked_flow forks, and only its child leaves
+    through os._exit; threading is imported only for the active-count check
+    of normalform._flow_parts, and no module imports a process or thread
+    pool."""
+    snippet = ("import threading, concurrent.futures\n"
+               "from multiprocessing import Pool\nfrom . import x\n"
+               "def f():\n    if os.fork() == 0:\n        os._exit(0)\n")
+    tree = ast.parse(snippet)
+    assert name_uses(tree, "fork") == name_uses(tree, "_exit") == ["f"]
+    assert imported_modules(tree) == {"threading", "concurrent",
+                                      "multiprocessing"}
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        here = path == SRC / "normalform.py"
+        for name in ("fork", "_exit"):
+            assert name_uses(tree, name) == (["_forked_flow"] if here
+                                             else []), (path, name)
+        imports = imported_modules(tree)
+        assert ("threading" in imports) == here, path
+        assert not imports & {"multiprocessing", "concurrent"}, path
+        assert name_uses(tree, "active_count") == (["_flow_parts"] if here
+                                                   else []), path
+
+
 def test_no_renormalising():
     """Constructor output is canonical: no module but symexpr uses
     normalize, and symexpr only in the recursion of normalize itself."""
@@ -215,4 +251,4 @@ def test_every_optional_parameter_is_set():
     callers = [ast.parse(p.read_text()) for p in CALLERS]
     assert unset_parameters(library, callers) == []
     # the guard's own count: 75 before these defaults became constants
-    assert sum(len(optional_parameters(t)) for t in library) <= 50
+    assert sum(len(optional_parameters(t)) for t in library) <= 49
