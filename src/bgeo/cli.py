@@ -19,6 +19,7 @@ charged against the flow budget of normalform._check_flow."""
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -130,6 +131,8 @@ def _parse_int_list(text):
 
 def cmd_cohomology(args):
     if args.surface:
+        if args.betti_m is not None or args.betti_z is not None:
+            return _fail("--surface takes neither --betti-m nor --betti-z")
         g, n = _parse_int_list(args.surface)
         # in closed form, so a huge n costs nothing: every curve has b_1 = 1
         # and b-H^2 has dimension n + 1, so the witness finds no reason
@@ -271,29 +274,28 @@ def build_parser():
         description="symbolic/numerical toolkit for singular (b-)symplectic "
                     "structures on coordinate patches")
     sub = p.add_subparsers(dest="command", required=True)
-    # each subcommand: its name, handler, documents, knobs with their
-    # defaults (a knob's type is that of its default, str for None) and help
-    for name, fn, docs, knobs, help_ in [
-            ("parse", cmd_parse, ["input"], {},
-             "validate and normalize a document"),
-            ("check", cmd_check, ["input"], {"grid": 64},
+    # each subcommand, handled by cmd_<name>: its name, documents, knobs
+    # with their defaults (a knob's type is that of its default, str for
+    # None) and help
+    for name, docs, knobs, help_ in [
+            ("parse", ["input"], {}, "validate and normalize a document"),
+            ("check", ["input"], {"grid": 64},
              "transversality and nondegeneracy of a b-form document"),
-            ("invariants", cmd_invariants, ["input"],
+            ("invariants", ["input"],
              {"tol_log": 1e-4, "grid": 64, "emit_plot": None},
              "curve count, periods, and regularized volume of a surface"),
-            ("classify", cmd_classify, ["input", "other"],
-             {"tol": 1e-4, "grid": 64},
+            ("classify", ["input", "other"], {"tol": 1e-4, "grid": 64},
              "compare the invariants of two surface structures"),
-            ("cohomology", cmd_cohomology, [],
+            ("cohomology", [],
              {"surface": None, "betti_m": None, "betti_z": None},
              "Betti arithmetic of the splitting"),
-            ("darboux", cmd_darboux, ["input"], {"grid": 64, "seed": 0},
+            ("darboux", ["input"], {"grid": 64, "seed": 0},
              "flatten/verify a 2-D singular form"),
-            ("moser", cmd_moser, ["input", "other"],
+            ("moser", ["input", "other"],
              {"points": 200, "steps": 256, "tol_residual": 1e-5,
               "tol_tangency": 1e-8, "emit_plot": None},
              "flow verification for two forms with equal restriction data"),
-            ("extend", cmd_extend, ["input"], {"eps": 1.0, "grid": 24},
+            ("extend", ["input"], {"eps": 1.0, "grid": 24},
              "build the product extension of hypersurface data")]:
         sp = sub.add_parser(name, help=help_)
         for doc in docs:
@@ -302,20 +304,26 @@ def build_parser():
             sp.add_argument("--" + dest.replace("_", "-"), default=default,
                             type=None if default is None else type(default),
                             metavar=METAVARS.get(dest))
-        sp.set_defaults(fn=fn)
     return p
 
 
+@functools.cache
+def _parser():
+    """build_parser(), once per process: parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     for dest, (ok, rule) in KNOBS.items():
         value = getattr(args, dest, None)
         if value is not None and not ok(value):
             return _fail("--%s must be %s, got %r" % (dest.replace("_", "-"),
                                                       rule, value))
     try:
-        return args.fn(args)
+        # looked up by name at each call, so a replaced handler is the one
+        # that runs
+        return globals()["cmd_" + args.command](args)
     except OSError as exc:   # a file that cannot be opened, read or written
         return _fail(exc, code=2)
     # OverflowError: float() of an exact constant past the float range

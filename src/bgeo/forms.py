@@ -592,11 +592,12 @@ def _grid_min_abs(expr, patch, grid):
     grid, lowered to at most se.GRID_CAP points by se.grid_per_axis.  The
     first non-finite value raises EvalDomainError (evalcore.finite): a
     coefficient that is not a number somewhere on the grid gets no
-    nonvanishing verdict from its other values."""
+    nonvanishing verdict from its other values.  Values of both signs give
+    0.0: on the connected patch a continuous coefficient then vanishes
+    between two grid points, or it has a pole there."""
     n = se.grid_per_axis(grid, patch.dim)
-    lo, _ = _chart_range(expr, patch, patch.axis_grid(n),
-                         lambda v: np.abs(finite(v)))
-    return lo, n
+    lo, hi = _chart_range(expr, patch, patch.axis_grid(n), finite)
+    return (0.0 if lo < 0.0 < hi else min(abs(lo), abs(hi))), n
 
 
 def nondegeneracy_check(bform, grid=64):

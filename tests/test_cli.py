@@ -177,6 +177,17 @@ class TestCohomology:
         doc = json.loads(capsys.readouterr().out)
         assert tuple(doc["poisson_betti"]) == (1, 4, 3)
 
+    @pytest.mark.parametrize("extra", [
+        ["--betti-m", "1,0,1"], ["--betti-z", "1,1"],
+        ["--betti-m", "1,0,1", "--betti-z", "1,1"]])
+    def test_surface_takes_no_betti_flags(self, capsys, extra):
+        from bgeo import cli
+
+        assert cli.main(["cohomology", "--surface", "1,2"] + extra) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert set(doc) == {"schema", "error"}
+        assert "--betti-m" in doc["error"] and "--betti-z" in doc["error"]
+
     @pytest.mark.parametrize("surface", ["1,2", "2,3", "0,1"])
     def test_surface_report_as_per_curve_table(self, capsys, surface):
         # the closed form prints the report that the table of one (1, 1)
@@ -350,6 +361,18 @@ class TestParseCheck:
         code, doc = run_json("check", path)
         assert code == 1
         assert doc["error"] == "non-finite value nan"
+
+    @pytest.mark.parametrize("grid", [64, 65])
+    def test_sign_change_between_grid_points(self, tmp_path, capsys, grid):
+        # the top coefficient x changes sign: grid 65 samples x = 0, grid
+        # 64 only x = +-1/63, and both are degenerate
+        from bgeo import cli
+
+        path = bform_doc(tmp_path, "w.json", {"0": "x"}, {})
+        assert cli.main(["check", path, "--grid", str(grid)]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["nondegeneracy"] == "degenerate"
+        assert doc["detail"]["min_abs"] == 0.0
 
     def test_check_degenerate(self, tmp_path):
         # top coefficient 1+x vanishes at the grid point x = -1
@@ -975,6 +998,53 @@ class TestLastResort:
         assert set(doc) == {"schema", "error"}
         assert "RuntimeError" in doc["error"] and "boom" in doc["error"]
         assert "Traceback" not in err and err == ""
+
+
+class TestOneParser:
+    """main builds the argparse tree once per process and finds each
+    handler by its subcommand's name."""
+
+    COMMANDS = ("parse", "check", "invariants", "classify", "cohomology",
+                "darboux", "moser", "extend")
+
+    def test_two_calls_build_one_parser(self, monkeypatch, capsys):
+        from bgeo import cli
+
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        try:
+            assert cli.main(["cohomology", "--surface", "1,2"]) == 0
+            assert cli.main(["cohomology", "--surface", "0,1"]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
+
+    @pytest.mark.parametrize("command", (None,) + COMMANDS)
+    def test_help_unchanged(self, monkeypatch, capsys, command):
+        # the kept parser prints the help of a freshly built one, before
+        # and after it has parsed
+        from bgeo import cli
+
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = ["--help"] if command is None else [command, "--help"]
+
+        def help_text(main):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            return capsys.readouterr().out
+
+        fresh = help_text(lambda a: cli.build_parser().parse_args(a))
+        assert help_text(cli.main) == fresh
+        assert cli.main(["cohomology", "--surface", "1,2"]) == 0
+        capsys.readouterr()
+        assert help_text(cli.main) == fresh
+        assert fresh.startswith("usage: bgeo")
+        if command is None:
+            assert "{" + ",".join(self.COMMANDS) + "}" in fresh
 
 
 class TestImports:

@@ -39,8 +39,9 @@ def loop_per_axis(grid, dim, cap=GRID_CAP):
 
 
 def ref_min_abs(expr, patch, grid, params=None):
-    """The old full-grid path, with the one rule that came later: the first
-    non-finite value in grid order raises EvalDomainError naming it."""
+    """The old full-grid path, with the two rules that came later: the
+    first non-finite value in grid order raises EvalDomainError naming it,
+    and values of both signs give 0.0."""
     n = loop_per_axis(grid, patch.dim)
     pts = full_grid(patch.axis_grid(n))
     e = expr
@@ -48,13 +49,15 @@ def ref_min_abs(expr, patch, grid, params=None):
         e = substitute(e, {k: float(v) for k, v in params.items()})
     tape = compile_tape(e, patch.names)
     vmin = np.inf
+    signs = set()
     for lo in range(0, pts.shape[0], 262144):
         vals = evaluate_tape(tape, pts[lo:lo + 262144])
         bad = ~np.isfinite(vals)
         if bad.any():
             raise EvalDomainError(f"non-finite value {vals[bad][0]}")
         vmin = min(vmin, float(np.min(np.abs(vals))))
-    return vmin, n
+        signs.update(np.sign(vals).tolist())
+    return (0.0 if {-1.0, 1.0} <= signs else vmin), n
 
 
 def _with_params(patch, pts):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bgeo import symexpr as se
-from bgeo._poly import poly_mul
+from bgeo._poly import poly_mul, poly_quotient
 from bgeo.symexpr import (
     EQUIV_POINTS,
     EQUIV_SEED,
@@ -646,8 +646,13 @@ class TestFailedCollapseMemo:
         assert second is not first and second == first
         assert se._try_collapse(second) is None
         assert calls == []
-        # a structure never seen takes the exact path
+        # a structure never seen: the modular shadow refuses it with no
+        # exact view
         assert se._try_collapse(mul(x, powr(add(x, 2), -1))) is None
+        assert calls == []
+        # a float constant leaves the shadow inconclusive: the exact path
+        # runs once, when the tree is built, and the memo answers after
+        assert se._try_collapse(mul(x, powr(add(x, 2.5), -1))) is None
         assert len(calls) == 1
 
     def test_entry_dies_with_its_tree(self):
@@ -662,6 +667,169 @@ class TestFailedCollapseMemo:
         assert key not in se._FAILED_COLLAPSES
         assert not any("u_memo_lifetime" in repr(k)
                        for k in se._FAILED_COLLAPSES.keys())
+
+
+def _shadow_verdict(e):
+    """'refused', 'passed' (the shadow divides out) or 'inconclusive'."""
+    s = se._shadow(e)
+    if s is None:
+        return "inconclusive"
+    return "refused" if se._shadow_rem(*s) else "passed"
+
+
+def _exact_collapse(rp):
+    q = None if rp is None else poly_quotient(rp[0], rp[1])
+    return None if q is None else to_string(se.poly_to_expr(q, rp[2]))
+
+
+_X = sym("x")
+_P = se._SHADOW_P
+# trees the shadow must leave to the exact path, some of them built raw
+_INCONCLUSIVE = [
+    # a float constant
+    se.Mul([_X, powr(add(_X, Num(2.5)), -1)]),
+    # a Fraction whose denominator p divides
+    se.Mul([Num(Fraction(1, _P)), _X, powr(add(_X, 1), -1)]),
+    # a power of _POLY_MONOMIAL_LIMIT or more of a non-monomial base
+    powr(add(_X, 1), -se._POLY_MONOMIAL_LIMIT),
+    powr(add(_X, 1), se._POLY_MONOMIAL_LIMIT),
+    # a degree past the limit: by a power, a product, a sum
+    powr(_X, se._SHADOW_DEGREE_LIMIT + 1),
+    se.Mul([sym("x%d" % i) for i in range(se._SHADOW_DEGREE_LIMIT + 1)]),
+    se.Add([powr(add(_X, k), -1)
+            for k in range(1, se._SHADOW_DEGREE_LIMIT + 2)]),
+    # a negative power of a base that restricts to zero
+    se.Pow(se.Add([_X, se.Mul([Num(Fraction(-1)), _X])]), Fraction(-1)),
+    se.Pow(Num(Fraction(_P)), Fraction(-2)),
+]
+_INCONCLUSIVE_IDS = ["float", "p-denominator", "power-4000", "power+4000",
+                     "degree-pow", "degree-mul", "degree-add", "zero-base",
+                     "p-base"]
+
+
+class TestModularShadow:
+    """The GF(p) shadow of _try_collapse refuses only collapses that the
+    exact path refuses too, and is inconclusive where it cannot tell."""
+
+    def test_refusals_are_sound(self, suite_trees):
+        # checking mode: both paths on every distinct collapse input
+        _, collapsed = suite_trees
+        distinct = list({se.sort_key(e): e for e in collapsed}.values())
+        seen = {"refused": 0, "passed": 0, "inconclusive": 0}
+        for e in distinct:
+            verdict = _shadow_verdict(e)
+            seen[verdict] += 1
+            if verdict == "refused":
+                assert _exact_collapse(se.expr_to_ratpoly(e)) is None, \
+                    to_string(e)
+        assert seen["refused"] > 100 and seen["passed"] > 0 \
+            and seen["inconclusive"] > 0, seen
+
+    def test_refuses_and_passes(self):
+        x, y = sym("x"), sym("y")
+        assert _shadow_verdict(se.Mul([x, powr(add(x, 2), -1)])) == "refused"
+        # (x^2 - y^2)/(x - y) is x + y: the shadow divides out too
+        tree = se.Mul([add(powr(x, 2), neg(powr(y, 2))),
+                       powr(sub(x, y), -1)])
+        assert _shadow_verdict(tree) == "passed"
+        assert se._try_collapse(tree) == add(x, y)
+
+    @pytest.mark.parametrize("tree", _INCONCLUSIVE, ids=_INCONCLUSIVE_IDS)
+    def test_inconclusive(self, tree):
+        assert se._shadow(tree) is None
+
+    def test_limits(self):
+        assert se._SHADOW_DEGREE_LIMIT <= se._POLY_MONOMIAL_LIMIT
+        x = sym("x")
+        assert se._shadow(powr(x, se._SHADOW_DEGREE_LIMIT)) is not None
+
+    def test_inconclusive_collapse_takes_the_exact_path(self):
+        # inconclusive is not refused: a Fraction with p in its denominator
+        # still collapses on the exact path
+        x = sym("x")
+        tree = se.Mul([Num(Fraction(1, _P)), add(powr(x, 2), -1),
+                       powr(add(x, -1), -1)])
+        assert _shadow_verdict(tree) == "inconclusive"
+        assert se._try_collapse(tree) == mul(Num(Fraction(1, _P)),
+                                             add(x, 1))
+
+    def test_atom_points_are_stable(self):
+        # the point of an atom depends only on its key, in every process
+        code = ("from bgeo import symexpr as se\n"
+                "print(se._atom_point(se.sort_key(se.fun('cos', "
+                "se.sym('theta')))))\n")
+        import os
+        import subprocess
+        import sys
+
+        outs = set()
+        for seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True,
+                env=dict(os.environ, PYTHONHASHSEED=seed))
+            assert proc.returncode == 0, proc.stderr
+            outs.add(proc.stdout)
+        assert len(outs) == 1
+        here = se._atom_point(se.sort_key(fun("cos", sym("theta"))))
+        assert outs == {"%s\n" % here} and len(here) == 2
+
+    def test_power_of_sum_shadow_bound(self):
+        t0 = time.perf_counter()
+        e = parse_expr("x^3000/(x + 1) + y + 1/(x + 1)^100000", PATCH)
+        assert time.perf_counter() - t0 < 1.0
+        assert se._shadow(e) is None
+
+    def test_entry_dies_with_its_node(self):
+        import gc
+
+        u = sym("u_shadow_lifetime")
+        tree = add(mul(u, powr(add(u, 1), -1)), Num(0.5))
+        key = se.sort_key(tree)
+        assert key in se._SHADOWS and tree._shadow is None  # inconclusive
+        del tree, u
+        gc.collect()
+        assert key not in se._SHADOWS
+        assert not any("u_shadow_lifetime" in repr(k)
+                       for k in se._SHADOWS.keys())
+
+
+class TestGroupedSums:
+    """An Add's exact view sums its terms over each distinct denominator
+    before it cross-multiplies; the view folded term by term
+    (sequential_view) is the oracle."""
+
+    def test_same_rational_functions(self, suite_trees):
+        from sequential_view import sequential_ratpoly
+
+        _, collapsed = suite_trees
+        distinct = list({se.sort_key(e): e for e in collapsed}.values())
+        smaller = 0
+        for e in distinct:
+            grouped, folded = se.expr_to_ratpoly(e), sequential_ratpoly(e)
+            assert (grouped is None) == (folded is None), to_string(e)
+            if grouped is None:
+                continue
+            (n1, d1, atoms1), (n2, d2, atoms2) = grouped, folded
+            assert atoms1 == atoms2
+            assert poly_mul(n1, d2) == poly_mul(n2, d1)
+            assert _exact_collapse(grouped) == _exact_collapse(folded)
+            smaller += len(d1) < len(d2)
+        assert smaller > 0
+
+    def test_interleaved_denominators(self):
+        # terms over V and V*H alternate in sorted order: the grouped view
+        # multiplies each denominator in once
+        from sequential_view import sequential_ratpoly
+
+        h, th = sym("h"), sym("theta")
+        V, H = add(2, h), add(2, mul(h, h))
+        terms = [mul(th, powr(V, -1)), mul(h, powr(mul(V, H), -1)),
+                 mul(h, th, powr(V, -1)), mul(powr(h, 3), powr(mul(V, H), -1))]
+        tree = se.Add(terms)
+        n1, d1, _ = se.expr_to_ratpoly(tree)
+        n2, d2, _ = sequential_ratpoly(tree)
+        assert poly_mul(n1, d2) == poly_mul(n2, d1)
+        assert len(d1) < len(d2)
 
 
 class TestSharedViews:
