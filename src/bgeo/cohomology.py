@@ -10,12 +10,11 @@ so the b-Betti numbers are computable from ordinary Betti numbers by
 integer arithmetic.  Poisson cohomology of the associated b-Poisson
 structure is isomorphic to b-de-Rham cohomology, hence shares the same
 dimensions.  Nothing here computes singular cohomology; Betti numbers are
-supplied by the caller (with builtin tables for the common closed models).
+supplied by the caller.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -97,37 +96,3 @@ def nonvanishing_witness(data: BettiData) -> WitnessReport:
     if data.dim >= 4 and bb[3] < 1:
         reasons.append("b-H^3 vanishes")
     return WitnessReport(consistent=not reasons, reasons=tuple(reasons))
-
-
-# --- builtin Betti tables ------------------------------------------------
-
-def betti_sphere(n):
-    """S^n."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    b = [0] * (n + 1)
-    b[0] = 1
-    b[n] += 1  # n = 0 would mean two points; disallowed above
-    return tuple(b)
-
-
-def betti_torus(n):
-    """T^n: binomial coefficients."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return tuple(math.comb(n, k) for k in range(n + 1))
-
-
-def betti_genus_surface(g):
-    if g < 0:
-        raise ValueError("genus must be nonnegative")
-    return (1, 2 * g, 1)
-
-
-def betti_product(a, b):
-    """Kunneth: Betti numbers of a product from those of the factors."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return tuple(out)

@@ -12,8 +12,7 @@ stack, and evaluates to a (k, n) array in one call; every output keeps the
 floating-point operations of its own single tape.
 Callers that need several expressions at the same points compile them as
 one list.  This is the library's only numeric evaluation path: every value
-a verdict rests on, down to `symexpr.eval_expr` at a single point, comes
-from `evaluate_tape`.  Poles and domain violations come back as inf/nan;
+a verdict rests on comes from `evaluate_tape`.  Poles and domain violations come back as inf/nan;
 a caller that needs numbers passes them through `finite`, the library's
 only check that raises on a non-finite value.
 

@@ -8,8 +8,8 @@ the singular symplectic model
     omega~ = p*alpha ^ dt/t + p*omega
 
 with Z recovered as the zero set {t = 0} and (alpha, omega) as the
-restriction data.  This module certifies the hypotheses, builds the model,
-and compares two extensions over the same hypersurface data.
+restriction data.  This module certifies the hypotheses and builds the
+model.
 """
 
 from __future__ import annotations
@@ -170,56 +170,6 @@ def build_extension(data: HypersurfaceData, eps=1.0, tname="t",
                           provenance=provenance)
 
 
-@dataclass(frozen=True)
-class ComparisonVerdict:
-    same_restriction: bool
-    verdict: str
-    moser_report: object = None
-    detail: str = ""
-
-
-def compare_extensions(m1: ExtensionModel, m2: ExtensionModel,
-                       moser=False, n_points=100) -> ComparisonVerdict:
-    """Compare two extensions of the same hypersurface data.
-
-    Equality of the restriction pairs on every component is the computable
-    half of the equivalence criterion; when the two models share a product
-    patch the interpolation flow can additionally be verified.
-    """
-    if m1.data.patch != m2.data.patch:
-        raise ValueError("extensions are over different hypersurface patches")
-    pairs1 = restrict_to_Z(m1.bform)
-    pairs2 = restrict_to_Z(m2.bform)
-    if len(pairs1) != len(pairs2):
-        return ComparisonVerdict(False, "distinct",
-                                 detail="different component counts")
-    for a, b in zip(pairs1, pairs2):
-        if not (form_equiv(a.alpha_tilde, b.alpha_tilde)
-                and form_equiv(a.beta_tilde, b.beta_tilde)):
-            return ComparisonVerdict(False, "distinct",
-                                     detail="restriction pairs differ")
-    if not moser:
-        return ComparisonVerdict(True, "same-restriction")
-    if m1.bform.patch != m2.bform.patch:
-        # rebuild both on the common collar so the flow is well-posed
-        ti = m1.bform.patch.index(m1.bform.zname)
-        lo1, hi1 = m1.bform.patch.intervals[ti]
-        lo2, hi2 = m2.bform.patch.intervals[ti]
-        lo, hi = max(lo1, lo2), min(hi1, hi2)
-        if not lo < hi:
-            return ComparisonVerdict(True, "same-restriction",
-                                     detail="no common collar")
-        m1 = build_extension(m1.data, interval=(lo, hi),
-                             tname=m1.bform.zname)
-        m2 = build_extension(m2.data, interval=(lo, hi),
-                             tname=m2.bform.zname)
-    from .normalform import moser_relative_verify
-    rep = moser_relative_verify(m1.bform, m2.bform, n_points=n_points)
-    ok = rep.max_residual < 1e-4
-    return ComparisonVerdict(True, "equivalent" if ok else "inconclusive",
-                             moser_report=rep)
-
-
 # ---------------------------------------------------------------------------
 # builtin hypersurface data
 
@@ -257,14 +207,6 @@ def _is_number(s):
         return True
     except (TypeError, ValueError):
         return False
-
-
-def circle_data() -> HypersurfaceData:
-    """The lowest-dimensional case: Z = S^1 with alpha = dθ, omega = 0."""
-    two_pi = 2 * math.pi
-    patch = Patch(("theta",), ((0.0, two_pi),), periods=(two_pi,))
-    alpha = SmoothForm(patch, 1, {("theta",): num(1)})
-    return HypersurfaceData(patch, alpha, SmoothForm(patch, 2, {}))
 
 
 def torus4_extension(a="a", b="b") -> ExtensionModel:

@@ -4,8 +4,8 @@ hypersurface, and the associated exterior calculus.
 A SmoothForm is a degree-k form with expression coefficients over a Patch.
 A BForm represents alpha ^ (dz/f) + beta, where f is a defining function
 of the hypersurface Z = {f = 0} and z is the distinguished coordinate.
-Everything downstream (restriction to Z, smoothness tests, nondegeneracy,
-duality with bivectors) is phrased in terms of that decomposition.
+Everything downstream (restriction to Z, smoothness tests, nondegeneracy)
+is phrased in terms of that decomposition.
 Numeric checks evaluate every declared parameter at 1.0: _chart_range
 scans grids, _with_params gives point sets their parameter columns.
 `vanishes` is the library's one test that a smooth form is zero, and a
@@ -20,7 +20,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import symexpr as se
-from ._poly import poly_const, poly_quotient, rat_add, rat_mul
 from .evalcore import _solve_brackets, compile_tape, evaluate_tape, finite
 from .symexpr import (
     ZERO,
@@ -36,13 +35,12 @@ from .symexpr import (
 )
 
 __all__ = [
-    "SmoothForm", "BForm", "BBivector", "RestrictionPair", "ZComponent",
-    "smooth_form", "wedge", "d_smooth", "d_bform", "bwedge",
+    "SmoothForm", "BForm", "RestrictionPair", "ZComponent",
+    "wedge", "d_smooth", "d_bform", "bwedge",
     "interior_product", "pullback_to_level",
     "find_z_components", "restrict_to_Z", "is_smooth", "vanishes",
     "top_coefficient", "nondegeneracy_check", "transversality_check",
-    "dualize", "bivector_to_bform", "form_equiv", "bform_equiv",
-    "GeometryError",
+    "form_equiv", "GeometryError",
 ]
 
 
@@ -137,10 +135,6 @@ class SmoothForm:
         return "<SmoothForm " + " + ".join(bits) + ">"
 
 
-def smooth_form(patch, degree, comps=None):
-    return SmoothForm(patch, degree, comps or {})
-
-
 def _check_compatible(a, b):
     if a.patch is not b.patch and a.patch != b.patch:
         raise ValueError("forms live on different patches")
@@ -219,13 +213,14 @@ def vanishes(form):
     return all(expr_equiv(c, ZERO, form.patch) for c in form.comps.values())
 
 
-def form_equiv(a, b, tol=1e-9):
-    """Componentwise semidecidable equality of smooth forms."""
+def form_equiv(a, b):
+    """Componentwise semidecidable equality of smooth forms, by expr_equiv
+    at its default tolerance."""
     _check_compatible(a, b)
     keys = set(a.comps) | set(b.comps)
     for k in keys:
         if not expr_equiv(a.comps.get(k, ZERO), b.comps.get(k, ZERO),
-                          a.patch, tol=tol):
+                          a.patch):
             return False
     return True
 
@@ -526,7 +521,7 @@ def transversality_check(bform):
 
 
 # ---------------------------------------------------------------------------
-# nondegeneracy and duality
+# nondegeneracy
 
 
 def top_coefficient(bform):
@@ -559,16 +554,13 @@ def _chart_tape(exprs, patch):
         raise ExprError(*exc.args) from None
 
 
-def _with_params(patch, pts, values=None):
-    """pts with a column appended per declared parameter, in the order of
-    patch.params: 1.0, or the value that `values` gives it; pts itself,
+def _with_params(patch, pts):
+    """pts with a 1.0 column appended per declared parameter; pts itself,
     not a copy, when the patch declares no parameter."""
     if not patch.params:
         return pts
     x = np.ones((len(pts), patch.dim + len(patch.params)), order="F")
     x[:, :patch.dim] = pts
-    for name, v in (values or {}).items():
-        x[:, patch.dim + patch.params.index(name)] = v
     return x
 
 
@@ -631,155 +623,3 @@ def b_matrix(bform):
             W[i][j] = c
             W[j][i] = se.neg(c)
     return W
-
-
-class BBivector:
-    """Bivector with components in the b-vector basis (e_z = f d/dz in the
-    z slot, e_i = d/dx_i elsewhere)."""
-
-    __slots__ = ("patch", "comps", "f", "zname")
-
-    def __init__(self, patch, comps, f, zname):
-        clean = {}
-        for (i, j), c in comps.items():
-            i = patch.index(i) if isinstance(i, str) else int(i)
-            j = patch.index(j) if isinstance(j, str) else int(j)
-            if i == j:
-                continue
-            if i > j:
-                i, j, c = j, i, se.neg(se._coerce(c))
-            c = se._coerce(c)
-            clean[(i, j)] = se.add(clean.get((i, j), ZERO), c)
-        self.patch = patch
-        self.comps = {k: v for k, v in sorted(clean.items()) if not is_zero(v)}
-        self.f = se._coerce(f)
-        self.zname = zname
-
-    def coordinate_components(self):
-        """Components in the plain coordinate basis d/dx_i ^ d/dx_j: the
-        z slot picks up a factor f."""
-        zi = self.patch.index(self.zname)
-        out = {}
-        for (i, j), c in self.comps.items():
-            if zi in (i, j):
-                c = mul(self.f, c)
-            out[(i, j)] = c
-        return out
-
-    def bracket_matrix(self):
-        m = self.patch.dim
-        P = [[ZERO] * m for _ in range(m)]
-        for (i, j), c in self.comps.items():
-            P[i][j] = c
-            P[j][i] = se.neg(c)
-        return P
-
-    def __repr__(self):
-        names = self.patch.names
-        bits = []
-        for (i, j), c in self.coordinate_components().items():
-            bits.append(f"({c}) @{names[i]}^@{names[j]}")
-        return "<BBivector " + (" + ".join(bits) or "0") + ">"
-
-
-def _inverse_expr(M):
-    """Adjugate inverse of a small matrix of rational functions, computed
-    exactly on the (numerator, denominator) views of its entries over one
-    shared atom index, with the arithmetic of ``bgeo._poly``.  Every
-    intermediate is reduced when one of its polynomials divides the other.
-    A matrix with no exact view (a float constant, or an entry past the
-    monomial limit) or a singular one raises GeometryError."""
-    n = len(M)
-    rp = se._to_ratpoly([e for row in M for e in row])
-    if rp is None:
-        raise GeometryError("matrix has no exact rational view (a float "
-                            "constant or too many monomials)")
-    views, atoms = rp
-    one = poly_const(Fraction(1), len(atoms))
-
-    def lowest(r):
-        q = poly_quotient(*r)
-        if q is not None:
-            return q, one
-        q = poly_quotient(r[1], r[0])  # the numerator divides: 1/q
-        return (one, q) if q is not None else r
-
-    def signed(r, odd):
-        return ({k: -v for k, v in r[0].items()}, r[1]) if odd else r
-
-    def det(rows):
-        if len(rows) == 1:
-            return rows[0][0]
-        acc = ({}, one)
-        for j, a in enumerate(rows[0]):
-            if a[0]:
-                minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-                term = signed(lowest(rat_mul(a, det(minor))), j % 2)
-                acc = lowest(rat_add(acc, term))
-        return acc
-
-    F = [[lowest(v) for v in views[i * n:(i + 1) * n]] for i in range(n)]
-    D = det(F)
-    if not D[0]:
-        raise GeometryError("matrix is singular: the form is degenerate")
-    inv = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [r[:i] + r[i + 1:] for k, r in enumerate(F) if k != j]
-            num, den = lowest(rat_mul(signed(det(minor), (i + j) % 2),
-                                      (D[1], D[0])))
-            inv[i][j] = se.poly_to_expr(num, atoms)
-            if den != one:
-                inv[i][j] = se.div(inv[i][j], se.poly_to_expr(den, atoms))
-    return inv
-
-
-def dualize(bform):
-    """Bivector of a nondegenerate degree-2 b-form: P = -W^{-1} in the
-    paired b-bases, so that the standard plane form dx^dy maps to the
-    bracket {x, y} = 1."""
-    W = b_matrix(bform)
-    P = _inverse_expr(W)
-    comps = {}
-    for i in range(len(P)):
-        for j in range(i + 1, len(P)):
-            comps[(i, j)] = se.neg(P[i][j])
-    return BBivector(bform.patch, comps, bform.f, bform.zname)
-
-
-def bivector_to_bform(biv):
-    """Inverse of dualize: W = -P^{-1}, written with everything that pairs
-    against e^z stored in alpha."""
-    P = biv.bracket_matrix()
-    Winv = _inverse_expr(P)
-    patch = biv.patch
-    zi = patch.index(biv.zname)
-    alpha_comps = {}
-    beta_comps = {}
-    for i in range(patch.dim):
-        for j in range(i + 1, patch.dim):
-            c = se.neg(Winv[i][j])
-            if is_zero(c):
-                continue
-            if j == zi:
-                alpha_comps[(i,)] = se.add(alpha_comps.get((i,), ZERO), c)
-            elif i == zi:
-                alpha_comps[(j,)] = se.add(alpha_comps.get((j,), ZERO), se.neg(c))
-            else:
-                beta_comps[(i, j)] = c
-    return BForm(patch, 2, SmoothForm(patch, 1, alpha_comps),
-                 SmoothForm(patch, 2, beta_comps), biv.f, biv.zname)
-
-
-def bform_equiv(a, b):
-    """Equality of degree-2 b-forms as b-coframe matrices (insensitive to
-    how coefficients are split between alpha and f*beta)."""
-    a._check(b)
-    m = a.patch.dim
-    for i in range(m):
-        for j in range(i + 1, m):
-            if not expr_equiv(a.b_coefficient(i, j), b.b_coefficient(i, j),
-                              a.patch):
-                return False
-    return True
-

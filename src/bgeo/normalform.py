@@ -1,13 +1,13 @@
 """Darboux coordinates in 2-D and numerical Moser-path verification.
 
 darboux2d constructs the explicit coordinate change flattening a singular
-2-form (g/z)dz^dy to the model (1/z)dz^dt.  The Moser verifiers build the
-interpolation family omega_t between two forms, solve the defining linear
-system for the time-dependent vector field in the singular frame, integrate
-its time-1 flow with RK4, and measure the pullback residual with
-finite-difference Jacobians at low-discrepancy sample points.
+2-form (g/z)dz^dy to the model (1/z)dz^dt.  The Moser verifier builds the
+interpolation family omega_t between two forms, solves the defining linear
+system for the time-dependent vector field in the singular frame,
+integrates its time-1 flow with RK4, and measures the pullback residual
+with finite-difference Jacobians at low-discrepancy sample points.
 
-The flow is one fused pass per velocity.  Each Moser engine compiles its
+The flow is one fused pass per velocity.  The Moser engine compiles its
 matrix entries, right-hand side and defining function into one
 multi-output tape, so a velocity is one tape call.  The coefficient matrix
 enters as one (n,) row per strict-upper entry that is not identically
@@ -22,14 +22,14 @@ but the first into one shared anonymous mmap while this process flows the
 first, and every child is reaped before the flow returns (_forked_flow).
 RK4 is elementwise, so each point gets the bits of the serial flow; there
 is no knob.  Every entry keeps the floating-point operations of the dense
-formulas, so the reports do not depend on the layout.  Both Moser
-statements run one collar loop, _collar_flow, and differ only in their
-input checks, collar radius, engine and tangency defect (the velocity, or
-df.v for a family).  Declared parameters are 1.0 (forms._chart_range on
-grids, forms._with_params on every batch the flow reads), except a
-family's time TIME.  Each symbolic hypothesis is a forms.vanishes, f is
-factored at a component once (_factor_at), and a non-finite residual or
-tangency value raises EvalDomainError (evalcore.finite).
+formulas, so the reports do not depend on the layout.  The relative
+Moser statement is the one verified: each component of Z runs one collar
+flow (_collar_flow), whose tangency defect is the velocity on Z.  Declared
+parameters are 1.0 (forms._chart_range on grids, forms._with_params on
+every batch the flow reads).  Each symbolic hypothesis is a
+forms.vanishes, f is factored at a component once (_factor_at), and a
+non-finite residual or velocity on Z raises EvalDomainError
+(evalcore.finite).
 """
 
 from __future__ import annotations
@@ -53,10 +53,8 @@ from .forms import (
     SmoothForm,
     _chart_range,
     _chart_tape,
-    _grid_min_abs,
     _with_params,
     b_matrix,
-    d_bform,
     d_smooth,
     find_z_components,
     interior_product,
@@ -87,7 +85,6 @@ FD_STEP = 1e-5
 N_SAMPLE = 200
 MAX_COLLAR_HALVINGS = 6
 COLLAR_GRID = 16   # points per axis of the collar nondegeneracy grid
-TIME = "t"   # the declared parameter of a family's time (moser_global_verify)
 _DEGENERATE = "interpolated form is degenerate at a flow point"
 
 
@@ -253,54 +250,14 @@ def _sample_box(patch, point, rng):
 
 
 # ---------------------------------------------------------------------------
-# Poincare primitives
-
-
-def poincare_primitive(rho: SmoothForm, center=None) -> SmoothForm:
-    """Primitive of a closed form via the radial homotopy about `center`.
-
-    The ray integral int_0^1 t^(k-1) a(c + t(x-c)) dt is evaluated by
-    32-point Gauss-Legendre quadrature with the nodes substituted
-    symbolically, so the result is an explicit form (exact for polynomial
-    coefficients up to degree 63).
-    """
-    patch = rho.patch
-    k = rho.degree
-    if k < 1:
-        raise GeometryError("a 0-form has no primitive")
-    drho = d_smooth(rho)
-    for c in drho.comps.values():
-        if not expr_equiv(c, ZERO, patch, tol=1e-10):
-            raise GeometryError("form is not closed")
-    if center is None:
-        center = {n: 0.5 * (a + b)
-                  for n, (a, b) in zip(patch.names, patch.intervals)}
-    nodes, weights = _gauss01()
-    names = patch.names
-    disp = {n: se.sub(se.sym(n), Num(float(center[n]))) for n in names}
-    out = {}
-    for key, a in rho.comps.items():
-        ray = []
-        for u, w in zip(nodes, weights):
-            scaled = {n: se.add(Num(float(center[n])),
-                                se.mul(Num(float(u)), disp[n])) for n in names}
-            ray.append(se.mul(Num(float(w * u ** (k - 1))),
-                              substitute(a, scaled)))
-        A = se.add(*ray)
-        for pos, idx in enumerate(key):
-            rest = key[:pos] + key[pos + 1:]
-            term = se.mul(Num(Fraction((-1) ** pos)), disp[names[idx]], A)
-            out[rest] = se.add(out.get(rest, ZERO), term)
-    return SmoothForm(patch, k - 1, out)
+# Moser verification
 
 
 def _collar_primitive(delta: SmoothForm, zname, c):
     """Primitive of a closed form along the retraction of a collar onto
     {z = c}; valid when the pullback of delta to the level set vanishes.
-
-    Returns (rho, core) where rho = (z - c) * core componentwise, so rho
-    vanishes identically on the level set and the (z - c) factor is
-    available in closed form for smooth division by a defining function."""
+    Each component is (z - c) times its ray integral, so the primitive
+    vanishes identically on the level set."""
     patch = delta.patch
     zi = patch.index(zname)
     level = Num(float(c))   # a float constant, also for a Fraction c
@@ -314,20 +271,13 @@ def _collar_primitive(delta: SmoothForm, zname, c):
     nodes, weights = _gauss01()
     zdisp = se.sub(se.sym(zname), level)
     out = {}
-    core = {}
     for key, a in eta.comps.items():
         ray = [se.mul(Num(float(w)),
                       substitute(a, {zname: se.add(level,
                                                    se.mul(Num(float(u)), zdisp))}))
                for u, w in zip(nodes, weights)]
-        core[key] = se.add(*ray)
-        out[key] = se.mul(zdisp, core[key])
-    return (SmoothForm(patch, delta.degree - 1, out),
-            SmoothForm(patch, delta.degree - 1, core))
-
-
-# ---------------------------------------------------------------------------
-# Moser verification
+        out[key] = se.mul(zdisp, se.add(*ray))
+    return SmoothForm(patch, delta.degree - 1, out)
 
 
 @dataclass
@@ -337,10 +287,8 @@ class MoserReport:
     collar_halvings: int
     collar_radius: float
     steps: int
-    mu: object = None
-    primitive: object = None
-    residuals: object = field(default=None, repr=False)
-    sample_points: object = field(default=None, repr=False)
+    residuals: object = field(repr=False)
+    sample_points: object = field(repr=False)
 
 
 def _antisymmetric(rows, n, m):
@@ -403,25 +351,25 @@ def _solve_antisymmetric(rows, b, n):
 
 
 class _MoserEngine:
-    """Shared flow/residual machinery for the two Moser verifiers.
+    """The flow of the relative statement and its pullback residual.
 
-    One tape evaluates the groups of expressions and then the defining
-    function f, so a velocity is one tape call; each group is a dict keyed
-    by matrix entry (i, j) or by component i.  An entry that is a constant
-    (a Num) is not a tape output: it is held as a float, and the blend and
-    the solver combine it as a scalar, with the operations, so the bits, of
-    a row filled with it.  From the groups' rows (one dict per group, keyed
-    like it, of (n,) rows and constant floats), W_rows(rows, t) must
-    return the strict upper triangle of the coefficient matrix of omega_t
-    in the singular coframe, as a dict keyed by (i, j) that holds only the
-    entries that can be nonzero; b_cols(rows) the m columns of the
-    right-hand side b of W u = b in the same coframe.  The tape reads the
-    points with their parameter columns (forms._with_params): 1.0, and t
-    in that of a time parameter `tname`.  Velocities are u
-    converted back to coordinate components by scaling the z column with f
-    in place.  The system is solved by _solve_antisymmetric: in closed form
-    for m = 2 (Cramer, bit-identical to LAPACK's pivoted LU) and m = 4 (the
-    Pfaffian adjugate), and by numpy.linalg.solve on full matrices for m >= 6.
+    One tape evaluates three groups of expressions and then the defining
+    function f, so a velocity is one tape call: the strict upper triangles
+    of W_0 and W_1, the coefficient matrices of omega0 and omega1 in the
+    singular coframe, keyed by (i, j), and the right-hand side rho, keyed
+    by component i; each holds only its entries that are not identically
+    zero (_relative_engine).  An entry that is a constant (a Num) is not a
+    tape output: it is held as a float, and the blend and the solver
+    combine it as a scalar, with the operations, so the bits, of a row
+    filled with it.  The tape reads the points with a 1.0 column per
+    declared parameter (forms._with_params).  The velocity solves
+    -W_t u = rho with W_t = (1 - t) W_0 + t W_1, blended entry by entry
+    over the entries of W_0 and W_1 (an entry absent from one of them
+    blends its scalar 0.0), and converts u back to coordinate components
+    by scaling the z column with f in place.  The system is solved by
+    _solve_antisymmetric: in closed form for m = 2 (Cramer, bit-identical
+    to LAPACK's pivoted LU) and m = 4 (the Pfaffian adjugate), and by
+    numpy.linalg.solve on full matrices for m >= 6.
 
     The RK4 state is column-contiguous (Fortran order), like the velocities,
     so the tape's point columns and the solver's right-hand-side columns are
@@ -432,8 +380,7 @@ class _MoserEngine:
     children (_forked_flow).  Full (n, m, m) matrices are built only for
     the pullback residual, once for each of W_0 and W_1."""
 
-    def __init__(self, patch, zname, f_expr, groups, W_rows, b_cols,
-                 tname=None):
+    def __init__(self, patch, zname, f_expr, groups):
         self.patch = patch
         self.zi = patch.index(zname)
         # per group: its constant entries as floats, and the keys of the
@@ -446,19 +393,11 @@ class _MoserEngine:
             self.groups.append((consts, keys))
             exprs += [g[key] for key in keys]
         self.tape = _chart_tape(exprs + [f_expr], patch)
-        self.W_rows = W_rows
-        self.b_cols = b_cols
-        self.tname = tname
 
-    def at(self, pts, t):
-        """The batch the tape reads at time t."""
-        return _with_params(self.patch, pts,
-                            {self.tname: t} if self.tname else None)
-
-    def evaluate(self, pts, t):
-        """The groups' rows and f at the points at time t, from one tape
-        call."""
-        vals = evaluate_tape(self.tape, self.at(pts, t))
+    def evaluate(self, pts):
+        """The rows of W_0, W_1 and rho, and f, at the points, from one
+        tape call."""
+        vals = evaluate_tape(self.tape, _with_params(self.patch, pts))
         rows, s = [], 0
         for consts, keys in self.groups:
             rows.append(dict(consts))
@@ -467,9 +406,16 @@ class _MoserEngine:
         return rows, vals[-1]
 
     def velocity(self, pts, t):
-        rows, f = self.evaluate(pts, t)
-        u = _solve_antisymmetric(self.W_rows(rows, t), self.b_cols(rows),
-                                 pts.shape[0])
+        (w0, w1, rho), f = self.evaluate(pts)
+        if t == 0.0:
+            W = w0
+        elif t == 1.0:
+            W = w1
+        else:
+            W = {key: (1.0 - t) * w0.get(key, 0.0) + t * w1.get(key, 0.0)
+                 for key in w0.keys() | w1.keys()}
+        u = _solve_antisymmetric(
+            W, [-rho.get(i, 0.0) for i in range(self.patch.dim)], len(pts))
         u[:, self.zi] *= f
         return u
 
@@ -531,17 +477,17 @@ class _MoserEngine:
             plus = flowed[(1 + 2 * j) * n:(2 + 2 * j) * n]
             minus = flowed[(2 + 2 * j) * n:(3 + 2 * j) * n]
             J[:, :, j] = (plus - minus) / (2 * FD_STEP)
-        rows, fq = self.evaluate(q, 1.0)
+        rows, fq = self.evaluate(q)
         zi = self.zi
-        Omega1 = _antisymmetric(self.W_rows(rows, 1.0), n, m)
+        Omega1 = _antisymmetric(rows[1], n, m)
         Omega1[:, zi, :] /= fq[:, None]
         Omega1[:, :, zi] /= fq[:, None]
         Omega1[:, zi, zi] = 0.0
-        rows, fp = self.evaluate(pts, 0.0)
+        rows, fp = self.evaluate(pts)
         A = J.copy()
         A[:, :, zi] *= fp[:, None]
         R = (np.einsum("nia,nij,njb->nab", A, Omega1, A)
-             - _antisymmetric(self.W_rows(rows, 0.0), n, m))
+             - _antisymmetric(rows[0], n, m))
         return np.max(np.abs(R), axis=(1, 2))
 
 
@@ -739,59 +685,34 @@ def _forked_flow(rk4, pts, n_steps, cuts):
     return out if ok else None
 
 
-def _collar_flow(engine, comp, r, n_points, n_steps, tangency):
+def _collar_flow(engine, comp, r, n_points, n_steps):
     """The flow of one component of Z on its collar of radius r: the
-    n_points Halton collar points, the largest |tangency(p, t)| over the
-    same points moved onto Z at t = 0, 1/2 and 1, and the per-point
-    pullback residual of the n_steps-step flow.  A non-finite tangency
-    value or residual raises EvalDomainError."""
+    n_points Halton collar points, the largest |v| of the velocity over the
+    same points moved onto Z at t = 0, 1/2 and 1 (the flow must be tangent
+    to Z, and the relative velocity vanishes there), and the per-point
+    pullback residual of the n_steps-step flow.  A non-finite velocity on Z
+    or residual raises EvalDomainError."""
     zi = engine.zi
     pts = _halton_collar(engine.patch, zi, comp.value - r, comp.value + r,
                          n_points)
     on_Z = pts.copy()
     on_Z[:, zi] = comp.value
-    worst = max(float(np.max(np.abs(finite(tangency(on_Z, t)))))
+    worst = max(float(np.max(np.abs(finite(engine.velocity(on_Z, t)))))
                 for t in (0.0, 0.5, 1.0))
     return pts, worst, finite(engine.pullback_residual(pts, n_steps))
 
 
-def _moser_report(flows, n_steps, **fields):
-    """The MoserReport of the components' _collar_flow results, whose
-    values are finite (_collar_flow) and not negative."""
-    if not flows:
-        raise GeometryError("defining function has no zeros in the patch")
-    pts, tangency, resid = zip(*flows)
-    return MoserReport(
-        max_residual=max(float(np.max(r)) for r in resid),
-        v_on_Z_max=max(tangency), steps=n_steps,
-        residuals=np.concatenate(resid), sample_points=np.concatenate(pts),
-        **fields)
-
-
 def _relative_engine(omega0, omega1, rho):
-    """The flow of the relative statement: -W_t u = rho in the singular
-    coframe, where W_t = (1 - t) W_0 + t W_1 and rho_z picks up a factor f."""
+    """The _MoserEngine of the relative statement: -W_t u = rho in the
+    singular coframe, where W_t = (1 - t) W_0 + t W_1 and rho_z picks up a
+    factor f."""
     patch = omega0.patch
-    m = patch.dim
-    rhs = {i: rho.coefficient(i) for i in range(m)}
+    rhs = {i: rho.coefficient(i) for i in range(patch.dim)}
     zi = patch.index(omega0.zname)
     rhs[zi] = se.mul(omega0.f, rhs[zi])
-
-    def W_rows(rows, t):
-        # entry by entry over the entries nonzero in W_0 or W_1; an entry
-        # absent from one of them blends its scalar 0.0
-        w0, w1 = rows[0], rows[1]
-        if t == 0.0:
-            return w0
-        if t == 1.0:
-            return w1
-        return {key: (1.0 - t) * w0.get(key, 0.0) + t * w1.get(key, 0.0)
-                for key in w0.keys() | w1.keys()}
-
     groups = [_upper(b_matrix(omega0)), _upper(b_matrix(omega1)),
               _nonzero(rhs)]
-    return _MoserEngine(patch, omega0.zname, omega0.f, groups, W_rows,
-                        lambda rows: [-rows[2].get(i, 0.0) for i in range(m)])
+    return _MoserEngine(patch, omega0.zname, omega0.f, groups)
 
 
 def moser_relative_verify(omega0: BForm, omega1: BForm, n_points=N_SAMPLE,
@@ -802,7 +723,8 @@ def moser_relative_verify(omega0: BForm, omega1: BForm, n_points=N_SAMPLE,
 
     Builds a primitive of omega0 - omega1 vanishing on the hypersurface,
     solves the contraction equation for v_t in the singular coframe,
-    integrates the flow, and reports the pullback residual.
+    integrates the flow, and reports the pullback residual.  Every value
+    the report folds is finite (_collar_flow) and not negative.
     """
     _check_flow(n_points, n_steps, omega0.patch.dim)
     omega0._check(omega1)
@@ -811,45 +733,47 @@ def moser_relative_verify(omega0: BForm, omega1: BForm, n_points=N_SAMPLE,
     if not _restrictions_agree(omega0, omega1, components):
         raise GeometryError("restrictions to the hypersurface differ; the "
                             "relative statement does not apply")
-    delta = omega0 - omega1
-    smooth_ok, delta_s = _smooth_difference(delta)
-    if not smooth_ok:
+    smooth, delta_s = _smooth_difference(omega0 - omega1)
+    if not smooth:
         raise GeometryError("difference form is not smooth across the "
                             "hypersurface (inconsistent input)")
+    if delta_s is None:
+        raise GeometryError("difference form is smooth across the "
+                            "hypersurface, but alpha/f has no exact quotient "
+                            "to build its primitive from")
     if not vanishes(d_smooth(delta_s)):
         raise GeometryError("difference of the two forms is not closed; "
                             "inputs are not both symplectic")
 
     flows = []
     halvings_used, radius_used = 0, np.inf
-    mu = rho = None
     for comp in components:
         r, halvings = _shrink_collar(omega0, omega1, comp)
         halvings_used = max(halvings_used, halvings)
         radius_used = min(radius_used, r)
         cval, h = _factor_at(omega0.f, zname, comp.value)
-        rho, core = _collar_primitive(delta_s, zname, cval)
+        rho = _collar_primitive(delta_s, zname, cval)
         if h is None:
             raise GeometryError("cannot factor the defining function at the "
                                 "component; mu = rho/f not certified smooth")
-        mu = core.map_coefficients(lambda a: se.div(a, h))   # rho/f
-        engine = _relative_engine(omega0, omega1, rho)
-        # tangency: the velocity itself vanishes on the level set
-        flows.append(_collar_flow(engine, comp, r, n_points, n_steps,
-                                  engine.velocity))
-    return _moser_report(flows, n_steps, collar_halvings=halvings_used,
-                         collar_radius=float(radius_used), mu=mu,
-                         primitive=rho)
+        flows.append(_collar_flow(_relative_engine(omega0, omega1, rho),
+                                  comp, r, n_points, n_steps))
+    if not flows:
+        raise GeometryError("defining function has no zeros in the patch")
+    pts, tangency, resid = zip(*flows)
+    return MoserReport(
+        max_residual=max(float(np.max(r)) for r in resid),
+        v_on_Z_max=max(tangency), collar_halvings=halvings_used,
+        collar_radius=float(radius_used), steps=n_steps,
+        residuals=np.concatenate(resid), sample_points=np.concatenate(pts))
 
 
 def _smooth_difference(delta: BForm):
-    """Smooth-form equivalent of a b-form difference, when one exists."""
+    """is_smooth of a b-form difference: (True, beta) at once when alpha
+    is zero."""
     if delta.alpha.is_zero():
         return True, delta.beta
-    verdict, smooth = is_smooth(delta)
-    if not verdict or smooth is None:
-        return False, None
-    return True, smooth
+    return is_smooth(delta)
 
 
 def _factor_at(f, zname, c):
@@ -863,72 +787,3 @@ def _factor_at(f, zname, c):
         if h is not None:
             return cand, h
     return c, divide_exact(f, se.sub(se.sym(zname), se._coerce(c)))
-
-
-def _global_engine(omega_t, mu_t):
-    """The isotopy field of a family: with d(mu_t) = d/dt omega_t it solves
-    -W_t u = -mu_t in the singular coframe (so that L_v omega_t cancels the
-    time derivative); W_t and mu_t read t from the column of the parameter
-    TIME, and every other declared parameter as 1.0."""
-    m = omega_t.patch.dim
-    mu = _nonzero({i: mu_t.b_coefficient(i) for i in range(m)})
-    return _MoserEngine(omega_t.patch, omega_t.zname, omega_t.f,
-                        [_upper(b_matrix(omega_t)), mu],
-                        lambda rows, t: rows[0],
-                        lambda rows: [rows[1].get(i, 0.0) for i in range(m)],
-                        tname=TIME)
-
-
-def moser_global_verify(omega_t: BForm, mu_t: BForm, n_points=N_SAMPLE,
-                        n_steps=N_STEPS) -> MoserReport:
-    """Verify the global statement for a symbolically given family.
-
-    omega_t and mu_t are forms whose coefficients contain the declared
-    parameter TIME, "t"; mu_t must satisfy d(mu_t) = d/dt omega_t (checked
-    symbolically).  The vector field solved from the contraction equation
-    is automatically tangent to the hypersurface; its time-1 flow pulls the
-    final form back to the initial one up to the reported residual.
-    """
-    patch = omega_t.patch
-    _check_flow(n_points, n_steps, patch.dim)
-    if TIME not in patch.params:
-        raise ValueError("patch must declare %r as a parameter" % TIME)
-    zi = omega_t.zindex
-    if TIME in se.free_symbols(omega_t.f):
-        raise GeometryError("defining function may not depend on time")
-
-    dmu = d_bform(mu_t)
-    dot = BForm(patch, omega_t.degree,
-                omega_t.alpha.map_coefficients(lambda e: diff_expr(e, TIME)),
-                omega_t.beta.map_coefficients(lambda e: diff_expr(e, TIME)),
-                omega_t.f, omega_t.zname)
-    if not (vanishes(dmu.alpha - dot.alpha) and vanishes(dmu.beta - dot.beta)):
-        raise GeometryError("d(mu_t) != d/dt omega_t; the family is not "
-                            "certified isotopic")
-
-    components = find_z_components(omega_t)
-    # nondegeneracy of the family across the time grid
-    top = top_coefficient(omega_t)
-    for tv in (0.0, 0.25, 0.5, 0.75, 1.0):
-        vmin, _ = _grid_min_abs(substitute(top, {TIME: tv}), patch, 32)
-        if vmin < 1e-9:
-            raise GeometryError("family degenerates at t = %g" % tv)
-
-    engine = _global_engine(omega_t, mu_t)
-    df = _chart_tape([diff_expr(omega_t.f, n) for n in patch.names], patch)
-
-    def df_v(on_Z, t):
-        # tangency: the velocity is tangent to Z where df.v vanishes
-        v = engine.velocity(on_Z, t)
-        dfm = np.column_stack(evaluate_tape(df, engine.at(on_Z, t)))
-        return np.sum(dfm * v, axis=1)
-
-    lo, hi = patch.intervals[zi]
-    flows = []
-    for comp in components:
-        r = 0.5 * min(comp.value - lo, hi - comp.value)
-        if patch.periods[zi] is not None and r <= 0:
-            r = 0.25 * patch.periods[zi]
-        flows.append(_collar_flow(engine, comp, r, n_points, n_steps, df_v))
-    return _moser_report(flows, n_steps, collar_halvings=0,
-                         collar_radius=float("nan"), mu=mu_t)

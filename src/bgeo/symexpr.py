@@ -3,10 +3,15 @@
 Expression trees are canonical by construction: the module-level
 constructors (add, mul, powr, fun, ...) flatten, fold rational constants,
 sort, and cancel like terms, so structural equality of two expressions
-built through them is already a normal-form comparison.  ``add`` runs its
-rewrite c*sin(u)^2*R + c*cos(u)^2*R -> c*R to a fixed point, rebuilding
-the sum after each pass, so no library code re-normalises a tree;
-``normalize`` (idempotent) is the tests' oracle of canonical output.
+built through them is a normal-form comparison, with one exception: a
+lone reciprocal of a sum is kept as it is.  With A = 1/x - 1/(x + 1),
+``div(1, A)`` stays ``(x^(-1) - (1 + x)^(-1))^(-1)``: ``powr`` tries no
+rational collapse, and ``mul`` hands a lone factor back as it is.
+``div(2, A)`` is a product, which ``mul`` collapses, and gives
+``2*x + 2*x^2``.  ``expr_equiv``, not ``==``, decides between such trees.
+``add`` runs its rewrite c*sin(u)^2*R + c*cos(u)^2*R -> c*R to a fixed
+point, rebuilding the sum after each pass, so no library code
+re-normalises a tree.
 
 Rational constants are carried exactly as fractions.Fraction; anything
 transcendental degrades to float.  Folding a constant power whose exact
@@ -59,8 +64,7 @@ tree or a verdict:
 
 Numbers come from one path, the tapes of ``bgeo.evalcore``: sampled
 equivalence evaluates both sides, as one two-output tape, on blocks of
-candidate points and skips the non-finite ones, and ``eval_expr`` is a
-one-point tape call that raises EvalDomainError where it gives inf or nan.
+candidate points and skips the non-finite ones.
 """
 
 from __future__ import annotations
@@ -80,8 +84,8 @@ __all__ = [
     "Expr", "Num", "Sym", "Add", "Mul", "Pow", "Fun", "Patch",
     "num", "sym", "add", "mul", "sub", "div", "neg", "powr", "fun",
     "ZERO", "ONE",
-    "parse_expr", "to_string", "eval_expr", "diff_expr", "expr_equiv",
-    "normalize", "substitute", "free_symbols", "antiderivative",
+    "parse_expr", "to_string", "diff_expr", "expr_equiv",
+    "substitute", "free_symbols", "antiderivative",
     "divide_exact", "grid_blocks", "grid_per_axis",
     "ExprError", "ExprSyntaxError", "UnknownIdentifierError",
     "EvalDomainError", "EquivalenceInconclusive",
@@ -954,25 +958,6 @@ def _shadow_rem(n, d):
 # structural operations
 
 
-def normalize(e):
-    """Rebuild a tree through the canonical constructors (idempotent).
-    Constructor output is already a fixed point, so no library code calls
-    this; the tests use it as the oracle of that."""
-    if isinstance(e, Num):
-        return Num(e.value)
-    if isinstance(e, Sym):
-        return e
-    if isinstance(e, Add):
-        return add(*[normalize(t) for t in e.terms])
-    if isinstance(e, Mul):
-        return mul(*[normalize(f) for f in e.factors])
-    if isinstance(e, Pow):
-        return powr(normalize(e.base), e.exp)
-    if isinstance(e, Fun):
-        return fun(e.fn, normalize(e.arg))
-    raise TypeError(f"not an Expr: {e!r}")
-
-
 def free_symbols(e):
     out = set()
     stack = [e]
@@ -1050,27 +1035,6 @@ def diff_expr(e, name):
         }[e.fn]()
         return mul(outer, da)
     raise TypeError
-
-
-# ---------------------------------------------------------------------------
-# evaluation
-
-
-def eval_expr(e, point):
-    """Evaluate at a point (dict name -> float, parameters included), as a
-    one-point tape call.  Raises EvalDomainError on poles, non-finite
-    results and unbound symbols instead of returning them."""
-    # imported here: bgeo.evalcore._tape imports this module
-    from .evalcore import compile_tape, evaluate_tape, finite
-
-    env = dict(point)
-    try:
-        tape = compile_tape(e, tuple(env))
-    except KeyError:
-        unbound = sorted(free_symbols(e) - env.keys())
-        raise EvalDomainError(f"unbound symbol '{unbound[0]}'") from None
-    pts = [[float(x) for x in env.values()]]
-    return float(finite(evaluate_tape(tape, pts))[0])
 
 
 # ---------------------------------------------------------------------------

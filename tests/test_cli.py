@@ -548,6 +548,37 @@ class TestMoser:
         assert json.loads(out)["error"] == ("defining function has no "
                                             "zeros in the patch")
 
+    @staticmethod
+    def _alpha_pair_out(capsys, tmp_path, alpha1):
+        """Exit code and report of moser, in process, on dx^dy/y against
+        alpha1 dx^dy/y: the two differ in alpha only."""
+        from bgeo import cli
+
+        p0 = bform_doc(tmp_path, "w0.json", {"0": "1"}, {})
+        p1 = bform_doc(tmp_path, "w1.json", {"0": alpha1}, {})
+        code = cli.main(["moser", p0, p1])
+        out, err = capsys.readouterr()
+        assert err == ""
+        return code, json.loads(out)
+
+    def test_alpha_difference_with_exact_quotient(self, capsys, tmp_path):
+        # the difference -y/4 dx^dy/y is smooth, with quotient -1/4 by f:
+        # the one path into _smooth_difference's is_smooth branch
+        code, doc = self._alpha_pair_out(capsys, tmp_path, "1 + y/4")
+        assert code == 0 and doc["ok"]
+        assert repr(doc["max_residual"]) == "5.474065645216797e-11"
+        assert doc["vfield_on_Z_max"] == 0.0
+
+    def test_alpha_difference_without_exact_quotient(self, capsys, tmp_path):
+        # -sin(y)/4 dx^dy/y is smooth across y = 0, but sin(y)/y has no
+        # exact quotient, so no primitive is built; the report used to call
+        # the difference not smooth
+        code, doc = self._alpha_pair_out(capsys, tmp_path, "1 + sin(y)/4")
+        assert code == 1
+        assert doc["error"] == ("difference form is smooth across the "
+                                "hypersurface, but alpha/f has no exact "
+                                "quotient to build its primitive from")
+
     @pytest.mark.parametrize("steps", ["1000000", "1" + "0" * 400])
     def test_steps_past_the_flow_budget(self, tmp_path, capsys, steps):
         # at one point a million steps would take minutes, and 10^400 made

@@ -7,14 +7,12 @@ import pytest
 from bgeo.cohomology import (
     BettiData,
     b_betti,
-    betti_genus_surface,
-    betti_product,
-    betti_sphere,
-    betti_torus,
     nonvanishing_witness,
     poisson_betti,
 )
 from bgeo.surface2d import surface_poisson_cohomology
+from betti_tables import (betti_genus_surface, betti_product, betti_sphere,
+                          betti_torus)
 
 
 def surface_data(g, n):

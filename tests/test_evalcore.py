@@ -6,7 +6,8 @@ import pytest
 from bgeo import evalcore
 from bgeo.evalcore import compile_tape, evaluate_tape
 from bgeo.symexpr import (Add, EvalDomainError, ExprError, Mul, Num, Patch,
-                          Sym, eval_expr, parse_expr)
+                          Sym, parse_expr)
+from expr_oracles import eval_expr
 from tree_eval import tree_eval
 from unfolded_tape import compile_unfolded, evaluate_unfolded
 

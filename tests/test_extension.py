@@ -7,18 +7,14 @@ import pytest
 
 from bgeo import symexpr as se
 from bgeo.extension import (
-    ExtensionModel,
     HypersurfaceData,
     build_extension,
     check_defining_forms,
-    circle_data,
-    compare_extensions,
     leaf_volume_form,
     torus3_data,
     torus4_extension,
 )
 from bgeo.forms import (
-    BForm,
     GeometryError,
     SmoothForm,
     d_bform,
@@ -26,6 +22,14 @@ from bgeo.forms import (
     top_coefficient,
 )
 from bgeo.symexpr import EvalDomainError, Patch, expr_equiv, num, parse_expr
+
+
+def circle_data() -> HypersurfaceData:
+    """The lowest-dimensional case: Z = S^1 with alpha = dθ, omega = 0."""
+    two_pi = 2 * math.pi
+    patch = Patch(("theta",), ((0.0, two_pi),), periods=(two_pi,))
+    alpha = SmoothForm(patch, 1, {("theta",): num(1)})
+    return HypersurfaceData(patch, alpha, SmoothForm(patch, 2, {}))
 
 
 def torus_patch3():
@@ -174,51 +178,3 @@ class TestBuildExtension:
                        for c in d.alpha.comps.values())
             assert all(expr_equiv(c, num(0), m.patch)
                        for c in d.beta.comps.values())
-
-
-class TestCompareExtensions:
-    def test_identical(self):
-        m = build_extension(torus3_data(a="1", b="2"))
-        v = compare_extensions(m, m)
-        assert v.same_restriction and v.verdict == "same-restriction"
-
-    def test_different_widths_with_moser(self):
-        data = torus3_data(a="1", b="2")
-        m1 = build_extension(data, eps=1.0)
-        m2 = build_extension(data, eps=0.5)
-        v = compare_extensions(m1, m2, moser=True, n_points=40)
-        assert v.same_restriction
-        assert v.verdict == "equivalent"
-        assert v.moser_report.max_residual < 1e-4
-
-    def test_smooth_perturbation(self):
-        # omega~ + t dt^p*alpha restricts identically; the flow check runs
-        data = torus3_data(a="1", b="2")
-        m1 = build_extension(data)
-        ti = m1.patch.index("t")
-        extra = {}
-        for (i,), c in m1.bform.alpha.comps.items():
-            # t dt ^ (c dtheta_i) = -t c dtheta_i ^ dt
-            extra[(i, ti)] = se.mul(num(-1), se.sym("t"), c)
-        pert = SmoothForm(m1.patch, 2, extra)
-        b2 = BForm(m1.patch, 2, m1.bform.alpha, m1.bform.beta + pert,
-                   m1.bform.f, "t")
-        m2 = ExtensionModel(patch=m1.patch, bform=b2, data=data)
-        v = compare_extensions(m1, m2, moser=True, n_points=40)
-        assert v.same_restriction
-        assert v.verdict == "equivalent"
-
-    def test_mismatched_data_rejected(self):
-        m1 = build_extension(torus3_data(a="1", b="2"))
-        m2 = build_extension(circle_data())
-        with pytest.raises(ValueError, match="different"):
-            compare_extensions(m1, m2)
-
-    def test_distinct_restrictions(self):
-        data = torus3_data(a="1", b="2")
-        m1 = build_extension(data)
-        b2 = BForm(m1.patch, 2, m1.bform.alpha.scale(2), m1.bform.beta,
-                   m1.bform.f, "t")
-        m2 = ExtensionModel(patch=m1.patch, bform=b2, data=data)
-        v = compare_extensions(m1, m2)
-        assert not v.same_restriction and v.verdict == "distinct"

@@ -9,17 +9,13 @@ import pytest
 from bgeo import symexpr as se
 from bgeo._poly import poly_const, poly_quotient, rat_add, rat_mul
 from bgeo.forms import (
-    BBivector,
     BForm,
     GeometryError,
+    SmoothForm,
     ZComponent,
-    _inverse_expr,
-    bform_equiv,
-    bivector_to_bform,
     bwedge,
     d_bform,
     d_smooth,
-    dualize,
     find_z_components,
     form_equiv,
     interior_product,
@@ -27,13 +23,13 @@ from bgeo.forms import (
     nondegeneracy_check,
     pullback_to_level,
     restrict_to_Z,
-    smooth_form,
     top_coefficient,
     transversality_check,
     wedge,
 )
-from bgeo.symexpr import (Num, Patch, ZERO, diff_expr, expr_equiv, normalize,
-                          parse_expr, sym)
+from bgeo.symexpr import Num, Patch, ZERO, diff_expr, expr_equiv, parse_expr, sym
+from duality import _inverse_expr, bform_equiv, bivector_to_bform, dualize
+from expr_oracles import eval_expr
 from tree_eval import tree_eval
 
 PLANE = Patch(("x", "y"), ((-2.0, 2.0), (-2.0, 2.0)))
@@ -44,50 +40,50 @@ T4 = Patch(("t1", "t2", "t3", "t4"), ((0.0, TAU),) * 4, periods=(TAU,) * 4)
 
 def affine_bform():
     # dx ^ dy / y
-    return BForm(PLANE, 2, smooth_form(PLANE, 1, {("x",): 1}),
-                 smooth_form(PLANE, 2, {}), sym("y"), "y")
+    return BForm(PLANE, 2, SmoothForm(PLANE, 1, {("x",): 1}),
+                 SmoothForm(PLANE, 2, {}), sym("y"), "y")
 
 
 def standard_r4():
     # dx1 ^ dy1 / y1 + dx2 ^ dy2
-    return BForm(R4, 2, smooth_form(R4, 1, {("x1",): 1}),
-                 smooth_form(R4, 2, {("x2", "y2"): 1}), sym("y1"), "y1")
+    return BForm(R4, 2, SmoothForm(R4, 1, {("x1",): 1}),
+                 SmoothForm(R4, 2, {("x2", "y2"): 1}), sym("y1"), "y1")
 
 
 class TestSmoothForms:
     def test_antisymmetry_normalization(self):
-        a = smooth_form(PLANE, 2, {("y", "x"): 1})
+        a = SmoothForm(PLANE, 2, {("y", "x"): 1})
         assert a.coefficient("x", "y") == Num(Fraction(-1))
 
     def test_repeated_index_drops(self):
-        a = smooth_form(PLANE, 2, {("x", "x"): parse_expr("x*y", PLANE)})
+        a = SmoothForm(PLANE, 2, {("x", "x"): parse_expr("x*y", PLANE)})
         assert a.is_zero()
 
     def test_wedge_anticommutes(self):
-        dx = smooth_form(PLANE, 1, {("x",): 1})
-        dy = smooth_form(PLANE, 1, {("y",): 1})
+        dx = SmoothForm(PLANE, 1, {("x",): 1})
+        dy = SmoothForm(PLANE, 1, {("y",): 1})
         ab = wedge(dx, dy)
         ba = wedge(dy, dx)
         assert ab.coefficient("x", "y") == Num(Fraction(1))
         assert (ab + ba).is_zero()
 
     def test_d_squared_zero(self):
-        f = smooth_form(PLANE, 0, {(): parse_expr("sin(x)*y^3 + exp(x*y)", PLANE)})
+        f = SmoothForm(PLANE, 0, {(): parse_expr("sin(x)*y^3 + exp(x*y)", PLANE)})
         assert d_smooth(d_smooth(f)).is_zero()
 
     def test_d_of_product_leibniz(self):
         # d(fg) = df g + f dg on functions, via forms
         f = parse_expr("x^2*y", PLANE)
         g = parse_expr("sin(y) + x", PLANE)
-        lhs = d_smooth(smooth_form(PLANE, 0, {(): f * g}))
-        fg = smooth_form(PLANE, 0, {(): f})
-        gg = smooth_form(PLANE, 0, {(): g})
+        lhs = d_smooth(SmoothForm(PLANE, 0, {(): f * g}))
+        fg = SmoothForm(PLANE, 0, {(): f})
+        gg = SmoothForm(PLANE, 0, {(): g})
         rhs = d_smooth(fg).scale(g) + d_smooth(gg).scale(f)
         assert form_equiv(lhs, rhs)
 
     def test_interior_product(self):
         # iota_{d/dx}(dx ^ dy) = dy
-        a = smooth_form(PLANE, 2, {("x", "y"): 1})
+        a = SmoothForm(PLANE, 2, {("x", "y"): 1})
         v = interior_product({"x": 1}, a)
         assert v.coefficient("y") == Num(Fraction(1))
         # second slot picks up the sign
@@ -95,7 +91,7 @@ class TestSmoothForms:
         assert v.coefficient("x") == Num(Fraction(-1))
 
     def test_pullback_to_level(self):
-        a = smooth_form(PLANE, 1, {("x",): parse_expr("x*y", PLANE),
+        a = SmoothForm(PLANE, 1, {("x",): parse_expr("x*y", PLANE),
                                    ("y",): parse_expr("x^2", PLANE)})
         r = pullback_to_level(a, "y", 0.0)
         assert r.patch.names == ("x",)
@@ -104,8 +100,8 @@ class TestSmoothForms:
 
 class TestBFormAlgebra:
     def test_alpha_dz_components_dropped(self):
-        a = smooth_form(PLANE, 1, {("x",): 1, ("y",): parse_expr("x", PLANE)})
-        w = BForm(PLANE, 2, a, smooth_form(PLANE, 2, {}), sym("y"), "y")
+        a = SmoothForm(PLANE, 1, {("x",): 1, ("y",): parse_expr("x", PLANE)})
+        w = BForm(PLANE, 2, a, SmoothForm(PLANE, 2, {}), sym("y"), "y")
         assert list(w.alpha.comps) == [(0,)]
 
     def test_wedge_square_standard(self):
@@ -120,8 +116,8 @@ class TestBFormAlgebra:
         assert dw.alpha.is_zero() and dw.beta.is_zero()
 
     def test_d_squared_zero(self):
-        a = smooth_form(R4, 0, {(): parse_expr("x1*y2^2 + sin(x2)", R4)})
-        w = BForm(R4, 1, a, smooth_form(R4, 1, {("x2",): parse_expr("y1*x1", R4)}),
+        a = SmoothForm(R4, 0, {(): parse_expr("x1*y2^2 + sin(x2)", R4)})
+        w = BForm(R4, 1, a, SmoothForm(R4, 1, {("x2",): parse_expr("y1*x1", R4)}),
                   sym("y1"), "y1")
         ddw = d_bform(d_bform(w))
         assert ddw.alpha.is_zero() and ddw.beta.is_zero()
@@ -141,8 +137,8 @@ class TestZComponents:
 
     def test_periodic_sine_two_components(self):
         # f = sin(t4) on the 4-torus vanishes at t4 = 0 and pi
-        a = smooth_form(T4, 1, {("t1",): 1})
-        b = smooth_form(T4, 2, {("t2", "t3"): 1})
+        a = SmoothForm(T4, 1, {("t1",): 1})
+        b = SmoothForm(T4, 2, {("t2", "t3"): 1})
         w = BForm(T4, 2, a, b, parse_expr("sin(t4)", T4), "t4")
         comps = find_z_components(w)
         vals = [c.value for c in comps]
@@ -151,14 +147,14 @@ class TestZComponents:
         assert comps[1].fz == pytest.approx(-1.0)
 
     def test_degenerate_zero_rejected(self):
-        w = BForm(PLANE, 2, smooth_form(PLANE, 1, {("x",): 1}),
-                  smooth_form(PLANE, 2, {}), parse_expr("y^2", PLANE), "y")
+        w = BForm(PLANE, 2, SmoothForm(PLANE, 1, {("x",): 1}),
+                  SmoothForm(PLANE, 2, {}), parse_expr("y^2", PLANE), "y")
         with pytest.raises(GeometryError):
             find_z_components(w)
 
     def test_no_zeros_rejected_by_transversality(self):
-        w = BForm(PLANE, 2, smooth_form(PLANE, 1, {("x",): 1}),
-                  smooth_form(PLANE, 2, {}), parse_expr("4 + y", PLANE), "y")
+        w = BForm(PLANE, 2, SmoothForm(PLANE, 1, {("x",): 1}),
+                  SmoothForm(PLANE, 2, {}), parse_expr("4 + y", PLANE), "y")
         # f = 4 + y has no zero inside |y| < 2
         with pytest.raises(GeometryError):
             transversality_check(w)
@@ -243,8 +239,8 @@ class TestZComponentsAgainstScalar:
     @staticmethod
     def bform(patch, f_text):
         x, z = patch.names
-        return BForm(patch, 2, smooth_form(patch, 1, {(x,): 1}),
-                     smooth_form(patch, 2, {}), parse_expr(f_text, patch), z)
+        return BForm(patch, 2, SmoothForm(patch, 1, {(x,): 1}),
+                     SmoothForm(patch, 2, {}), parse_expr(f_text, patch), z)
 
     @staticmethod
     def seeded_texts(seed):
@@ -315,8 +311,8 @@ class TestRestriction:
 
     def test_orientation_of_fz(self):
         # f = -y flips df/dz, so the intrinsic part flips sign with it
-        w = BForm(PLANE, 2, smooth_form(PLANE, 1, {("x",): 1}),
-                  smooth_form(PLANE, 2, {}), parse_expr("-y", PLANE), "y")
+        w = BForm(PLANE, 2, SmoothForm(PLANE, 1, {("x",): 1}),
+                  SmoothForm(PLANE, 2, {}), parse_expr("-y", PLANE), "y")
         (pair,) = restrict_to_Z(w)
         assert pair.alpha_tilde.coefficient("x") == Num(Fraction(-1))
 
@@ -336,7 +332,7 @@ class TestRestriction:
         h = parse_expr("1 + x2^2/8", R4)
         (base,) = restrict_to_Z(w, comps)
         (scaled,) = restrict_to_Z(w.with_defining_function(h), comps)
-        logh = smooth_form(R4, 0, {(): parse_expr("log(1 + x2^2/8)", R4)})
+        logh = SmoothForm(R4, 0, {(): parse_expr("log(1 + x2^2/8)", R4)})
         dlogh_z = pullback_to_level(d_smooth(logh), "y1", 0.0)
         want = base.beta_tilde - wedge(base.alpha_tilde, dlogh_z)
         assert form_equiv(scaled.beta_tilde, want)
@@ -349,16 +345,16 @@ class TestSmoothness:
 
     def test_disguised_smooth_with_equivalent(self):
         # y dx ^ dy / y is just dx ^ dy
-        w = BForm(PLANE, 2, smooth_form(PLANE, 1, {("x",): sym("y")}),
-                  smooth_form(PLANE, 2, {}), sym("y"), "y")
+        w = BForm(PLANE, 2, SmoothForm(PLANE, 1, {("x",): sym("y")}),
+                  SmoothForm(PLANE, 2, {}), sym("y"), "y")
         ok, eq = is_smooth(w)
         assert ok is True
         assert eq.coefficient("x", "y") == Num(Fraction(1))
 
     def test_smooth_without_exact_quotient(self):
         # sin(y) dx ^ dy / y is smooth but not a polynomial quotient
-        w = BForm(PLANE, 2, smooth_form(PLANE, 1, {("x",): parse_expr("sin(y)", PLANE)}),
-                  smooth_form(PLANE, 2, {}), sym("y"), "y")
+        w = BForm(PLANE, 2, SmoothForm(PLANE, 1, {("x",): parse_expr("sin(y)", PLANE)}),
+                  SmoothForm(PLANE, 2, {}), sym("y"), "y")
         ok, eq = is_smooth(w)
         assert ok is True and eq is None
 
@@ -371,15 +367,15 @@ class TestNondegeneracy:
 
     def test_smooth_form_degenerates_as_bform(self):
         # dx ^ dy viewed with defining function y: f*omega = y dx^dy
-        w = BForm(PLANE, 2, smooth_form(PLANE, 1, {}),
-                  smooth_form(PLANE, 2, {("x", "y"): 1}), sym("y"), "y")
+        w = BForm(PLANE, 2, SmoothForm(PLANE, 1, {}),
+                  SmoothForm(PLANE, 2, {("x", "y"): 1}), sym("y"), "y")
         verdict, detail = nondegeneracy_check(w, grid=33)
         assert verdict == "degenerate"
 
     def test_torus_form(self):
         # dt1 ^ d(sin t4)/sin(t4)-type structure with beta = dt2 ^ dt3
-        a = smooth_form(T4, 1, {("t1",): 1})
-        b = smooth_form(T4, 2, {("t2", "t3"): 1})
+        a = SmoothForm(T4, 1, {("t1",): 1})
+        b = SmoothForm(T4, 2, {("t2", "t3"): 1})
         w = BForm(T4, 2, a, b, parse_expr("sin(t4)", T4), "t4")
         c = top_coefficient(w)
         verdict, detail = nondegeneracy_check(w, grid=12)
@@ -406,9 +402,9 @@ class TestDuality:
 
     def test_round_trip_numeric_tolerance(self):
         # perturbed structure: round trip agrees pointwise to 1e-10
-        beta = smooth_form(R4, 2, {("x2", "y2"): parse_expr("1 + x1^2/4", R4),
+        beta = SmoothForm(R4, 2, {("x2", "y2"): parse_expr("1 + x1^2/4", R4),
                                    ("x1", "x2"): parse_expr("y2/8", R4)})
-        w = BForm(R4, 2, smooth_form(R4, 1, {("x1",): parse_expr("1 + y2^2/9", R4)}),
+        w = BForm(R4, 2, SmoothForm(R4, 1, {("x1",): parse_expr("1 + y2^2/9", R4)}),
                   beta, sym("y1"), "y1")
         back = bivector_to_bform(dualize(w))
         rng = np.random.default_rng(5)
@@ -416,14 +412,13 @@ class TestDuality:
             pt = R4.random_point(rng)
             for i in range(4):
                 for j in range(i + 1, 4):
-                    from bgeo.symexpr import eval_expr
                     v1 = eval_expr(w.b_coefficient(i, j), pt)
                     v2 = eval_expr(back.b_coefficient(i, j), pt)
                     assert abs(v1 - v2) < 1e-10
 
     def test_degenerate_rejected(self):
-        w = BForm(PLANE, 2, smooth_form(PLANE, 1, {}),
-                  smooth_form(PLANE, 2, {}), sym("y"), "y")
+        w = BForm(PLANE, 2, SmoothForm(PLANE, 1, {}),
+                  SmoothForm(PLANE, 2, {}), sym("y"), "y")
         with pytest.raises(GeometryError):
             dualize(w)
 

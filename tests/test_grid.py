@@ -13,7 +13,7 @@ import pytest
 
 from bgeo.evalcore import compile_tape, evaluate_tape
 from bgeo.forms import (BForm, GeometryError, _grid_min_abs,
-                        nondegeneracy_check, smooth_form)
+                        SmoothForm, nondegeneracy_check)
 from bgeo.normalform import COLLAR_GRID, _grid_extrema, _min_abs_on_collar
 from bgeo.symexpr import (GRID_BLOCK, GRID_CAP, EvalDomainError, Patch,
                           grid_blocks, grid_per_axis, parse_expr, substitute,
@@ -238,8 +238,8 @@ def test_4d_check_memory():
     point array alone took."""
     R4 = Patch(("x1", "y1", "x2", "y2"), ((-2.0, 2.0),) * 4)
     w = BForm(R4, 2,
-              smooth_form(R4, 1, {("x1",): parse_expr("1 + x2^2/4", R4)}),
-              smooth_form(R4, 2, {("x2", "y2"):
+              SmoothForm(R4, 1, {("x1",): parse_expr("1 + x2^2/4", R4)}),
+              SmoothForm(R4, 2, {("x2", "y2"):
                                   parse_expr("2 + sin(x1)*y2/4", R4)}),
               sym("y1"), "y1")
     nondegeneracy_check(w, grid=4)

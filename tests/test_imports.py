@@ -151,15 +151,71 @@ def test_one_fork():
                                                    else []), path
 
 
+def defined_names(tree):
+    """The names of every function and class that a tree defines, at any
+    depth."""
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))}
+
+
 def test_no_renormalising():
-    """Constructor output is canonical: no module but symexpr uses
-    normalize, and symexpr only in the recursion of normalize itself."""
-    snippet = "def f(e):\n    return se.normalize(normalize(e))\n"
+    """Constructor output is canonical: no library module defines or uses
+    normalize, which the tests keep as their oracle of that
+    (tests/expr_oracles.py)."""
+    snippet = ("def f(e):\n    return se.normalize(normalize(e))\n"
+               "class K:\n    def normalize(self):\n        pass\n")
     assert name_uses(ast.parse(snippet), "normalize") == ["f", "f"]
-    for path in MODULES:
-        uses = name_uses(ast.parse(path.read_text()), "normalize")
-        helper = path == SRC / "symexpr.py"
-        assert uses == (["normalize"] * len(uses) if helper else []), path
+    assert defined_names(ast.parse(snippet)) == {"f", "K", "normalize"}
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        assert name_uses(tree, "normalize") == [], path
+        assert "normalize" not in defined_names(tree), path
+
+
+def bound_names(tree):
+    """The names that a module binds at its top level: its functions,
+    classes, assignments and imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(a.asname or a.name.split(".")[0]
+                         for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return names
+
+
+def exported_names(tree):
+    """The names listed in a module's __all__, or none."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return ast.literal_eval(node.value)
+    return []
+
+
+@pytest.mark.parametrize("path", MODULES,
+                         ids=lambda p: str(p.relative_to(SRC)))
+def test_all_names_are_bound(path):
+    """Every name in a module's __all__ is bound in that module, so that
+    `from bgeo.<module> import *` cannot fail on an entry left behind by a
+    deletion."""
+    snippet = ast.parse("from .a import b as c\nimport x.y\nd, (e, f) = 1, (2, 3)\n"
+                        "g: int = 4\ndef h():\n    i = 5\nclass J:\n    pass\n"
+                        "__all__ = ['c', 'x', 'e', 'h', 'J']\n")
+    assert bound_names(snippet) == {"c", "x", "d", "e", "f", "g", "h", "J",
+                                    "__all__"}
+    assert exported_names(snippet) == ["c", "x", "e", "h", "J"]
+    tree = ast.parse(path.read_text())
+    assert sorted(set(exported_names(tree)) - bound_names(tree)) == []
 
 
 ROOT = SRC.parent.parent
@@ -250,5 +306,110 @@ def test_every_optional_parameter_is_set():
     library = [ast.parse(p.read_text()) for p in sorted(SRC.rglob("*.py"))]
     callers = [ast.parse(p.read_text()) for p in CALLERS]
     assert unset_parameters(library, callers) == []
-    # the guard's own count: 75 before these defaults became constants
-    assert sum(len(optional_parameters(t)) for t in library) <= 49
+    # the guard's own count: 75 before these defaults became constants,
+    # 49 before the code that only tests reached went
+    assert sum(len(optional_parameters(t)) for t in library) <= 40
+
+
+# Top-level functions and classes that no root reaches, kept on purpose,
+# keyed by (module under bgeo, name), with the reason each stays.
+KEPT_UNREACHED = {
+    ("extension", "torus3_data"):
+        "the corank-one data on T^3 of the T^3 -> T^4 acceptance scenario "
+        "(tests/test_acceptance.py)",
+    ("extension", "torus4_extension"):
+        "the extension of that scenario to T^4, whose defining function "
+        "sin(theta4) cuts out two copies of T^3",
+    ("surface2d", "__getattr__"):
+        "perfbench/tracing.py reads surface2d.brentq and surface2d.quad "
+        "by getattr with no default",
+}
+
+
+def referenced_names(node):
+    """Every name and attribute name that a tree reads or binds."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def bgeo_names(tree):
+    """The names that a tree imports from a bgeo module, and the
+    attributes it reads on a bgeo module or package that it imports."""
+    names, modules = set(), set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom) and node.level == 0
+                and node.module.split(".")[0] == "bgeo"):
+            names.update(a.name for a in node.names)
+            if node.module == "bgeo":   # from bgeo import <module>
+                modules.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(a.asname or "bgeo" for a in node.names
+                           if a.name.split(".")[0] == "bgeo")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            base = node.value
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in modules:
+                names.add(node.attr)
+    return names
+
+
+def unreached(library, roots):
+    """(module, name) of each top-level function and class of the library
+    (module name -> tree) that no chain of names reaches from the root
+    names.  A definition that is reached reaches every name its body
+    reads.  Names, not scopes, link: a name defined in two modules is
+    reached in both.  The top-level statements of a module that are not
+    definitions run on import, so the names they read are roots too."""
+    defs = {}
+    todo = set(roots)
+    for module, tree in library.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defs.setdefault(node.name, []).append((module, node))
+            else:
+                todo |= referenced_names(node)
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            for _, node in defs.get(name, []):
+                todo |= referenced_names(node)
+    return sorted((module, name) for name, where in defs.items()
+                  if name not in reached for module, _ in where)
+
+
+def test_every_definition_is_reached():
+    """Every top-level function and class of the library, private ones
+    included, is reached through names from cli.py (main calls its cmd_*
+    handlers by name), from what perfbench/*.py uses of bgeo, or is kept in
+    KEPT_UNREACHED with its reason; every kept one is reached from no other
+    root.  Code that only tests call lives under tests/."""
+    snippet = ast.parse("X = f()\ndef f():\n    return g.h\ndef h():\n    pass\n"
+                        "def k():\n    return m()\ndef m():\n    pass\n"
+                        "class N:\n    def f(self):\n        pass\n")
+    assert unreached({"s": snippet}, set()) == [("s", "N"), ("s", "k"),
+                                                 ("s", "m")]
+    assert unreached({"s": snippet}, {"N"}) == [("s", "k"), ("s", "m")]
+    assert bgeo_names(ast.parse(
+        "import bgeo.cli\nfrom bgeo import serialize as ser\n"
+        "from bgeo.forms import wedge\nfrom os import path\n"
+        "bgeo.cli.main(ser.load(path.x))\n")) == {"cli", "main", "serialize",
+                                                  "load", "wedge"}
+    library = {}
+    for path in sorted(SRC.rglob("*.py")):
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        library[module.removesuffix(".__init__")] = ast.parse(path.read_text())
+    cli = library["cli"]
+    roots = referenced_names(cli) | {node.name for node in cli.body
+                                     if isinstance(node, ast.FunctionDef)}
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        roots |= bgeo_names(ast.parse(path.read_text()))
+    kept = {name for _, name in KEPT_UNREACHED}
+    assert unreached(library, roots | kept) == []
+    assert set(KEPT_UNREACHED) <= set(unreached(library, roots))
+    assert all(reason for reason in KEPT_UNREACHED.values())

@@ -1,4 +1,4 @@
-"""Tests for Darboux flattening and the Moser-path verifiers."""
+"""Tests for Darboux flattening and the Moser-path verifier."""
 
 import hashlib
 import math
@@ -20,9 +20,7 @@ from bgeo.forms import (
     GeometryError,
     SmoothForm,
     b_matrix,
-    d_smooth,
     find_z_components,
-    form_equiv,
     nondegeneracy_check,
 )
 from bgeo.normalform import (
@@ -35,7 +33,6 @@ from bgeo.normalform import (
     _collar_primitive,
     _factor_at,
     _flow_parts,
-    _global_engine,
     _halton,
     _halton_collar,
     _relative_engine,
@@ -44,11 +41,10 @@ from bgeo.normalform import (
     _standard_model,
     darboux2d,
     darboux_verify,
-    moser_global_verify,
     moser_relative_verify,
-    poincare_primitive,
 )
-from bgeo.symexpr import Patch, diff_expr, expr_equiv, normalize, num, parse_expr, sym
+from bgeo.symexpr import Patch, diff_expr, expr_equiv, num, parse_expr, sym
+from expr_oracles import normalize
 
 
 def bform2d(patch, g_text, beta_text=None):
@@ -153,46 +149,6 @@ class TestDarbouxVerify:
         assert not rep.ok and rep.max_residual > 0.1
 
 
-class TestPoincarePrimitive:
-    def test_area_form(self):
-        p = Patch(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)))
-        rho = SmoothForm(p, 2, {("x", "y"): num(1)})
-        mu = poincare_primitive(rho, center={"x": 0.0, "y": 0.0})
-        want = SmoothForm(p, 1, {("x",): parse_expr("-y/2", p),
-                                 ("y",): parse_expr("x/2", p)})
-        assert form_equiv(mu, want, tol=1e-12)
-
-    def test_zero(self):
-        p = Patch(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)))
-        mu = poincare_primitive(SmoothForm(p, 2, {}))
-        assert mu.is_zero()
-
-    def test_trig_coefficient(self):
-        p = Patch(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)))
-        rho = SmoothForm(p, 2, {("x", "y"): parse_expr("cos(x)", p)})
-        mu = poincare_primitive(rho)
-        assert form_equiv(d_smooth(mu), rho, tol=1e-8)
-
-    def test_degree_one(self):
-        p = Patch(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)))
-        rho = SmoothForm(p, 1, {("x",): parse_expr("y", p),
-                                ("y",): parse_expr("x", p)})  # d(xy)
-        mu = poincare_primitive(rho, center={"x": 0.0, "y": 0.0})
-        assert expr_equiv(mu.coefficient(), parse_expr("x*y", p), p, tol=1e-10)
-
-    def test_not_closed_rejected(self):
-        p = Patch(("x", "y", "z"), ((-1.0, 1.0),) * 3)
-        rho = SmoothForm(p, 2, {("x", "y"): parse_expr("z", p)})
-        with pytest.raises(GeometryError, match="closed"):
-            poincare_primitive(rho)
-
-    def test_off_center(self):
-        p = Patch(("x", "y"), ((0.0, 2.0), (0.0, 2.0)))
-        rho = SmoothForm(p, 2, {("x", "y"): parse_expr("x^2 + y", p)})
-        mu = poincare_primitive(rho, center={"x": 1.0, "y": 1.0})
-        assert form_equiv(d_smooth(mu), rho, tol=1e-8)
-
-
 def relative_pair(params=(), beta="y", y_interval=(-1.0, 1.0)):
     """dx^dy/y and the same plus beta dx^dy."""
     p = Patch(("x", "y"), ((-1.0, 1.0), y_interval), params=params)
@@ -290,9 +246,8 @@ class TestMoserRelative:
         assert rep.max_residual < 1e-5
         assert rep.v_on_Z_max < 1e-8
         assert rep.steps == 256
-        assert rep.mu is not None and rep.primitive is not None
         # the primitive must vanish identically on Z
-        for c in rep.primitive.comps.values():
+        for c in relative_primitive(w0, w1).comps.values():
             on_z = se.substitute(c, {"y": 0.0})
             assert expr_equiv(on_z, num(0), w0.patch, tol=1e-12)
 
@@ -350,84 +305,6 @@ class TestMoserRelative:
         w1 = BForm(p, 2, alpha1, SmoothForm(p, 2, {}), sym("y"), "y")
         with pytest.raises(GeometryError, match="restriction"):
             moser_relative_verify(w0, w1, n_points=20)
-
-
-def global_family(params=("t",), factor=""):
-    """omega_t = dx^dy/y + t*y dx^dy with primitive mu_t = x*y dy, both
-    times `factor` (an expression text ending in '*') when one is given."""
-    p = Patch(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)), params=params)
-    alpha = SmoothForm(p, 1, {("x",): num(1)})
-    wt = BForm(p, 2, alpha,
-               SmoothForm(p, 2, {("x", "y"): parse_expr(factor + "t*y", p)}),
-               sym("y"), "y")
-    mut = BForm(p, 1, SmoothForm(p, 0, {}),
-                SmoothForm(p, 1, {("y",): parse_expr(factor + "x*y", p)}),
-                sym("y"), "y")
-    return p, wt, mut
-
-
-class TestMoserGlobal:
-    def test_family(self):
-        _, wt, mut = global_family()
-        rep = moser_global_verify(wt, mut)
-        assert rep.max_residual < 1e-5
-        assert rep.v_on_Z_max < 1e-8
-
-    def test_constant_family(self):
-        p, _, _ = global_family()
-        alpha = SmoothForm(p, 1, {("x",): num(1)})
-        w = BForm(p, 2, alpha, SmoothForm(p, 2, {}), sym("y"), "y")
-        mu = BForm(p, 1, SmoothForm(p, 0, {}), SmoothForm(p, 1, {}),
-                   sym("y"), "y")
-        rep = moser_global_verify(w, mu, n_points=50)
-        assert rep.max_residual < 1e-10
-
-    def test_wrong_primitive_rejected(self):
-        p, wt, _ = global_family()
-        bad = BForm(p, 1, SmoothForm(p, 0, {}),
-                    SmoothForm(p, 1, {("y",): sym("x")}), sym("y"), "y")
-        with pytest.raises(GeometryError, match="d\\(mu_t\\)"):
-            moser_global_verify(wt, bad, n_points=20)
-
-    @pytest.mark.parametrize("knobs", [{"n_points": 0},
-                                       {"n_steps": 0},
-                                       {"n_steps": -3},
-                                       {"n_points": 400_001}])
-    def test_knobs_range_checked(self, knobs):
-        _, wt, mut = global_family()
-        with pytest.raises(ValueError, match="n_points|n_steps"):
-            moser_global_verify(wt, mut, **knobs)
-
-    @pytest.mark.parametrize("factor", ["", "a*"])
-    @pytest.mark.parametrize("params", [("t", "a"), ("a", "t")])
-    def test_second_parameter(self, params, factor):
-        # a second declared parameter is 1.0, and t is read from its own
-        # column wherever it is declared: the one-parameter family's report
-        ref = moser_global_verify(*global_family()[1:], n_points=40)
-        rep = moser_global_verify(*global_family(params, factor)[1:],
-                                  n_points=40)
-        assert rep.max_residual == ref.max_residual
-        assert rep.v_on_Z_max == ref.v_on_Z_max
-        assert np.array_equal(rep.residuals, ref.residuals)
-
-    def test_no_zeros_in_patch(self):
-        p = Patch(("x", "y"), ((-1.0, 1.0), (1.0, 2.0)), params=("t",))
-        alpha = SmoothForm(p, 1, {("x",): num(1)})
-        w = BForm(p, 2, alpha, SmoothForm(p, 2, {}), sym("y"), "y")
-        mu = BForm(p, 1, SmoothForm(p, 0, {}), SmoothForm(p, 1, {}),
-                   sym("y"), "y")
-        with pytest.raises(GeometryError, match="^defining function has no "
-                                                "zeros in the patch$"):
-            moser_global_verify(w, mu, n_points=20)
-
-    def test_needs_declared_parameter(self):
-        p = Patch(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)))
-        alpha = SmoothForm(p, 1, {("x",): num(1)})
-        w = BForm(p, 2, alpha, SmoothForm(p, 2, {}), sym("y"), "y")
-        mu = BForm(p, 1, SmoothForm(p, 0, {}), SmoothForm(p, 1, {}),
-                   sym("y"), "y")
-        with pytest.raises(ValueError, match="parameter"):
-            moser_global_verify(w, mu)
 
 
 def test_undeclared_symbol_is_an_expr_error():
@@ -530,26 +407,12 @@ def dense_relative_velocity(w0, w1, rho):
                           lambda pts, t: ev_r(pts))
 
 
-def dense_global_velocity(wt, mut):
-    patch = wt.patch
-    ev_W = dense_matrix_evaluator(patch, b_matrix(wt))
-    ev_r = dense_vector_evaluator(
-        patch, [mut.b_coefficient(i) for i in range(patch.dim)])
-
-    def with_t(pts, t):
-        return np.concatenate([pts, np.full((pts.shape[0], 1), t)], axis=1)
-
-    return dense_velocity(patch, wt.zname, wt.f,
-                          lambda pts, t: ev_W(with_t(pts, t)),
-                          lambda pts, t: -ev_r(with_t(pts, t)))
-
-
 def relative_primitive(w0, w1):
     """rho as moser_relative_verify builds it for the first component."""
     comp = find_z_components(w0)[0]
     cval, _ = _factor_at(w0.f, w0.zname, comp.value)
     _, delta = _smooth_difference(w0 - w1)
-    return _collar_primitive(delta, w0.zname, cval)[0]
+    return _collar_primitive(delta, w0.zname, cval)
 
 
 def seeded_pair4(seed):
@@ -621,16 +484,6 @@ class TestFusedVelocity:
     def test_6d_pair_uses_solve(self):
         self.check_relative(*pair6())
 
-    def test_global_family(self):
-        _, wt, mut = global_family()
-        fused = _global_engine(wt, mut)
-        dense = dense_global_velocity(wt, mut)
-        for pts in collar_points(wt.patch, wt.patch.index(wt.zname)):
-            for t in FUSED_TIMES:
-                v = fused.velocity(pts, t)
-                assert v.flags.f_contiguous
-                assert np.array_equal(v, dense(pts, t)), t
-
 
 @pytest.mark.parametrize("dim,most", [(2, 400_000), (4, 222_222)])
 def test_flow_batch_capped(dim, most):
@@ -661,21 +514,6 @@ def test_flow_budget(dim):
             _check_flow(1, huge, dim)
 
 
-def family4():
-    """dx^dy/y + du^dv + t*y dx^dy with primitive mu_t = x*y dy: the
-    constant du^dv entry reaches the solver through rows[0] as a float."""
-    p = Patch(("x", "y", "u", "v"), ((-1.0, 1.0),) * 4, params=("t",))
-    alpha = SmoothForm(p, 1, {("x",): num(1)})
-    wt = BForm(p, 2, alpha,
-               SmoothForm(p, 2, {("u", "v"): num(1),
-                                 ("x", "y"): parse_expr("t*y", p)}),
-               sym("y"), "y")
-    mut = BForm(p, 1, SmoothForm(p, 0, {}),
-                SmoothForm(p, 1, {("y",): parse_expr("x*y", p)}),
-                sym("y"), "y")
-    return wt, mut
-
-
 class TestReportsUnchanged:
     """repr of the maxima and sha256 of the residual bytes, as the flow
     gave them when every constant entry was a tape row filled with it and
@@ -692,11 +530,6 @@ class TestReportsUnchanged:
                                           n_steps=16),
             "1.9735324485736783e-11", "0.0",
             "694f50d48821745db0f4394130a07371de88ff8d4dfc56a23685a4507e041453"),
-        "global_4d": (
-            lambda: moser_global_verify(*family4(), n_points=64,
-                                        n_steps=32),
-            "3.703637396768045e-11", "0.0",
-            "988f486d74ee6bc5ebb8489675272eb37fd10482bb54966a2adda6a9108e6c14"),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -708,9 +541,15 @@ class TestReportsUnchanged:
         assert hashlib.sha256(rep.residuals.tobytes()).hexdigest() == digest
 
     def test_constant_entries_off_the_tape(self):
-        engine = _global_engine(*family4())
-        assert engine.groups[0] == ({(2, 3): 1.0}, [(0, 1)])
-        assert engine.tape.outputs == 3   # (0, 1), mu_y and f
+        # every entry of W_0 and the du^dv entry of W_1 are constants and
+        # reach the solver as floats; the y-perturbed (0, 1) and (1, 2)
+        # entries of W_1 and the x and u components of rho are tape outputs
+        w0, w1 = seeded_pair4(3)
+        engine = _relative_engine(w0, w1, relative_primitive(w0, w1))
+        assert engine.groups == [({(0, 1): 1.0, (2, 3): 1.0}, []),
+                                 ({(2, 3): 1.0}, [(0, 1), (1, 2)]),
+                                 ({}, [0, 2])]
+        assert engine.tape.outputs == 5   # four entries and f
 
     @pytest.mark.parametrize("pair", ["relative_2d", "relative_4d"])
     def test_flow_leaves_its_input(self, pair):
@@ -745,8 +584,6 @@ FORKED_CASES = {
     "relative_2d": lambda: relative_flow(*relative_pair(), 301),
     "relative_4d": lambda: relative_flow(*seeded_pair4(3), 301),
     "relative_6d": lambda: relative_flow(*pair6(), 101),
-    "global_4d": lambda: (_global_engine(*family4()),
-                          collar_points(family4()[0].patch, 1, n=301)[0]),
 }
 
 

@@ -25,7 +25,8 @@ from bgeo.surface2d import (
     surface_poisson_cohomology,
     torus_patch,
 )
-from bgeo.symexpr import eval_expr, expr_equiv, parse_expr, sub
+from bgeo.symexpr import expr_equiv, parse_expr, sub
+from expr_oracles import eval_expr
 from tree_eval import tree_eval
 
 

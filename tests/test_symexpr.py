@@ -26,14 +26,12 @@ from bgeo.symexpr import (
     diff_expr,
     div,
     divide_exact,
-    eval_expr,
     expr_equiv,
     expr_to_ratpoly,
     free_symbols,
     fun,
     mul,
     neg,
-    normalize,
     parse_expr,
     powr,
     sub,
@@ -41,6 +39,8 @@ from bgeo.symexpr import (
     sym,
     to_string,
 )
+from duality import _inverse_expr
+from expr_oracles import eval_expr, normalize
 from tree_eval import tree_eval
 
 PATCH = Patch(("x", "y", "z"), ((-2.0, 2.0), (-2.0, 2.0), (0.1, 3.0)),
@@ -852,7 +852,6 @@ class TestSharedViews:
         import copy
 
         from bgeo._poly import poly_quotient, rat_add, rat_mul
-        from bgeo.forms import _inverse_expr
 
         M = self._matrix(np.random.default_rng(61))
         exprs = [e for row in M for e in row]
@@ -946,7 +945,6 @@ class TestViewMemo:
         import copy
 
         from bgeo._poly import poly_quotient, rat_add, rat_mul
-        from bgeo.forms import _inverse_expr
 
         M = TestSharedViews._matrix(np.random.default_rng(62))
         exprs = [e for row in M for e in row]
