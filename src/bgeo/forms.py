@@ -208,14 +208,14 @@ def pullback_to_level(a, zname, value):
 
 
 def vanishes(form):
-    """Whether every component of a smooth form is zero by expr_equiv at
-    its default tolerance, decided in key order up to the first that is not."""
+    """Whether every component of a smooth form is zero by expr_equiv,
+    decided in key order up to the first that is not."""
     return all(expr_equiv(c, ZERO, form.patch) for c in form.comps.values())
 
 
 def form_equiv(a, b):
-    """Componentwise semidecidable equality of smooth forms, by expr_equiv
-    at its default tolerance."""
+    """Componentwise semidecidable equality of smooth forms, by
+    expr_equiv."""
     _check_compatible(a, b)
     keys = set(a.comps) | set(b.comps)
     for k in keys:
@@ -355,6 +355,13 @@ class RestrictionPair:
     beta_tilde: SmoothForm
 
 
+def _near_rational(r):
+    """The rational of denominator at most 10^6 nearest r, as a Fraction,
+    when it lies within 1e-9 of r; None otherwise."""
+    q = Fraction(r).limit_denominator(10 ** 6)
+    return q if abs(float(q) - r) < 1e-9 else None
+
+
 def find_z_components(bform):
     """Locate the roots of f along the distinguished coordinate, scanned at
     2048 samples.  Requires the z-partial of f to be bounded away from zero
@@ -416,11 +423,11 @@ def find_z_components(bform):
                 f"{zname}={zs[i]:.6g}")
     # snap near-rational roots so later exact substitutions (kappa form,
     # smooth quotients) see e.g. 0 rather than 5e-16
-    qs = [float(Fraction(r).limit_denominator(10 ** 6)) for r in roots]
-    near = [i for i, (q, r) in enumerate(zip(qs, roots)) if abs(q - r) < 1e-9]
-    for i, fq in zip(near, f_at([qs[i] for i in near])):
+    near = [(i, float(q)) for i, q in enumerate(map(_near_rational, roots))
+            if q is not None]
+    for (i, q), fq in zip(near, f_at([q for _, q in near])):
         if abs(fq) < 1e-9:
-            roots[i] = qs[i]
+            roots[i] = q
     # dedupe
     kept = []
     for r in roots:

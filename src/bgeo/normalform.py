@@ -41,7 +41,6 @@ import sys
 import threading
 import warnings
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -53,6 +52,7 @@ from .forms import (
     SmoothForm,
     _chart_range,
     _chart_tape,
+    _near_rational,
     _with_params,
     b_matrix,
     d_smooth,
@@ -123,7 +123,7 @@ def _grid_extrema(expr, patch, n):
     return r
 
 
-def darboux2d(omega: BForm, grid=64, tname="t") -> CoordinateChange:
+def darboux2d(omega: BForm, grid=64) -> CoordinateChange:
     """Flatten omega = (g/z)dz^dy on a 2-D patch to the model (1/z)dz^dt.
 
     The new coordinates are (z, t) with t(z, y) the fiberwise integral of g
@@ -165,7 +165,7 @@ def darboux2d(omega: BForm, grid=64, tname="t") -> CoordinateChange:
     # pullback identity: dt/dy must reproduce g
     ty = diff_expr(t, yname)
     try:
-        ok = expr_equiv(ty, g, patch, tol=1e-9)
+        ok = expr_equiv(ty, g, patch)
     except EquivalenceInconclusive:
         ok = False
     if not ok:
@@ -174,7 +174,7 @@ def darboux2d(omega: BForm, grid=64, tname="t") -> CoordinateChange:
     tmin, tmax = _grid_extrema(t, patch, n)
     pad = 1e-9 + 1e-9 * (tmax - tmin)
     zi = patch.index(zname)
-    target = Patch((zname, tname), (patch.intervals[zi], (tmin - pad, tmax + pad)),
+    target = Patch((zname, "t"), (patch.intervals[zi], (tmin - pad, tmax + pad)),
                    params=patch.params)
     return CoordinateChange(source=patch, target=target,
                             forward=(se.sym(zname), t), jacobian_det=ty)
@@ -207,18 +207,18 @@ def _standard_model(patch, zname):
                  SmoothForm(patch, 2, beta), se.sym(zname), zname)
 
 
-def darboux_verify(omega: BForm, point=None, grid=64, seed=0) -> DarbouxReport:
-    """Residual of omega against its flat model near a point of Z.
+def darboux_verify(omega: BForm, grid=64, seed=0) -> DarbouxReport:
+    """Residual of omega against its flat model on its patch.
 
     Dimension 2 is constructive (via darboux2d): the residual is dt/dy - g.
     Higher dimensions compare coefficient matrices in the singular coframe
     against the standard model.  Either residual is sampled at N_SAMPLE
-    points, in a box of a tenth of the patch about `point` when one is
-    given, and a non-finite value there raises EvalDomainError.
+    uniform points of the patch, and a non-finite value there raises
+    EvalDomainError.
     """
     patch = omega.patch
     rng = np.random.default_rng(seed)
-    pts = _with_params(patch, _sample_box(patch, point, rng))
+    pts = _with_params(patch, _sample_box(patch, rng))
     if patch.dim == 2:
         change = darboux2d(omega, grid=grid)
         yname = next(n for n in patch.names if n != omega.zname)
@@ -236,15 +236,9 @@ def darboux_verify(omega: BForm, point=None, grid=64, seed=0) -> DarbouxReport:
     return DarbouxReport(ok=worst < 1e-9, max_residual=worst, change=change)
 
 
-def _sample_box(patch, point, rng):
+def _sample_box(patch, rng):
     lo = np.array([iv[0] for iv in patch.intervals])
     hi = np.array([iv[1] for iv in patch.intervals])
-    if point is not None:
-        c = np.array([point[n] if isinstance(point, dict) else point[i]
-                      for i, n in enumerate(patch.names)])
-        half = 0.1 * (hi - lo) / 2
-        lo = np.maximum(lo, c - half)
-        hi = np.minimum(hi, c + half)
     u = rng.random((N_SAMPLE, patch.dim))
     return lo + u * (hi - lo)
 
@@ -781,8 +775,8 @@ def _factor_at(f, zname, c):
     is the nearby exact rational, as a Fraction, when f divides exactly
     there, otherwise c itself; h is None when f does not divide by
     z - level.  Each candidate level is divided once."""
-    cand = Fraction(c).limit_denominator(10 ** 6)
-    if abs(float(cand) - c) < 1e-9:
+    cand = _near_rational(c)
+    if cand is not None:
         h = divide_exact(f, se.sub(se.sym(zname), Num(cand)))
         if h is not None:
             return cand, h

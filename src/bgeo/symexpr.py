@@ -37,7 +37,7 @@ restricts the tree to one line over GF(2^61 - 1); when the restricted
 denominator leaves a remainder, the collapse is refused without the exact
 view, which would refuse it too (the argument is in ``_try_collapse``).
 
-Five pieces of state make the exact path cheap, none of which changes a
+Four pieces of state make the exact path cheap, none of which changes a
 tree or a verdict:
 
 * every node caches its structural key (``sort_key``) on first use, built
@@ -52,11 +52,6 @@ tree or a verdict:
   subtree once and shares that view wherever the subtree repeats; the memo
   lives for the call, and the ``bgeo._poly`` functions never mutate their
   inputs;
-* ``_VIEWS`` keeps a compound subtree's view across calls, keyed by the
-  call's sorted atom keys and the subtree's key, weakly: the node viewed
-  holds the entry's holder (``Expr._view``), so an entry lives as long as
-  a node that was viewed over that atom index.  A view depends only on
-  the index and the key, so a later call over the same atoms reuses it;
 * ``_SHADOWS`` maps the key of a subtree to a node with that key whose
   ``Expr._shadow`` holds its shadow, or None where the shadow is
   inconclusive, weakly: an entry goes when its node is freed.  The shadow
@@ -136,12 +131,11 @@ class EquivalenceInconclusive(ExprError):
 
 
 class Expr:
-    # _key: the structural key, set by sort_key on first use; _view: the
-    # holder of the node's last exact view, which keeps its _VIEWS entry;
-    # _shadow: the node's modular shadow, which its _SHADOWS entry serves.
-    # Nodes are immutable: constructors, sort_key, _view and _shadow write
-    # through object.__setattr__
-    __slots__ = ("_key", "_view", "_shadow", "__weakref__")
+    # _key: the structural key, set by sort_key on first use; _shadow: the
+    # node's modular shadow, which its _SHADOWS entry serves.  Nodes are
+    # immutable: constructors, sort_key and _shadow write through
+    # object.__setattr__
+    __slots__ = ("_key", "_shadow", "__weakref__")
 
     def __setattr__(self, *a):
         raise AttributeError("immutable")
@@ -670,45 +664,23 @@ def _collect_atoms(e, atoms, seen):
     raise TypeError
 
 
-class _ViewHolder:
-    __slots__ = ("view", "__weakref__")
-
-    def __init__(self, view):
-        self.view = view
-
-
-# (sort keys of an atom index, sort_key of a compound subtree) -> the
-# holder of the subtree's view over that index; the node viewed keeps its
-# holder in Expr._view, so an entry goes when no node holds it any more
-_VIEWS = weakref.WeakValueDictionary()
-
-
-def _view(e, n, one, memo, index):
-    """The (numerator, denominator) view of e over the atom index whose
-    sort keys are `index`.  memo maps the sort_key of every atom, and of
-    each compound subtree already viewed in this call, to its view.  On a
-    miss the view comes from _VIEWS, where an earlier call over the same
-    index left it, or is built and left there.  A view depends only on the
-    index and the subtree's structure, so serving it across calls changes
-    nothing; views are shared and never mutated."""
+def _view(e, n, one, memo):
+    """The (numerator, denominator) view of e over the call's atom index.
+    memo maps the sort_key of every atom, and of each compound subtree
+    already viewed in this call, to its view; views are shared and never
+    mutated."""
     if isinstance(e, Num):
         return poly_const(e.value, n), one
     k = sort_key(e)
     r = memo.get(k)
     if r is None:
-        key = (index, k)
-        h = _VIEWS.get(key)
-        if h is None:
-            h = _ViewHolder(_compound_view(e, n, one, memo, index))
-            _VIEWS[key] = h
-        object.__setattr__(e, "_view", h)
-        r = memo[k] = h.view
+        r = memo[k] = _compound_view(e, n, one, memo)
     return r
 
 
-def _compound_view(e, n, one, memo, index):
+def _compound_view(e, n, one, memo):
     if isinstance(e, Pow):
-        bn, bd = _view(e.base, n, one, memo, index)
+        bn, bd = _view(e.base, n, one, memo)
         m = int(e.exp)
         if m < 0:
             if not bn:
@@ -721,12 +693,12 @@ def _compound_view(e, n, one, memo, index):
     if isinstance(e, Mul):
         r = one, one
         for f in e.factors:
-            r = _within_limit(rat_mul(r, _view(f, n, one, memo, index)))
+            r = _within_limit(rat_mul(r, _view(f, n, one, memo)))
         return r
     if not isinstance(e, Add):
         raise TypeError
     r = {}, one
-    for g in _by_denominator([_view(t, n, one, memo, index)
+    for g in _by_denominator([_view(t, n, one, memo)
                               for t in e.terms], poly_add):
         r = _within_limit(rat_add(r, g))
     return r
@@ -768,8 +740,7 @@ def _to_ratpoly(exprs):
         one = poly_const(Fraction(1), n)
         memo = {sort_key(a): (poly_var(i, n), one)
                 for i, a in enumerate(atoms)}
-        index = tuple(memo)
-        return [_view(e, n, one, memo, index) for e in exprs], tuple(atoms)
+        return [_view(e, n, one, memo) for e in exprs], tuple(atoms)
     except (_PolyOverflow, EvalDomainError):
         return None
 
@@ -1157,13 +1128,13 @@ class _Tokens:
         return t
 
 
-def parse_expr(text, patch, extra_params=()):
+def parse_expr(text, patch):
     """Parse an infix expression; identifiers must be patch coordinates or
     declared parameters.  Any text that is not a str is an ExprSyntaxError."""
     if not isinstance(text, str):
         raise ExprSyntaxError("an expression must be a string, got %s"
                               % type(text).__name__, 0)
-    allowed = set(patch.names) | set(patch.params) | set(extra_params)
+    allowed = set(patch.names) | set(patch.params)
     toks = _Tokens(text)
     depth = 0
 
@@ -1375,9 +1346,10 @@ class Patch:
         drop = lambda t: t[:i] + t[i + 1:]
         return Patch(drop(self.names), drop(self.intervals), drop(self.periods), self.params)
 
-    def with_coordinate(self, name, interval, period=None):
+    def with_coordinate(self, name, interval):
+        """The patch with one more coordinate, not periodic, appended."""
         return Patch(self.names + (name,), self.intervals + (tuple(interval),),
-                     self.periods + (period,), self.params)
+                     self.periods + (None,), self.params)
 
     def random_point(self, rng):
         """A uniform point, a relative margin of 1e-3 in from the edges."""
@@ -1463,12 +1435,14 @@ def grid_blocks(axes):
 
 EQUIV_POINTS = 64   # finite sample points that must agree in expr_equiv
 EQUIV_SEED = 0
+EQUIV_TOL = 1e-9    # relative tolerance of a sampled point's agreement
 
 
-def expr_equiv(e1, e2, patch, tol=1e-9):
+def expr_equiv(e1, e2, patch):
     """Semidecision: exact on rational functions of the atoms, randomized
     numeric sampling otherwise: EQUIV_POINTS finite points, coordinates and
-    declared parameters drawn alike from a generator seeded with EQUIV_SEED.
+    declared parameters drawn alike from a generator seeded with EQUIV_SEED,
+    must agree to within EQUIV_TOL relative to 1 + the larger magnitude.
     True is reliable up to sampling; False means a genuine countersample (or
     distinct polynomials) was found."""
     if e1 == e2:
@@ -1503,7 +1477,7 @@ def expr_equiv(e1, e2, patch, tol=1e-9):
         ok = np.isfinite(v1) & np.isfinite(v2)
         v1, v2 = v1[ok][:EQUIV_POINTS - good], v2[ok][:EQUIV_POINTS - good]
         if (np.abs(v1 - v2)
-                > tol * (1.0 + np.maximum(np.abs(v1), np.abs(v2)))).any():
+                > EQUIV_TOL * (1.0 + np.maximum(np.abs(v1), np.abs(v2)))).any():
             return False
         good += len(v1)
         if good >= EQUIV_POINTS:

@@ -2,9 +2,8 @@
 pair as the library built it before a sum grouped its terms by
 denominator, with an Add's terms folded into the pair one at a time by
 rat_add, so that every change of denominator cross-multiplies.  It reads
-the same atom index as `bgeo.symexpr.expr_to_ratpoly` and keeps no view
-across calls, so a test can compare the two views as rational functions
-and the collapses they give.
+the same atom index as `bgeo.symexpr.expr_to_ratpoly`, so a test can
+compare the two views as rational functions and the collapses they give.
 """
 
 from fractions import Fraction

@@ -16,8 +16,6 @@ from bgeo.extension import (
     build_extension,
     check_defining_forms,
     leaf_volume_form,
-    torus3_data,
-    torus4_extension,
 )
 from bgeo.forms import (
     BForm,
@@ -38,6 +36,7 @@ from bgeo.surface2d import (
 from bgeo.symexpr import Patch, expr_equiv, parse_expr
 from betti_tables import betti_sphere
 from expr_oracles import normalize
+from torus_data import torus3_data, torus4_extension
 
 import test_properties
 
@@ -182,7 +181,7 @@ def test_torus_extension():
                      + list(dw.beta.comps.values()))
         verdict, _ = nondegeneracy_check(model.bform)
         t4 = torus4_extension(a=1, b=2)
-        comps = find_z_components(t4.bform)
+        comps = find_z_components(t4)
     ok = (forms_rep.all_pass and vol_ok and closed
           and verdict.startswith("nonvanishing")
           and len(comps) == 2

@@ -706,6 +706,20 @@ class TestExtend:
         code, out = run_json("extend", path)
         assert code == 0 and out["config"]["grid"] == 24
 
+    def test_defining_forms_checked_once(self, capsys, monkeypatch, tmp_path):
+        # cmd_extend reports the four hypotheses and build_extension trusts
+        # them: one extend run scans the grid-decided alpha once
+        from bgeo import extension
+
+        calls = []
+        real = extension.check_defining_forms
+        monkeypatch.setattr(extension, "check_defining_forms",
+                            lambda data: calls.append(data) or real(data))
+        path = self._torus3_doc(tmp_path, "(2 + cos(theta1))/6")
+        code, out = _main_json(capsys, "extend", path, "--grid", "16")
+        assert code == 0 and all(out["defining_forms"].values())
+        assert len(calls) == 1
+
     def test_partly_non_finite_alpha(self, tmp_path):
         # alpha's first component is nan for theta1 < 1: an error, not a
         # nonvanishing verdict from the finite values

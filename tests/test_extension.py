@@ -11,17 +11,18 @@ from bgeo.extension import (
     build_extension,
     check_defining_forms,
     leaf_volume_form,
-    torus3_data,
-    torus4_extension,
 )
 from bgeo.forms import (
     GeometryError,
     SmoothForm,
     d_bform,
+    form_equiv,
+    nondegeneracy_check,
     restrict_to_Z,
     top_coefficient,
 )
 from bgeo.symexpr import EvalDomainError, Patch, expr_equiv, num, parse_expr
+from torus_data import torus3_data, torus4_extension
 
 
 def circle_data() -> HypersurfaceData:
@@ -130,20 +131,27 @@ class TestBuildExtension:
             want = se.mul(num(n), leaf)
             assert expr_equiv(top_coefficient(m.bform), want, m.patch)
 
-    def test_failing_hypotheses_blocked(self):
-        patch = torus_patch3()
-        alpha = SmoothForm(patch, 1, {("theta1",): parse_expr("cos(theta1)",
-                                                              patch)})
-        omega = SmoothForm(patch, 2, {("theta2", "theta3"): num(1)})
-        with pytest.raises(GeometryError, match="hypotheses"):
-            build_extension(HypersurfaceData(patch, alpha, omega))
-
     def test_torus4_variant(self):
-        m = torus4_extension(a="1", b="2")
-        comps = m.provenance["components"]
-        assert len(comps) == 2
+        w = torus4_extension(a="1", b="2")
+        comps = [p.component.value for p in restrict_to_Z(w)]
         assert comps == pytest.approx([0.0, math.pi], abs=1e-9)
-        assert m.provenance["nondegeneracy"][0] == "nonvanishing-symbolic"
+        assert nondegeneracy_check(w)[0] == "nonvanishing-symbolic"
+
+    @pytest.mark.parametrize("a,b", [("a", "b"), ("1", "2")])
+    def test_torus4_restriction_data(self, a, b):
+        # near theta4 = pi, sin(theta4) = -(theta4 - pi) + ..., so
+        # alpha ^ dtheta4/sin(theta4) restricts to -alpha there
+        data = torus3_data(a, b)
+        minus_alpha = SmoothForm(data.patch, 1, {
+            k: se.neg(c) for k, c in data.alpha.comps.items()})
+        at_0, at_pi = restrict_to_Z(torus4_extension(a, b))
+        assert at_0.component.value == 0.0
+        assert at_pi.component.value == pytest.approx(math.pi, abs=1e-9)
+        assert form_equiv(at_0.alpha_tilde, data.alpha)
+        assert form_equiv(at_pi.alpha_tilde, minus_alpha)
+        assert not form_equiv(at_pi.alpha_tilde, data.alpha)
+        for pair in (at_0, at_pi):
+            assert form_equiv(pair.beta_tilde, data.omega)
 
     def test_random_closed_inputs_stay_closed(self):
         # d(omega~) = 0 whenever the inputs are closed; omega built as d(eta)

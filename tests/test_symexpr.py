@@ -377,6 +377,9 @@ class TestSampledEquivAgainstLoop:
     replaced: the same verdict on seeded cases."""
 
     UNIT = Patch(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)), params=("a",))
+    # the cases are parsed with b, c and k declared too; k is then
+    # substituted, and b and c stay unbound on UNIT
+    PARSE = Patch(UNIT.names, UNIT.intervals, params=("a", "b", "c", "k"))
 
     CASES = [
         # polynomials with float constants (k is the float 0.1), which the
@@ -420,9 +423,7 @@ class TestSampledEquivAgainstLoop:
     @pytest.mark.parametrize("left,right,params", CASES)
     def test_same_verdict(self, left, right, params):
         # at the library's sample count and seed
-        e1, e2 = (substitute(parse_expr(text, self.UNIT,
-                                        extra_params=("b", "c", "k")),
-                             {"k": 0.1})
+        e1, e2 = (substitute(parse_expr(text, self.PARSE), {"k": 0.1})
                   for text in (left, right))
         kw = dict(n_points=EQUIV_POINTS, seed=EQUIV_SEED)
         want = self.verdict(loop_expr_equiv, e1, e2, self.UNIT, **kw)
@@ -614,7 +615,7 @@ class TestCachedKeys:
         node = parse_expr(text, PATCH)
         assert type(node) is cls
         key, text = se.sort_key(node), to_string(node)
-        for name in (attr, "_key", "_view", "other"):
+        for name in (attr, "_key", "_shadow", "other"):
             with pytest.raises(AttributeError, match="immutable"):
                 setattr(node, name, None)
         assert se.sort_key(node) == key and to_string(node) == text
@@ -882,82 +883,3 @@ class TestSharedViews:
         assert seen
         for views, before in seen:
             assert views == before
-
-
-class _NeverStore:
-    """A stand-in for _VIEWS that remembers nothing: every view is cold."""
-
-    def get(self, key):
-        return None
-
-    def __setitem__(self, key, value):
-        pass
-
-
-class TestViewMemo:
-    """_view serves a subtree's view across calls from _VIEWS, keyed by the
-    call's atom index and the subtree's key; a cold memo and a warm one
-    give the same views and trees."""
-
-    def test_cold_trees_match_the_pin(self, monkeypatch):
-        # the pinned digest, rebuilt with no view kept across calls
-        import test_properties as tp
-
-        monkeypatch.setattr(se, "_VIEWS", _NeverStore())
-        tp.TestCanonicalTrees().test_tree_digest(monkeypatch)
-
-    def test_cold_matches_warm(self, suite_trees):
-        _, collapsed = suite_trees
-        distinct = list({se.sort_key(e): e for e in collapsed}.values())
-
-        def run(cold):
-            out = []
-            for e in distinct:
-                if cold:
-                    se._VIEWS.clear()
-                se._FAILED_COLLAPSES.clear()
-                rp = se._to_ratpoly([e])
-                r = se._try_collapse(e)
-                out.append((None if rp is None else rp[0],
-                            None if r is None else to_string(r)))
-            return out
-
-        cold = run(cold=True)
-        run(cold=False)                 # fills the memo
-        assert len(se._VIEWS) > 100
-        assert run(cold=False) == cold  # answers from it
-        assert sum(r is None for _, r in cold) > 10
-
-    def test_entry_dies_with_its_node(self):
-        import gc
-
-        u = sym("u_view_lifetime")
-        tree = add(powr(add(u, 1), 2), mul(u, powr(add(u, 2), -1)))
-        se._to_ratpoly([tree])
-        index = (se.sort_key(u),)
-        assert (index, se.sort_key(tree)) in se._VIEWS
-        del tree
-        gc.collect()
-        assert not any("u_view_lifetime" in repr(k)
-                       for k in se._VIEWS.keys())
-
-    def test_served_views_not_mutated(self):
-        import copy
-
-        from bgeo._poly import poly_quotient, rat_add, rat_mul
-
-        M = TestSharedViews._matrix(np.random.default_rng(62))
-        exprs = [e for row in M for e in row]
-        views, _ = se._to_ratpoly(exprs)
-        before = copy.deepcopy(views)
-        _inverse_expr(M)
-        for a in views:
-            for b in views:
-                rat_add(a, b)
-                rat_mul(a, b)
-            poly_quotient(a[0], a[1])
-        # equal trees built again: a later call is served the same views
-        again, _ = se._to_ratpoly([normalize(e) for e in exprs])
-        assert any(v is w for v, w, e in zip(views, again, exprs)
-                   if not isinstance(e, Num))
-        assert again == before
