@@ -132,11 +132,10 @@ def build_extension(data: HypersurfaceData, eps=1.0,
     d = d_bform(omega_t)
     if not (vanishes(d.alpha) and vanishes(d.beta)):
         raise GeometryError("extension model is not closed")
-    provenance = {"closed": True}
     verdict, detail = nondegeneracy_check(omega_t, grid=grid)
     if verdict == "degenerate":
         raise GeometryError("extension model degenerates: %r" % (detail,))
-    provenance["nondegeneracy"] = (verdict, detail)
+    provenance = {"nondegeneracy": (verdict, detail)}
 
     pairs = restrict_to_Z(omega_t)
     provenance["components"] = [p.component.value for p in pairs]
@@ -145,6 +144,5 @@ def build_extension(data: HypersurfaceData, eps=1.0,
             and form_equiv(pair.beta_tilde, data.omega)):
         raise GeometryError("restriction of the model does not return "
                             "the input data")
-    provenance["restriction_returns_data"] = True
     return ExtensionModel(patch=product, bform=omega_t, data=data,
                           provenance=provenance)

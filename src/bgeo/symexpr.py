@@ -13,6 +13,14 @@ rational collapse, and ``mul`` hands a lone factor back as it is.
 point, rebuilding the sum after each pass, so no library code
 re-normalises a tree.
 
+``add`` groups its terms by the key of the term without its coefficient
+and hands back a term that alone reaches its key as it is.  Only the
+constructors build an ``Add``, ``Mul`` or ``Pow``, so such a term is
+already ``mul``'s output, collapse attempt included, and rebuilding it
+would give an equal tree.  A key that several terms reach gets its term
+from ``mul``, because only ``mul`` tries the rational collapse:
+``div(1, A) + div(1, A)`` gives ``2*x + 2*x^2``.
+
 Rational constants are carried exactly as fractions.Fraction; anything
 transcendental degrades to float.  Folding a constant power whose exact
 value would pass _FOLD_BIT_LIMIT bits is an ExprError, and so is parsing a
@@ -282,6 +290,8 @@ def sym(name):
 
 ZERO = Num(Fraction(0))
 ONE = Num(Fraction(1))
+_MINUS_ONE = Num(Fraction(-1))
+_FRACTION_ONE = Fraction(1)
 
 
 def is_zero(e):
@@ -310,7 +320,8 @@ def powr(base, exp):
         if not (isinstance(exp, Num) and isinstance(exp.value, Fraction)):
             raise ExprError("exponent must be a rational constant")
         exp = exp.value
-    exp = Fraction(exp)
+    if not isinstance(exp, Fraction):
+        exp = Fraction(exp)
     if exp == 0:
         return ONE
     if exp == 1:
@@ -379,7 +390,7 @@ def mul(*factors):
             stack.extend(f.factors)
         else:
             flat.append(_coerce(f))
-    coeff = Fraction(1)
+    coeff = _FRACTION_ONE
     by_base = {}   # sort_key(base) -> [base, exp]
     order = []
     for f in flat:
@@ -391,7 +402,7 @@ def mul(*factors):
         if isinstance(f, Pow):
             base, exp = f.base, f.exp
         else:
-            base, exp = f, Fraction(1)
+            base, exp = f, _FRACTION_ONE
         k = sort_key(base)
         if k in by_base:
             by_base[k][1] += exp
@@ -442,7 +453,7 @@ def _split_coeff(t):
         rest = t.factors[1:]
         rest_e = rest[0] if len(rest) == 1 else Mul(rest)
         return t.factors[0].value, rest_e
-    return Fraction(1), t
+    return _FRACTION_ONE, t
 
 
 def add(*terms):
@@ -455,7 +466,9 @@ def add(*terms):
         else:
             flat.append(_coerce(t))
     const = Fraction(0)
-    by_rest = {}   # sort_key(rest) -> [coeff, rest]
+    # sort_key(rest) -> [coeff, rest, the term that alone reached the key,
+    # or None once a second term merged in]
+    by_rest = {}
     order = []
     for t in flat:
         c, rest = _split_coeff(t)
@@ -464,15 +477,17 @@ def add(*terms):
             continue
         k = sort_key(rest)
         if k in by_rest:
-            by_rest[k][0] = _cadd(by_rest[k][0], c)
+            entry = by_rest[k]
+            entry[0] = _cadd(entry[0], c)
+            entry[2] = None
         else:
-            by_rest[k] = [c, rest]
+            by_rest[k] = [c, rest, t]
             order.append(k)
-    pairs = [(c, rest) for c, rest in (by_rest[k] for k in order) if c != 0]
-    rewritten = _pythagoras(pairs, const)
+    entries = [e for e in (by_rest[k] for k in order) if e[0] != 0]
+    rewritten = _pythagoras(entries, const)
     if rewritten is not None:
         return add(*rewritten)
-    out = [mul(Num(c), rest) for c, rest in pairs]
+    out = [_term(*e) for e in entries]
     out = [t for t in out if not is_zero(t)]
     if const != 0 or isinstance(const, float):
         out.append(Num(const))
@@ -487,14 +502,21 @@ def add(*terms):
     return collapsed if collapsed is not None else result
 
 
-def _pythagoras(pairs, const):
-    """One pass of c*sin(u)^2*R + c*cos(u)^2*R -> c*R over add's pairs and
-    constant: the terms of the rewritten sum, or None when no pair matches.
-    add rebuilds the sum from them, so like terms regroup and the rewrite
-    repeats to a fixed point; each pass removes two squared trig factors."""
+def _term(c, rest, term):
+    """add's term for one entry: the term that alone reached its key, as
+    it is, or else c*rest through mul, which tries the rational collapse."""
+    return term if term is not None else mul(Num(c), rest)
+
+
+def _pythagoras(entries, const):
+    """One pass of c*sin(u)^2*R + c*cos(u)^2*R -> c*R over add's entries
+    and constant: the terms of the rewritten sum, or None when no pair
+    matches.  add rebuilds the sum from them, so like terms regroup and the
+    rewrite repeats to a fixed point; each pass removes two squared trig
+    factors."""
     sin_slots = {}
     cos_slots = {}
-    for i, (c, rest) in enumerate(pairs):
+    for i, (c, rest, _) in enumerate(entries):
         factors = rest.factors if isinstance(rest, Mul) else (rest,)
         for j, f in enumerate(factors):
             if isinstance(f, Pow) and f.exp == 2 and isinstance(f.base, Fun) \
@@ -512,7 +534,7 @@ def _pythagoras(pairs, const):
         i2 = cos_slots[sig][0]
         if i2 == i or i in drop or i2 in drop:
             continue
-        c1, c2 = pairs[i][0], pairs[i2][0]
+        c1, c2 = entries[i][0], entries[i2][0]
         if c1 != c2:
             continue
         drop.add(i)
@@ -523,8 +545,8 @@ def _pythagoras(pairs, const):
             const = _cadd(const, c1)
     if not drop:
         return None
-    return [Num(const)] + terms + [mul(Num(c), rest) for i, (c, rest)
-                                   in enumerate(pairs) if i not in drop]
+    return [Num(const)] + terms + [_term(*e) for i, e in enumerate(entries)
+                                   if i not in drop]
 
 
 def _has_neg_pow(e):
@@ -589,7 +611,7 @@ def _try_collapse(e):
 
 
 def neg(e):
-    return mul(Num(Fraction(-1)), e)
+    return mul(_MINUS_ONE, e)
 
 
 def sub(a, b):

@@ -92,9 +92,12 @@ class TestCheckDefiningForms:
 
 class TestBuildExtension:
     def test_torus3_model(self):
-        m = build_extension(torus3_data())
+        data = torus3_data()
+        m = build_extension(data)
         assert m.provenance["nondegeneracy"][0] == "nonvanishing-symbolic"
-        assert m.provenance["restriction_returns_data"]
+        (pair,) = restrict_to_Z(m.bform)
+        assert form_equiv(pair.alpha_tilde, data.alpha)
+        assert form_equiv(pair.beta_tilde, data.omega)
         assert m.patch.names[-1] == "t"
         # symbolic top coefficient -2 for n = 2
         assert expr_equiv(top_coefficient(m.bform), num(-2), m.patch)

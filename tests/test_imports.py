@@ -37,23 +37,34 @@ def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
 
 
-def name_uses(tree, name):
-    """The innermost enclosing function ("" at module level) of each
-    reference to a name or attribute `name`."""
-    found = []
-
+def nodes_in_functions(tree):
+    """Each node of a tree with its innermost enclosing function ("" at
+    module level), in source order."""
     def visit(node, func):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
+                yield from visit(child, child.name)
                 continue
-            if (isinstance(child, ast.Attribute) and child.attr == name
-                    or isinstance(child, ast.Name) and child.id == name):
-                found.append(func)
-            visit(child, func)
+            yield child, func
+            yield from visit(child, func)
 
-    visit(tree, "")
-    return found
+    return visit(tree, "")
+
+
+def reference_name(node):
+    """The name a Name or Attribute node refers to, else None."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return None
+
+
+def name_uses(tree, name):
+    """The innermost enclosing function ("" at module level) of each
+    reference to a name or attribute `name`."""
+    return [func for node, func in nodes_in_functions(tree)
+            if reference_name(node) == name]
 
 
 def test_one_grid_path():
@@ -171,6 +182,35 @@ def test_no_renormalising():
         tree = ast.parse(path.read_text())
         assert name_uses(tree, "normalize") == [], path
         assert "normalize" not in defined_names(tree), path
+
+
+NODE_CLASSES = ("Add", "Mul", "Pow")
+# the canonical constructors, and _split_coeff, which takes a canonical
+# term apart into its coefficient and the product of the other factors
+NODE_BUILDERS = {"mul", "add", "powr", "_split_coeff"}
+
+
+def node_builds(tree):
+    """(enclosing function, class) of each call that instantiates Add, Mul
+    or Pow by name or attribute."""
+    return [(func, reference_name(node.func))
+            for node, func in nodes_in_functions(tree)
+            if isinstance(node, ast.Call)
+            and reference_name(node.func) in NODE_CLASSES]
+
+
+def test_nodes_come_from_the_constructors():
+    """add hands back a term that alone reaches its key without rebuilding
+    it, which is sound only while every Add, Mul and Pow in the library is
+    built by a canonical constructor: no other code instantiates them."""
+    snippet = ("def f(e):\n"
+               "    return se.Mul([Add(e)]) if isinstance(e, Pow) else e\n")
+    assert node_builds(ast.parse(snippet)) == [("f", "Mul"), ("f", "Add")]
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        builders = {func for func, _ in node_builds(tree)}
+        assert builders == (NODE_BUILDERS if path == SRC / "symexpr.py"
+                            else set()), path
 
 
 def bound_names(tree):

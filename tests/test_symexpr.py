@@ -41,6 +41,7 @@ from bgeo.symexpr import (
 )
 from duality import _inverse_expr
 from expr_oracles import eval_expr, normalize
+from rebuilding_constructors import rebuilding
 from tree_eval import tree_eval
 
 PATCH = Patch(("x", "y", "z"), ((-2.0, 2.0), (-2.0, 2.0), (0.1, 3.0)),
@@ -554,6 +555,10 @@ def suite_trees():
     """Every tree that the first 20 cases of the six seeded property suites
     hand to expr_equiv or eval_expr, and every tree they try to collapse,
     kept alive for the tests below."""
+    return _run_suites()
+
+
+def _run_suites():
     import test_properties as tp
 
     handed, collapsed = [], []
@@ -883,3 +888,51 @@ class TestSharedViews:
         assert seen
         for views, before in seen:
             assert views == before
+
+
+class TestLoneTermsKept:
+    """add hands back a term that alone reaches its key as it is; where
+    terms merged, mul rebuilds the sum's term and tries the rational
+    collapse.  The oracle, tests/rebuilding_constructors.py, rebuilds
+    every term."""
+
+    def test_suite_trees_match_the_rebuilding_oracle(self, suite_trees):
+        handed, _ = suite_trees
+        with rebuilding():
+            rebuilt, _ = _run_suites()
+        assert len(handed) == len(rebuilt) > 1000
+        assert [to_string(e) for e in handed] == \
+            [to_string(e) for e in rebuilt]
+
+    def test_lone_term_is_the_input_object(self):
+        x, y = sym("x"), sym("y")
+        term = mul(3, x, fun("sin", y))
+        s = add(term, y, 1)
+        assert any(t is term for t in s.terms)
+        merged = add(term, term)
+        assert merged is not term and to_string(merged) == "6*x*sin(y)"
+
+    def test_untouched_term_of_a_pythagoras_pass_is_kept(self):
+        x, y, z = sym("x"), sym("y"), sym("z")
+        term = mul(2, y, z)
+        s = add(mul(y, powr(fun("sin", x), 2)),
+                mul(y, powr(fun("cos", x), 2)), term)
+        assert to_string(s) == "y + 2*y*z"
+        assert any(t is term for t in s.terms)
+
+    def test_merged_reciprocals_still_collapse(self):
+        x = sym("x")
+        a = sub(div(1, x), div(1, add(x, 1)))
+        assert add(div(1, a), div(1, a)) == parse_expr("2*x + 2*x^2", PATCH)
+        # a lone reciprocal that does not divide out is kept as it is
+        lone = div(1, add(x, 2))
+        assert any(t is lone for t in add(lone, x).terms)
+
+    def test_float_coefficient_keeps_its_num(self):
+        x, y = sym("x"), sym("y")
+        term = mul(Num(1.0), x)
+        assert isinstance(term, se.Mul) and term.factors[0].value == 1.0
+        s = add(term, y)
+        assert s.terms[1] is term and to_string(s) == "y + 1.0*x"
+        with rebuilding():
+            assert to_string(add(term, y)) == "y + 1.0*x"
