@@ -21,8 +21,13 @@ contiguous parts, one per usable CPU on Linux: forked children flow all
 but the first into one shared anonymous mmap while this process flows the
 first, and every child is reaped before the flow returns (_forked_flow).
 RK4 is elementwise, so each point gets the bits of the serial flow; there
-is no knob.  Every entry keeps the floating-point operations of the dense
-formulas, so the reports do not depend on the layout.  The relative
+is no knob.  Every term that is present keeps the floating-point
+operations of the dense formulas, and a term with an absent (identically
+zero) entry is not formed, so the reports do not depend on the layout.
+Two things can differ from the dense formulas run on explicit zeros: an
+exactly-zero velocity component may carry the other sign of zero, and a
+non-finite entry that meets only absent ones leaves its point's velocity
+finite (the pullback residual still reads every entry).  The relative
 Moser statement is the one verified: each component of Z runs one collar
 flow (_collar_flow), whose tangency defect is the velocity on Z.  Declared
 parameters are 1.0 (forms._chart_range on grids, forms._with_params on
@@ -294,48 +299,97 @@ def _antisymmetric(rows, n, m):
     return W
 
 
+def _combine(*terms):
+    """The signed sum of the products x * y of the terms (sign, x, y), with
+    the operations of the dense formula that lists them in this order: the
+    first term formed is x * y, or (-x) * y for sign -1, and every later one
+    is added to or subtracted from the sum.  A term with an absent factor
+    (None) is not formed, a constant factor of 1.0 is not multiplied, and
+    the sum of no term is None."""
+    total = None
+    for sign, x, y in terms:
+        if x is None or y is None:
+            continue
+        if total is None and sign < 0:
+            x = -x
+        xy = y if _is_one(x) else x if _is_one(y) else x * y
+        if total is None:
+            total = xy
+        elif sign < 0:
+            total = total - xy
+        else:
+            total = total + xy
+    return total
+
+
+def _is_one(x):
+    return not isinstance(x, np.ndarray) and x == 1.0
+
+
+def _put(out, num, den):
+    """out = num / den, or 0.0 for an absent numerator (None)."""
+    if num is None:
+        out[:] = 0.0
+    else:
+        np.divide(num, den, out=out)
+
+
 def _solve_antisymmetric(rows, b, n):
     """Solve W u = b for a batch of n antisymmetric m x m matrices.
 
     W is given by its strict upper triangle: rows maps (i, j), i < j, to
     the (n,) array of entries W[:, i, j], or a scalar for an entry that is
-    the same at every point; an absent entry is 0.  b is the list of the m
-    right-hand-side columns, each an (n,) array or a scalar.
-    u comes back as one column-contiguous (n, m) array.
+    the same at every point; an entry that is absent is 0.  b is the list
+    of the m right-hand-side columns, each an (n,) array, a scalar or None
+    for an absent (zero) one.  u comes back as one column-contiguous (n, m)
+    array.
 
     m = 2 performs the operations of LAPACK's partially pivoted LU on
     [[0, a], [-a, 0]], so the result is bit-identical to numpy.linalg.solve.
     m = 4 uses W^-1 = adj(W) / Pf(W), where adj(W) is the antisymmetric
-    matrix of complementary entries and Pf(W) the Pfaffian; an absent or
-    constant entry takes part as a scalar (0.0 for an absent one), so every
-    component sees the operations of the dense formula.  m >= 6 builds the
-    full matrices for numpy.linalg.solve.  A singular matrix anywhere in the
-    batch raises GeometryError."""
+    matrix of complementary entries and Pf(W) the Pfaffian.  In both, a
+    term that is present keeps its place and its operations in the dense
+    formula, and a term with an absent factor is not formed (_combine); a
+    component whose numerator has no term present is 0.0 (_put).  So
+    where every entry is present, u has the bits of the dense formulas, and
+    otherwise two things differ from the dense formulas run on explicit
+    0.0 entries: an exactly-zero component may carry the other sign of
+    zero, and a non-finite entry that the formulas only ever multiply by
+    absent ones no longer turns the point's components nan.  m >= 6 builds
+    the full matrices, with 0.0 for every absent entry, for
+    numpy.linalg.solve.  A singular matrix anywhere in the batch, or a
+    Pfaffian with no term present, raises GeometryError."""
     m = len(b)
     u = np.empty((n, m), order="F")
     if m == 2:
-        a01 = rows.get((0, 1), 0.0)
-        if np.any(a01 == 0.0):
+        a01 = rows.get((0, 1))
+        if a01 is None or np.any(a01 == 0.0):
             raise GeometryError(_DEGENERATE)
-        np.divide(b[1], -a01, out=u[:, 0])
-        np.divide(b[0], a01, out=u[:, 1])
+        b0, b1 = b
+        _put(u[:, 0], b1, None if b1 is None else -a01)
+        _put(u[:, 1], b0, a01)
         return u
     if m == 4:
         a01, a02, a03, a12, a13, a23 = (
-            rows.get(key, 0.0)
+            rows.get(key)
             for key in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
-        pf = a01 * a23 - a02 * a13 + a03 * a12
-        if np.any(pf == 0.0):
+        pf = _combine((1, a01, a23), (-1, a02, a13), (1, a03, a12))
+        if pf is None or np.any(pf == 0.0):
             raise GeometryError(_DEGENERATE)
         b0, b1, b2, b3 = b
-        np.divide(-a23 * b1 + a13 * b2 - a12 * b3, pf, out=u[:, 0])
-        np.divide(a23 * b0 - a03 * b2 + a02 * b3, pf, out=u[:, 1])
-        np.divide(-a13 * b0 + a03 * b1 - a01 * b3, pf, out=u[:, 2])
-        np.divide(a12 * b0 - a02 * b1 + a01 * b2, pf, out=u[:, 3])
+        _put(u[:, 0], _combine((-1, a23, b1), (1, a13, b2), (-1, a12, b3)),
+             pf)
+        _put(u[:, 1], _combine((1, a23, b0), (-1, a03, b2), (1, a02, b3)),
+             pf)
+        _put(u[:, 2], _combine((-1, a13, b0), (1, a03, b1), (-1, a01, b3)),
+             pf)
+        _put(u[:, 3], _combine((1, a12, b0), (-1, a02, b1), (1, a01, b2)),
+             pf)
         return u
-    B = np.empty((n, m))
+    B = np.zeros((n, m))
     for k, col in enumerate(b):
-        B[:, k] = col
+        if col is not None:
+            B[:, k] = col
     try:
         u[:] = np.linalg.solve(_antisymmetric(rows, n, m),
                                B[..., None])[..., 0]
@@ -355,12 +409,14 @@ class _MoserEngine:
     zero (_relative_engine).  An entry that is a constant (a Num) is not a
     tape output: it is held as a float, and the blend and the solver
     combine it as a scalar, with the operations, so the bits, of a row
-    filled with it.  The tape reads the points with a 1.0 column per
-    declared parameter (forms._with_params).  The velocity solves
-    -W_t u = rho with W_t = (1 - t) W_0 + t W_1, blended entry by entry
-    over the entries of W_0 and W_1 (an entry absent from one of them
-    blends its scalar 0.0), and converts u back to coordinate components
-    by scaling the z column with f in place.  The system is solved by
+    filled with it; a constant 1.0 is not multiplied.  The tape reads the
+    points with a 1.0 column per declared parameter
+    (forms._with_params).  The velocity solves -W_t u = rho with
+    W_t = (1 - t) W_0 + t W_1, blended entry by entry over the entries of
+    W_0 and W_1 (an entry absent from one of them contributes no term, and
+    an entry absent from both stays absent, as does a component absent
+    from rho), and converts u back to coordinate components by scaling the
+    z column with f in place.  The system is solved by
     _solve_antisymmetric: in closed form for m = 2 (Cramer, bit-identical
     to LAPACK's pivoted LU) and m = 4 (the Pfaffian adjugate), and by
     numpy.linalg.solve on full matrices for m >= 6.
@@ -406,10 +462,12 @@ class _MoserEngine:
         elif t == 1.0:
             W = w1
         else:
-            W = {key: (1.0 - t) * w0.get(key, 0.0) + t * w1.get(key, 0.0)
+            W = {key: _combine((1, 1.0 - t, w0.get(key)),
+                               (1, t, w1.get(key)))
                  for key in w0.keys() | w1.keys()}
         u = _solve_antisymmetric(
-            W, [-rho.get(i, 0.0) for i in range(self.patch.dim)], len(pts))
+            W, [-rho[i] if i in rho else None for i in range(self.patch.dim)],
+            len(pts))
         u[:, self.zi] *= f
         return u
 
@@ -487,7 +545,8 @@ class _MoserEngine:
 
 def _nonzero(exprs):
     """The entries of a dict of expressions that are not identically zero:
-    the tape skips them and the solver reads the scalar 0.0 instead."""
+    the tape skips the others, and they stay absent from the blend and the
+    solver."""
     return {key: e for key, e in exprs.items() if not is_zero(e)}
 
 

@@ -397,7 +397,7 @@ def mul(*factors):
         if isinstance(f, Num):
             if f.value == 0:
                 return ZERO
-            coeff = _cmul(coeff, f.value)
+            coeff = _fold(coeff, f.value)
             continue
         if isinstance(f, Pow):
             base, exp = f.base, f.exp
@@ -416,7 +416,7 @@ def mul(*factors):
         if isinstance(p, Num):
             if p.value == 0:
                 return ZERO
-            coeff = _cmul(coeff, p.value)
+            coeff = _fold(coeff, p.value)
         else:
             out.append(p)
     out.sort(key=sort_key)
@@ -445,6 +445,12 @@ def mul(*factors):
     return result
 
 
+def _fold(coeff, v):
+    """mul's coefficient times the constant v; a coefficient that is still
+    the 1 mul starts from takes v as it is (1.0 * v is v, bit for bit)."""
+    return v if coeff is _FRACTION_ONE else _cmul(coeff, v)
+
+
 def _split_coeff(t):
     """Decompose a canonical term into (coefficient, rest-or-None)."""
     if isinstance(t, Num):
@@ -466,16 +472,15 @@ def add(*terms):
         else:
             flat.append(_coerce(t))
     const = Fraction(0)
-    # sort_key(rest) -> [coeff, rest, the term that alone reached the key,
-    # or None once a second term merged in]
+    # key -> [coeff, rest, the term that alone reached the key, or None
+    # once a second term merged in]
     by_rest = {}
     order = []
     for t in flat:
-        c, rest = _split_coeff(t)
-        if rest is None:
-            const = _cadd(const, c)
+        if isinstance(t, Num):
+            const = _cadd(const, t.value)
             continue
-        k = sort_key(rest)
+        c, rest, k = _term_key(t)
         if k in by_rest:
             entry = by_rest[k]
             entry[0] = _cadd(entry[0], c)
@@ -502,10 +507,27 @@ def add(*terms):
     return collapsed if collapsed is not None else result
 
 
+def _term_key(t):
+    """A canonical term that is not a constant as add keys it: (its
+    coefficient, the tuple of its other factors, the key of their product).
+    The key is read from the factors, as _structural_key keys a Mul, so no
+    product is built for it."""
+    if isinstance(t, Mul):
+        rest = t.factors
+        if not isinstance(rest[0], Num):
+            return _FRACTION_ONE, rest, sort_key(t)
+        c, rest = rest[0].value, rest[1:]
+        if len(rest) > 1:
+            return c, rest, (4, tuple(sort_key(f) for f in rest))
+        return c, rest, sort_key(rest[0])
+    return _FRACTION_ONE, (t,), sort_key(t)
+
+
 def _term(c, rest, term):
     """add's term for one entry: the term that alone reached its key, as
-    it is, or else c*rest through mul, which tries the rational collapse."""
-    return term if term is not None else mul(Num(c), rest)
+    it is, or else c times the factors rest through mul, which tries the
+    rational collapse."""
+    return term if term is not None else mul(Num(c), *rest)
 
 
 def _pythagoras(entries, const):
@@ -516,8 +538,7 @@ def _pythagoras(entries, const):
     factors."""
     sin_slots = {}
     cos_slots = {}
-    for i, (c, rest, _) in enumerate(entries):
-        factors = rest.factors if isinstance(rest, Mul) else (rest,)
+    for i, (c, factors, _) in enumerate(entries):
         for j, f in enumerate(factors):
             if isinstance(f, Pow) and f.exp == 2 and isinstance(f.base, Fun) \
                     and f.base.fn in ("sin", "cos"):

@@ -1,6 +1,7 @@
 """Tests for Darboux flattening and the Moser-path verifier."""
 
 import hashlib
+import itertools
 import math
 import os
 import random
@@ -44,6 +45,7 @@ from bgeo.normalform import (
     moser_relative_verify,
 )
 from bgeo.symexpr import Patch, diff_expr, expr_equiv, num, parse_expr, sym
+from dense_antisymmetric import dense_solve_antisymmetric
 from expr_oracles import normalize
 
 
@@ -222,6 +224,90 @@ class TestSolveAntisymmetric:
             W[3, 0, 1], W[3, 1, 0] = 1.0, -1.0  # rank 2 < m
         with pytest.raises(GeometryError, match="degenerate"):
             solve_rows(upper_rows(W), b)
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_absent_entries_against_the_dense_solve(self, m):
+        """Every pattern of absent strict-upper entries, crossed with every
+        absent subset of the right-hand side, with entries that are rows,
+        1.0 or other constants: the result equals the dense solve run on
+        explicit 0.0 rows, and a pattern whose Pfaffian (for m = 2, a01)
+        has no term present is degenerate, as the dense 0.0 was."""
+        n = 40
+        _, rows, b = antisymmetric_batch(m, n=n, seed=m)
+        keys = sorted(rows)
+        products = ({((0, 1),)} if m == 2 else
+                    {((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))})
+        rng = random.Random(m)
+        zero = np.zeros(n)
+
+        def pick(row, kinds):
+            if kinds == "rows":
+                return row
+            return rng.choice([row, row, 1.0, 1.0, -1.0, 0.5, -2.0])
+
+        for absent in itertools.product((False, True), repeat=len(keys)):
+            gone = {key for key, a in zip(keys, absent) if a}
+            no_pf = all(gone & set(p) for p in products)
+            for b_absent, kinds in itertools.product(
+                    itertools.product((False, True), repeat=m),
+                    ("rows", "mixed", "mixed")):
+                have = {key: pick(rows[key], kinds) for key in keys
+                        if key not in gone}
+                cols = [None if a else pick(b[:, k], kinds)
+                        for k, a in enumerate(b_absent)]
+                try:
+                    want = dense_solve_antisymmetric(
+                        {key: have.get(key, zero) for key in keys},
+                        [zero if c is None else c for c in cols], n)
+                except GeometryError:
+                    with pytest.raises(GeometryError, match="degenerate"):
+                        _solve_antisymmetric(have, cols, n)
+                    continue
+                assert not no_pf
+                u = _solve_antisymmetric(have, cols, n)
+                assert u.flags.f_contiguous
+                assert np.array_equal(u, want), (gone, b_absent, kinds)
+
+    def test_6x6_fills_absent_entries(self):
+        _, rows, b = antisymmetric_batch(6, n=40)
+        for key in ((0, 2), (1, 4), (3, 5)):
+            del rows[key]
+        cols = list(b.T)
+        cols[1] = cols[4] = None
+        zero = np.zeros(40)
+        want = dense_solve_antisymmetric(
+            rows, [zero if c is None else c for c in cols], 40)
+        assert np.array_equal(_solve_antisymmetric(rows, cols, 40), want)
+
+    def test_absent_numerator_is_positive_zero(self):
+        # the dense formula gives 0.0 / -a01, a negative zero where a01 > 0;
+        # a component with no term present is written as 0.0
+        _, rows, b = antisymmetric_batch(2, n=40)
+        a01 = rows[(0, 1)]
+        u = _solve_antisymmetric(rows, [b[:, 0], None], 40)
+        want = dense_solve_antisymmetric(rows, [b[:, 0], 0.0], 40)
+        assert np.array_equal(u, want)
+        assert not np.signbit(u[:, 0]).any()
+        assert np.signbit(want[:, 0]).tolist() == (a01 > 0).tolist()
+        assert (a01 > 0).any() and (a01 < 0).any()
+
+    def test_unread_non_finite_entry(self):
+        """a02 meets only a13, b1 and b3, all absent here: an inf in a02
+        leaves its point finite, where the dense formulas' 0.0 * inf made
+        it nan.  The pullback residual still reads every entry."""
+        _, rows, b = antisymmetric_batch(4, n=40)
+        have = {key: rows[key] for key in ((0, 1), (0, 2), (1, 2), (2, 3))}
+        have[(0, 2)] = have[(0, 2)].copy()
+        have[(0, 2)][7] = np.inf
+        cols = [b[:, 0], None, b[:, 2], None]
+        u = _solve_antisymmetric(have, cols, 40)
+        assert np.isfinite(u).all()
+        with np.errstate(invalid="ignore"):
+            want = dense_solve_antisymmetric(
+                have, [c if c is not None else 0.0 for c in cols], 40)
+        assert np.isnan(want[7]).all()
+        assert np.array_equal(np.delete(u, 7, axis=0),
+                              np.delete(want, 7, axis=0))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
