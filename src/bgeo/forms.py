@@ -498,9 +498,12 @@ def is_smooth(bform):
     """Decide whether a b-form is actually smooth across Z.
 
     Returns (verdict, smooth_equivalent).  verdict is True with the
-    equivalent SmoothForm when alpha/f divides exactly; True with None when
-    the restriction vanishes but no exact quotient was found (smooth, but
-    only semidecided symbolically); False with None otherwise."""
+    equivalent SmoothForm when alpha/f divides exactly (beta itself, at
+    once, when alpha is zero); True with None when the restriction
+    vanishes but no exact quotient was found (smooth, but only
+    semidecided symbolically); False with None otherwise."""
+    if bform.alpha.is_zero():
+        return True, bform.beta
     if not all(vanishes(pair.alpha_tilde) for pair in restrict_to_Z(bform)):
         return False, None
     # try the exact quotient alpha/f

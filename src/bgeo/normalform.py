@@ -786,7 +786,7 @@ def moser_relative_verify(omega0: BForm, omega1: BForm, n_points=N_SAMPLE,
     if not _restrictions_agree(omega0, omega1, components):
         raise GeometryError("restrictions to the hypersurface differ; the "
                             "relative statement does not apply")
-    smooth, delta_s = _smooth_difference(omega0 - omega1)
+    smooth, delta_s = is_smooth(omega0 - omega1)
     if not smooth:
         raise GeometryError("difference form is not smooth across the "
                             "hypersurface (inconsistent input)")
@@ -819,14 +819,6 @@ def moser_relative_verify(omega0: BForm, omega1: BForm, n_points=N_SAMPLE,
         v_on_Z_max=max(tangency), collar_halvings=halvings_used,
         collar_radius=float(radius_used), steps=n_steps,
         residuals=np.concatenate(resid), sample_points=np.concatenate(pts))
-
-
-def _smooth_difference(delta: BForm):
-    """is_smooth of a b-form difference: (True, beta) at once when alpha
-    is zero."""
-    if delta.alpha.is_zero():
-        return True, delta.beta
-    return is_smooth(delta)
 
 
 def _factor_at(f, zname, c):

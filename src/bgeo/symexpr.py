@@ -45,25 +45,18 @@ restricts the tree to one line over GF(2^61 - 1); when the restricted
 denominator leaves a remainder, the collapse is refused without the exact
 view, which would refuse it too (the argument is in ``_try_collapse``).
 
-Four pieces of state make the exact path cheap, none of which changes a
-tree or a verdict:
+The exact path is cheap through caches that live on a node or in one
+call, none of which changes a tree or a verdict; the module keeps no
+mutable state of its own:
 
-* every node caches its structural key (``sort_key``) on first use, built
-  from its children's cached keys; equality, hashing and the grouping in
-  ``mul`` and ``add`` read it, and it lives as long as the node;
-* ``_FAILED_COLLAPSES`` maps the key of a tree whose collapse failed to
-  that tree, weakly, so an equal tree built later is refused at once; an
-  entry goes when its tree is freed.  A collapse depends only on the
-  structure the key spells out, and any float makes it fail, so the memo
-  is exact (a NaN in a key only makes the lookup miss);
+* every node caches its structural key (``sort_key``) and its shadow
+  (``_shadow``, None where inconclusive) on first use, each built from its
+  children's cached ones; equality, hashing and the grouping in ``mul``
+  and ``add`` read the key, and both live as long as the node;
 * one ``_to_ratpoly`` call views each atom and each distinct compound
   subtree once and shares that view wherever the subtree repeats; the memo
   lives for the call, and the ``bgeo._poly`` functions never mutate their
-  inputs;
-* ``_SHADOWS`` maps the key of a subtree to a node with that key whose
-  ``Expr._shadow`` holds its shadow, or None where the shadow is
-  inconclusive, weakly: an entry goes when its node is freed.  The shadow
-  depends only on the key, so it is served to every later call.
+  inputs.
 
 Numbers come from one path, the tapes of ``bgeo.evalcore``: sampled
 equivalence evaluates both sides, as one two-output tape, on blocks of
@@ -73,7 +66,6 @@ candidate points and skips the non-finite ones.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -140,10 +132,10 @@ class EquivalenceInconclusive(ExprError):
 
 class Expr:
     # _key: the structural key, set by sort_key on first use; _shadow: the
-    # node's modular shadow, which its _SHADOWS entry serves.  Nodes are
+    # node's modular shadow, set by _shadow on first use.  Nodes are
     # immutable: constructors, sort_key and _shadow write through
     # object.__setattr__
-    __slots__ = ("_key", "_shadow", "__weakref__")
+    __slots__ = ("_key", "_shadow")
 
     def __setattr__(self, *a):
         raise AttributeError("immutable")
@@ -451,17 +443,6 @@ def _fold(coeff, v):
     return v if coeff is _FRACTION_ONE else _cmul(coeff, v)
 
 
-def _split_coeff(t):
-    """Decompose a canonical term into (coefficient, rest-or-None)."""
-    if isinstance(t, Num):
-        return t.value, None
-    if isinstance(t, Mul) and isinstance(t.factors[0], Num):
-        rest = t.factors[1:]
-        rest_e = rest[0] if len(rest) == 1 else Mul(rest)
-        return t.factors[0].value, rest_e
-    return _FRACTION_ONE, t
-
-
 def add(*terms):
     flat = []
     stack = list(terms)
@@ -589,11 +570,6 @@ def _rational_collapse(e):
     return _try_collapse(e)
 
 
-# sort_key -> a live node with that key whose collapse failed; an entry
-# goes when its node is freed
-_FAILED_COLLAPSES = weakref.WeakValueDictionary()
-
-
 def _try_collapse(e):
     """e as a polynomial in its atoms when its rational view divides out
     exactly; otherwise None.
@@ -610,23 +586,18 @@ def _try_collapse(e):
     phi(Q)*phi(D): the restricted denominator divides the restricted
     numerator.  So when a nonconstant restricted denominator leaves a
     nonzero remainder, e is no polynomial, the exact path would refuse
-    too, and the collapse is refused and recorded without an exact view.
-    The shadow is inconclusive, and the exact path runs as before, on a
-    float constant, a Fraction whose denominator p divides, a negative
-    power of a base that restricts to zero, and a degree past
-    _SHADOW_DEGREE_LIMIT on the way, which every power of
-    _POLY_MONOMIAL_LIMIT or more of a nonconstant base passes."""
-    k = sort_key(e)
-    if k in _FAILED_COLLAPSES:
-        return None
+    too, and the collapse is refused without an exact view.  The shadow is
+    inconclusive, and the exact path runs, on a float constant, a Fraction
+    whose denominator p divides, a negative power of a base that restricts
+    to zero, and a degree past _SHADOW_DEGREE_LIMIT on the way, which
+    every power of _POLY_MONOMIAL_LIMIT or more of a nonconstant base
+    passes."""
     s = _shadow(e)
     if s is not None and _shadow_rem(*s):
-        _FAILED_COLLAPSES[k] = e
         return None
     rp = expr_to_ratpoly(e)
     q = None if rp is None else poly_quotient(rp[0], rp[1])
     if q is None:
-        _FAILED_COLLAPSES[k] = e
         return None
     return poly_to_expr(q, rp[2])
 
@@ -661,6 +632,8 @@ def fun(fn, arg):
                 return Num(getattr(math, fn)(v))
             except ValueError as exc:
                 raise EvalDomainError(str(exc)) from exc
+            except OverflowError as exc:
+                raise EvalDomainError(f"{fn}({v!r}) overflows") from exc
     return Fun(fn, arg)
 
 
@@ -827,29 +800,25 @@ _SHADOW_P = (1 << 61) - 1
 # (2-core x86_64 host).  The six seeded property suites reach degree 5.
 _SHADOW_DEGREE_LIMIT = 64
 
-# sort_key -> a live node whose _shadow holds the shadow of that key; an
-# entry goes when its node is freed
-_SHADOWS = weakref.WeakValueDictionary()
-
 
 def _shadow(e):
     """e restricted to the shadow's line over GF(p): a (numerator,
     denominator) pair of coefficient lists, lowest degree first, with no
     trailing zero and a nonzero denominator; None where the shadow is
     inconclusive (see _try_collapse).  An atom's point a + b*t depends only
-    on its key, so the shadow of a subtree does too, and _SHADOWS serves it
-    to every call while a node with that key lives; an inconclusive
-    subtree is kept as None."""
+    on its key, so the shadow of a subtree does too.  A node other than a
+    constant keeps its shadow, None included, from its first call, as
+    sort_key keeps the key."""
     if isinstance(e, Num):
         v = e.value
         if isinstance(v, float) or v.denominator % _SHADOW_P == 0:
             return None
         c = v.numerator * pow(v.denominator, -1, _SHADOW_P) % _SHADOW_P
         return ([c] if c else []), [1]
-    k = sort_key(e)
-    node = _SHADOWS.get(k)
-    if node is not None:
-        return node._shadow
+    try:
+        return e._shadow
+    except AttributeError:
+        pass
     if isinstance(e, Add):
         r = _sum_shadow(e)
     elif isinstance(e, Mul):
@@ -857,9 +826,8 @@ def _shadow(e):
     elif isinstance(e, Pow) and e.exp.denominator == 1:
         r = _pow_shadow(e)
     else:
-        r = _atom_point(k), [1]
+        r = _atom_point(sort_key(e)), [1]
     object.__setattr__(e, "_shadow", r)
-    _SHADOWS[k] = e
     return r
 
 
@@ -1107,10 +1075,10 @@ def _fmt(e):
     if isinstance(e, Add):
         parts = []
         for i, t in enumerate(e.terms):
-            c, rest = _split_coeff(t)
-            if i and ((isinstance(c, Fraction) and c < 0) or (isinstance(c, float) and c < 0)):
-                tpos = mul(Num(-c), rest) if rest is not None else Num(-c)
-                s, p = _fmt(tpos)
+            c, rest = ((t.value, ()) if isinstance(t, Num)
+                       else _term_key(t)[:2])
+            if i and c < 0:
+                s, p = _fmt(mul(Num(-c), *rest))
                 parts.append(" - " + (f"({s})" if p < _PREC_ADD else s))
             else:
                 s, p = _fmt(t)

@@ -4,9 +4,10 @@ alone reaches its key.  Here every surviving term of a sum, and every
 untouched term of a Pythagoras pass, is rebuilt as ``mul(Num(c), rest)``,
 and ``mul`` and ``_split_coeff`` make a new ``Fraction(1)`` per call.
 
-``rebuilding()`` swaps them in for the library's own wherever a loaded
-module holds one, so a test can build the same trees both ways and compare
-them.
+``rebuilding()`` swaps ``mul``, ``add`` and ``_pythagoras`` in for the
+library's own wherever a loaded module holds one, so a test can build the
+same trees both ways and compare them; ``_split_coeff`` is the oracle's own,
+which its ``add`` calls.
 """
 
 import contextlib
@@ -22,9 +23,9 @@ from bgeo.symexpr import (ZERO, Add, Fun, Mul, Num, Pow, _cadd, _cmul,
 @contextlib.contextmanager
 def rebuilding():
     """Within the block, every module attribute that is the library's
-    mul, _split_coeff, add or _pythagoras is this module's version."""
+    mul, add or _pythagoras is this module's version."""
     swaps = {id(getattr(se, name)): globals()[name]
-             for name in ("mul", "_split_coeff", "add", "_pythagoras")}
+             for name in ("mul", "add", "_pythagoras")}
     patched = []
     for module in list(sys.modules.values()):
         for name, value in list(getattr(module, "__dict__", {}).items()):

@@ -563,7 +563,8 @@ class TestMoser:
 
     def test_alpha_difference_with_exact_quotient(self, capsys, tmp_path):
         # the difference -y/4 dx^dy/y is smooth, with quotient -1/4 by f:
-        # the one path into _smooth_difference's is_smooth branch
+        # the one path past is_smooth's zero-alpha shortcut to its exact
+        # quotient
         code, doc = self._alpha_pair_out(capsys, tmp_path, "1 + y/4")
         assert code == 0 and doc["ok"]
         assert repr(doc["max_residual"]) == "5.474065645216797e-11"
@@ -696,6 +697,23 @@ class TestExtend:
         assert out["model"]["alpha"]["0"] == "2.0/(5.0 + b^2)"
         code, out = _main_json(capsys, "parse", path)
         assert code == 0 and out["normalized"]["patch"]["params"] == ["b"]
+
+    @pytest.mark.parametrize("command", ["extend", "parse"])
+    def test_parameter_overflows(self, capsys, tmp_path, command):
+        # exp(k) at k = 1000.0 is past the float range when k is put in: a
+        # JSON error naming the call, where it was "math range error"
+        two_pi = 2 * math.pi
+        doc = {"schema": "bgeo/1", "kind": "zdata",
+               "patch": {"names": ["theta1", "theta2", "theta3"],
+                         "intervals": [[0, two_pi]] * 3,
+                         "periods": [two_pi] * 3, "params": ["k"]},
+               "alpha": {"0": "exp(k)", "1": "1/3", "2": "-1/6"},
+               "omega": {"0,1": "1", "0,2": "2", "1,2": "-1"},
+               "params": {"k": 1000.0}}
+        path = tmp_path / "zdata.json"
+        path.write_text(json.dumps(doc))
+        code, out = _main_json(capsys, command, path)
+        assert code == 1 and out["error"] == "exp(1000.0) overflows"
 
     def test_grid_reported(self, tmp_path):
         # alpha depends on theta1: the grid decides nondegeneracy

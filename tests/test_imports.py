@@ -184,10 +184,21 @@ def test_no_renormalising():
         assert "normalize" not in defined_names(tree), path
 
 
+def test_one_place_for_caches():
+    """No library module imports weakref: a cache lives on the node it
+    describes, as sort_key and symexpr._shadow keep theirs, or for one
+    call, never in a module-level table."""
+    for snippet in ("import weakref\n",
+                    "from weakref import WeakValueDictionary\n"):
+        assert imported_modules(ast.parse(snippet)) == {"weakref"}
+    for path in sorted(SRC.rglob("*.py")):
+        imports = imported_modules(ast.parse(path.read_text()))
+        assert "weakref" not in imports, path
+
+
 NODE_CLASSES = ("Add", "Mul", "Pow")
-# the canonical constructors, and _split_coeff, which takes a canonical
-# term apart into its coefficient and the product of the other factors
-NODE_BUILDERS = {"mul", "add", "powr", "_split_coeff"}
+# the canonical constructors
+NODE_BUILDERS = {"mul", "add", "powr"}
 
 
 def node_builds(tree):

@@ -22,6 +22,7 @@ from bgeo.forms import (
     SmoothForm,
     b_matrix,
     find_z_components,
+    is_smooth,
     nondegeneracy_check,
 )
 from bgeo.normalform import (
@@ -37,7 +38,6 @@ from bgeo.normalform import (
     _halton,
     _halton_collar,
     _relative_engine,
-    _smooth_difference,
     _solve_antisymmetric,
     _standard_model,
     darboux2d,
@@ -498,7 +498,7 @@ def relative_primitive(w0, w1):
     """rho as moser_relative_verify builds it for the first component."""
     comp = find_z_components(w0)[0]
     cval, _ = _factor_at(w0.f, w0.zname, comp.value)
-    _, delta = _smooth_difference(w0 - w1)
+    _, delta = is_smooth(w0 - w1)
     return _collar_primitive(delta, w0.zname, cval)
 
 

@@ -302,6 +302,15 @@ class TestEval:
         with pytest.raises(EvalDomainError):
             eval_expr(parse_expr("a*x", PATCH), {"x": 1.0})
 
+    def test_float_argument_overflow(self):
+        # exp of a float past the float range used to raise OverflowError
+        message = r"^exp\(1000\.0\) overflows$"
+        with pytest.raises(EvalDomainError, match=message):
+            fun("exp", 1000.0)
+        e = parse_expr("exp(k)", Patch(("x",), ((0, 1),), params=("k",)))
+        with pytest.raises(EvalDomainError, match=message):
+            substitute(e, {"k": 1000.0})
+
 
 class TestSubstitute:
     def test_simple(self):
@@ -626,24 +635,46 @@ class TestCachedKeys:
         assert se.sort_key(node) == key and to_string(node) == text
 
 
-class TestFailedCollapseMemo:
+def _rebuilt(e):
+    """A tree equal to e of new nodes, built raw: none of them has a key or
+    a shadow cached yet."""
+    if isinstance(e, Num):
+        return Num(e.value)
+    if isinstance(e, Sym):
+        return Sym(e.name)
+    if isinstance(e, se.Add):
+        return se.Add([_rebuilt(t) for t in e.terms])
+    if isinstance(e, se.Mul):
+        return se.Mul([_rebuilt(f) for f in e.factors])
+    if isinstance(e, se.Pow):
+        return se.Pow(_rebuilt(e.base), e.exp)
+    return se.Fun(e.fn, _rebuilt(e.arg))
+
+
+class TestShadowOnTheNode:
+    """A node keeps its modular shadow from the first _shadow call, as it
+    keeps its key; _try_collapse keeps nothing."""
+
     def test_cold_matches_warm(self, suite_trees):
+        # cold: an equal tree rebuilt with no _shadow on any node; warm:
+        # the same node again, its shadow kept from the cold call
         _, collapsed = suite_trees
         distinct = list({se.sort_key(e): e for e in collapsed}.values())
-        cold = []
+        cold, warm = [], []
         for e in distinct:
-            se._FAILED_COLLAPSES.clear()
-            r = se._try_collapse(e)
-            cold.append(None if r is None else to_string(r))
-        warm = [se._try_collapse(e) for e in distinct]   # fills the memo
-        warm = [se._try_collapse(e) for e in distinct]   # answers from it
-        assert [None if r is None else to_string(r) for r in warm] == cold
+            fresh = _rebuilt(e)
+            assert fresh == e and not hasattr(fresh, "_shadow")
+            cold.append(se._try_collapse(fresh))
+            assert fresh._shadow == se._shadow(e)
+            warm.append(se._try_collapse(fresh))
+        strings = [[None if r is None else to_string(r) for r in rs]
+                   for rs in (cold, warm)]
+        assert strings[0] == strings[1]
         assert cold.count(None) > 10 and len(cold) - cold.count(None) > 0
 
     def test_equal_node_needs_no_view(self, monkeypatch):
         x = sym("x")
         first = mul(x, powr(add(x, 1), -1))   # x/(x + 1): no collapse
-        assert se.sort_key(first) in se._FAILED_COLLAPSES
         calls = []
         real = se._to_ratpoly
         monkeypatch.setattr(se, "_to_ratpoly",
@@ -657,22 +688,28 @@ class TestFailedCollapseMemo:
         assert se._try_collapse(mul(x, powr(add(x, 2), -1))) is None
         assert calls == []
         # a float constant leaves the shadow inconclusive: the exact path
-        # runs once, when the tree is built, and the memo answers after
+        # runs at each attempt, when mul builds the tree and again here
         assert se._try_collapse(mul(x, powr(add(x, 2.5), -1))) is None
-        assert len(calls) == 1
+        assert len(calls) == 2
 
-    def test_entry_dies_with_its_tree(self):
-        import gc
-
-        u = sym("u_memo_lifetime")
-        tree = mul(u, powr(add(u, 1), -1))
-        key = se.sort_key(tree)
-        assert key in se._FAILED_COLLAPSES
-        del tree
-        gc.collect()
-        assert key not in se._FAILED_COLLAPSES
-        assert not any("u_memo_lifetime" in repr(k)
-                       for k in se._FAILED_COLLAPSES.keys())
+    def test_second_call_recomputes_nothing(self, monkeypatch):
+        x, y = sym("x"), sym("y")
+        tree = se.Add([x, se.Mul([y, se.Pow(se.Add([Num(Fraction(1)), x]),
+                                            Fraction(-1))])])
+        calls = []
+        for name in ("_sum_shadow", "_mul_shadow", "_pow_shadow",
+                     "_atom_point"):
+            monkeypatch.setattr(se, name,
+                                lambda *a, _f=getattr(se, name), _n=name:
+                                calls.append(_n) or _f(*a))
+        first = se._shadow(tree)
+        assert first is not None and tree._shadow is first
+        # both sums, the product, the power, and the atoms y and x: the
+        # inner sum reads x's shadow from the node
+        assert calls.count("_sum_shadow") == 2 and len(calls) == 6
+        calls.clear()
+        assert se._shadow(tree) is first
+        assert calls == []
 
 
 def _shadow_verdict(e):
@@ -784,19 +821,6 @@ class TestModularShadow:
         e = parse_expr("x^3000/(x + 1) + y + 1/(x + 1)^100000", PATCH)
         assert time.perf_counter() - t0 < 1.0
         assert se._shadow(e) is None
-
-    def test_entry_dies_with_its_node(self):
-        import gc
-
-        u = sym("u_shadow_lifetime")
-        tree = add(mul(u, powr(add(u, 1), -1)), Num(0.5))
-        key = se.sort_key(tree)
-        assert key in se._SHADOWS and tree._shadow is None  # inconclusive
-        del tree, u
-        gc.collect()
-        assert key not in se._SHADOWS
-        assert not any("u_shadow_lifetime" in repr(k)
-                       for k in se._SHADOWS.keys())
 
 
 class TestGroupedSums:
