@@ -1,6 +1,6 @@
 """Exact multivariate polynomial and rational-function arithmetic over Q,
-the one kernel behind rational simplification, the exact branch of
-expression equivalence and the exact matrix inverse of ``bgeo.forms``.
+the one kernel behind rational simplification and the exact branch of
+expression equivalence.
 
 Polynomials are dicts mapping exponent tuples (one slot per atom) to
 Fraction coefficients.  Atoms are opaque: the caller decides what counts

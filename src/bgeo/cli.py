@@ -218,7 +218,7 @@ def cmd_extend(args):
             "omega_closed": report.omega_closed,
             "top_nonvanishing": report.top_nonvanishing,
         },
-        "config": {"eps": args.eps},
+        "config": {},
     }
     if not report.all_pass:
         doc["ok"] = False
@@ -228,7 +228,7 @@ def cmd_extend(args):
     verdict, detail = model.provenance["nondegeneracy"]
     doc["ok"] = True
     doc["nondegeneracy"] = verdict
-    doc["config"].update(_grid_config(args.grid, detail))
+    doc["config"] = {"eps": args.eps, **_grid_config(args.grid, detail)}
     doc["components"] = [float(v) for v in model.provenance["components"]]
     doc["model"] = ser.bform_to_dict(model.bform)
     _emit(doc)

@@ -32,8 +32,6 @@ from .forms import (
 )
 from .symexpr import Patch
 
-ZERO = se.num(0)
-
 
 @dataclass(frozen=True)
 class HypersurfaceData:
@@ -80,18 +78,11 @@ def check_defining_forms(data: HypersurfaceData) -> DefiningFormsReport:
     """Verdicts for the four hypotheses of the extension construction, on
     grids of 32 points per axis where a coefficient is not constant."""
     patch = data.patch
-    norm2 = se.add(*[se.mul(c, c) for c in data.alpha.comps.values()]) \
-        if data.alpha.comps else ZERO
-    if isinstance(norm2, se.Num):
-        alpha_nv = float(norm2.value) > 0
-    else:
-        alpha_nv = _grid_min_abs(norm2, patch, 32)[0] > 1e-12
-    top = leaf_volume_form(data)
-    c = top.coefficient(*patch.names) if top.comps else ZERO
-    if isinstance(c, se.Num):
-        top_nv = c.value != 0
-    else:
-        top_nv = _grid_min_abs(c, patch, 32)[0] > 1e-12
+    norm2 = se.add(*[se.mul(c, c) for c in data.alpha.comps.values()])
+    top = leaf_volume_form(data).coefficient(*patch.names)
+    alpha_nv, top_nv = (
+        e.value != 0 if isinstance(e, se.Num)
+        else _grid_min_abs(e, patch, 32)[0] > 1e-12 for e in (norm2, top))
     return DefiningFormsReport(
         alpha_nonvanishing=alpha_nv,
         alpha_closed=vanishes(d_smooth(data.alpha)),

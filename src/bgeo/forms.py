@@ -8,8 +8,9 @@ Everything downstream (restriction to Z, smoothness tests, nondegeneracy)
 is phrased in terms of that decomposition.
 Numeric checks evaluate every declared parameter at 1.0: _chart_range
 scans grids, _with_params gives point sets their parameter columns.
-`vanishes` is the library's one test that a smooth form is zero, and a
-value that must be a number passes through `evalcore.finite`.
+`vanishes` is the library's one test that a smooth form is zero,
+_abs_range its one test that a coefficient is nowhere zero on a chart, and
+a value that must be a number passes through `evalcore.finite`.
 """
 
 from __future__ import annotations
@@ -64,13 +65,18 @@ def _sort_indices(key):
 
 
 class SmoothForm:
-    """Degree-k differential form with symbolic coefficients."""
+    """Degree-k differential form with symbolic coefficients.
+
+    comps is a dict or an iterable of (key, coefficient) pairs, a key a
+    tuple of coordinate names or indices in any order: each key is sorted
+    with the sign of its permutation, equal keys are summed in the order
+    given, and zero components are dropped."""
 
     __slots__ = ("patch", "degree", "comps")
 
     def __init__(self, patch, degree, comps):
         clean = {}
-        for key, coef in comps.items():
+        for key, coef in comps.items() if isinstance(comps, dict) else comps:
             key = tuple(patch.index(k) if isinstance(k, str) else int(k)
                         for k in key)
             if len(key) != degree:
@@ -95,10 +101,8 @@ class SmoothForm:
         if not isinstance(other, SmoothForm):
             return NotImplemented
         _check_compatible(self, other)
-        out = dict(self.comps)
-        for k, v in other.comps.items():
-            out[k] = se.add(out.get(k, ZERO), v)
-        return SmoothForm(self.patch, self.degree, out)
+        return SmoothForm(self.patch, self.degree,
+                          [*self.comps.items(), *other.comps.items()])
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -146,49 +150,30 @@ def wedge(a, b):
     """Exterior product of smooth forms."""
     if a.patch != b.patch:
         raise ValueError("forms live on different patches")
-    out = {}
-    for k1, c1 in a.comps.items():
-        for k2, c2 in b.comps.items():
-            key, sign = _sort_indices(k1 + k2)
-            if sign == 0:
-                continue
-            term = mul(Num(Fraction(sign)), c1, c2)
-            out[key] = se.add(out.get(key, ZERO), term)
-    return SmoothForm(a.patch, a.degree + b.degree, out)
+    return SmoothForm(a.patch, a.degree + b.degree,
+                      [(k1 + k2, mul(c1, c2)) for k1, c1 in a.comps.items()
+                       for k2, c2 in b.comps.items()])
 
 
 def d_smooth(a):
     """Exterior derivative of a smooth form."""
     names = a.patch.names
-    out = {}
-    for key, c in a.comps.items():
-        for i in range(a.patch.dim):
-            if i in key:
-                continue
-            dc = diff_expr(c, names[i])
-            if is_zero(dc):
-                continue
-            skey, sign = _sort_indices((i,) + key)
-            term = mul(Num(Fraction(sign)), dc)
-            out[skey] = se.add(out.get(skey, ZERO), term)
-    return SmoothForm(a.patch, a.degree + 1, out)
+    return SmoothForm(a.patch, a.degree + 1,
+                      [((i,) + key, diff_expr(c, names[i]))
+                       for key, c in a.comps.items()
+                       for i in range(a.patch.dim) if i not in key])
 
 
 def interior_product(vf, a):
     """Contraction with a vector field given as {name or index: expr}."""
     comps = {a.patch.index(k) if isinstance(k, str) else int(k): se._coerce(v)
              for k, v in vf.items()}
-    out = {}
-    for key, c in a.comps.items():
-        for pos, idx in enumerate(key):
-            coef = comps.get(idx)
-            if coef is None or is_zero(coef):
-                continue
-            rest = key[:pos] + key[pos + 1:]
-            sign = Fraction((-1) ** pos)
-            term = mul(Num(sign), coef, c)
-            out[rest] = se.add(out.get(rest, ZERO), term)
-    return SmoothForm(a.patch, a.degree - 1, out)
+    return SmoothForm(a.patch, a.degree - 1,
+                      [(key[:pos] + key[pos + 1:],
+                        mul(Num(Fraction((-1) ** pos)), comps[idx], c))
+                       for key, c in a.comps.items()
+                       for pos, idx in enumerate(key)
+                       if not is_zero(comps.get(idx, ZERO))])
 
 
 def pullback_to_level(a, zname, value):
@@ -589,17 +574,26 @@ def _chart_range(expr, patch, axes, view):
     return None if lo is None else (lo, hi)
 
 
+def _abs_range(expr, patch, axes):
+    """(min |expr|, max |expr|) on the tensor grid of the coordinate samples
+    `axes` (_chart_range): the library's one test that a coefficient is
+    nowhere zero on a chart.  The first non-finite value raises
+    EvalDomainError (evalcore.finite): a coefficient that is not a number
+    somewhere on the grid gets no nonvanishing verdict from its other
+    values.  Values of both signs give a minimum of 0.0: on the connected
+    patch a continuous coefficient then vanishes between two grid points,
+    or it has a pole there."""
+    lo, hi = _chart_range(expr, patch, axes, finite)
+    small, large = sorted((abs(lo), abs(hi)))
+    return (0.0 if lo < 0.0 < hi else small), large
+
+
 def _grid_min_abs(expr, patch, grid):
-    """min |expr| on the tensor grid of the patch, and its points per axis:
-    grid, lowered to at most se.GRID_CAP points by se.grid_per_axis.  The
-    first non-finite value raises EvalDomainError (evalcore.finite): a
-    coefficient that is not a number somewhere on the grid gets no
-    nonvanishing verdict from its other values.  Values of both signs give
-    0.0: on the connected patch a continuous coefficient then vanishes
-    between two grid points, or it has a pole there."""
+    """min |expr| on the tensor grid of the patch (_abs_range), and its
+    points per axis: grid, lowered to at most se.GRID_CAP points by
+    se.grid_per_axis."""
     n = se.grid_per_axis(grid, patch.dim)
-    lo, hi = _chart_range(expr, patch, patch.axis_grid(n), finite)
-    return (0.0 if lo < 0.0 < hi else min(abs(lo), abs(hi))), n
+    return _abs_range(expr, patch, patch.axis_grid(n))[0], n
 
 
 def nondegeneracy_check(bform, grid=64):

@@ -55,6 +55,7 @@ from .forms import (
     BForm,
     GeometryError,
     SmoothForm,
+    _abs_range,
     _chart_range,
     _chart_tape,
     _near_rational,
@@ -112,28 +113,15 @@ class CoordinateChange:
     jacobian_det: object
 
 
-def _grid_extrema(expr, patch, n):
-    """(min, max) of the finite values of expr on the tensor grid of n
-    points per axis, a relative margin of 1e-6 in from the patch edges,
-    with every declared parameter at 1.0 (forms._chart_range); no finite
-    value is a GeometryError.  Finite values only, unlike
-    forms._grid_min_abs: these extrema screen g and bound the target patch
-    of darboux2d, and darboux_verify passes its sampled residual through
-    evalcore.finite, so a coefficient that is not a number there still
-    ends in EvalDomainError."""
-    r = _chart_range(expr, patch, patch.axis_grid(n, margin=1e-6),
-                     lambda v: v[np.isfinite(v)])
-    if r is None:
-        raise GeometryError("expression has no finite values on the patch")
-    return r
-
-
 def darboux2d(omega: BForm, grid=64) -> CoordinateChange:
     """Flatten omega = (g/z)dz^dy on a 2-D patch to the model (1/z)dz^dt.
 
     The new coordinates are (z, t) with t(z, y) the fiberwise integral of g
     from y = 0; the pullback of (1/z)dz^dt then reproduces omega because
-    dt/dy = g.  Requires g nonvanishing and the y-interval to contain 0.
+    dt/dy = g.  Requires g nonvanishing and the y-interval to contain 0:
+    min |g| on the grid (forms._abs_range) at least 1e-9 and 1e-6 of max
+    |g|.  The target patch spans the values of t on the grid, padded.  A
+    non-finite g or t on the grid raises EvalDomainError.
     """
     patch = omega.patch
     if patch.dim != 2 or omega.degree != 2:
@@ -151,7 +139,8 @@ def darboux2d(omega: BForm, grid=64) -> CoordinateChange:
     # the grid is capped at se.GRID_CAP points; g is sampled on the odd
     # count at or above that, so that y = 0 is a sample of a symmetric patch
     n = se.grid_per_axis(grid, patch.dim)
-    gmin, gmax = _grid_extrema(se.fun("abs", g), patch, n + 1 - n % 2)
+    gmin, gmax = _abs_range(g, patch, patch.axis_grid(n + 1 - n % 2,
+                                                      margin=1e-6))
     if gmin < max(1e-9, 1e-6 * gmax):
         raise GeometryError("form coefficient vanishes on the patch "
                             "(min |g| = %.3g)" % gmin)
@@ -176,7 +165,8 @@ def darboux2d(omega: BForm, grid=64) -> CoordinateChange:
     if not ok:
         raise GeometryError("pullback residual exceeds tolerance")
 
-    tmin, tmax = _grid_extrema(t, patch, n)
+    tmin, tmax = _chart_range(t, patch, patch.axis_grid(n, margin=1e-6),
+                              finite)
     pad = 1e-9 + 1e-9 * (tmax - tmin)
     zi = patch.index(zname)
     target = Patch((zname, "t"), (patch.intervals[zi], (tmin - pad, tmax + pad)),
@@ -600,42 +590,27 @@ def _halton_collar(patch, zi, zlo, zhi, n):
     return pts
 
 
-def _min_abs_on_collar(expr, patch, zi, zlo, zhi):
-    """min |expr| on the tensor grid of COLLAR_GRID points per axis over
-    the patch with the singular coordinate confined to [zlo, zhi], declared
-    parameters at 1.0 (forms._chart_range); 0.0 when no value is finite.
-    Finite values only, unlike forms._grid_min_abs: this scan only picks
-    the collar radius, and _collar_flow passes the flow's tangency values
-    and residuals through evalcore.finite, so a non-finite value on the
-    collar still ends in EvalDomainError there."""
-    axes = []
-    for i, (a, b) in enumerate(patch.intervals):
-        if i == zi:
-            a, b = zlo, zhi
-        axes.append(np.linspace(a + 1e-9, b - 1e-9, COLLAR_GRID))
-    r = _chart_range(expr, patch, axes, lambda v: np.abs(v[np.isfinite(v)]))
-    return 0.0 if r is None else r[0]
-
-
 def _shrink_collar(omega0, omega1, comp):
     """Find a collar about the component on which every interpolated form
-    stays nondegenerate; halve the radius up to the retry budget."""
+    stays nondegenerate; halve the radius up to the retry budget.  A form
+    passes when its top coefficient is nowhere zero (forms._abs_range, min
+    |c| at least 1e-9) on the grid of COLLAR_GRID points per axis over the
+    patch, with the singular coordinate confined to the collar."""
     patch = omega0.patch
     zi = patch.index(omega0.zname)
     lo, hi = patch.intervals[zi]
     r = 0.5 * min(comp.value - lo, hi - comp.value)
     if r <= 0:
         raise GeometryError("component sits on the patch boundary")
+    axes = [np.linspace(a + 1e-9, b - 1e-9, COLLAR_GRID)
+            for a, b in patch.intervals]
     for halvings in range(MAX_COLLAR_HALVINGS + 1):
-        ok = True
-        for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-            omt = omega0.scale(1.0 - t) + omega1.scale(t) if t else omega0
-            top = top_coefficient(omt)
-            if _min_abs_on_collar(top, patch, zi, comp.value - r,
-                                  comp.value + r) < 1e-9:
-                ok = False
-                break
-        if ok:
+        axes[zi] = np.linspace(comp.value - r + 1e-9, comp.value + r - 1e-9,
+                               COLLAR_GRID)
+        tops = (top_coefficient(omega0.scale(1.0 - t) + omega1.scale(t)
+                                if t else omega0)
+                for t in (0.0, 0.25, 0.5, 0.75, 1.0))
+        if all(_abs_range(top, patch, axes)[0] >= 1e-9 for top in tops):
             return r, halvings
         r /= 2
     raise GeometryError("interpolated family stays degenerate on every "

@@ -452,6 +452,29 @@ class TestDarboux:
         assert (code, out) == self._darboux_out(capsys, path, "--grid", "64")
         assert code == 1 and json.loads(out)["config"] == {"seed": 0}
 
+    def test_coefficient_crosses_zero_between_samples(self, tmp_path,
+                                                      capsys):
+        # g = 1/81 - y takes both signs on the grid but is zero at no
+        # sample: darboux refuses it, by the rule that makes check call the
+        # same form degenerate
+        from bgeo import cli
+
+        doc = {"schema": "bgeo/1", "kind": "bform", "degree": 2,
+               "zcoord": "z", "f": "z",
+               "patch": {"names": ["z", "y"],
+                         "intervals": [[-1, 1], [-1, 1]]},
+               "alpha": {"1": "y - 1/81"}, "beta": {}}
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(doc))
+        code, out = self._darboux_out(capsys, path)
+        assert code == 1 and json.loads(out) == {
+            "schema": "bgeo/1",
+            "error": "form coefficient vanishes on the patch (min |g| = 0)"}
+        assert cli.main(["check", str(path)]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["nondegeneracy"] == "degenerate"
+        assert out["detail"]["min_abs"] == 0.0
+
     def test_declared_parameter(self, tmp_path):
         # declared parameters take the value 1.0 in the grid checks
         doc = {"schema": "bgeo/1", "kind": "bform", "degree": 2,
@@ -655,8 +678,22 @@ class TestExtend:
         code, out = run_json("extend", str(path), "--grid", "16")
         assert code == 1
         assert not out["defining_forms"]["alpha_nonvanishing"]
-        # the defining forms fail before any grid is sampled
-        assert out["config"] == {"eps": 1.0}
+        # the defining forms fail before any model is built or sampled
+        assert out["config"] == {}
+
+    def test_eps_only_with_a_model(self, capsys, tmp_path):
+        # alpha ^ omega = x dx^dy^w changes sign, so no model is built and
+        # --eps is read by nothing
+        doc = {"schema": "bgeo/1", "kind": "zdata",
+               "patch": {"names": ["x", "y", "w"],
+                         "intervals": [[-1, 1]] * 3},
+               "alpha": {"0": "x"}, "omega": {"1,2": "1"}}
+        path = tmp_path / "zdata.json"
+        path.write_text(json.dumps(doc))
+        code, out = _main_json(capsys, "extend", path, "--eps", "0.5")
+        assert code == 1 and out["ok"] is False
+        assert not out["defining_forms"]["top_nonvanishing"]
+        assert out["config"] == {}
 
     @staticmethod
     def _torus3_doc(tmp_path, alpha0):

@@ -1,9 +1,10 @@
 """The streamed tensor grid against the full-grid path it replaced.
 
 grid_blocks yields the tensor grid in blocks; the grid reductions
-(_grid_min_abs, _grid_extrema, _min_abs_on_collar) must give bit for bit
-what the old code gave from one (n^dim, dim) array built with meshgrid.
-The old path is kept here, test-local, as the reference."""
+(_grid_min_abs on the patch grid, _abs_range on darboux2d's grid, inset
+from the patch edges, and on a Moser collar) must give bit for bit what
+the full-grid path gives from one (n^dim, dim) array built with meshgrid.
+That path is kept here, test-local, as the reference."""
 
 import math
 import tracemalloc
@@ -12,9 +13,9 @@ import numpy as np
 import pytest
 
 from bgeo.evalcore import compile_tape, evaluate_tape
-from bgeo.forms import (BForm, GeometryError, _grid_min_abs,
-                        SmoothForm, nondegeneracy_check)
-from bgeo.normalform import COLLAR_GRID, _grid_extrema, _min_abs_on_collar
+from bgeo.forms import (BForm, SmoothForm, _abs_range, _grid_min_abs,
+                        nondegeneracy_check)
+from bgeo.normalform import COLLAR_GRID
 from bgeo.symexpr import (GRID_BLOCK, GRID_CAP, EvalDomainError, Patch,
                           grid_blocks, grid_per_axis, parse_expr, substitute,
                           sym)
@@ -64,29 +65,30 @@ def _with_params(patch, pts):
     return np.hstack([pts, np.ones((len(pts), len(patch.params)))])
 
 
-def ref_extrema(expr, patch, grid):
-    pts = _with_params(patch, full_grid(patch.axis_grid(grid, margin=1e-6)))
+def ref_abs_range(expr, patch, axes):
+    """(min |expr|, max |expr|) by the full-grid path on the grid of axes,
+    every parameter a column of 1.0, with ref_min_abs's two rules: the
+    first non-finite value raises, and values of both signs give a minimum
+    of 0.0."""
+    pts = _with_params(patch, full_grid(axes))
     vals = evaluate_tape(compile_tape(expr, patch.names + patch.params), pts)
-    vals = vals[np.isfinite(vals)]
-    if vals.size == 0:
-        raise GeometryError("expression has no finite values on the patch")
-    return float(vals.min()), float(vals.max())
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        raise EvalDomainError(f"non-finite value {vals[bad][0]}")
+    both = vals.min() < 0.0 < vals.max()
+    return (0.0 if both else float(np.abs(vals).min()),
+            float(np.abs(vals).max()))
 
 
-def ref_min_abs_on_collar(expr, patch, zi, zlo, zhi, grid):
-    """The old collar path with one fix: the old code built only patch.dim
-    columns for a tape over names + params, so a coefficient that read a
-    declared parameter raised IndexError; here, as in _min_abs_on_collar,
-    every parameter is a column of 1.0."""
+def collar_axes(patch, zi, zlo, zhi, grid=COLLAR_GRID):
+    """The axes of _shrink_collar's grid: the patch, the singular
+    coordinate confined to [zlo, zhi], each 1e-9 in from its ends."""
     axes = []
     for i, (a, b) in enumerate(patch.intervals):
         if i == zi:
             a, b = zlo, zhi
         axes.append(np.linspace(a + 1e-9, b - 1e-9, grid))
-    pts = _with_params(patch, full_grid(axes))
-    vals = evaluate_tape(compile_tape(expr, patch.names + patch.params), pts)
-    vals = vals[np.isfinite(vals)]
-    return float(np.min(np.abs(vals))) if vals.size else 0.0
+    return axes
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +132,7 @@ def _both(f, g):
     for h in (f, g):
         try:
             out.append(repr(h()))
-        except (GeometryError, EvalDomainError) as exc:
+        except EvalDomainError as exc:
             out.append(f"{type(exc).__name__}: {exc}")
     return out
 
@@ -153,9 +155,11 @@ class TestStreamedReductions:
 
     @pytest.mark.parametrize("case", range(len(CASES)))
     def test_extrema(self, case):
+        # on darboux2d's grid, a relative margin of 1e-6 in from the edges
         patch, expr, grid = CASES[case]
-        new, old = _both(lambda: _grid_extrema(expr, patch, grid),
-                         lambda: ref_extrema(expr, patch, grid))
+        axes = patch.axis_grid(grid, margin=1e-6)
+        new, old = _both(lambda: _abs_range(expr, patch, axes),
+                         lambda: ref_abs_range(expr, patch, axes))
         assert new == old
 
     @pytest.mark.parametrize("case", range(len(CASES)))
@@ -163,19 +167,19 @@ class TestStreamedReductions:
         patch, expr, grid = CASES[case]
         zi = patch.dim - 1
         a, b = patch.intervals[zi]
-        zlo, zhi = a + 0.3 * (b - a), a + 0.6 * (b - a)
-        # at the library's collar grid
-        assert repr(_min_abs_on_collar(expr, patch, zi, zlo, zhi)) == repr(
-            ref_min_abs_on_collar(expr, patch, zi, zlo, zhi, COLLAR_GRID))
+        axes = collar_axes(patch, zi, a + 0.3 * (b - a), a + 0.6 * (b - a))
+        new, old = _both(lambda: _abs_range(expr, patch, axes),
+                         lambda: ref_abs_range(expr, patch, axes))
+        assert new == old
 
     def test_collar_reads_parameter(self):
-        # the old collar path raised IndexError here; the parameter is 1.0
+        # the parameter is 1.0, a column of the tape's points
         patch = Patch(("x", "z"), ((-1.0, 1.0), (-1.0, 1.0)), params=("a",))
         expr = parse_expr("3*a + x - z", patch)
-        got = _min_abs_on_collar(expr, patch, 1, 0.25, 0.5)
-        assert got == pytest.approx(1.5 + 2e-9, abs=1e-15)
-        assert repr(got) == repr(
-            ref_min_abs_on_collar(expr, patch, 1, 0.25, 0.5, COLLAR_GRID))
+        axes = collar_axes(patch, 1, 0.25, 0.5)
+        got = _abs_range(expr, patch, axes)
+        assert got[0] == pytest.approx(1.5 + 2e-9, abs=1e-15)
+        assert repr(got) == repr(ref_abs_range(expr, patch, axes))
 
     def test_capped_grid(self):
         # 3,000,000 points asked on a line: capped at GRID_CAP, in blocks;
@@ -195,9 +199,10 @@ class TestStreamedReductions:
         expr = parse_expr("log(-1 - x^2)", patch)
         with pytest.raises(EvalDomainError, match="non-finite value nan"):
             _grid_min_abs(expr, patch, 9)
-        with pytest.raises(GeometryError):
-            _grid_extrema(expr, patch, 9)
-        assert _min_abs_on_collar(expr, patch, 1, -0.5, 0.5) == 0.0
+        for axes in (patch.axis_grid(9, margin=1e-6),
+                     collar_axes(patch, 1, -0.5, 0.5)):
+            with pytest.raises(EvalDomainError, match="non-finite value nan"):
+                _abs_range(expr, patch, axes)
 
 
 class TestGridBlocks:

@@ -81,12 +81,18 @@ def test_one_grid_path():
 def test_one_chart_scan():
     """Grid checks scan the chart through forms._chart_range, which puts
     every declared parameter at 1.0; the only other reader of
-    symexpr.grid_blocks is the marching-squares grid of surface2d."""
-    expected = {"forms.py": ["_chart_range"],
-                "surface2d.py": ["extract_zero_set"]}
-    for path in MODULES:
-        uses = name_uses(ast.parse(path.read_text()), "grid_blocks")
-        assert uses == expected.get(path.name, []), path
+    symexpr.grid_blocks is the marching-squares grid of surface2d.  Whether
+    a coefficient is nowhere zero on a chart is decided by forms._abs_range
+    alone: the only other caller of _chart_range is darboux2d, for the
+    bounds of its target patch."""
+    for name, expected in [
+            ("grid_blocks", {"forms.py": ["_chart_range"],
+                             "surface2d.py": ["extract_zero_set"]}),
+            ("_chart_range", {"forms.py": ["_abs_range"],
+                              "normalform.py": ["darboux2d"]})]:
+        for path in MODULES:
+            uses = name_uses(ast.parse(path.read_text()), name)
+            assert uses == expected.get(path.name, []), (name, path)
 
 
 def non_finite_messages(tree):

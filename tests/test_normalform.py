@@ -38,6 +38,7 @@ from bgeo.normalform import (
     _halton,
     _halton_collar,
     _relative_engine,
+    _shrink_collar,
     _solve_antisymmetric,
     _standard_model,
     darboux2d,
@@ -392,6 +393,21 @@ class TestMoserRelative:
         w1 = BForm(p, 2, alpha1, SmoothForm(p, 2, {}), sym("y"), "y")
         with pytest.raises(GeometryError, match="restriction"):
             moser_relative_verify(w0, w1, n_points=20)
+
+
+def test_collar_halves_on_sign_change():
+    """The top coefficient 1 - 3y changes sign at y = 1/3, between the
+    COLLAR_GRID samples 0.3 and 0.3667 of the first collar, |y| <= 1/2,
+    where |1 - 3y| is at least 0.1: values of both signs are a zero, so
+    the collar halves once, to |y| <= 1/4, where the coefficient is at
+    least 1/4."""
+    p = Patch(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)))
+    w = BForm(p, 2, SmoothForm(p, 1, {("x",): parse_expr("1 - 3*y", p)}),
+              SmoothForm(p, 2, {}), sym("y"), "y")
+    (comp,) = find_z_components(w)
+    assert _shrink_collar(w, w, comp) == (0.25, 1)
+    rep = moser_relative_verify(w, w, n_points=20)
+    assert (rep.collar_halvings, rep.collar_radius) == (1, 0.25)
 
 
 def test_undeclared_symbol_is_an_expr_error():
