@@ -18,8 +18,9 @@ only check that raises on a non-finite value.
 
 `_solve_brackets` is the library's only root finder: a batched Illinois
 regula falsi with a bisection fallback that solves many sign-change
-brackets together.  `surface2d` (line roots, strip edges, curve vertices)
-and `forms.find_z_components` both call it; it lives here because
+brackets together, and `_opposite_signs` finds those brackets.
+`surface2d` (line roots, strip edges, curve vertices) and
+`forms.find_z_components` both call them; they live here because
 `surface2d` imports `forms`.
 """
 
@@ -103,6 +104,12 @@ def finite(values):
     if bad.any():
         raise EvalDomainError(f"non-finite value {values[bad][0]}")
     return values
+
+
+def _opposite_signs(a, b):
+    """Elementwise, whether a and b have opposite signs (0 and nan have
+    none), without a product a * b that would overflow or underflow."""
+    return ((a < 0) & (b > 0)) | ((a > 0) & (b < 0))
 
 
 def _solve_brackets(f, a, b, fa, fb, xtol):

@@ -22,7 +22,6 @@ from .forms import (
     GeometryError,
     SmoothForm,
     _grid_min_abs,
-    d_bform,
     d_smooth,
     form_equiv,
     nondegeneracy_check,
@@ -78,11 +77,16 @@ def check_defining_forms(data: HypersurfaceData) -> DefiningFormsReport:
     """Verdicts for the four hypotheses of the extension construction, on
     grids of 32 points per axis where a coefficient is not constant."""
     patch = data.patch
-    norm2 = se.add(*[se.mul(c, c) for c in data.alpha.comps.values()])
+    alpha = list(data.alpha.comps.values())
+    # a sum of squares never changes sign: one component is screened itself,
+    # its threshold on the square
+    screened, power = ((alpha[0], 2) if len(alpha) == 1 else
+                       (se.add(*[se.mul(c, c) for c in alpha]), 1))
     top = leaf_volume_form(data).coefficient(*patch.names)
     alpha_nv, top_nv = (
         e.value != 0 if isinstance(e, se.Num)
-        else _grid_min_abs(e, patch, 32)[0] > 1e-12 for e in (norm2, top))
+        else _grid_min_abs(e, patch, 32)[0] ** k > 1e-12
+        for e, k in ((screened, power), (top, 1)))
     return DefiningFormsReport(
         alpha_nonvanishing=alpha_nv,
         alpha_closed=vanishes(d_smooth(data.alpha)),
@@ -110,7 +114,8 @@ def build_extension(data: HypersurfaceData, eps=1.0,
     (-eps, eps) of a new last coordinate t, whose zero set {t = 0} is Z.
 
     The data must pass check_defining_forms, which the caller runs once
-    (``bgeo extend`` reports its verdicts); this does not check it again.
+    (``bgeo extend`` reports its verdicts); this does not check it again,
+    closedness included: d commutes with the lift, and d(dt/t) = 0.
     """
     patch = data.patch
     if "t" in patch.names:
@@ -119,10 +124,6 @@ def build_extension(data: HypersurfaceData, eps=1.0,
     omega_t = BForm(product, 2, _lift_form(data.alpha, product),
                     _lift_form(data.omega, product), se.sym("t"), "t")
 
-    # closedness of the model
-    d = d_bform(omega_t)
-    if not (vanishes(d.alpha) and vanishes(d.beta)):
-        raise GeometryError("extension model is not closed")
     verdict, detail = nondegeneracy_check(omega_t, grid=grid)
     if verdict == "degenerate":
         raise GeometryError("extension model degenerates: %r" % (detail,))

@@ -4,7 +4,7 @@ hypersurface, and the associated exterior calculus.
 A SmoothForm is a degree-k form with expression coefficients over a Patch.
 A BForm represents alpha ^ (dz/f) + beta, where f is a defining function
 of the hypersurface Z = {f = 0} and z is the distinguished coordinate.
-Everything downstream (restriction to Z, smoothness tests, nondegeneracy)
+Everything downstream (restriction to Z, smooth equivalents, nondegeneracy)
 is phrased in terms of that decomposition.
 Numeric checks evaluate every declared parameter at 1.0: _chart_range
 scans grids, _with_params gives point sets their parameter columns.
@@ -21,7 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import symexpr as se
-from .evalcore import _solve_brackets, compile_tape, evaluate_tape, finite
+from .evalcore import (_opposite_signs, _solve_brackets, compile_tape,
+                       evaluate_tape, finite)
 from .symexpr import (
     ZERO,
     Expr,
@@ -39,7 +40,7 @@ __all__ = [
     "SmoothForm", "BForm", "RestrictionPair", "ZComponent",
     "wedge", "d_smooth", "d_bform", "bwedge",
     "interior_product", "pullback_to_level",
-    "find_z_components", "restrict_to_Z", "is_smooth", "vanishes",
+    "find_z_components", "restrict_to_Z", "smooth_equivalent", "vanishes",
     "top_coefficient", "nondegeneracy_check", "transversality_check",
     "form_equiv", "GeometryError",
 ]
@@ -375,11 +376,10 @@ def find_z_components(bform):
     # a scan interval holds a root at its left end when f is zero there,
     # otherwise one inside when f changes sign across it
     zero = vals[:-1] == 0.0
-    with np.errstate(over="ignore"):   # an overflow keeps its sign
-        cross = ~zero & (vals[:-1] * vals[1:] < 0)
+    cross = _opposite_signs(vals[:-1], vals[1:])
     lo, hi = zs[:-1][cross], zs[1:][cross]
     flo, fhi = vals[:-1][cross], vals[1:][cross]
-    wrap = period is not None and vals[-1] != 0.0 and vals[-1] * vals[0] < 0
+    wrap = period is not None and _opposite_signs(vals[-1], vals[0])
     if wrap:
         lo, hi = np.append(lo, zs[-1]), np.append(hi, b)
         flo, fhi = np.append(flo, vals[-1]), np.append(fhi, f_at([b]))
@@ -479,29 +479,17 @@ def restrict_to_Z(bform, components=None):
     return out
 
 
-def is_smooth(bform):
-    """Decide whether a b-form is actually smooth across Z.
-
-    Returns (verdict, smooth_equivalent).  verdict is True with the
-    equivalent SmoothForm when alpha/f divides exactly (beta itself, at
-    once, when alpha is zero); True with None when the restriction
-    vanishes but no exact quotient was found (smooth, but only
-    semidecided symbolically); False with None otherwise."""
-    if bform.alpha.is_zero():
-        return True, bform.beta
-    if not all(vanishes(pair.alpha_tilde) for pair in restrict_to_Z(bform)):
-        return False, None
-    # try the exact quotient alpha/f
+def smooth_equivalent(bform):
+    """The smooth form (alpha/f) ^ dz + beta equal to a b-form, when alpha/f
+    divides exactly, as it can only if alpha vanishes on Z (beta when alpha
+    is zero); None when some component of alpha has no exact quotient."""
     quotient = {}
     for key, c in bform.alpha.comps.items():
         q = divide_exact(c, bform.f)
         if q is None:
-            return True, None
-        quotient[key] = q
-    zi = bform.zindex
-    extra = {key + (zi,): q for key, q in quotient.items()}
-    smooth = SmoothForm(bform.patch, bform.degree, extra) + bform.beta
-    return True, smooth
+            return None
+        quotient[key + (bform.zindex,)] = q
+    return SmoothForm(bform.patch, bform.degree, quotient) + bform.beta
 
 
 def transversality_check(bform):

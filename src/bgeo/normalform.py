@@ -31,10 +31,10 @@ finite (the pullback residual still reads every entry).  The relative
 Moser statement is the one verified: each component of Z runs one collar
 flow (_collar_flow), whose tangency defect is the velocity on Z.  Declared
 parameters are 1.0 (forms._chart_range on grids, forms._with_params on
-every batch the flow reads).  Each symbolic hypothesis is a
-forms.vanishes, f is factored at a component once (_factor_at), and a
-non-finite residual or velocity on Z raises EvalDomainError
-(evalcore.finite).
+every batch the flow reads).  Each hypothesis is decided once, a
+symbolic one by forms.vanishes, f is factored at a component once
+(_factor_at), and a non-finite residual or velocity on Z raises
+EvalDomainError (evalcore.finite).
 """
 
 from __future__ import annotations
@@ -64,13 +64,12 @@ from .forms import (
     d_smooth,
     find_z_components,
     interior_product,
-    is_smooth,
     restrict_to_Z,
+    smooth_equivalent,
     top_coefficient,
     vanishes,
 )
 from .symexpr import (
-    EquivalenceInconclusive,
     Num,
     Patch,
     antiderivative,
@@ -80,8 +79,6 @@ from .symexpr import (
     is_zero,
     substitute,
 )
-
-ZERO = se.num(0)
 
 N_STEPS = 256   # RK4 steps of a Moser flow over [0, 1]
 STEP_OVERHEAD = 1900   # in batch points, measured (_check_flow)
@@ -117,8 +114,9 @@ def darboux2d(omega: BForm, grid=64) -> CoordinateChange:
     """Flatten omega = (g/z)dz^dy on a 2-D patch to the model (1/z)dz^dt.
 
     The new coordinates are (z, t) with t(z, y) the fiberwise integral of g
-    from y = 0; the pullback of (1/z)dz^dt then reproduces omega because
-    dt/dy = g.  Requires g nonvanishing and the y-interval to contain 0:
+    from y = 0, in closed form or by Gauss quadrature; the pullback of
+    (1/z)dz^dt reproduces omega where dt/dy = g, which darboux_verify
+    samples.  Requires g nonvanishing and the y-interval to contain 0:
     min |g| on the grid (forms._abs_range) at least 1e-9 and 1e-6 of max
     |g|.  The target patch spans the values of t on the grid, padded.  A
     non-finite g or t on the grid raises EvalDomainError.
@@ -156,15 +154,6 @@ def darboux2d(omega: BForm, grid=64) -> CoordinateChange:
                  for u, w in zip(nodes, weights)]
         t = se.mul(y, se.add(*terms))
 
-    # pullback identity: dt/dy must reproduce g
-    ty = diff_expr(t, yname)
-    try:
-        ok = expr_equiv(ty, g, patch)
-    except EquivalenceInconclusive:
-        ok = False
-    if not ok:
-        raise GeometryError("pullback residual exceeds tolerance")
-
     tmin, tmax = _chart_range(t, patch, patch.axis_grid(n, margin=1e-6),
                               finite)
     pad = 1e-9 + 1e-9 * (tmax - tmin)
@@ -172,7 +161,8 @@ def darboux2d(omega: BForm, grid=64) -> CoordinateChange:
     target = Patch((zname, "t"), (patch.intervals[zi], (tmin - pad, tmax + pad)),
                    params=patch.params)
     return CoordinateChange(source=patch, target=target,
-                            forward=(se.sym(zname), t), jacobian_det=ty)
+                            forward=(se.sym(zname), t),
+                            jacobian_det=diff_expr(t, yname))
 
 
 @dataclass(frozen=True)
@@ -205,9 +195,9 @@ def _standard_model(patch, zname):
 def darboux_verify(omega: BForm, grid=64, seed=0) -> DarbouxReport:
     """Residual of omega against its flat model on its patch.
 
-    Dimension 2 is constructive (via darboux2d): the residual is dt/dy - g.
-    Higher dimensions compare coefficient matrices in the singular coframe
-    against the standard model.  Either residual is sampled at N_SAMPLE
+    Dimension 2 is constructive (via darboux2d): the residual dt/dy - g is
+    the one test of dt/dy = g.  Higher dimensions compare coefficient
+    matrices in the singular coframe against the standard model.  Either residual is sampled at N_SAMPLE
     uniform points of the patch, and a non-finite value there raises
     EvalDomainError.
     """
@@ -244,18 +234,11 @@ def _sample_box(patch, rng):
 
 def _collar_primitive(delta: SmoothForm, zname, c):
     """Primitive of a closed form along the retraction of a collar onto
-    {z = c}; valid when the pullback of delta to the level set vanishes.
-    Each component is (z - c) times its ray integral, so the primitive
-    vanishes identically on the level set."""
-    patch = delta.patch
-    zi = patch.index(zname)
+    {z = c}, for a delta whose pullback to the level set vanishes (the
+    caller's restriction test; not checked here).  Each component is
+    (z - c) times its ray integral, so the primitive vanishes identically
+    on the level set."""
     level = Num(float(c))   # a float constant, also for a Fraction c
-    for key, a in delta.comps.items():
-        if zi not in key:
-            lvl = substitute(a, {zname: level})
-            if not is_zero(lvl) and not expr_equiv(lvl, ZERO, patch):
-                raise GeometryError(
-                    "form does not pull back to zero on the level set")
     eta = interior_product({zname: se.num(1)}, delta)
     nodes, weights = _gauss01()
     zdisp = se.sub(se.sym(zname), level)
@@ -266,7 +249,7 @@ def _collar_primitive(delta: SmoothForm, zname, c):
                                                    se.mul(Num(float(u)), zdisp))}))
                for u, w in zip(nodes, weights)]
         out[key] = se.mul(zdisp, se.add(*ray))
-    return SmoothForm(patch, delta.degree - 1, out)
+    return SmoothForm(delta.patch, delta.degree - 1, out)
 
 
 @dataclass
@@ -617,13 +600,6 @@ def _shrink_collar(omega0, omega1, comp):
                         "collar tried (%d halvings)" % MAX_COLLAR_HALVINGS)
 
 
-def _restrictions_agree(omega0, omega1, components):
-    return all(vanishes(a.alpha_tilde - b.alpha_tilde)
-               and vanishes(a.beta_tilde - b.beta_tilde)
-               for a, b in zip(restrict_to_Z(omega0, components),
-                               restrict_to_Z(omega1, components)))
-
-
 def _check_flow(n_points, n_steps, dim):
     """Refuse a flow of fewer than one sample point or step, a batch (each
     point with its 2*dim finite-difference neighbours) of more than
@@ -749,22 +725,22 @@ def moser_relative_verify(omega0: BForm, omega1: BForm, n_points=N_SAMPLE,
     symplectic forms with equal restriction data are related, near the
     hypersurface, by the time-1 flow of the interpolation vector field.
 
-    Builds a primitive of omega0 - omega1 vanishing on the hypersurface,
-    solves the contraction equation for v_t in the singular coframe,
-    integrates the flow, and reports the pullback residual.  Every value
-    the report folds is finite (_collar_flow) and not negative.
+    Decides each hypothesis once, on delta = omega0 - omega1 (its data on
+    Z vanish, it has a smooth equivalent, and that is closed), builds a
+    primitive of delta vanishing on the hypersurface, solves the
+    contraction equation for v_t in the singular coframe, integrates the
+    flow, and reports the pullback residual.  Every value the report folds
+    is finite (_collar_flow) and not negative.
     """
     _check_flow(n_points, n_steps, omega0.patch.dim)
-    omega0._check(omega1)
+    delta = omega0 - omega1   # BForm._check: the same patch, z and f
     zname = omega0.zname
     components = find_z_components(omega0)
-    if not _restrictions_agree(omega0, omega1, components):
+    if not all(vanishes(pair.alpha_tilde) and vanishes(pair.beta_tilde)
+               for pair in restrict_to_Z(delta, components)):
         raise GeometryError("restrictions to the hypersurface differ; the "
                             "relative statement does not apply")
-    smooth, delta_s = is_smooth(omega0 - omega1)
-    if not smooth:
-        raise GeometryError("difference form is not smooth across the "
-                            "hypersurface (inconsistent input)")
+    delta_s = smooth_equivalent(delta)
     if delta_s is None:
         raise GeometryError("difference form is smooth across the "
                             "hypersurface, but alpha/f has no exact quotient "

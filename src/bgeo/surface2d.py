@@ -34,7 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import symexpr as se
-from .evalcore import _solve_brackets, compile_tape, evaluate_tape, finite
+from .evalcore import (_opposite_signs, _solve_brackets, compile_tape,
+                       evaluate_tape, finite)
 from .forms import GeometryError
 from .symexpr import Patch, diff_expr, mul, parse_expr
 
@@ -210,29 +211,27 @@ def extract_zero_set(S, grid=64):
         return (kind, i, j)
 
     # stitch segments into polylines via shared edges
-    adj = {}
+    adj, point_of = {}, {}
     for (t1, p1), (t2, p2) in segs:
         t1, t2 = canon_edge(t1), canon_edge(t2)
-        adj.setdefault(t1, []).append((t2, p2))
-        adj.setdefault(t2, []).append((t1, p1))
-    point_of = {}
-    for (t1, p1), (t2, p2) in segs:
-        point_of[canon_edge(t1)] = p1
-        point_of[canon_edge(t2)] = p2
+        adj.setdefault(t1, []).append(t2)
+        adj.setdefault(t2, []).append(t1)
+        point_of[t1] = p1
+        point_of[t2] = p2
 
     visited = set()
     curves = []
     for start in point_of:
-        if start in visited or len(adj.get(start, ())) == 0:
+        if start in visited:
             continue
         chain = [start]
         visited.add(start)
         closed = False
         while True:
-            nbrs = [t for t, _ in adj[chain[-1]] if t not in visited]
+            nbrs = [t for t in adj[chain[-1]] if t not in visited]
             if not nbrs:
                 # two vertices joined by two segments are a closed loop too
-                last = [t for t, _ in adj[chain[-1]]]
+                last = adj[chain[-1]]
                 closed = (chain[0] in last
                           and (len(chain) > 2 or last.count(chain[0]) > 1))
                 break
@@ -240,11 +239,11 @@ def extract_zero_set(S, grid=64):
             visited.add(nbrs[0])
         # walk the other direction when the start was mid-chain
         if not closed:
-            head = [t for t, _ in adj[chain[0]] if t not in visited]
+            head = [t for t in adj[chain[0]] if t not in visited]
             while head:
                 chain.insert(0, head[0])
                 visited.add(head[0])
-                head = [t for t, _ in adj[chain[0]] if t not in visited]
+                head = [t for t in adj[chain[0]] if t not in visited]
         pts = np.array([point_of[t] for t in chain])
         pts = _refine_curve(S, pts)
         _check_pole_margin(S, pts)
@@ -286,13 +285,14 @@ def _refine_curve(S, pts):
     fa, fb = along(v0 - h, k), along(v0 + h, k)
     while True:
         real = np.isfinite(fa) & np.isfinite(fb)
-        grow = np.flatnonzero(real & (fa * fb > 0) & (h < 0.3))
+        same = _opposite_signs(fa, -fb)   # fa and fb of one sign
+        grow = np.flatnonzero(real & same & (h < 0.3))
         if not grow.size:
             break
         h[grow] *= 2
         fa[grow] = along(v0[grow] - h[grow], k[grow])
         fb[grow] = along(v0[grow] + h[grow], k[grow])
-    ok = real & (fa * fb <= 0)
+    ok = real & ~same
     k, v0, h, fa, fb = k[ok], v0[ok], h[ok], fa[ok], fb[ok]
     root = np.where(fa == 0, v0 - h, v0 + h)
     o = np.flatnonzero((fa != 0) & (fb != 0))
@@ -393,7 +393,7 @@ def _strip_edges(gate_abs, mesh, m_line, eps_list):
     levels, ga, gb = [], [], []
     for eps in eps_list:
         g = mesh_abs - eps
-        e_i = np.flatnonzero(same & (g[:-1] * g[1:] < 0))
+        e_i = np.flatnonzero(same & _opposite_signs(g[:-1], g[1:]))
         levels.append((np.flatnonzero(same & (g[:-1] == 0.0)), e_i))
         ga.append(g[e_i])
         gb.append(g[e_i + 1])
@@ -451,7 +451,7 @@ def regularized_volume(S, grid=64, tau_log=1e-4, cutoff_factor=None):
     zs = np.linspace(lo1, hi1, 257)
     ps = _evaluate(P, zs[None, :], x2s[:, None]).reshape(nl, zs.size)
     z_line, z_i = np.nonzero(ps == 0.0)
-    b_line, b_i = np.nonzero(ps[:, :-1] * ps[:, 1:] < 0)
+    b_line, b_i = np.nonzero(_opposite_signs(ps[:, :-1], ps[:, 1:]))
     r_line = np.concatenate([z_line, b_line])
     roots = np.concatenate([zs[z_i], _solve_brackets(
         lambda x, k: _evaluate(P, x, x2s[b_line[k]]), zs[b_i], zs[b_i + 1],

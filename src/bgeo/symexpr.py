@@ -1215,10 +1215,7 @@ def parse_expr(text, patch):
             kind, val, pos = toks.peek()
         if kind == "num":
             toks.next()
-            c = _parse_number(val, pos)
-            if isinstance(c.value, float):
-                raise ExprSyntaxError("exponent must be rational", pos)
-            value = c.value
+            value = _parse_number(val, pos).value
             if toks.peek()[0] == "^":  # right-associative constant tower
                 toks.next()
                 nest(1, pos)

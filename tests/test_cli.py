@@ -107,6 +107,23 @@ class TestInvariants:
         assert "error" in json.loads(proc.stdout)
         assert "Traceback" not in proc.stderr
 
+    def test_huge_scale_is_quiet(self, tmp_path, capsys):
+        # a sign test by the product of two values of P would overflow: a
+        # RuntimeWarning, so an internal error (exit 3) where warnings are
+        # errors, and warnings on stderr where they are not
+        from bgeo import cli
+
+        doc = {"schema": "bgeo/1", "kind": "surface", "topology": "sphere",
+               "P": "1e200*h", "V": "1", "orientation": 1}
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["invariants", str(path), "--grid", "32"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        out = json.loads(out)
+        assert out["n"] == 1
+        assert out["periods"] == [6.283185307179578e-200]
+
     @pytest.mark.parametrize("P", ["h/(h-h)", "h*0^-1", "h + 1/(h-h)"])
     def test_division_by_zero(self, tmp_path, P):
         # a parse error, not "non-finite value inf" after sampling
@@ -475,6 +492,23 @@ class TestDarboux:
         assert out["nondegeneracy"] == "degenerate"
         assert out["detail"]["min_abs"] == 0.0
 
+    def test_quadrature_residual_decides(self, tmp_path, capsys):
+        # 1/(y + 101/100) has no antiderivative in the table: t is a Gauss
+        # quadrature, and the sampled residual dt/dy - g, which the report
+        # prints, is the one test of dt/dy = g
+        doc = {"schema": "bgeo/1", "kind": "bform", "degree": 2,
+               "zcoord": "z", "f": "z",
+               "patch": {"names": ["z", "y"],
+                         "intervals": [[-1, 1], [-1, 1]]},
+               "alpha": {"1": "1/(y + 101/100)"}, "beta": {}}
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(doc))
+        code, out = self._darboux_out(capsys, path)
+        out = json.loads(out)
+        assert code == 1 and out["ok"] is False
+        assert out["max_residual"] == pytest.approx(0.0060, abs=5e-5)
+        assert out["target_names"] == ["z", "t"]
+
     def test_declared_parameter(self, tmp_path):
         # declared parameters take the value 1.0 in the grid checks
         doc = {"schema": "bgeo/1", "kind": "bform", "degree": 2,
@@ -584,10 +618,35 @@ class TestMoser:
         assert err == ""
         return code, json.loads(out)
 
+    def test_hypotheses_decided_once(self, capsys, monkeypatch, tmp_path):
+        # one scan of Z and one restriction, of the difference, per verdict
+        from bgeo import cli, forms, normalform
+
+        calls = []
+        for name in ("find_z_components", "restrict_to_Z"):
+            def counted(*args, _real=getattr(forms, name), _name=name,
+                        **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            for module in (forms, normalform):
+                monkeypatch.setattr(module, name, counted)
+        p0 = bform_doc(tmp_path, "w0.json", {"0": "1"}, {})
+        p1 = bform_doc(tmp_path, "w1.json", {"0": "1 + y/2"}, {})
+        code = cli.main(["moser", p0, p1, "--points", "50", "--steps", "32"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        assert sorted(calls) == ["find_z_components", "restrict_to_Z"]
+        assert json.loads(out) == {
+            "collar_halvings": 0, "collar_radius": 0.5,
+            "config": {"points": 50, "steps": 32, "tol_residual": 1e-05,
+                       "tol_tangency": 1e-08},
+            "max_residual": 8.589176481166305e-09, "ok": True,
+            "schema": "bgeo/1", "steps": 32, "vfield_on_Z_max": 0.0}
+
     def test_alpha_difference_with_exact_quotient(self, capsys, tmp_path):
         # the difference -y/4 dx^dy/y is smooth, with quotient -1/4 by f:
-        # the one path past is_smooth's zero-alpha shortcut to its exact
-        # quotient
+        # the one path where smooth_equivalent divides a nonzero alpha
         code, doc = self._alpha_pair_out(capsys, tmp_path, "1 + y/4")
         assert code == 0 and doc["ok"]
         assert repr(doc["max_residual"]) == "5.474065645216797e-11"
@@ -680,6 +739,21 @@ class TestExtend:
         assert not out["defining_forms"]["alpha_nonvanishing"]
         # the defining forms fail before any model is built or sampled
         assert out["config"] == {}
+
+    def test_one_component_alpha_changes_sign(self, capsys, tmp_path):
+        # alpha = x dx vanishes on x = 0, between the grid's samples: its
+        # one coefficient is screened itself, since the sum of squares x^2
+        # never changes sign
+        doc = {"schema": "bgeo/1", "kind": "zdata",
+               "patch": {"names": ["x", "y", "w"],
+                         "intervals": [[-1, 1]] * 3},
+               "alpha": {"0": "x"}, "omega": {"1,2": "1"}}
+        path = tmp_path / "zdata.json"
+        path.write_text(json.dumps(doc))
+        code, out = _main_json(capsys, "extend", path)
+        assert code == 1 and out["defining_forms"] == {
+            "alpha_closed": True, "alpha_nonvanishing": False,
+            "omega_closed": True, "top_nonvanishing": False}
 
     def test_eps_only_with_a_model(self, capsys, tmp_path):
         # alpha ^ omega = x dx^dy^w changes sign, so no model is built and

@@ -19,10 +19,10 @@ from bgeo.forms import (
     find_z_components,
     form_equiv,
     interior_product,
-    is_smooth,
     nondegeneracy_check,
     pullback_to_level,
     restrict_to_Z,
+    smooth_equivalent,
     top_coefficient,
     transversality_check,
     wedge,
@@ -340,23 +340,21 @@ class TestRestriction:
 
 class TestSmoothness:
     def test_genuinely_singular(self):
-        ok, eq = is_smooth(affine_bform())
-        assert ok is False and eq is None
+        assert smooth_equivalent(affine_bform()) is None
 
     def test_disguised_smooth_with_equivalent(self):
         # y dx ^ dy / y is just dx ^ dy
         w = BForm(PLANE, 2, SmoothForm(PLANE, 1, {("x",): sym("y")}),
                   SmoothForm(PLANE, 2, {}), sym("y"), "y")
-        ok, eq = is_smooth(w)
-        assert ok is True
+        eq = smooth_equivalent(w)
         assert eq.coefficient("x", "y") == Num(Fraction(1))
 
     def test_smooth_without_exact_quotient(self):
-        # sin(y) dx ^ dy / y is smooth but not a polynomial quotient
+        # sin(y) dx ^ dy / y is smooth but not a polynomial quotient, so
+        # it has no exact smooth equivalent
         w = BForm(PLANE, 2, SmoothForm(PLANE, 1, {("x",): parse_expr("sin(y)", PLANE)}),
                   SmoothForm(PLANE, 2, {}), sym("y"), "y")
-        ok, eq = is_smooth(w)
-        assert ok is True and eq is None
+        assert smooth_equivalent(w) is None
 
 
 class TestNondegeneracy:

@@ -132,6 +132,35 @@ def test_one_finite_check():
         assert uses == (["finite"] if helper else []), path
 
 
+def sign_by_product(tree):
+    """The line of each comparison of a `*` product with the constant 0."""
+    def product(node):
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+
+    def zero(node):
+        return (isinstance(node, ast.Constant) and node.value == 0
+                and not isinstance(node.value, bool))
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            found += [node.lineno for a, b in zip(operands, operands[1:])
+                      if product(a) and zero(b) or zero(a) and product(b)]
+    return found
+
+
+def test_no_sign_by_product():
+    """Signs are compared by evalcore._opposite_signs, never through a
+    product with 0: the product overflows (a RuntimeWarning), or
+    underflows to a zero that hides a sign change."""
+    snippet = ("a = x * y < 0\nb = 0.0 <= p[1:] * q\nc = x * y < 1\n"
+               "d = x < 0\ne = (x - y) > 0\n")
+    assert sign_by_product(ast.parse(snippet)) == [1, 2]
+    for path in MODULES:
+        assert sign_by_product(ast.parse(path.read_text())) == [], path
+
+
 def imported_modules(tree):
     """The top-level names of the modules that a tree imports."""
     names = set()

@@ -22,8 +22,8 @@ from bgeo.forms import (
     SmoothForm,
     b_matrix,
     find_z_components,
-    is_smooth,
     nondegeneracy_check,
+    smooth_equivalent,
 )
 from bgeo.normalform import (
     _DEGENERATE,
@@ -394,6 +394,21 @@ class TestMoserRelative:
         with pytest.raises(GeometryError, match="restriction"):
             moser_relative_verify(w0, w1, n_points=20)
 
+    def test_differing_beta_rejected(self):
+        # omega1 = omega0 + dx^du is b-symplectic and differs from omega0
+        # in beta~ on Z = {y = 0}: the restriction test of the difference
+        # refuses it, and is the only guard of the collar primitive's
+        # precondition
+        p = Patch(("x", "y", "u", "v"), ((-1.0, 1.0),) * 4)
+        alpha = SmoothForm(p, 1, {("x",): num(1)})
+        beta = SmoothForm(p, 2, {("u", "v"): num(1)})
+        w0 = BForm(p, 2, alpha, beta, sym("y"), "y")
+        w1 = BForm(p, 2, alpha, beta + SmoothForm(p, 2, {("x", "u"): num(1)}),
+                   sym("y"), "y")
+        with pytest.raises(GeometryError, match="^restrictions to the "
+                                                "hypersurface differ"):
+            moser_relative_verify(w0, w1, n_points=20)
+
 
 def test_collar_halves_on_sign_change():
     """The top coefficient 1 - 3y changes sign at y = 1/3, between the
@@ -514,8 +529,7 @@ def relative_primitive(w0, w1):
     """rho as moser_relative_verify builds it for the first component."""
     comp = find_z_components(w0)[0]
     cval, _ = _factor_at(w0.f, w0.zname, comp.value)
-    _, delta = is_smooth(w0 - w1)
-    return _collar_primitive(delta, w0.zname, cval)
+    return _collar_primitive(smooth_equivalent(w0 - w1), w0.zname, cval)
 
 
 def seeded_pair4(seed):
