@@ -20,10 +20,12 @@ Roots along chart lines, the strip edges of the volume cut-off and the
 refined curve vertices are each solved together by the library's one
 bracketed solver, `evalcore._solve_brackets` (Illinois regula falsi with a
 bisection fallback); the strip edges of all nine eps-levels of the volume
-share one call.  The volume integrates every strip by composite 8-point
-Gauss-Legendre on panels between the uniform nodes, graded geometrically
-toward every strip edge.  A non-finite value where a number is needed
-raises `EvalDomainError` (`_evaluate` calls `evalcore.finite`).
+share one call.  The volume integrates the strip of the first level by
+composite 8-point Gauss-Legendre on panels between the uniform nodes,
+graded geometrically toward every strip edge; each later level adds its
+thin band between two levels' strip edges, with two Gauss-Legendre panels
+per piece between uniform nodes.  A non-finite value where a number is
+needed raises `EvalDomainError` (`_evaluate` calls `evalcore.finite`).
 """
 
 from __future__ import annotations
@@ -112,6 +114,8 @@ class SurfaceStructure:
     def __post_init__(self):
         if self.patch.dim != 2:
             raise ValueError("surface structures need a 2-D patch")
+        if self.patch.periods[1] is None:
+            raise ValueError("surface structures need a periodic second axis")
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
         object.__setattr__(self, "P", se._coerce(self.P))
@@ -408,6 +412,58 @@ def _strip_edges(gate_abs, mesh, m_line, eps_list):
             zip(levels, np.split(edges, np.cumsum(sizes)[:-1]))]
 
 
+def _graded_panels(s_line, a, b, uniform):
+    """The panels of the strip pieces [a, b] on lines s_line: cut at the
+    uniform nodes and at knots graded geometrically toward both ends, where
+    1/P is steepest; as (line, lo, hi), each of shape (pieces, knots - 1),
+    empty panels included."""
+    graded = (uniform[-1] - uniform[0]) * np.geomspace(1e-10, 0.5, 36)
+    knots = np.concatenate([
+        np.broadcast_to(uniform, (a.size, uniform.size)),
+        a[:, None] + graded, b[:, None] - graded,
+        a[:, None], b[:, None]], axis=1)
+    knots = np.sort(np.clip(knots, a[:, None], b[:, None]), axis=1)
+    lo, hi = knots[:, :-1], knots[:, 1:]
+    return np.broadcast_to(s_line[:, None], lo.shape), lo, hi
+
+
+def _split_at(nodes, s_line, a, b):
+    """The pieces [a, b] on lines s_line cut at the sorted nodes strictly
+    inside them, as (line, lo, hi) of the parts in piece order."""
+    first = np.searchsorted(nodes, a, side="right")
+    count = np.searchsorted(nodes, b, side="left") - first
+    owner = np.repeat(np.arange(a.size), count)
+    inner = nodes[first[owner] + np.arange(owner.size)
+                  - np.repeat(np.cumsum(count) - count, count)]
+    o = np.concatenate([np.arange(a.size), owner, np.arange(a.size)])
+    x = np.concatenate([a, inner, b])
+    order = np.lexsort((x, o))
+    o, x = o[order], x[order]
+    part = o[1:] == o[:-1]
+    return s_line[o[:-1][part]], x[:-1][part], x[1:][part]
+
+
+def _volume_series(integrate, pieces, uniform, eps_list, levels):
+    """V(eps) of every level before the orientation sign.  Level 0
+    integrates its strip on graded panels (_graded_panels); each later level
+    adds the band eps_k < |P * cut| <= eps_(k-1) between the cut points of
+    both levels, split at the uniform nodes inside it, with two equal
+    Gauss-Legendre panels per part.  An empty band adds 0.0."""
+    s_line, a, b, g = pieces(levels[0])
+    keep = g > eps_list[0]
+    series = [integrate(*_graded_panels(s_line[keep], a[keep], b[keep],
+                                        uniform))]
+    for k in range(1, len(eps_list)):
+        s_line, a, b, g = pieces(levels[k - 1], levels[k])
+        keep = (g > eps_list[k]) & (g <= eps_list[k - 1])
+        p_line, lo, hi = _split_at(uniform, s_line[keep], a[keep], b[keep])
+        mid = 0.5 * (lo + hi)
+        series.append(series[-1] + integrate(
+            np.stack([p_line, p_line], axis=1), np.stack([lo, mid], axis=1),
+            np.stack([mid, hi], axis=1)))
+    return series
+
+
 def regularized_volume(S, grid=64, tau_log=1e-4, cutoff_factor=None):
     """Principal-value volume of the dual singular area form.
 
@@ -415,24 +471,19 @@ def regularized_volume(S, grid=64, tau_log=1e-4, cutoff_factor=None):
     the asymmetric sphere model is positive); the sequence 1e-2, 1e-2/2,
     ..., 1e-2/2^8 is fitted against c*log(eps) + V0, and (V0, c, series)
     returned when |c| < tau_log, series the (eps, V(eps)) pairs.  The lines
-    along axis 2 number at most se.grid_per_axis(grid, 2).  The strip
-    {|P * cutoff_factor| > eps} (|P| > eps without a factor) is cut at edges
-    solved for every level in one call (_strip_edges), before any level is
-    integrated."""
+    along axis 2, which is periodic, number at most se.grid_per_axis(grid,
+    2) and carry the uniform rule.  The strip {|P * cutoff_factor| > eps}
+    (|P| > eps without a factor) is cut at edges solved for every level in
+    one call (_strip_edges), before any level is integrated.  Level 0 is
+    integrated on panels graded toward every strip edge; each later level
+    adds the thin band eps_k < |P * cut| <= eps_(k-1) with two 8-point
+    Gauss-Legendre panels per piece (_volume_series)."""
     patch = S.patch
     names = patch.names
     (lo1, hi1), (lo2, hi2) = patch.intervals
-    per2 = patch.periods[1]
     grid = se.grid_per_axis(grid, 2)
-    # nodes along axis 2; periodic axes use the uniform (spectrally
-    # accurate) rule, bounded axes use Gauss-Legendre
-    if per2 is not None:
-        x2s = np.linspace(lo2, hi2, grid, endpoint=False)
-        w2s = np.full(grid, (hi2 - lo2) / grid)
-    else:
-        x2s, w2s = np.polynomial.legendre.leggauss(grid)
-        x2s = 0.5 * (x2s + 1) * (hi2 - lo2) + lo2
-        w2s = 0.5 * (hi2 - lo2) * w2s
+    x2s = np.linspace(lo2, hi2, grid, endpoint=False)
+    w2 = (hi2 - lo2) / grid
 
     P = compile_tape(S.P, names)
     C = None if cutoff_factor is None else compile_tape(cutoff_factor, names)
@@ -472,34 +523,29 @@ def regularized_volume(S, grid=64, tau_log=1e-4, cutoff_factor=None):
     m_line, mesh = m_line[order], mesh[order]
     fresh = np.r_[True, (m_line[1:] != m_line[:-1]) | (mesh[1:] != mesh[:-1])]
     m_line, mesh = m_line[fresh], mesh[fresh]
-    # integration panels: the uniform nodes plus knots graded geometrically
-    # toward each strip edge, where 1/P is steepest
-    graded = (hi1 - lo1) * np.geomspace(1e-10, 0.5, 36)
 
-    def level(eps, z_i, e_i, edges):
-        """V(eps) before the orientation sign."""
-        # every line runs lo1, its strip edges in mesh order, hi1
-        c_line = np.concatenate([lines, m_line[z_i], m_line[e_i], lines])
-        c_key = np.concatenate([np.full(nl, -1), z_i, e_i,
-                                np.full(nl, mesh.size)])
-        c_x = np.concatenate([np.full(nl, lo1), mesh[z_i], edges,
-                              np.full(nl, hi1)])
-        order = np.lexsort((c_key, c_line))
+    def pieces(*cut_levels):
+        """The pieces of every line between lo1, the strip edges of the
+        given levels and hi1, at least 1e-13 wide, as (line, a, b) with
+        |P * cut| at their midpoints."""
+        cuts = [(lines, np.full(nl, lo1))]
+        for z_i, e_i, edges in cut_levels:
+            cuts += [(m_line[z_i], mesh[z_i]), (m_line[e_i], edges)]
+        cuts.append((lines, np.full(nl, hi1)))
+        c_line, c_x = (np.concatenate(v) for v in zip(*cuts))
+        order = np.lexsort((c_x, c_line))
         c_line, c_x = c_line[order], c_x[order]
         s_line, a, b = c_line[:-1], c_x[:-1], c_x[1:]
-        strip = np.flatnonzero((c_line[1:] == s_line) & (b - a >= 1e-13))
-        s_line, a, b = s_line[strip], a[strip], b[strip]
-        inside = gate_abs(0.5 * (a + b), s_line) - eps > 0
-        s_line, a, b = s_line[inside], a[inside], b[inside]
+        keep = np.flatnonzero((c_line[1:] == s_line) & (b - a >= 1e-13))
+        s_line, a, b = s_line[keep], a[keep], b[keep]
+        return s_line, a, b, gate_abs(0.5 * (a + b), s_line)
 
-        knots = np.concatenate([
-            np.broadcast_to(uniform, (a.size, uniform.size)),
-            a[:, None] + graded, b[:, None] - graded,
-            a[:, None], b[:, None]], axis=1)
-        knots = np.sort(np.clip(knots, a[:, None], b[:, None]), axis=1)
-        lo, hi = knots[:, :-1], knots[:, 1:]
+    def integrate(p_line, lo, hi):
+        """The integral of 1/P over the panels [lo, hi] of lines p_line, by
+        the 8-point Gauss-Legendre rule on every nonempty panel and the
+        uniform rule across the lines, in calls of at most _CHUNK points."""
         wide = hi > lo
-        p_line = np.broadcast_to(s_line[:, None], lo.shape)[wide]
+        p_line = p_line[wide]
         half, mid = 0.5 * (hi - lo)[wide], 0.5 * (hi + lo)[wide]
         totals = np.zeros(nl)
         step = _CHUNK // _GL_X.size
@@ -510,12 +556,12 @@ def regularized_volume(S, grid=64, tau_log=1e-4, cutoff_factor=None):
             totals += np.bincount(p_line[part], minlength=nl,
                                   weights=half[part] * (
                                       inv.reshape(nodes.shape) @ _GL_W))
-        return math.fsum(w2s * totals)
+        return math.fsum(w2 * totals)
 
     eps_list = [1e-2 / 2 ** k for k in range(9)]
     levels = _strip_edges(gate_abs, mesh, m_line, eps_list)
-    series = [-S.orientation * level(eps, *edges)
-              for eps, edges in zip(eps_list, levels)]
+    series = [-S.orientation * v for v in
+              _volume_series(integrate, pieces, uniform, eps_list, levels)]
     # fit V(eps) = c log(eps) + V0 + a*eps; the linear term soaks up the
     # strip-asymmetry correction so it does not contaminate c or V0
     L = np.log(eps_list)

@@ -278,6 +278,17 @@ class TestSurfaceCohomology:
             surface_poisson_cohomology(0, 0)
 
 
+class TestSurfaceStructure:
+    def test_second_axis_must_be_periodic(self):
+        # the volume integrates along axis 2 by the uniform periodic rule
+        from bgeo.surface2d import SurfaceStructure
+        from bgeo.symexpr import Patch
+
+        patch = Patch(("x", "y"), ((-1.0, 1.0), (0.0, 1.0)))
+        with pytest.raises(ValueError, match="periodic second axis"):
+            SurfaceStructure("sphere", patch, parse_expr("x", patch))
+
+
 # --- the batched numerics against the scalar routines they replaced --------
 #
 # The two functions below are the scalar implementations that preceded the
@@ -461,89 +472,92 @@ class TestStripEdges:
 
 
 class TestVolumeBitsUnchanged:
-    """repr of V0, c and every series value at grid 32, as the volume gave
-    them when each eps-level solved its strip edges in its own call and
-    every gate multiplied |P| by a cut-off tape, 1 when none was given:
-    one solve for all levels and no constant tape must not move a bit."""
+    """repr of V0, c and every series value at grid 32, as the volume gives
+    them when level 0 integrates its whole strip on graded panels and every
+    later level adds its band eps_k < |P * cut| <= eps_(k-1) with two
+    Gauss-Legendre panels per piece, all strip edges solved in one call and
+    no cut-off tape without a cut-off factor.  Any change to the volume's
+    arithmetic moves these bits; TestBandsAgainstPerLevel bounds how far
+    the bands may move them from the whole-strip integral of every level."""
 
     CASES = [
         ("sphere", "h", None,
-         "8.344350718981606e-15", "1.0098895661496794e-15",
+         "1.9929048971551124e-15", "5.03193058534989e-16",
          ["-3.2438477380637983e-16",
-          "3.032688655526928e-15",
-          "-6.7115439607846865e-15",
-          "3.948254136254194e-15",
-          "1.942729749899231e-15",
-          "-4.987781987068115e-16",
-          "2.7710985181762813e-15",
-          "2.771098518176281e-15",
-          "-7.648908619624507e-15"]),
+          "-6.73171623607243e-16",
+          "-1.0219584734081061e-15",
+          "-1.3707453232089693e-15",
+          "-1.7195321730098325e-15",
+          "-2.0683190228106955e-15",
+          "-2.4171058726115586e-15",
+          "-2.765892722412422e-15",
+          "-3.114679572213285e-15"]),
         ("sphere", "2*h", None,
-         "1.074023533780628e-14", "1.4025754055901544e-15",
+         "2.674989163244212e-15", "2.5159652926749475e-16",
          ["1.516344327763464e-15",
-          "-3.3557719803923433e-15",
-          "1.974127068127097e-15",
-          "9.713648749496154e-16",
-          "-2.4938909935340573e-16",
-          "1.3855492590881406e-15",
-          "1.3855492590881404e-15",
-          "-3.8244543098122535e-15",
-          "-5.5356897916477386e-15"]),
+          "1.3419509028630325e-15",
+          "1.1675574779626009e-15",
+          "9.931640530621693e-16",
+          "8.187706281617377e-16",
+          "6.443772032613061e-16",
+          "4.699837783608745e-16",
+          "2.9559035346044296e-16",
+          "1.2119692856001137e-16"]),
         ("sphere", "h*(2+h)/2", None,
-         "6.902792590101267", "8.563867243645816e-07",
+         "6.902792590101188", "8.56386713148442e-07",
          ["6.777110410347635",
-          "6.839951428315817",
-          "6.871368500283975",
-          "6.8870766067253335",
-          "6.894930606255822",
-          "6.898857599309865",
-          "6.900821094997949",
-          "6.901802842716402",
-          "6.902293716593078"]),
+          "6.839951428315835",
+          "6.8713685002839755",
+          "6.887076606725338",
+          "6.894930606255812",
+          "6.898857599309858",
+          "6.900821094997984",
+          "6.901802842716426",
+          "6.902293716593119"]),
         ("sphere", "h*(2 + h/5 + cos(theta)/4)", None,
-         "0.6456175550535721", "5.304268678058901e-10",
+         "0.6456175550535768", "5.304273367262255e-10",
          ["0.6390309909215519",
-          "0.6423242729433534",
-          "0.6439709118253463",
-          "0.6447942310001206",
-          "0.6452058905541681",
-          "0.6454117203256775",
-          "0.6455146352129977",
-          "0.6455660926561453",
-          "0.6455918213776258"]),
+          "0.6423242729433563",
+          "0.6439709118253473",
+          "0.6447942310001215",
+          "0.6452058905541719",
+          "0.6454117203256772",
+          "0.6455146352129966",
+          "0.6455660926561451",
+          "0.6455918213776282"]),
         ("torus", "sin(t1)", None,
-         "1.3310083602897596e-10", "1.6526724786296073e-11",
+         "1.1354527096666646e-10", "1.3972497501792808e-11",
          ["3.251574995924897e-13",
-          "1.104548461530809e-12",
-          "-1.599653685556317e-12",
-          "1.9154561909220828e-12",
-          "2.0039432171515313e-12",
-          "9.88720086880482e-12",
-          "6.9358723670022e-11",
-          "-3.933776232158724e-11",
-          "-7.736986821879835e-11"]),
+          "1.349195690607824e-12",
+          "-1.500392872265228e-12",
+          "7.820682728316207e-13",
+          "-1.6732953232632898e-13",
+          "7.627010200173561e-12",
+          "7.377966806765427e-11",
+          "-3.492742698348036e-11",
+          "-6.938896289120485e-11"]),
         ("torus", "sin(2*t1)", None,
-         "-1.569049125238284e-10", "-2.0722201465505543e-11",
+         "1.417267573048744e-11", "2.1440183189585885e-12",
          ["2.96392115595441e-13",
-          "-4.510891902706036e-13",
-          "-1.6071045332709785e-13",
-          "4.8817691476114405e-12",
-          "-2.5141351719159545e-12",
-          "-1.0270588867211256e-11",
-          "5.550755026637545e-12",
-          "9.3893609165802e-13",
-          "1.0809308505745134e-10"]),
-        ("sphere", "h*(2+h)/2", "2 + sin(theta) + h/2",
-         "6.902792385252357", "8.344574556228771e-07",
+          "-6.925929970149064e-13",
+          "-2.1615016018692728e-13",
+          "5.454775230725307e-12",
+          "-3.2959380439285495e-12",
+          "-1.3751695833833926e-11",
+          "2.5035946450368615e-14",
+          "2.2680913906016795e-13",
+          "-1.1489813112875327e-11"]),
+        ("sphere", "h*(2+h)/2", '2 + sin(theta) + h/2',
+         "6.902792385252364", "8.34457456711016e-07",
          ["6.806038418819742",
-          "6.854415332068991",
+          "6.854415332068984",
           "6.878600439518152",
-          "6.890692574759558",
-          "6.896738590074576",
-          "6.899761591194412",
-          "6.901273090930784",
-          "6.90202884070334",
-          "6.902406715576929"]),
+          "6.8906925747595595",
+          "6.896738590074573",
+          "6.899761591194403",
+          "6.901273090930788",
+          "6.902028840703332",
+          "6.902406715576927"]),
     ]
 
     @pytest.mark.parametrize("topology, P, cutoff, v0, c, series", CASES,
@@ -631,3 +645,72 @@ class TestOneEdgeSolve:
         regularized_volume(S, grid=16, cutoff_factor=cut)
         assert len(solves) == 2
         assert compiled == [S.P] + ([] if cut is None else [cut])
+
+
+def volume_with_series(S, monkeypatch, volume_series, cutoff=None):
+    """The series, V0 and c of S at grid 16, as an array, with
+    volume_series summing the levels."""
+    from bgeo import surface2d
+
+    monkeypatch.setattr(surface2d, "_volume_series", volume_series)
+    v0, c, series = regularized_volume(
+        S, grid=16, tau_log=math.inf,
+        cutoff_factor=None if cutoff is None else parse_expr(cutoff, S.patch))
+    return np.array([v for _, v in series] + [v0, c])
+
+
+class TestBandsAgainstPerLevel:
+    """Each level adding its band to the level before against every level
+    integrated over its whole strip (tests/per_level_volume.py): the same
+    values up to round-off."""
+
+    @pytest.mark.parametrize("S, cutoff", [(S, None) for S in DIFFERENTIAL]
+                             + [(NO_EDGES_BELOW, None),
+                                (make_surface("sphere", "(h - 1/3)*(h + 1/2)"),
+                                 None),
+                                (make_surface("sphere", "h*(2+h)/2"),
+                                 "2 + sin(theta) + h/2")],
+                             ids=lambda v: str(getattr(v, "P", v)))
+    def test_round_off_apart(self, S, cutoff, monkeypatch):
+        from bgeo import surface2d
+        from per_level_volume import volume_series_per_level
+
+        parts, real_split = [], surface2d._split_at
+
+        def split_at(nodes, s_line, a, b):
+            out = real_split(nodes, s_line, a, b)
+            parts.append((a.size, out[1].size))
+            return out
+
+        monkeypatch.setattr(surface2d, "_split_at", split_at)
+        got = volume_with_series(S, monkeypatch, surface2d._volume_series,
+                                 cutoff)
+        want = volume_with_series(S, monkeypatch, volume_series_per_level,
+                                  cutoff)
+        tol = 1e-9 if S.topology == "torus" else 1e-11 * max(1, abs(want[-2]))
+        assert np.abs(got - want).max() <= tol
+        assert len(parts) == 8
+        if S is NO_EDGES_BELOW:
+            # |P| >= 3/1000: no band below eps_2, and the wide bands above
+            # hold uniform nodes, so some piece was split
+            assert all(v == got[2] for v in got[3:9])
+            assert any(n_out > n_in for n_in, n_out in parts)
+
+
+class TestVolumeWork:
+    def test_bands_evaluate_few_points(self, monkeypatch):
+        # a thin band costs a few panels: integrating every level over its
+        # whole strip took 636,352 points here
+        from bgeo import surface2d
+
+        sizes = []
+
+        def evaluate_tape(tape, points):
+            sizes.append(len(points))
+            return real(tape, points)
+
+        real = surface2d.evaluate_tape
+        monkeypatch.setattr(surface2d, "evaluate_tape", evaluate_tape)
+        regularized_volume(make_surface("sphere", "h*(2+h)/2"), grid=32)
+        assert sum(sizes) <= 200_000
+        assert max(sizes) <= surface2d._CHUNK
