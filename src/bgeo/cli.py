@@ -26,7 +26,7 @@ import sys
 import warnings
 
 from . import serialize as ser
-from .cohomology import BettiData, b_betti, nonvanishing_witness, poisson_betti
+from .cohomology import BettiData, b_betti, nonvanishing_witness
 from .forms import GeometryError, nondegeneracy_check, transversality_check
 from .surface2d import classify_pair, radko_invariants, \
     surface_poisson_cohomology
@@ -151,9 +151,11 @@ def cmd_cohomology(args):
         else:
             raise ser.SchemaError("need --surface g,n or --betti-m/--betti-z")
     witness = nonvanishing_witness(data)
+    # Poisson cohomology of a b-Poisson structure is its b-cohomology
+    betti = b_betti(data)
     doc = {
-        "b_betti": b_betti(data),
-        "poisson_betti": poisson_betti(data),
+        "b_betti": betti,
+        "poisson_betti": betti,
         "consistent": witness.consistent,
         "reasons": list(witness.reasons),
     }

@@ -65,11 +65,6 @@ def b_betti(data: BettiData) -> list:
     return out
 
 
-def poisson_betti(data: BettiData) -> list:
-    """Dimensions of the Poisson cohomology groups; equals b_betti."""
-    return b_betti(data)
-
-
 @dataclass(frozen=True)
 class WitnessReport:
     consistent: bool

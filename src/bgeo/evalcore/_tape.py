@@ -57,18 +57,15 @@ def as_float(v):
 
 class Tape:
     """A compiled expression, or list of expressions: instruction lists
-    plus variable layout.  outputs is None for one expression, else the
-    length of the list."""
+    over the variables in the order compile_tape was given them.  outputs
+    is None for one expression, else the length of the list."""
 
-    __slots__ = ("opcodes", "iargs", "consts", "var_names", "stack_need",
-                 "outputs")
+    __slots__ = ("opcodes", "iargs", "consts", "stack_need", "outputs")
 
-    def __init__(self, opcodes, iargs, consts, var_names, stack_need,
-                 outputs):
+    def __init__(self, opcodes, iargs, consts, stack_need, outputs):
         self.opcodes = list(opcodes)
         self.iargs = list(iargs)
         self.consts = list(consts)
-        self.var_names = tuple(var_names)
         self.stack_need = int(stack_need)
         self.outputs = outputs
 
@@ -157,5 +154,5 @@ def compile_tape(expr, var_names):
         go(e)
         if depth != k + 1:
             raise AssertionError("tape stack imbalance")
-    return Tape(opcodes, iargs, consts, var_names, max_depth,
+    return Tape(opcodes, iargs, consts, max_depth,
                 None if single else len(exprs))

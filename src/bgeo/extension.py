@@ -96,9 +96,7 @@ def check_defining_forms(data: HypersurfaceData) -> DefiningFormsReport:
 
 @dataclass(frozen=True)
 class ExtensionModel:
-    patch: Patch
     bform: BForm
-    data: HypersurfaceData
     provenance: dict = field(default_factory=dict)
 
 
@@ -136,5 +134,4 @@ def build_extension(data: HypersurfaceData, eps=1.0,
             and form_equiv(pair.beta_tilde, data.omega)):
         raise GeometryError("restriction of the model does not return "
                             "the input data")
-    return ExtensionModel(patch=product, bform=omega_t, data=data,
-                          provenance=provenance)
+    return ExtensionModel(bform=omega_t, provenance=provenance)

@@ -108,9 +108,6 @@ class SmoothForm:
     def __sub__(self, other):
         return self + other.scale(-1)
 
-    def __neg__(self):
-        return self.scale(-1)
-
     def scale(self, c):
         """Multiply by a scalar expression or number."""
         return SmoothForm(self.patch, self.degree,
@@ -325,10 +322,11 @@ def d_bform(a):
 
 @dataclass(frozen=True)
 class ZComponent:
-    """One connected level component {zname = value} of {f = 0}."""
+    """One connected level component {zname = value} of {f = 0}.
+    find_z_components builds one only where df/dz is nonzero, so {f = 0}
+    is a regular hypersurface there."""
     zname: str
     value: float
-    fz: float  # df/dz there, for orientation/regularity diagnostics
 
 
 @dataclass(frozen=True)
@@ -420,13 +418,11 @@ def find_z_components(bform):
             kept.append(r)
     fzs = finite(evaluate_tape(_chart_tape(diff_expr(bform.f, zname), patch),
                                probe(kept)))
-    out = []
     for r, fz in zip(kept, fzs):
         if abs(fz) < 1e-8:
             raise GeometryError(
                 f"degenerate zero of the defining function at {zname}={r:.6g}")
-        out.append(ZComponent(zname, float(r), float(fz)))
-    return sorted(out, key=lambda c: c.value)
+    return [ZComponent(zname, r) for r in sorted(map(float, kept))]
 
 
 def _kappa_form(bform, comp):

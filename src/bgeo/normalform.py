@@ -104,7 +104,6 @@ def _gauss01():
 @dataclass(frozen=True)
 class CoordinateChange:
     """A coordinate change with symbolic forward components."""
-    source: Patch
     target: Patch
     forward: tuple
     jacobian_det: object
@@ -160,7 +159,7 @@ def darboux2d(omega: BForm, grid=64) -> CoordinateChange:
     zi = patch.index(zname)
     target = Patch((zname, "t"), (patch.intervals[zi], (tmin - pad, tmax + pad)),
                    params=patch.params)
-    return CoordinateChange(source=patch, target=target,
+    return CoordinateChange(target=target,
                             forward=(se.sym(zname), t),
                             jacobian_det=diff_expr(t, yname))
 
@@ -587,12 +586,12 @@ def _shrink_collar(omega0, omega1, comp):
         raise GeometryError("component sits on the patch boundary")
     axes = [np.linspace(a + 1e-9, b - 1e-9, COLLAR_GRID)
             for a, b in patch.intervals]
+    tops = [top_coefficient(omega0.scale(1.0 - t) + omega1.scale(t)
+                            if t else omega0)
+            for t in (0.0, 0.25, 0.5, 0.75, 1.0)]
     for halvings in range(MAX_COLLAR_HALVINGS + 1):
         axes[zi] = np.linspace(comp.value - r + 1e-9, comp.value + r - 1e-9,
                                COLLAR_GRID)
-        tops = (top_coefficient(omega0.scale(1.0 - t) + omega1.scale(t)
-                                if t else omega0)
-                for t in (0.0, 0.25, 0.5, 0.75, 1.0))
         if all(_abs_range(top, patch, axes)[0] >= 1e-9 for top in tops):
             return r, halvings
         r /= 2
@@ -756,10 +755,10 @@ def moser_relative_verify(omega0: BForm, omega1: BForm, n_points=N_SAMPLE,
         halvings_used = max(halvings_used, halvings)
         radius_used = min(radius_used, r)
         cval, h = _factor_at(omega0.f, zname, comp.value)
-        rho = _collar_primitive(delta_s, zname, cval)
         if h is None:
             raise GeometryError("cannot factor the defining function at the "
                                 "component; mu = rho/f not certified smooth")
+        rho = _collar_primitive(delta_s, zname, cval)
         flows.append(_collar_flow(_relative_engine(omega0, omega1, rho),
                                   comp, r, n_points, n_steps))
     if not flows:

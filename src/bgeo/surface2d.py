@@ -20,11 +20,12 @@ Roots along chart lines, the strip edges of the volume cut-off and the
 refined curve vertices are each solved together by the library's one
 bracketed solver, `evalcore._solve_brackets` (Illinois regula falsi with a
 bisection fallback); the strip edges of all nine eps-levels of the volume
-share one call.  The volume integrates the strip of the first level by
-composite 8-point Gauss-Legendre on panels between the uniform nodes,
-graded geometrically toward every strip edge; each later level adds its
-thin band between two levels' strip edges, with two Gauss-Legendre panels
-per piece between uniform nodes.  A non-finite value where a number is
+share one call.  The volume cuts each line once, at the strip edges of
+every level.  It integrates the strip of the first level by composite
+8-point Gauss-Legendre on panels between the uniform nodes, graded
+geometrically toward every strip edge; each later level adds its thin
+band, with two Gauss-Legendre panels per part between uniform nodes; one
+cutter, `_split_at`, makes both.  A non-finite value where a number is
 needed raises `EvalDomainError` (`_evaluate` calls `evalcore.finite`).
 """
 
@@ -136,7 +137,6 @@ def make_surface(topology, P_text, V_text="1", orientation=1):
 class ZeroCurve:
     points: np.ndarray      # shape (m, 2), refined onto {P = 0}
     closed: bool
-    length: float
 
 
 @dataclass(frozen=True)
@@ -251,7 +251,7 @@ def extract_zero_set(S, grid=64):
         pts = np.array([point_of[t] for t in chain])
         pts = _refine_curve(S, pts)
         _check_pole_margin(S, pts)
-        curves.append(_finish_curve(S, pts, closed))
+        curves.append(ZeroCurve(points=pts, closed=closed))
     curves.sort(key=lambda c: (c.points[:, 0].mean(), c.points[:, 1].mean()))
     return curves
 
@@ -305,12 +305,6 @@ def _refine_curve(S, pts):
     solved = np.isfinite(root)
     out[k[solved], axis[k[solved]]] = root[solved]
     return out
-
-
-def _finish_curve(S, pts, closed):
-    diffs = _wrapped_diffs(S.patch, pts, closed)
-    length = float(np.sum(np.hypot(diffs[:, 0], diffs[:, 1])))
-    return ZeroCurve(points=pts, closed=closed, length=length)
 
 
 def _wrapped_diffs(patch, pts, closed):
@@ -412,31 +406,19 @@ def _strip_edges(gate_abs, mesh, m_line, eps_list):
             zip(levels, np.split(edges, np.cumsum(sizes)[:-1]))]
 
 
-def _graded_panels(s_line, a, b, uniform):
-    """The panels of the strip pieces [a, b] on lines s_line: cut at the
-    uniform nodes and at knots graded geometrically toward both ends, where
-    1/P is steepest; as (line, lo, hi), each of shape (pieces, knots - 1),
-    empty panels included."""
-    graded = (uniform[-1] - uniform[0]) * np.geomspace(1e-10, 0.5, 36)
-    knots = np.concatenate([
-        np.broadcast_to(uniform, (a.size, uniform.size)),
-        a[:, None] + graded, b[:, None] - graded,
-        a[:, None], b[:, None]], axis=1)
-    knots = np.sort(np.clip(knots, a[:, None], b[:, None]), axis=1)
-    lo, hi = knots[:, :-1], knots[:, 1:]
-    return np.broadcast_to(s_line[:, None], lo.shape), lo, hi
-
-
-def _split_at(nodes, s_line, a, b):
-    """The pieces [a, b] on lines s_line cut at the sorted nodes strictly
-    inside them, as (line, lo, hi) of the parts in piece order."""
+def _split_at(nodes, s_line, a, b, knots):
+    """The pieces [a, b] on lines s_line cut at the sorted nodes and at the
+    knots of their own row that lie strictly inside them, as (line, lo, hi)
+    of the parts in piece order; knots has one row per piece."""
     first = np.searchsorted(nodes, a, side="right")
     count = np.searchsorted(nodes, b, side="left") - first
     owner = np.repeat(np.arange(a.size), count)
     inner = nodes[first[owner] + np.arange(owner.size)
                   - np.repeat(np.cumsum(count) - count, count)]
-    o = np.concatenate([np.arange(a.size), owner, np.arange(a.size)])
-    x = np.concatenate([a, inner, b])
+    k_owner, k_col = np.nonzero((knots > a[:, None]) & (knots < b[:, None]))
+    o = np.concatenate([np.arange(a.size), owner, k_owner,
+                        np.arange(a.size)])
+    x = np.concatenate([a, inner, knots[k_owner, k_col], b])
     order = np.lexsort((x, o))
     o, x = o[order], x[order]
     part = o[1:] == o[:-1]
@@ -444,19 +426,25 @@ def _split_at(nodes, s_line, a, b):
 
 
 def _volume_series(integrate, pieces, uniform, eps_list, levels):
-    """V(eps) of every level before the orientation sign.  Level 0
-    integrates its strip on graded panels (_graded_panels); each later level
-    adds the band eps_k < |P * cut| <= eps_(k-1) between the cut points of
-    both levels, split at the uniform nodes inside it, with two equal
-    Gauss-Legendre panels per part.  An empty band adds 0.0."""
-    s_line, a, b, g = pieces(levels[0])
+    """V(eps) of every level before the orientation sign, from one
+    partition of the lines at the strip edges of every level; no other
+    level's edge falls inside a piece of a level's strip or band.  Level 0
+    integrates its strip, the pieces with |P * cut| > eps_0 at their
+    midpoints, cut at the uniform nodes and at knots graded geometrically
+    toward both ends, where 1/P is steepest.  Each later level adds its
+    band, eps_k < |P * cut| <= eps_(k-1), cut at the uniform nodes, with
+    two equal Gauss-Legendre panels per part.  An empty band adds 0.0."""
+    s_line, a, b, g = pieces(*levels)
     keep = g > eps_list[0]
-    series = [integrate(*_graded_panels(s_line[keep], a[keep], b[keep],
-                                        uniform))]
+    a0, b0 = a[keep], b[keep]
+    graded = (uniform[-1] - uniform[0]) * np.geomspace(1e-10, 0.5, 36)
+    knots = np.concatenate([a0[:, None] + graded, b0[:, None] - graded],
+                           axis=1)
+    series = [integrate(*_split_at(uniform, s_line[keep], a0, b0, knots))]
     for k in range(1, len(eps_list)):
-        s_line, a, b, g = pieces(levels[k - 1], levels[k])
         keep = (g > eps_list[k]) & (g <= eps_list[k - 1])
-        p_line, lo, hi = _split_at(uniform, s_line[keep], a[keep], b[keep])
+        p_line, lo, hi = _split_at(uniform, s_line[keep], a[keep], b[keep],
+                                   np.empty((np.count_nonzero(keep), 0)))
         mid = 0.5 * (lo + hi)
         series.append(series[-1] + integrate(
             np.stack([p_line, p_line], axis=1), np.stack([lo, mid], axis=1),
@@ -474,10 +462,11 @@ def regularized_volume(S, grid=64, tau_log=1e-4, cutoff_factor=None):
     along axis 2, which is periodic, number at most se.grid_per_axis(grid,
     2) and carry the uniform rule.  The strip {|P * cutoff_factor| > eps}
     (|P| > eps without a factor) is cut at edges solved for every level in
-    one call (_strip_edges), before any level is integrated.  Level 0 is
-    integrated on panels graded toward every strip edge; each later level
-    adds the thin band eps_k < |P * cut| <= eps_(k-1) with two 8-point
-    Gauss-Legendre panels per piece (_volume_series)."""
+    one call (_strip_edges), and every line is cut at the edges of all
+    levels once.  Level 0 is integrated on panels graded toward every
+    strip edge; each later level adds the thin band eps_k < |P * cut| <=
+    eps_(k-1) with two 8-point Gauss-Legendre panels per part
+    (_volume_series)."""
     patch = S.patch
     names = patch.names
     (lo1, hi1), (lo2, hi2) = patch.intervals

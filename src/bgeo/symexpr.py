@@ -140,34 +140,6 @@ class Expr:
     def __setattr__(self, *a):
         raise AttributeError("immutable")
 
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return add(self, neg(_coerce(other)))
-
-    def __rsub__(self, other):
-        return add(_coerce(other), neg(self))
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        return div(_coerce(other), self)
-
-    def __pow__(self, other):
-        return powr(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
     def __str__(self):
         return to_string(self)
 
@@ -226,9 +198,6 @@ class Fun(Expr):
     def __init__(self, fn, arg):
         object.__setattr__(self, "fn", fn)
         object.__setattr__(self, "arg", arg)
-
-
-_RANK = {Num: 0, Sym: 1, Fun: 2, Pow: 3, Mul: 4, Add: 5}
 
 
 def sort_key(e):

@@ -176,7 +176,7 @@ def test_torus_extension():
                       se.add(vol.comps[(0, 1, 2)], se.ONE))))
         model = build_extension(data)
         dw = d_bform(model.bform)
-        closed = all(expr_equiv(c, se.ZERO, model.patch)
+        closed = all(expr_equiv(c, se.ZERO, model.bform.patch)
                      for c in list(dw.alpha.comps.values())
                      + list(dw.beta.comps.values()))
         verdict, _ = nondegeneracy_check(model.bform)

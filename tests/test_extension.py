@@ -98,17 +98,17 @@ class TestBuildExtension:
         (pair,) = restrict_to_Z(m.bform)
         assert form_equiv(pair.alpha_tilde, data.alpha)
         assert form_equiv(pair.beta_tilde, data.omega)
-        assert m.patch.names[-1] == "t"
+        assert m.bform.patch.names[-1] == "t"
         # symbolic top coefficient -2 for n = 2
-        assert expr_equiv(top_coefficient(m.bform), num(-2), m.patch)
+        assert expr_equiv(top_coefficient(m.bform), num(-2), m.bform.patch)
 
     def test_model_is_closed(self):
         m = build_extension(torus3_data())
         d = d_bform(m.bform)
-        assert d.alpha.is_zero() or all(
-            expr_equiv(c, num(0), m.patch) for c in d.alpha.comps.values())
-        assert d.beta.is_zero() or all(
-            expr_equiv(c, num(0), m.patch) for c in d.beta.comps.values())
+        assert d.alpha.is_zero() or all(expr_equiv(c, num(0), m.bform.patch)
+                                        for c in d.alpha.comps.values())
+        assert d.beta.is_zero() or all(expr_equiv(c, num(0), m.bform.patch)
+                                       for c in d.beta.comps.values())
 
     def test_restriction_returns_data(self):
         data = torus3_data(a="2", b="1/3")
@@ -124,7 +124,7 @@ class TestBuildExtension:
     def test_circle_model(self):
         m = build_extension(circle_data())
         # 2-D affine model: t * omega~ = dtheta^dt up to orientation
-        assert expr_equiv(top_coefficient(m.bform), num(1), m.patch)
+        assert expr_equiv(top_coefficient(m.bform), num(1), m.bform.patch)
 
     def test_top_power_identity(self):
         # t * omega~^n = n * (alpha ^ omega^(n-1)) ^ dt in both 1+1 and 3+1
@@ -132,7 +132,7 @@ class TestBuildExtension:
             m = build_extension(data)
             leaf = leaf_volume_form(data).coefficient(*data.patch.names)
             want = se.mul(num(n), leaf)
-            assert expr_equiv(top_coefficient(m.bform), want, m.patch)
+            assert expr_equiv(top_coefficient(m.bform), want, m.bform.patch)
 
     def test_torus4_variant(self):
         w = torus4_extension(a="1", b="2")
@@ -185,7 +185,7 @@ class TestBuildExtension:
                 # what this case exercises
                 continue
             d = d_bform(m.bform)
-            assert all(expr_equiv(c, num(0), m.patch)
+            assert all(expr_equiv(c, num(0), m.bform.patch)
                        for c in d.alpha.comps.values())
-            assert all(expr_equiv(c, num(0), m.patch)
+            assert all(expr_equiv(c, num(0), m.bform.patch)
                        for c in d.beta.comps.values())

@@ -507,3 +507,97 @@ def test_every_definition_is_reached():
     assert unreached(library, roots | kept) == []
     assert set(KEPT_UNREACHED) <= set(unreached(library, roots))
     assert all(reason for reason in KEPT_UNREACHED.values())
+
+
+# Fields and methods that no code in the library or the benchmark reads,
+# kept on purpose, keyed by (class, name), with the reason each stays.
+KEPT_UNREAD = {}
+
+
+def read_names(tree):
+    """(name, enclosing functions) of each attribute that a tree loads,
+    and of each getattr with a constant name; the enclosing functions are
+    the ids of the def nodes around the read."""
+    found = []
+
+    def visit(node, funcs):
+        for child in ast.iter_child_nodes(node):
+            inner = funcs
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = funcs | {id(child)}
+            elif (isinstance(child, ast.Attribute)
+                  and isinstance(child.ctx, ast.Load)):
+                found.append((child.attr, funcs))
+            elif (isinstance(child, ast.Call)
+                  and reference_name(child.func) == "getattr"
+                  and len(child.args) > 1
+                  and isinstance(child.args[1], ast.Constant)):
+                found.append((child.args[1].value, funcs))
+            visit(child, inner)
+
+    visit(tree, frozenset())
+    return found
+
+
+def class_members(tree):
+    """(class, name, kind, def node or None) of each dataclass field,
+    public __slots__ entry and method other than a dunder of every class
+    in a tree."""
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        dataclass = any(reference_name(getattr(d, "func", d)) == "dataclass"
+                        for d in cls.decorator_list)
+        for node in cls.body:
+            if (dataclass and isinstance(node, ast.AnnAssign)
+                    and isinstance(node.target, ast.Name)):
+                found.append((cls.name, node.target.id, "field", None))
+            elif (isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                          for t in node.targets)):
+                found += [(cls.name, name, "slot", None)
+                          for name in ast.literal_eval(node.value)
+                          if not name.startswith("_")]
+            elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not (node.name.startswith("__")
+                           and node.name.endswith("__"))):
+                found.append((cls.name, node.name, "method", node))
+    return found
+
+
+def unread(library, readers):
+    """(class, name) of each field, slot and method of the library trees
+    that no reader tree reads; a method read only inside its own def is
+    unread.  Names, not scopes, link: a read of x.name reads every member
+    called name."""
+    reads = {}
+    for tree in readers:
+        for name, funcs in read_names(tree):
+            reads.setdefault(name, []).append(funcs)
+    return [(cls, name) for tree in library
+            for cls, name, _, node in class_members(tree)
+            if not any(node is None or id(node) not in funcs
+                       for funcs in reads.get(name, []))]
+
+
+def test_every_field_is_read():
+    """Every dataclass field and public __slots__ entry of a library class
+    is read, as an attribute or by getattr with its name, somewhere in the
+    library or the benchmark, and every method other than a dunder is read
+    outside its own def; or it is kept in KEPT_UNREAD with its reason, and
+    every kept one is unread.  A field or method that only tests read is
+    state that no verdict shows."""
+    snippet = ast.parse(
+        "@dataclass(frozen=True)\nclass A:\n    a: int\n    b: int\n"
+        "    def f(self):\n        return self.f()\n"
+        "    def g(self):\n        return self.a\n"
+        "    def __repr__(self):\n        return ''\n"
+        "class B:\n    __slots__ = ('c', 'd', '_e')\n"
+        "x = getattr(y, 'c')\nz = y.g\ny.d = 1\n")
+    assert sorted(unread([snippet], [snippet])) == [
+        ("A", "b"), ("A", "f"), ("B", "d")]
+    library = [ast.parse(p.read_text()) for p in sorted(SRC.rglob("*.py"))]
+    readers = [ast.parse(p.read_text()) for p in CALLERS]
+    assert sorted(unread(library, readers)) == sorted(KEPT_UNREAD)
+    assert all(reason for reason in KEPT_UNREAD.values())

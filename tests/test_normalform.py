@@ -425,6 +425,25 @@ def test_collar_halves_on_sign_change():
     assert (rep.collar_halvings, rep.collar_radius) == (1, 0.25)
 
 
+def test_collar_builds_each_top_coefficient_once(monkeypatch):
+    """The five interpolated top coefficients are built once, before the
+    halvings: five on the pair above, whose collar halves once."""
+    built = []
+
+    def top_coefficient(form):
+        built.append(form)
+        return real(form)
+
+    real = normalform.top_coefficient
+    monkeypatch.setattr(normalform, "top_coefficient", top_coefficient)
+    p = Patch(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)))
+    w = BForm(p, 2, SmoothForm(p, 1, {("x",): parse_expr("1 - 3*y", p)}),
+              SmoothForm(p, 2, {}), sym("y"), "y")
+    (comp,) = find_z_components(w)
+    assert _shrink_collar(w, w, comp) == (0.25, 1)
+    assert len(built) == 5
+
+
 def test_undeclared_symbol_is_an_expr_error():
     """A symbol that the patch does not declare cannot take the 1.0 of a
     declared parameter: every numeric check names it in an ExprError."""

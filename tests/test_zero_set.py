@@ -3,16 +3,16 @@
 `loop_extract_zero_set` is the earlier `extract_zero_set` with its grid
 helper, verbatim apart from names: a Python loop over every cell, with the
 case table rebuilt in each one.  It shares the stitching's inputs with the
-library's `_refine_curve`, `_check_pole_margin` and `_finish_curve`, which
-did not change.  Curves must agree bit for bit (points bytes, `closed`,
-`length`), and so must the errors raised, at every grid the tests use.
+library's `_refine_curve` and `_check_pole_margin`, which did not change.
+Curves must agree bit for bit (points bytes and `closed`), and so must the
+errors raised, at every grid the tests use.
 """
 
 import numpy as np
 import pytest
 
 from bgeo.evalcore import compile_tape, evaluate_tape
-from bgeo.surface2d import (_check_pole_margin, _finish_curve, _refine_curve,
+from bgeo.surface2d import (ZeroCurve, _check_pole_margin, _refine_curve,
                             extract_zero_set, make_surface)
 
 
@@ -127,7 +127,7 @@ def loop_extract_zero_set(S, grid=64):
         pts = np.array([point_of[t] for t in chain])
         pts = _refine_curve(S, pts)
         _check_pole_margin(S, pts)
-        curves.append(_finish_curve(S, pts, closed))
+        curves.append(ZeroCurve(pts, closed))
     curves.sort(key=lambda c: (c.points[:, 0].mean(), c.points[:, 1].mean()))
     return curves
 
@@ -154,14 +154,13 @@ GRIDS = list(range(2, 21)) + [32, 33, 64, 129]
 
 
 def outcome(extract, S, grid):
-    """The curves as (points bytes, closed, length bytes), or the error."""
+    """The curves as (points bytes, closed), or the error."""
     try:
         with np.errstate(all="ignore"):   # the loop's scalar arithmetic
             curves = extract(S, grid=grid)
     except Exception as exc:   # noqa: BLE001 - the error is compared
         return type(exc), str(exc)
-    return [(c.points.dtype, c.points.tobytes(), c.closed,
-             float(c.length).hex()) for c in curves]
+    return [(c.points.dtype, c.points.tobytes(), c.closed) for c in curves]
 
 
 @pytest.mark.parametrize("topology,P", CASES, ids=lambda v: str(v))
