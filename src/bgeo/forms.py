@@ -145,12 +145,14 @@ def _check_compatible(a, b):
 
 
 def wedge(a, b):
-    """Exterior product of smooth forms."""
+    """Exterior product of smooth forms.  A product is built only for key
+    pairs with no common index: the others wedge to zero."""
     if a.patch != b.patch:
         raise ValueError("forms live on different patches")
     return SmoothForm(a.patch, a.degree + b.degree,
                       [(k1 + k2, mul(c1, c2)) for k1, c1 in a.comps.items()
-                       for k2, c2 in b.comps.items()])
+                       for k2, c2 in b.comps.items()
+                       if not set(k1) & set(k2)])
 
 
 def d_smooth(a):
@@ -250,9 +252,7 @@ class BForm:
                      self.beta + other.beta, self.f, self.zname)
 
     def __sub__(self, other):
-        self._check(other)
-        return BForm(self.patch, self.degree, self.alpha - other.alpha,
-                     self.beta - other.beta, self.f, self.zname)
+        return self + other.scale(-1)
 
     def scale(self, c):
         return BForm(self.patch, self.degree, self.alpha.scale(c),
@@ -443,8 +443,7 @@ def _kappa_form(bform, comp):
             raise GeometryError(
                 "defining function has non-removable dependence on "
                 f"'{n}' along the component at {zname}={comp.value:.6g}")
-        kappa_i = se.div(diff_expr(g, zname), dfdz)
-        comps[(i,)] = substitute(kappa_i, {zname: comp.value})
+        comps[(i,)] = se.div(diff_expr(g, zname), dfdz)
     form = SmoothForm(patch, 1, comps)
     return pullback_to_level(form, zname, comp.value)
 
@@ -462,11 +461,9 @@ def restrict_to_Z(bform, components=None):
     dfdz = diff_expr(bform.f, zname)
     out = []
     for comp in components:
-        sub = {zname: comp.value}
-        fz_there = substitute(dfdz, sub)
-        a_intrinsic = bform.alpha.map_coefficients(
-            lambda c: se.div(substitute(c, sub), fz_there))
-        alpha_t = pullback_to_level(a_intrinsic, zname, comp.value)
+        fz_there = substitute(dfdz, {zname: comp.value})
+        alpha_t = pullback_to_level(bform.alpha, zname, comp.value)
+        alpha_t = alpha_t.map_coefficients(lambda c: se.div(c, fz_there))
         beta_t = pullback_to_level(bform.beta, zname, comp.value)
         kappa = _kappa_form(bform, comp)
         if not kappa.is_zero():
@@ -510,18 +507,11 @@ def top_coefficient(bform):
     m = bform.patch.dim
     if bform.degree != 2 or m % 2:
         raise ValueError("top coefficient needs a 2-form on an even-dim patch")
-    n = m // 2
     power = bform
-    for _ in range(n - 1):
+    for _ in range(m // 2 - 1):
         power = bwedge(power, bform)
-    allkey = tuple(range(m))
-    zi = bform.zindex
-    rest = tuple(i for i in range(m) if i != zi)
     # f * omega^n = alpha_top ^ dz + f * beta_top
-    sign = Fraction((-1) ** (m - 1 - zi))  # move dz into its slot
-    a = mul(Num(sign), power.alpha.coefficient(*rest))
-    b = mul(power.f, power.beta.coefficient(*allkey))
-    return se.add(a, b)
+    return power.b_coefficient(*range(m))
 
 
 def _chart_tape(exprs, patch):
@@ -601,13 +591,11 @@ def nondegeneracy_check(bform, grid=64):
 
 
 def b_matrix(bform):
-    """Antisymmetric matrix of a degree-2 b-form in the b-coframe basis
-    (e^z = dz/f in the z slot, e^i = dx_i elsewhere)."""
+    """The strict upper triangle of the antisymmetric matrix of a degree-2
+    b-form in the b-coframe basis (e^z = dz/f in the z slot, e^i = dx_i
+    elsewhere): a dict from (i, j), i < j, to each entry that is not
+    identically zero.  Entry (j, i) is the negative of (i, j)."""
     m = bform.patch.dim
-    W = [[ZERO] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            c = bform.b_coefficient(i, j)
-            W[i][j] = c
-            W[j][i] = se.neg(c)
-    return W
+    W = {(i, j): bform.b_coefficient(i, j)
+         for i in range(m) for j in range(i + 1, m)}
+    return {key: c for key, c in W.items() if not is_zero(c)}

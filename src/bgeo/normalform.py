@@ -212,8 +212,8 @@ def darboux_verify(omega: BForm, grid=64, seed=0) -> DarbouxReport:
         change = None
         W = b_matrix(omega)
         Wm = b_matrix(_standard_model(patch, omega.zname))
-        resid = [se.sub(W[i][j], Wm[i][j]) for i in range(patch.dim)
-                 for j in range(i + 1, patch.dim)]
+        resid = [se.sub(W.get(key, se.ZERO), Wm.get(key, se.ZERO))
+                 for key in sorted(W.keys() | Wm.keys())]
     vals = finite(evaluate_tape(_chart_tape(
         [d for d in resid if not is_zero(d)], patch), pts))
     worst = float(np.max(np.abs(vals))) if vals.size else 0.0
@@ -376,14 +376,15 @@ class _MoserEngine:
     One tape evaluates three groups of expressions and then the defining
     function f, so a velocity is one tape call: the strict upper triangles
     of W_0 and W_1, the coefficient matrices of omega0 and omega1 in the
-    singular coframe, keyed by (i, j), and the right-hand side rho, keyed
-    by component i; each holds only its entries that are not identically
-    zero (_relative_engine).  An entry that is a constant (a Num) is not a
-    tape output: it is held as a float, and the blend and the solver
-    combine it as a scalar, with the operations, so the bits, of a row
-    filled with it; a constant 1.0 is not multiplied.  The tape reads the
-    points with a 1.0 column per declared parameter
-    (forms._with_params).  The velocity solves -W_t u = rho with
+    singular coframe, as the dicts from (i, j), i < j, that forms.b_matrix
+    returns, and the right-hand side rho, keyed by component i; each holds
+    only its entries that are not identically zero (_relative_engine).  An
+    entry that is a constant (a Num) is not a tape output: it is held as a
+    float, and the blend and the solver combine it as a scalar, with the
+    operations, so the bits, of a row filled with it; a constant 1.0 is
+    not multiplied.  The tape reads the points with a 1.0 column per
+    declared parameter (forms._with_params).  The velocity solves
+    -W_t u = rho with
     W_t = (1 - t) W_0 + t W_1, blended entry by entry over the entries of
     W_0 and W_1 (an entry absent from one of them contributes no term, and
     an entry absent from both stays absent, as does a component absent
@@ -513,21 +514,6 @@ class _MoserEngine:
         R = (np.einsum("nia,nij,njb->nab", A, Omega1, A)
              - _antisymmetric(rows[0], n, m))
         return np.max(np.abs(R), axis=(1, 2))
-
-
-def _nonzero(exprs):
-    """The entries of a dict of expressions that are not identically zero:
-    the tape skips the others, and they stay absent from the blend and the
-    solver."""
-    return {key: e for key, e in exprs.items() if not is_zero(e)}
-
-
-def _upper(W):
-    """The strict upper triangle of an expression matrix, keyed by (i, j),
-    without the entries that are identically zero."""
-    m = len(W)
-    return _nonzero({(i, j): W[i][j] for i in range(m)
-                     for j in range(i + 1, m)})
 
 
 def _halton(n, d):
@@ -713,9 +699,11 @@ def _relative_engine(omega0, omega1, rho):
     rhs = {i: rho.coefficient(i) for i in range(patch.dim)}
     zi = patch.index(omega0.zname)
     rhs[zi] = se.mul(omega0.f, rhs[zi])
-    groups = [_upper(b_matrix(omega0)), _upper(b_matrix(omega1)),
-              _nonzero(rhs)]
-    return _MoserEngine(patch, omega0.zname, omega0.f, groups)
+    # an entry that is identically zero stays absent from the tape, the
+    # blend and the solver
+    rhs = {i: e for i, e in rhs.items() if not is_zero(e)}
+    return _MoserEngine(patch, omega0.zname, omega0.f,
+                        [b_matrix(omega0), b_matrix(omega1), rhs])
 
 
 def moser_relative_verify(omega0: BForm, omega1: BForm, n_points=N_SAMPLE,

@@ -153,6 +153,9 @@ def bform_from_dict(doc) -> BForm:
     check_schema(doc)
     patch = patch_from_dict(_read(doc, "patch"))
     degree = _read(doc, "degree", _is_int, "an integer")
+    if not 1 <= degree <= patch.dim:
+        raise SchemaError("field 'degree' must be from 1 to %d, the patch "
+                          "dimension, got %d" % (patch.dim, degree))
     return BForm(patch, degree,
                  _comps_from_dict(patch, degree - 1, doc, "alpha", {}),
                  _comps_from_dict(patch, degree, doc, "beta", {}),

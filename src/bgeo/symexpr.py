@@ -259,6 +259,11 @@ def is_zero(e):
     return isinstance(e, Num) and e.value == 0
 
 
+# Constant arithmetic of the constructors.  Not plain * and +: only two
+# Fractions stay exact, and every other pair becomes a Python float.  That
+# includes an int-valued constant, such as Num(2), which plain operators
+# would keep exact against a Fraction, and a float subclass such as
+# numpy.float64, which they would keep as that type; both change trees.
 def _cmul(a, b):
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a * b

@@ -121,7 +121,11 @@ def dualize(bform):
     """Bivector of a nondegenerate degree-2 b-form: P = -W^{-1} in the
     paired b-bases, so that the standard plane form dx^dy maps to the
     bracket {x, y} = 1."""
-    W = b_matrix(bform)
+    upper = b_matrix(bform)
+    m = bform.patch.dim
+    W = [[ZERO] * m for _ in range(m)]
+    for (i, j), c in upper.items():
+        W[i][j], W[j][i] = c, se.neg(c)
     P = _inverse_expr(W)
     comps = {}
     for i in range(len(P)):

@@ -390,6 +390,26 @@ class TestParseCheck:
         assert doc["nondegeneracy"] == "degenerate"
         assert doc["detail"]["min_abs"] == 0.0
 
+    def test_dropped_product_is_not_built(self, tmp_path, capsys):
+        # dx^du ^ dx^dv is 0: its 3^10001 coefficient, which no exact
+        # constant may hold, is never formed, and the top coefficient is
+        # the 2 of the other products
+        from bgeo import cli
+
+        big = "3^(10001/2)"
+        doc = {"schema": "bgeo/1", "kind": "bform", "degree": 2,
+               "zcoord": "y", "f": "y",
+               "patch": {"names": ["x", "y", "u", "v"],
+                         "intervals": [[-1, 1]] * 4},
+               "alpha": {"0": "1"},
+               "beta": {"0,2": big, "0,3": big, "2,3": "1"}}
+        path = tmp_path / "w4.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["check", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["nondegeneracy"] == "nonvanishing-symbolic"
+        assert out["detail"]["top_coefficient"] == "2"
+
     def test_check_degenerate(self, tmp_path):
         # top coefficient 1+x vanishes at the grid point x = -1
         path = bform_doc(tmp_path, "w.json", {"0": "1+x"}, {})
@@ -1150,6 +1170,18 @@ class TestTypedReads:
         code, out = _main_json(capsys, command, target)
         assert code == 1
         assert path[-1] in out["error"]
+
+    @pytest.mark.parametrize("degree", [-1, 0, 3])
+    def test_degree_out_of_range(self, capsys, tmp_path, degree):
+        # a b-form on the 2-D patch has degree 1 or 2
+        doc = self._docs(tmp_path)["bform"]
+        doc["degree"] = degree
+        target = tmp_path / "doc.json"
+        target.write_text(json.dumps(doc))
+        code, out = _main_json(capsys, "parse", target)
+        assert code == 1
+        assert out["error"] == ("field 'degree' must be from 1 to 2, the "
+                                "patch dimension, got %d" % degree)
 
     def test_params_name_undeclared(self, capsys, tmp_path):
         doc = TestExtend._torus3_params_doc(tmp_path, {"a": 1.0, "c": 2.0})

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bgeo import forms
 from bgeo import symexpr as se
 from bgeo._poly import poly_const, poly_quotient, rat_add, rat_mul
 from bgeo.forms import (
@@ -13,6 +14,7 @@ from bgeo.forms import (
     GeometryError,
     SmoothForm,
     ZComponent,
+    b_matrix,
     bwedge,
     d_bform,
     d_smooth,
@@ -27,7 +29,7 @@ from bgeo.forms import (
     transversality_check,
     wedge,
 )
-from bgeo.symexpr import (Num, Patch, ZERO, diff_expr, expr_equiv, mul,
+from bgeo.symexpr import (ONE, Num, Patch, ZERO, diff_expr, expr_equiv, mul,
                           parse_expr, sym)
 from duality import _inverse_expr, bform_equiv, bivector_to_bform, dualize
 from expr_oracles import eval_expr
@@ -376,6 +378,48 @@ class TestNondegeneracy:
         verdict, detail = nondegeneracy_check(w, grid=12)
         assert verdict.startswith("nonvanishing")
         assert abs(detail["min_abs"]) == pytest.approx(2.0)
+
+
+class TestBuildsOnlyWhatItReads:
+    def test_wedge_skips_repeated_indices(self, monkeypatch):
+        # of the 36 key pairs of two full 2-forms on a 4-D patch, only the
+        # 6 with disjoint keys wedge to something that is not zero
+        calls = []
+        real = forms.mul
+        monkeypatch.setattr(forms, "mul",
+                            lambda *a: calls.append(a) or real(*a))
+        full = SmoothForm(R4, 2, {(i, j): sym("x1") for i in range(4)
+                                  for j in range(i + 1, 4)})
+        w = wedge(full, full)
+        assert len(calls) == 6
+        assert w.coefficient(0, 1, 2, 3) == mul(Num(Fraction(2)),
+                                                sym("x1"), sym("x1"))
+
+    def test_restriction_substitutes_each_coefficient_once(self, monkeypatch):
+        # f = y1 (1 + x1^2 + x2^2) gives kappa components along x1 and x2:
+        # one substitution for df/dz on Z, one per alpha coefficient and
+        # per beta coefficient without dy1, and two per kappa component
+        # (the test that df/dx_i vanishes on Z, and the coefficient itself)
+        calls = []
+        real = forms.substitute
+        monkeypatch.setattr(forms, "substitute",
+                            lambda *a: calls.append(a) or real(*a))
+        f = parse_expr("y1*(1 + x1^2 + x2^2)", R4)
+        alpha = SmoothForm(R4, 1, {("x1",): sym("y2"), ("x2",): ONE,
+                                   ("y2",): sym("x1")})
+        beta = SmoothForm(R4, 2, {("x2", "y2"): ONE, ("x1", "y1"): sym("y1")})
+        w = BForm(R4, 2, alpha, beta, f, "y1")
+        (pair,) = restrict_to_Z(w, [ZComponent("y1", 0.0)])
+        assert len(calls) == 1 + 3 + 1 + 2 * 2
+        assert pair.alpha_tilde.coefficient("x2") == se.div(
+            ONE, diff_expr(f, "y1"))
+
+    def test_b_matrix_is_upper_and_nonzero(self):
+        w = BForm(R4, 2, SmoothForm(R4, 1, {("x1",): ONE, ("y2",): sym("x2")}),
+                  SmoothForm(R4, 2, {("x2", "y2"): ONE}), sym("y1"), "y1")
+        # the zero entries (0, 2), (0, 3), (1, 2) and every (j, i) are absent
+        assert b_matrix(w) == {(0, 1): ONE, (1, 3): se.neg(sym("x2")),
+                               (2, 3): ONE}
 
 
 class TestDuality:

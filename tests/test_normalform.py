@@ -465,8 +465,7 @@ def test_undeclared_symbol_is_an_expr_error():
 def dense_matrix_evaluator(patch, W):
     m = patch.dim
     names = patch.names + patch.params
-    tapes = {(i, j): compile_tape(W[i][j], names) for i in range(m)
-             for j in range(i + 1, m) if not se.is_zero(W[i][j])}
+    tapes = {key: compile_tape(e, names) for key, e in W.items()}
 
     def evaluate(pts):
         out = np.zeros((pts.shape[0], m, m))

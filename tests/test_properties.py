@@ -15,6 +15,7 @@ from bgeo.forms import (
     d_bform,
     pullback_to_level,
     restrict_to_Z,
+    top_coefficient,
     wedge,
 )
 from bgeo.surface2d import (
@@ -235,6 +236,37 @@ class TestModularField:
                 v = (eval_expr(at, {"theta": float(th)})
                      * eval_expr(X2, {"theta": float(th), "h": 0.0}))
                 assert abs(v - 1.0) < 1e-8
+
+
+def top_coefficient_by_formula(bform):
+    """The top coefficient of f * omega^n as forms.top_coefficient wrote it
+    out before it read BForm.b_coefficient: f * omega^n is
+    alpha_top ^ dz + f * beta_top, and dz moves into its slot with sign
+    (-1)^(m - 1 - zi)."""
+    m = bform.patch.dim
+    power = bform
+    for _ in range(m // 2 - 1):
+        power = bwedge(power, bform)
+    zi = bform.zindex
+    rest = tuple(i for i in range(m) if i != zi)
+    sign = Fraction((-1) ** (m - 1 - zi))
+    a = se.mul(se.Num(sign), power.alpha.coefficient(*rest))
+    b = se.mul(power.f, power.beta.coefficient(*range(m)))
+    return se.add(a, b)
+
+
+class TestTopCoefficient:
+    def test_equals_the_formula(self):
+        rng = np.random.default_rng(17)
+        patch = patch4()
+        for _ in range(N_CASES):
+            zname = patch.names[rng.integers(0, patch.dim)]
+            w = (random_bform(rng, patch, 2, zname=zname)
+                 + random_bform(rng, patch, 2, zname=zname))
+            if rng.integers(0, 2):
+                w = w.with_defining_function(se.add(
+                    se.Num(2), random_poly(rng, patch, scale=Fraction(1, 10))))
+            assert top_coefficient(w) == top_coefficient_by_formula(w)
 
 
 class TestCanonicalTrees:

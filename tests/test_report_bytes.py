@@ -1,0 +1,99 @@
+"""The bytes of the CLI's reports, pinned.
+
+Each case writes its own small documents, runs one verdict in process and
+pins the exit code and the sha256 of what it prints, as TREE_DIGEST in
+test_properties.py pins canonical trees.  A change that moves a report by
+one byte fails here; re-pin it only with a reason for the new bytes.
+"""
+
+import hashlib
+import json
+import math
+
+import pytest
+
+from bgeo import cli
+
+TWO_PI = 2 * math.pi
+
+
+def surface(topology, P, V="1"):
+    return {"schema": "bgeo/1", "kind": "surface", "topology": topology,
+            "P": P, "V": V, "orientation": 1}
+
+
+def bform(names, zcoord, f, alpha, beta, intervals=None):
+    return {"schema": "bgeo/1", "kind": "bform", "degree": 2,
+            "zcoord": zcoord, "f": f,
+            "patch": {"names": list(names),
+                      "intervals": intervals or [[-1, 1]] * len(names),
+                      "periods": [None] * len(names)},
+            "alpha": alpha, "beta": beta}
+
+
+TORUS3 = {"schema": "bgeo/1", "kind": "zdata",
+          "patch": {"names": ["theta1", "theta2", "theta3"],
+                    "intervals": [[0, TWO_PI]] * 3,
+                    "periods": [TWO_PI] * 3},
+          "alpha": {"0": "1/6", "1": "1/3", "2": "-1/6"},
+          "omega": {"0,1": "1", "0,2": "2", "1,2": "-1"}}
+
+MOSER0 = bform(("x", "y"), "y", "y", {"0": "1"}, {})
+MOSER1 = bform(("x", "y"), "y", "y", {"0": "1"}, {"0,1": "y"})
+
+# per case: the command with its documents and knobs
+CASES = {
+    "sphere": ["invariants", surface("sphere", "h"), "--grid", "16"],
+    "scaled-sphere": ["invariants", surface("sphere", "2*h"), "--grid", "16"],
+    "asymmetric-sphere": ["invariants", surface("sphere", "h*(2+h)/2"),
+                          "--grid", "16"],
+    "torus-pair": ["classify", surface("torus", "sin(t1)"),
+                   surface("torus", "sin(2*t1)"), "--grid", "16"],
+    "darboux-cubic": ["darboux", bform(("z1", "z2"), "z1", "z1",
+                                       {"1": "-(1+z2^2)"}, {})],
+    "check-4d": ["check", bform(("x1", "y1", "x2", "y2"), "y1", "y1",
+                                {"0": "1"}, {"2,3": "2 + x1*x2/4"}),
+                 "--grid", "8"],
+    "moser-2d": ["moser", MOSER0, MOSER1, "--points", "20", "--steps", "16"],
+    "extend-torus3": ["extend", TORUS3],
+    "cohomology": ["cohomology", "--surface", "1,2"],
+}
+
+# per case: the exit code and the sha256 of stdout (classify exits 1 on a
+# pair it finds distinct)
+PINNED = {
+    "sphere": (0, "177e3b3a90e7f4feaca6658538f99ba5"
+                  "c224474a48d7e8383b70506d481b3805"),
+    "scaled-sphere": (0, "ee85005dccc0aa844bf19b67dd1f752c"
+                         "cc1702dfde089dcadcf86f5f56110edd"),
+    "asymmetric-sphere": (0, "96f6bd57a94710d26d6bae564e1bbe0d"
+                             "ab9457541cfa0a523b946d4897c1b83a"),
+    "torus-pair": (1, "56221133a820da53f7688ae53fe5c575"
+                      "aff34756c5af1b51bcc2bae3c0eb9da7"),
+    "darboux-cubic": (0, "a163d9547d032602350a2f2542c53d8a"
+                         "88a88207b5b6d76f7afccf7128d129a1"),
+    "check-4d": (0, "c842ce836f30bf253c753edd3a072de8"
+                    "eb70ba3876759e1a15340a57bfe7b03a"),
+    "moser-2d": (0, "66a538bea6da9d72bfa84469c52eda75"
+                    "9b8a85a7661789746dd51330c6fd9167"),
+    "extend-torus3": (0, "976359db74bc6323e09610e6074cc8f3"
+                         "ca78af181e2b1b81727fd73945072dfe"),
+    "cohomology": (0, "906b4280c4ed52913d5d96b7613811ed"
+                      "c7262bd58dfe468753394288895d09d7"),
+}
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_report_bytes(name, tmp_path, capsys):
+    argv = CASES[name]
+    args = []
+    for k, a in enumerate(argv):
+        if isinstance(a, dict):
+            path = tmp_path / ("doc%d.json" % k)
+            path.write_text(json.dumps(a))
+            a = str(path)
+        args.append(a)
+    got = cli.main(args)
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == PINNED[name]
