@@ -1,11 +1,13 @@
 """Darboux coordinates in 2-D and numerical Moser-path verification.
 
 darboux2d constructs the explicit coordinate change flattening a singular
-2-form (g/z)dz^dy to the model (1/z)dz^dt.  The Moser verifier builds the
-interpolation family omega_t between two forms, solves the defining linear
-system for the time-dependent vector field in the singular frame,
-integrates its time-1 flow with RK4, and measures the pullback residual
-with finite-difference Jacobians at low-discrepancy sample points.
+2-form (g/z)dz^dy to the model (1/z)dz^dt; t, like the Moser collar's
+primitive, is an integral along one coordinate (_primitive).  The Moser
+verifier builds the interpolation family omega_t between two forms,
+solves the defining linear system for the time-dependent vector field in
+the singular frame, integrates its time-1 flow with RK4, and measures the
+pullback residual with finite-difference Jacobians at low-discrepancy
+sample points.
 
 The flow is one fused pass per velocity.  The Moser engine compiles its
 matrix entries, right-hand side and defining function into one
@@ -91,10 +93,21 @@ COLLAR_GRID = 16   # points per axis of the collar nondegeneracy grid
 _DEGENERATE = "interpolated form is degenerate at a flow point"
 
 
-def _gauss01():
-    """The 32-point Gauss-Legendre rule on [0, 1]."""
+def _primitive(a, name, c):
+    """The integral of a along `name` from the constant c (a Num): A - A(c)
+    for A = antiderivative(a, name) where the table answers, otherwise
+    (name - c) * sum_k w_k a(c + u_k (name - c)), the 32-point
+    Gauss-Legendre rule on [0, 1] along the ray, kept symbolic."""
+    A = antiderivative(a, name)
+    if A is not None:
+        return se.sub(A, substitute(A, {name: c}))
     x, w = np.polynomial.legendre.leggauss(32)
-    return 0.5 * (x + 1.0), 0.5 * w
+    disp = se.sub(se.sym(name), c)
+    ray = []
+    for u, wk in zip(0.5 * (x + 1.0), 0.5 * w):
+        at = se.add(c, se.mul(Num(float(u)), disp))
+        ray.append(se.mul(Num(float(wk)), substitute(a, {name: at})))
+    return se.mul(disp, se.add(*ray))
 
 
 # ---------------------------------------------------------------------------
@@ -113,12 +126,12 @@ def darboux2d(omega: BForm, grid=64) -> CoordinateChange:
     """Flatten omega = (g/z)dz^dy on a 2-D patch to the model (1/z)dz^dt.
 
     The new coordinates are (z, t) with t(z, y) the fiberwise integral of g
-    from y = 0, in closed form or by Gauss quadrature; the pullback of
-    (1/z)dz^dt reproduces omega where dt/dy = g, which darboux_verify
-    samples.  Requires g nonvanishing and the y-interval to contain 0:
-    min |g| on the grid (forms._abs_range) at least 1e-9 and 1e-6 of max
-    |g|.  The target patch spans the values of t on the grid, padded.  A
-    non-finite g or t on the grid raises EvalDomainError.
+    from y = 0 (_primitive: exact, or by a symbolic Gauss rule); the
+    pullback of (1/z)dz^dt reproduces omega where dt/dy = g, which
+    darboux_verify samples.  Requires g nonvanishing and the y-interval to
+    contain 0: min |g| on the grid (forms._abs_range) at least 1e-9 and
+    1e-6 of max |g|.  The target patch spans the values of t on the grid,
+    padded.  A non-finite g or t on the grid raises EvalDomainError.
     """
     patch = omega.patch
     if patch.dim != 2 or omega.degree != 2:
@@ -142,17 +155,7 @@ def darboux2d(omega: BForm, grid=64) -> CoordinateChange:
         raise GeometryError("form coefficient vanishes on the patch "
                             "(min |g| = %.3g)" % gmin)
 
-    y = se.sym(yname)
-    F = antiderivative(g, yname)
-    if F is not None:
-        t = se.sub(F, substitute(F, {yname: 0}))
-    else:
-        # t = y * int_0^1 g(z, u*y) du by Gauss quadrature, kept symbolic
-        nodes, weights = _gauss01()
-        terms = [se.mul(Num(float(w)), substitute(g, {yname: se.mul(Num(float(u)), y)}))
-                 for u, w in zip(nodes, weights)]
-        t = se.mul(y, se.add(*terms))
-
+    t = _primitive(g, yname, se.ZERO)
     tmin, tmax = _chart_range(t, patch, patch.axis_grid(n, margin=1e-6),
                               finite)
     pad = 1e-9 + 1e-9 * (tmax - tmin)
@@ -234,21 +237,12 @@ def _sample_box(patch, rng):
 def _collar_primitive(delta: SmoothForm, zname, c):
     """Primitive of a closed form along the retraction of a collar onto
     {z = c}, for a delta whose pullback to the level set vanishes (the
-    caller's restriction test; not checked here).  Each component is
-    (z - c) times its ray integral, so the primitive vanishes identically
-    on the level set."""
-    level = Num(float(c))   # a float constant, also for a Fraction c
+    caller's restriction test; not checked here).  Each component is the
+    integral along z from c of its coefficient (_primitive), so the
+    primitive vanishes on the level set, exactly when c is a Fraction and
+    the coefficient has a closed-form antiderivative."""
     eta = interior_product({zname: se.num(1)}, delta)
-    nodes, weights = _gauss01()
-    zdisp = se.sub(se.sym(zname), level)
-    out = {}
-    for key, a in eta.comps.items():
-        ray = [se.mul(Num(float(w)),
-                      substitute(a, {zname: se.add(level,
-                                                   se.mul(Num(float(u)), zdisp))}))
-               for u, w in zip(nodes, weights)]
-        out[key] = se.mul(zdisp, se.add(*ray))
-    return SmoothForm(delta.patch, delta.degree - 1, out)
+    return eta.map_coefficients(lambda a: _primitive(a, zname, se.num(c)))
 
 
 @dataclass

@@ -1470,7 +1470,8 @@ def expr_equiv(e1, e2, patch):
 
 def antiderivative(e, name):
     """Antiderivative in `name` for the closed-form fragment we support
-    (polynomials in `name`, sin/cos/exp of affine arguments, and linear
+    (polynomials in `name`, sin/cos/exp of an argument whose slope in
+    `name` is a constant, never a divisor such as z in cos(z*y), and linear
     combinations whose remaining factors do not involve `name`).
     Returns None when no closed form is found."""
     x = Sym(name)
@@ -1499,7 +1500,7 @@ def antiderivative(e, name):
     if isinstance(e, Fun) and e.fn in ("sin", "cos", "exp"):
         arg = e.arg
         darg = diff_expr(arg, name)
-        if free_symbols(darg) & {name}:
+        if not isinstance(darg, Num):
             return None
         if is_zero(darg):
             return mul(e, x)

@@ -78,6 +78,21 @@ def test_one_grid_path():
         assert uses == (["grid_blocks"] * len(uses) if helper else []), path
 
 
+def test_one_primitive():
+    """Integrals along one coordinate come from normalform._primitive: it
+    is the one place that builds a Gauss-Legendre rule with leggauss, and
+    the one caller of symexpr.antiderivative (which otherwise calls only
+    itself)."""
+    snippet = "def f(n):\n    return np.polynomial.legendre.leggauss(n)\n"
+    assert name_uses(ast.parse(snippet), "leggauss") == ["f"]
+    for name in ("leggauss", "antiderivative"):
+        for path in MODULES:
+            uses = [func for func in name_uses(ast.parse(path.read_text()),
+                                               name) if func != name]
+            want = ["_primitive"] if path.name == "normalform.py" else []
+            assert uses == want, (name, path)
+
+
 def test_one_chart_scan():
     """Grid checks scan the chart through forms._chart_range, which puts
     every declared parameter at 1.0; the only other reader of

@@ -74,8 +74,8 @@ PINNED = {
                          "88a88207b5b6d76f7afccf7128d129a1"),
     "check-4d": (0, "c842ce836f30bf253c753edd3a072de8"
                     "eb70ba3876759e1a15340a57bfe7b03a"),
-    "moser-2d": (0, "66a538bea6da9d72bfa84469c52eda75"
-                    "9b8a85a7661789746dd51330c6fd9167"),
+    "moser-2d": (0, "fdb00a7c9ccc062770fea4926d218b79"
+                    "21c33f35e6617386d5341552df94bdba"),
     "extend-torus3": (0, "976359db74bc6323e09610e6074cc8f3"
                          "ca78af181e2b1b81727fd73945072dfe"),
     "cohomology": (0, "906b4280c4ed52913d5d96b7613811ed"

@@ -460,6 +460,10 @@ class TestAntiderivative:
     def test_no_closed_form(self):
         assert antiderivative(parse_expr("sin(x^2)", PATCH), "x") is None
 
+    def test_slope_must_be_constant(self):
+        # the slope y of x*y would be a divisor, a pole where y = 0
+        assert antiderivative(parse_expr("cos(x*y)", PATCH), "x") is None
+
 
 class TestPatch:
     def test_validation(self):
