@@ -17,8 +17,9 @@ a caller that needs numbers passes them through `finite`, the library's
 only check that raises on a non-finite value.
 
 `_solve_brackets` is the library's only root finder: a batched Illinois
-regula falsi with a bisection fallback that solves many sign-change
-brackets together, and `_opposite_signs` finds those brackets.
+regula falsi with a bisection fallback and the Dekker-Brent minimum step
+that solves many sign-change brackets together, and `_opposite_signs`
+finds those brackets.
 `surface2d` (line roots, strip edges, curve vertices) and
 `forms.find_z_components` both call them; they live here because
 `surface2d` imports `forms`.
@@ -37,8 +38,9 @@ KERNEL_NAME = "python"
 __all__ = ["Tape", "as_float", "compile_tape", "evaluate_tape", "finite",
            "KERNEL_NAME"]
 
-# a bracket at least halves every three solver steps: 200 take a chart-wide
-# bracket far below xtol = 1e-15
+# a bracket at least halves every three solver steps (the minimum step never
+# moves a bisection point): 200 take a chart-wide bracket far below
+# xtol = 1e-15
 _MAX_STEPS = 200
 _RTOL = 4 * np.finfo(float).eps   # as scipy's brentq
 
@@ -120,7 +122,12 @@ def _solve_brackets(f, a, b, fa, fb, xtol):
     when the falsi point is not inside or two steps have not halved the
     bracket.  A bracket stops on an exact zero or once narrower than
     xtol + _RTOL * |x|, at its end of smaller |f|; one on which f turns
-    non-finite gives nan."""
+    non-finite gives nan.  A point within tol of an end, with
+    tol = (xtol + _RTOL * max(|a|, |b|)) / 2, moves tol inward, never past
+    the midpoint (the minimum step of Dekker and Brent): once the falsi
+    points pin a root from one side, the next point lands past it and the
+    bracket stops, where the far end would otherwise move in only by the
+    bisection every third step."""
     a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
     root = np.where(np.abs(fa) <= np.abs(fb), a, b)
     k = np.arange(a.size)
@@ -138,7 +145,11 @@ def _solve_brackets(f, a, b, fa, fb, xtol):
         with np.errstate(over="ignore", invalid="ignore"):   # nan bisects
             x = (a * fb * mb - b * fa * ma) / (fb * mb - fa * ma)
         bisect = ~((x > a) & (x < b)) | (w > 0.5 * w2)
-        x = np.where(bisect, 0.5 * (a + b), x)
+        mid = 0.5 * (a + b)
+        x = np.where(bisect, mid, x)
+        tol = 0.5 * (xtol + _RTOL * np.maximum(abs(a), abs(b)))
+        x = np.where(x - a < tol, np.minimum(a + tol, mid), x)
+        x = np.where(b - x < tol, np.maximum(b - tol, mid), x)
         fx = f(x, k)
         real = np.isfinite(fx)
         root[k[~real]] = np.nan

@@ -19,9 +19,10 @@ points per axis.
 Roots along chart lines, the strip edges of the volume cut-off and the
 refined curve vertices are each solved together by the library's one
 bracketed solver, `evalcore._solve_brackets` (Illinois regula falsi with a
-bisection fallback); the strip edges of all nine eps-levels of the volume
-share one call.  The volume cuts each line once, at the strip edges of
-every level.  It integrates the strip of the first level by composite
+bisection fallback and the Dekker-Brent minimum step, which stops a
+bracket once its root is pinned); the strip edges of all nine eps-levels of
+the volume share one call.  The volume cuts each line once, at the strip
+edges of every level.  It integrates the strip of the first level by composite
 8-point Gauss-Legendre on panels between the uniform nodes, graded
 geometrically toward every strip edge; each later level adds its thin
 band, with two Gauss-Legendre panels per part between uniform nodes; one

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from bgeo import evalcore
-from bgeo.evalcore import compile_tape, evaluate_tape
+from bgeo.evalcore import _RTOL, _solve_brackets, compile_tape, evaluate_tape
+from bgeo.surface2d import TAU_CURVE
 from bgeo.symexpr import (Add, EvalDomainError, ExprError, Mul, Num, Patch,
                           Sym, parse_expr)
 from expr_oracles import eval_expr
+from illinois_brackets import illinois_brackets
 from tree_eval import tree_eval
 from unfolded_tape import compile_unfolded, evaluate_unfolded
 
@@ -179,3 +181,107 @@ class TestFoldedTape:
         e = parse_expr("2*x + 1", PATCH)
         assert len(compile_tape(e, ("x",))) == 3   # x, *2, +1
         assert len(compile_unfolded(e, ("x",))[0]) == 5
+
+
+# ---------------------------------------------------------------------------
+# the bracket solver against the Illinois solver it replaced
+
+
+XTOLS = [1e-15, 2e-12, TAU_CURVE]
+
+
+def seeded_brackets(seed, count=60):
+    """Brackets [a, b] with one known root r inside, r the float nearest a
+    rational, and f a function of x - r, which is exact near r, so the sign
+    of every value is the sign of x - r: products of x - r_i, sin(k(x - r))
+    (that is sin(kx + p), p = -kr), the convex expm1(x - r), the triple root
+    (x - r)^3 and the one-sided expm1(8(x - r)), steep on a long right
+    side.  Returns the functions, their roots and the brackets."""
+    rng = np.random.default_rng(seed)
+    fs, roots, lo, hi = [], [], [], []
+    for i in range(count):
+        kind = i % 5
+        r = float(rng.integers(-40, 41)) / float(rng.integers(1, 13))
+        u, v = 10.0 ** rng.uniform(-3, -0.5, 2)
+        if kind == 0:     # r the only root of three in the bracket
+            others = [r - 1.0, r + 1.0 + float(rng.integers(0, 5)) / 7]
+            fs.append(lambda x, r=r, o=others:
+                      (x - r) * (x - o[0]) * (x - o[1]))
+        elif kind == 1:   # the bracket is shorter than pi / k
+            k = float(rng.integers(1, 6))
+            u, v = np.minimum([u, v], 3.0 / k)
+            fs.append(lambda x, r=r, k=k: np.sin(k * (x - r)))
+        elif kind == 2:
+            fs.append(lambda x, r=r: np.expm1(x - r))
+        elif kind == 3:
+            fs.append(lambda x, r=r: (x - r) ** 3)
+        else:
+            fs.append(lambda x, r=r: np.expm1(8.0 * (x - r)))
+            v = 0.9
+        roots.append(r)
+        lo.append(r - u)
+        hi.append(r + v)
+    return fs, np.array(roots), np.array(lo), np.array(hi)
+
+
+def solve(solver, fs, lo, hi, xtol):
+    """Roots by solver, and how many times it evaluated f."""
+    calls = [0]
+
+    def f(x, k):
+        calls[0] += 1
+        return np.array([fs[j](xj) for xj, j in zip(x, k)])
+
+    ends = np.arange(len(fs))
+    root = solver(f, lo, hi, f(lo, ends), f(hi, ends), xtol)
+    return root, calls[0] - 2
+
+
+def within(got, want, xtol):
+    return np.abs(got - want) <= xtol + _RTOL * np.maximum(abs(got), abs(want))
+
+
+class TestSolveBrackets:
+    @pytest.mark.parametrize("xtol", XTOLS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_known_roots_and_illinois(self, seed, xtol):
+        fs, roots, lo, hi = seeded_brackets(seed)
+        got, _ = solve(_solve_brackets, fs, lo, hi, xtol)
+        want, _ = solve(illinois_brackets, fs, lo, hi, xtol)
+        assert within(got, roots, xtol).all()
+        assert within(want, roots, xtol).all()
+        assert (np.abs(got - want) <= 2 * (xtol + _RTOL * np.abs(want))).all()
+
+    def test_exact_zeros_and_nonfinite(self):
+        # first falsi points on the root of a line, on zero plateaus and on
+        # the root of an odd power; and a hole of nan or inf around the
+        # root, which no bracket can shrink past
+        fs = [lambda x: x - 0.25,
+              lambda x: np.where(np.abs(x - 0.3) < 0.1, 0.0, x - 0.3),
+              lambda x: np.where(np.abs(x + 1.0) < 1e-6, 0.0, x + 1.0),
+              lambda x: x ** 3,
+              lambda x: np.where(np.abs(x - 0.5) < 1e-3, np.nan, x - 0.5),
+              lambda x: np.where(np.abs(x) < 1e-9, np.inf, np.expm1(x))]
+        lo = np.array([-0.75, -0.5, -2.0, -1.0, -1.0, -0.01])
+        hi = np.array([1.25, 0.9, 1.0, 1.0, 2.0, 2.0])
+        for xtol in XTOLS:
+            got, _ = solve(_solve_brackets, fs, lo, hi, xtol)
+            want, _ = solve(illinois_brackets, fs, lo, hi, xtol)
+            assert got[:4].tolist() == want[:4].tolist()
+            assert [f(x) == 0 for f, x in zip(fs[:4], got[:4])] == [True] * 4
+            assert np.isnan(got[4:]).all() and np.isnan(want[4:]).all()
+
+    @pytest.mark.parametrize(
+        "f", [lambda x: x + x * x, np.expm1,
+              lambda x: x - x * x, lambda x: -np.expm1(-x)],
+        ids=["x+x^2", "expm1", "x-x^2", "-expm1(-x)"])
+    def test_pinned_root_stops(self, f):
+        # the falsi points reach 0 from the left (the first two) or from the
+        # right; the Illinois solver took 80 (x +- x^2) and 77 (expm1)
+        # evaluations to move the other end in, the minimum step takes 7
+        lo, hi = np.array([-0.01]), np.array([0.01])
+        got, n_got = solve(_solve_brackets, [f], lo, hi, TAU_CURVE)
+        want, n_want = solve(illinois_brackets, [f], lo, hi, TAU_CURVE)
+        assert n_got <= 8 < n_want
+        assert within(got, 0.0, TAU_CURVE).all()
+        assert within(want, 0.0, TAU_CURVE).all()

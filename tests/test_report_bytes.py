@@ -62,14 +62,14 @@ CASES = {
 # per case: the exit code and the sha256 of stdout (classify exits 1 on a
 # pair it finds distinct)
 PINNED = {
-    "sphere": (0, "177e3b3a90e7f4feaca6658538f99ba5"
-                  "c224474a48d7e8383b70506d481b3805"),
-    "scaled-sphere": (0, "ee85005dccc0aa844bf19b67dd1f752c"
-                         "cc1702dfde089dcadcf86f5f56110edd"),
-    "asymmetric-sphere": (0, "96f6bd57a94710d26d6bae564e1bbe0d"
-                             "ab9457541cfa0a523b946d4897c1b83a"),
-    "torus-pair": (1, "56221133a820da53f7688ae53fe5c575"
-                      "aff34756c5af1b51bcc2bae3c0eb9da7"),
+    "sphere": (0, "3ca8be2f71e0c23c30be9f05cf5adda9"
+                  "ae1642a0e8d41eedc5d31e7d355d440c"),
+    "scaled-sphere": (0, "653fa25aaa835642d86785536d89cac9"
+                         "7d2e7907f1217b797b3c7f751e33696e"),
+    "asymmetric-sphere": (0, "58e09737883dcc65a0fb76fedfed47a0"
+                             "f4c663a9f04393e00fdd29456d61f3a1"),
+    "torus-pair": (1, "62dc8c8e91545a929e4c679c62fdb6b2"
+                      "56afad417cd6cf456d3fe6366df30207"),
     "darboux-cubic": (0, "a163d9547d032602350a2f2542c53d8a"
                          "88a88207b5b6d76f7afccf7128d129a1"),
     "check-4d": (0, "c842ce836f30bf253c753edd3a072de8"

@@ -14,6 +14,7 @@ from scipy.integrate import quad
 from bgeo.forms import GeometryError
 from bgeo.surface2d import (
     RadkoInvariants,
+    TAU_CURVE,
     _wrapped_diffs,
     classify_pair,
     extract_zero_set,
@@ -480,87 +481,88 @@ class TestVolumeBitsUnchanged:
     later level adds its band eps_k < |P * cut| <= eps_(k-1) with two
     Gauss-Legendre panels per piece, all strip edges solved in one call and
     no cut-off tape without a cut-off factor.  Any change to the volume's
-    arithmetic moves these bits; TestBandsAgainstPerLevel bounds how far
+    arithmetic, or to the roots and strip edges the bracket solver returns,
+    moves these bits; TestBandsAgainstPerLevel bounds how far
     the bands may move them from the whole-strip integral of every level."""
 
     CASES = [
         ("sphere", "h", None,
-         "1.9929048971551124e-15", "5.03193058534989e-16",
+         "5.55529516285457e-16", "3.636302169419484e-16",
          ["-3.2438477380637983e-16",
-          "-6.73171623607243e-16",
           "-1.0219584734081061e-15",
           "-1.3707453232089693e-15",
           "-1.7195321730098325e-15",
           "-2.0683190228106955e-15",
           "-2.4171058726115586e-15",
           "-2.765892722412422e-15",
+          "-2.765892722412422e-15",
           "-3.114679572213285e-15"]),
         ("sphere", "2*h", None,
-         "2.674989163244212e-15", "2.5159652926749475e-16",
-         ["1.516344327763464e-15",
-          "1.3419509028630325e-15",
-          "1.1675574779626009e-15",
-          "9.931640530621693e-16",
-          "8.187706281617377e-16",
-          "6.443772032613061e-16",
-          "4.699837783608745e-16",
-          "2.9559035346044296e-16",
-          "1.2119692856001137e-16"]),
+         "2.2893367705320323e-15", "1.9040359103054076e-16",
+         ["1.559942683988572e-15",
+          "1.3855492590881404e-15",
+          "1.2111558341877088e-15",
+          "1.0367624092872773e-15",
+          "8.623689843868457e-16",
+          "6.879755594864141e-16",
+          "6.879755594864141e-16",
+          "5.135821345859825e-16",
+          "3.391887096855509e-16"]),
         ("sphere", "h*(2+h)/2", None,
-         "6.902792590101188", "8.56386713148442e-07",
+         "6.9027925901098675", "8.563878564384238e-07",
          ["6.777110410347635",
-          "6.839951428315835",
+          "6.839951428315811",
           "6.8713685002839755",
-          "6.887076606725338",
-          "6.894930606255812",
-          "6.898857599309858",
-          "6.900821094997984",
-          "6.901802842716426",
-          "6.902293716593119"]),
+          "6.887076606725855",
+          "6.894930606255522",
+          "6.898857599309834",
+          "6.900821094997983",
+          "6.901802842716429",
+          "6.902293716587277"]),
         ("sphere", "h*(2 + h/5 + cos(theta)/4)", None,
-         "0.6456175550535768", "5.304273367262255e-10",
-         ["0.6390309909215519",
-          "0.6423242729433563",
-          "0.6439709118253473",
-          "0.6447942310001215",
-          "0.6452058905541719",
-          "0.6454117203256772",
-          "0.6455146352129966",
-          "0.6455660926561451",
-          "0.6455918213776282"]),
+         "0.6456175550534753", "5.304875918306232e-10",
+         ["0.6390309909215409",
+          "0.6423242729432866",
+          "0.6439709118253405",
+          "0.6447942310001218",
+          "0.6452058905539731",
+          "0.6454117203238037",
+          "0.6455146352118041",
+          "0.6455660926557341",
+          "0.6455918213775194"]),
         ("torus", "sin(t1)", None,
-         "1.1354527096666646e-10", "1.3972497501792808e-11",
+         "9.522888403375968e-11", "1.2268528247836283e-11",
          ["3.251574995924897e-13",
           "1.349195690607824e-12",
-          "-1.500392872265228e-12",
-          "7.820682728316207e-13",
-          "-1.6732953232632898e-13",
-          "7.627010200173561e-12",
-          "7.377966806765427e-11",
-          "-3.492742698348036e-11",
-          "-6.938896289120485e-11"]),
+          "2.65863735126343e-13",
+          "-3.871445877211496e-12",
+          "1.1385284333281028e-12",
+          "2.239648518149428e-12",
+          "5.796567229768314e-11",
+          "-6.860070461065489e-11",
+          "-3.773725384547611e-11"]),
         ("torus", "sin(2*t1)", None,
-         "1.417267573048744e-11", "2.1440183189585885e-12",
-         ["2.96392115595441e-13",
-          "-6.925929970149064e-13",
-          "-2.1615016018692728e-13",
-          "5.454775230725307e-12",
-          "-3.2959380439285495e-12",
-          "-1.3751695833833926e-11",
-          "2.5035946450368615e-14",
-          "2.2680913906016795e-13",
-          "-1.1489813112875327e-11"]),
+         "-2.2495195163954307e-10", "-2.989193788641819e-11",
+         ["4.973239650741419e-13",
+          "3.7188937032598144e-12",
+          "2.0982556056601036e-12",
+          "1.274595459855365e-12",
+          "2.604694111570957e-12",
+          "-4.698728129834218e-12",
+          "6.057509531174601e-12",
+          "-1.70555486445792e-11",
+          "1.7131184699969908e-10"]),
         ("sphere", "h*(2+h)/2", '2 + sin(theta) + h/2',
-         "6.902792385252364", "8.34457456711016e-07",
-         ["6.806038418819742",
-          "6.854415332068984",
-          "6.878600439518152",
-          "6.8906925747595595",
-          "6.896738590074573",
-          "6.899761591194403",
-          "6.901273090930788",
-          "6.902028840703332",
-          "6.902406715576927"]),
+         "6.902792385282987", "8.344615853746003e-07",
+         ["6.8060384188197265",
+          "6.8544153320689665",
+          "6.87860043951835",
+          "6.890692574759313",
+          "6.8967385900741895",
+          "6.89976159119436",
+          "6.901273090932733",
+          "6.902028840692949",
+          "6.902406715560832"]),
     ]
 
     @pytest.mark.parametrize("topology, P, cutoff, v0, c, series", CASES,
@@ -718,3 +720,32 @@ class TestVolumeWork:
         regularized_volume(make_surface("sphere", "h*(2+h)/2"), grid=32)
         assert sum(sizes) <= 200_000
         assert max(sizes) <= surface2d._CHUNK
+
+
+class TestRefineWork:
+    def test_refine_curve_solves_in_few_evaluations(self, monkeypatch):
+        # the vertices sit next to their roots, which the falsi points pin in
+        # two steps; the Illinois solver then moved the far ends in by
+        # bisection and took 51 evaluations per call here, the minimum step
+        # takes 5
+        from bgeo import surface2d
+
+        counts = []
+
+        def solve(f, a, b, fa, fb, xtol):
+            assert xtol == TAU_CURVE
+            counts.append(0)
+
+            def counted(x, k):
+                counts[-1] += 1
+                return f(x, k)
+
+            return real(counted, a, b, fa, fb, xtol)
+
+        real = surface2d._solve_brackets
+        monkeypatch.setattr(surface2d, "_solve_brackets", solve)
+        for S in seeded_spheres():
+            for curve in extract_zero_set(S, grid=32):
+                modular_period(S, curve)
+        assert len(counts) == 18
+        assert sum(counts) <= 5 * len(counts)
