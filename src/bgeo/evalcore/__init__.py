@@ -120,14 +120,14 @@ def _solve_brackets(f, a, b, fa, fb, xtol):
     the points x of the brackets numbered k.  Each step is Illinois regula
     falsi (an end kept twice in a row has its weight halved), or bisection
     when the falsi point is not inside or two steps have not halved the
-    bracket.  A bracket stops on an exact zero or once narrower than
-    xtol + _RTOL * |x|, at its end of smaller |f|; one on which f turns
-    non-finite gives nan.  A point within tol of an end, with
-    tol = (xtol + _RTOL * max(|a|, |b|)) / 2, moves tol inward, never past
-    the midpoint (the minimum step of Dekker and Brent): once the falsi
-    points pin a root from one side, the next point lands past it and the
-    bracket stops, where the far end would otherwise move in only by the
-    bisection every third step."""
+    bracket.  With tol = (xtol + _RTOL * max(|a|, |b|)) / 2, a bracket
+    stops on an exact zero or once narrower than 2 tol, at its end of
+    smaller |f|; one on which f turns non-finite gives nan.  A point
+    within tol of an end moves tol inward, never past the midpoint (the
+    minimum step of Dekker and Brent): once the falsi points pin a root
+    from one side, the next point lands past it and the bracket stops,
+    where the far end would otherwise move in only by the bisection every
+    third step."""
     a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
     root = np.where(np.abs(fa) <= np.abs(fb), a, b)
     k = np.arange(a.size)
@@ -136,10 +136,11 @@ def _solve_brackets(f, a, b, fa, fb, xtol):
     w1, w2 = np.full(a.size, np.inf), np.full(a.size, np.inf)
     for _ in range(_MAX_STEPS):
         w = b - a
-        going = w > xtol + _RTOL * np.maximum(abs(a), abs(b))
+        tol = 0.5 * (xtol + _RTOL * np.maximum(abs(a), abs(b)))
+        going = w > 2 * tol
         root[k[~going]] = np.where(np.abs(fa) <= np.abs(fb), a, b)[~going]
-        k, a, b, fa, fb, ma, mb, kept, w, w1, w2 = (
-            v[going] for v in (k, a, b, fa, fb, ma, mb, kept, w, w1, w2))
+        k, a, b, fa, fb, ma, mb, kept, w, w1, w2, tol = (
+            v[going] for v in (k, a, b, fa, fb, ma, mb, kept, w, w1, w2, tol))
         if not k.size:
             break
         with np.errstate(over="ignore", invalid="ignore"):   # nan bisects
@@ -147,7 +148,6 @@ def _solve_brackets(f, a, b, fa, fb, xtol):
         bisect = ~((x > a) & (x < b)) | (w > 0.5 * w2)
         mid = 0.5 * (a + b)
         x = np.where(bisect, mid, x)
-        tol = 0.5 * (xtol + _RTOL * np.maximum(abs(a), abs(b)))
         x = np.where(x - a < tol, np.minimum(a + tol, mid), x)
         x = np.where(b - x < tol, np.maximum(b - tol, mid), x)
         fx = f(x, k)

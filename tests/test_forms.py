@@ -301,16 +301,16 @@ class TestZComponentsAgainstScalar:
             return
         got = find_z_components(w)
         assert len(got) == len(want)
-        # both solve to brentq's xtol 2e-12 and rtol 4 eps, and the snap
-        # to a rational of denominator up to 10^6 moves a root by < 1e-9:
-        # of two roots that differ in their last bits it may pick two
-        # different convergents of one irrational root
+        # both solve to brentq's xtol 2e-12 and rtol 4 eps; the snap to a
+        # rational of denominator up to 10^6 may pick two different
+        # convergents of one irrational root from two roots that differ in
+        # their last bits (6.7e-12 apart on test_seeded[6])
         tol = [2 * (2e-12 + _RTOL * abs(c.value)) for c in want]
-        for g, c, t in zip(got, want, tol):
+        for g, c in zip(got, want):
             if self.exact_root(w, c.value):
                 assert g.value == c.value
             else:
-                assert abs(g.value - c.value) <= t + 2e-9
+                assert abs(g.value - c.value) < 1e-11
         with monkeypatch.context() as m:
             m.setattr(forms, "_near_rational", lambda r: None)
             got = find_z_components(w)
