@@ -14,7 +14,9 @@ it is a JSON error (exit 1) naming the flag.  A tensor grid is capped at
 2,000,000 points: a larger --grid samples fewer points per axis, which
 check always reports and darboux, invariants and classify report when the
 cap lowered them (grid_per_axis).  moser's --points and --steps are
-charged against the flow budget of normalform._check_flow."""
+charged against the flow budget of normalform._check_flow; --steps is the
+cap of the step doubling at --tol-residual, and the report's steps the
+count it used."""
 
 from __future__ import annotations
 
@@ -188,7 +190,8 @@ def cmd_moser(args):
     w0 = ser.bform_from_dict(ser.load(args.input))
     w1 = ser.bform_from_dict(ser.load(args.other))
     rep = moser_relative_verify(w0, w1, n_points=args.points,
-                                n_steps=args.steps)
+                                n_steps=args.steps,
+                                tol_residual=args.tol_residual)
     if args.emit_plot:
         rows = [tuple(p) + (r,)
                 for p, r in zip(rep.sample_points, rep.residuals)]
@@ -202,6 +205,7 @@ def cmd_moser(args):
         "collar_halvings": rep.collar_halvings,
         "collar_radius": float(rep.collar_radius),
         "steps": rep.steps,
+        "flow_change": rep.flow_change,
         "config": {"points": args.points, "steps": args.steps,
                    "tol_residual": args.tol_residual,
                    "tol_tangency": args.tol_tangency},

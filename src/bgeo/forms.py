@@ -405,11 +405,13 @@ def find_z_components(bform):
                 f"degenerate zero of the defining function near "
                 f"{zname}={zs[i]:.6g}")
     # snap near-rational roots so later exact substitutions (kappa form,
-    # smooth quotients) see e.g. 0 rather than 5e-16
+    # smooth quotients) see e.g. 0 rather than 5e-16, but only to a
+    # rational where f is no further from 0 than at the root itself
     near = [(i, float(q)) for i, q in enumerate(map(_near_rational, roots))
             if q is not None]
-    for (i, q), fq in zip(near, f_at([q for _, q in near])):
-        if abs(fq) < 1e-9:
+    for (i, q), fq, fr in zip(near, f_at([q for _, q in near]),
+                              f_at([roots[i] for i, _ in near])):
+        if abs(fq) < 1e-9 and abs(fq) <= abs(fr):
             roots[i] = q
     # dedupe
     kept = []

@@ -7,7 +7,10 @@ verifier builds the interpolation family omega_t between two forms,
 solves the defining linear system for the time-dependent vector field in
 the singular frame, integrates its time-1 flow with RK4, and measures the
 pullback residual with finite-difference Jacobians at low-discrepancy
-sample points.
+sample points.  The flow takes the steps its tolerance needs: its base
+points are flowed in 1, 2, 4, ... steps up to the cap, until a doubling
+moves none of them by FLOW_FRACTION of the residual tolerance, and the
+residual is then measured on the flow of that many steps (_doubled_steps).
 
 The flow is one fused pass per velocity.  The Moser engine compiles its
 matrix entries, right-hand side and defining function into one
@@ -82,7 +85,9 @@ from .symexpr import (
     substitute,
 )
 
-N_STEPS = 256   # RK4 steps of a Moser flow over [0, 1]
+N_STEPS = 256   # RK4 steps of a Moser flow over [0, 1], the budget's cap
+FLOW_FRACTION = 1e-3   # of tol_residual: a doubling that moves no base
+                       # point this far ends the doubling (_doubled_steps)
 STEP_OVERHEAD = 1900   # in batch points, measured (_check_flow)
 PART_WORK = 250_000   # points x steps of a flow part, measured (_flow_parts)
 FLOW_BUDGET = N_STEPS * (se.GRID_CAP + STEP_OVERHEAD)
@@ -252,6 +257,7 @@ class MoserReport:
     collar_halvings: int
     collar_radius: float
     steps: int
+    flow_change: float
     residuals: object = field(repr=False)
     sample_points: object = field(repr=False)
 
@@ -583,10 +589,14 @@ def _check_flow(n_points, n_steps, dim):
     """Refuse a flow of fewer than one sample point or step, a batch (each
     point with its 2*dim finite-difference neighbours) of more than
     se.GRID_CAP points, or work n_steps * (batch + STEP_OVERHEAD) past
-    FLOW_BUDGET, that of the largest batch at N_STEPS steps.  STEP_OVERHEAD
-    is the time of a step at one sample point over the time per batch point
-    of a step at 40,000, on a 2-D pair: 1,700 to 2,000 on a 2-core Xeon.  A
-    4-D pair reads about 1,300, which would allow more steps."""
+    FLOW_BUDGET, that of the largest batch at N_STEPS steps.  n_steps is
+    the cap, charged in full whatever count the doubling stops at; the
+    doubling's base flows, at most 2 * n_steps steps of the n_points alone,
+    add at most 2 * n_steps * (n_points + STEP_OVERHEAD) to it
+    (_doubled_steps).  STEP_OVERHEAD is the time of a step at one sample
+    point over the time per batch point of a step at 40,000, on a 2-D pair:
+    1,700 to 2,000 on a 2-core Xeon.  A 4-D pair reads about 1,300, which
+    would allow more steps."""
     if n_points < 1 or n_steps < 1:
         raise ValueError("n_points and n_steps must be at least 1, got %r "
                          "and %r" % (n_points, n_steps))
@@ -668,13 +678,33 @@ def _forked_flow(rk4, pts, n_steps, cuts):
     return out if ok else None
 
 
-def _collar_flow(engine, comp, r, n_points, n_steps):
+def _doubled_steps(engine, pts, cap, tol):
+    """(steps, change): the step count of the flow of the points, by step
+    doubling.  The points alone are flowed in 1, 2, 4, ... steps, the last
+    count cut to cap, until a doubling moves no point by tol or more (one
+    whose move is not finite does not stop it); change is that doubling's
+    largest move (evalcore.finite), or None when cap is 1.  At tol = 0.0
+    every count up to cap is flowed and steps is cap."""
+    steps, x, change = 1, engine.flow(pts, 1), None
+    while steps < cap:
+        more = min(2 * steps, cap)
+        y = engine.flow(pts, more)
+        change = np.max(np.abs(y - x))
+        steps, x = more, y
+        if change < tol:
+            break
+    return steps, None if change is None else float(finite(change))
+
+
+def _collar_flow(engine, comp, r, n_points, n_steps, tol_residual):
     """The flow of one component of Z on its collar of radius r: the
     n_points Halton collar points, the largest |v| of the velocity over the
     same points moved onto Z at t = 0, 1/2 and 1 (the flow must be tangent
-    to Z, and the relative velocity vanishes there), and the per-point
-    pullback residual of the n_steps-step flow.  A non-finite velocity on Z
-    or residual raises EvalDomainError."""
+    to Z, and the relative velocity vanishes there), the per-point pullback
+    residual of the flow, and the step count and last move of the doubling
+    that chose its steps, at most n_steps (_doubled_steps, at FLOW_FRACTION
+    of tol_residual).  A non-finite velocity on Z, residual or last move
+    raises EvalDomainError."""
     zi = engine.zi
     pts = _halton_collar(engine.patch, zi, comp.value - r, comp.value + r,
                          n_points)
@@ -682,7 +712,10 @@ def _collar_flow(engine, comp, r, n_points, n_steps):
     on_Z[:, zi] = comp.value
     worst = max(float(np.max(np.abs(finite(engine.velocity(on_Z, t)))))
                 for t in (0.0, 0.5, 1.0))
-    return pts, worst, finite(engine.pullback_residual(pts, n_steps))
+    steps, change = _doubled_steps(engine, pts, n_steps,
+                                   FLOW_FRACTION * tol_residual)
+    return (pts, worst, finite(engine.pullback_residual(pts, steps)), steps,
+            change)
 
 
 def _relative_engine(omega0, omega1, rho):
@@ -701,7 +734,7 @@ def _relative_engine(omega0, omega1, rho):
 
 
 def moser_relative_verify(omega0: BForm, omega1: BForm, n_points=N_SAMPLE,
-                          n_steps=N_STEPS) -> MoserReport:
+                          *, n_steps, tol_residual=0.0) -> MoserReport:
     """Numerically verify the relative normal-form statement: two singular
     symplectic forms with equal restriction data are related, near the
     hypersurface, by the time-1 flow of the interpolation vector field.
@@ -710,8 +743,12 @@ def moser_relative_verify(omega0: BForm, omega1: BForm, n_points=N_SAMPLE,
     Z vanish, it has a smooth equivalent, and that is closed), builds a
     primitive of delta vanishing on the hypersurface, solves the
     contraction equation for v_t in the singular coframe, integrates the
-    flow, and reports the pullback residual.  Every value the report folds
-    is finite (_collar_flow) and not negative.
+    flow in as many steps as step doubling asks for at tol_residual, at
+    most n_steps, and reports the pullback residual of that flow.  steps is
+    the largest count over the components, and flow_change the largest
+    last move (None when n_steps is 1).  At tol_residual = 0.0 every flow
+    runs n_steps steps.  Every value the report folds is finite
+    (_collar_flow) and not negative.
     """
     _check_flow(n_points, n_steps, omega0.patch.dim)
     delta = omega0 - omega1   # BForm._check: the same patch, z and f
@@ -742,14 +779,15 @@ def moser_relative_verify(omega0: BForm, omega1: BForm, n_points=N_SAMPLE,
                                 "component; mu = rho/f not certified smooth")
         rho = _collar_primitive(delta_s, zname, cval)
         flows.append(_collar_flow(_relative_engine(omega0, omega1, rho),
-                                  comp, r, n_points, n_steps))
+                                  comp, r, n_points, n_steps, tol_residual))
     if not flows:
         raise GeometryError("defining function has no zeros in the patch")
-    pts, tangency, resid = zip(*flows)
+    pts, tangency, resid, steps, changes = zip(*flows)
     return MoserReport(
         max_residual=max(float(np.max(r)) for r in resid),
         v_on_Z_max=max(tangency), collar_halvings=halvings_used,
-        collar_radius=float(radius_used), steps=n_steps,
+        collar_radius=float(radius_used), steps=max(steps),
+        flow_change=None if n_steps == 1 else max(changes),
         residuals=np.concatenate(resid), sample_points=np.concatenate(pts))
 
 

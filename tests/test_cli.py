@@ -580,7 +580,10 @@ class TestMoser:
         assert code == 0 and doc["ok"]
         assert doc["max_residual"] < 1e-5
         assert doc["vfield_on_Z_max"] < 1e-8
-        assert doc["steps"] == 256
+        # --steps 256 is the cap: the step doubling stops at 16, where a
+        # doubling moved no point by 1e-3 of --tol-residual
+        assert doc["steps"] == 16
+        assert doc["flow_change"] < 1e-3 * doc["config"]["tol_residual"]
 
     def test_points_past_the_flow_batch_cap(self, tmp_path):
         # 10^11 points tried to allocate terabytes (exit 3); the flow
@@ -687,6 +690,7 @@ class TestMoser:
             "collar_halvings": 0, "collar_radius": 0.5,
             "config": {"points": 50, "steps": 32, "tol_residual": 1e-05,
                        "tol_tangency": 1e-08},
+            "flow_change": 1.1375676844949112e-08,
             "max_residual": 8.5891762591217e-09, "ok": True,
             "schema": "bgeo/1", "steps": 32, "vfield_on_Z_max": 0.0}
 
@@ -695,7 +699,10 @@ class TestMoser:
         # the one path where smooth_equivalent divides a nonzero alpha
         code, doc = self._alpha_pair_out(capsys, tmp_path, "1 + y/4")
         assert code == 0 and doc["ok"]
-        assert repr(doc["max_residual"]) == "5.474065645216797e-11"
+        # the flow of 16 steps that the doubling chose under the cap of 256
+        # (5.474065645216797e-11 at the cap)
+        assert doc["steps"] == 16
+        assert repr(doc["max_residual"]) == "5.969005290040741e-10"
         assert doc["vfield_on_Z_max"] == 0.0
 
     def test_alpha_difference_without_exact_quotient(self, capsys, tmp_path):
@@ -1295,3 +1302,17 @@ class TestImports:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]", "True True"]
+
+    def test_cli_import_leaves_the_flow_out(self):
+        # a cold start (bgeo.cli alone) loads neither the Moser flow nor
+        # the extension builder: moser and extend import them lazily, so
+        # their code never lands in another command's start-up
+        code = (
+            "import sys\n"
+            "import bgeo.cli\n"
+            "print(sorted(m for m in ('bgeo.normalform', 'bgeo.extension')\n"
+            "             if m in sys.modules))\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]"]

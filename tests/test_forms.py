@@ -329,6 +329,31 @@ class TestZComponentsAgainstScalar:
             self.assert_agree(patch_name, f_text, monkeypatch)
 
 
+class TestRootSnap:
+    """A root moves to a nearby rational only where f is no further from 0
+    than at the root itself."""
+
+    bform = staticmethod(TestZComponentsAgainstScalar.bform)
+
+    def test_seeded_cubic_keeps_its_root(self):
+        # the snap used to move a root of this cubic 2.75e-12 from its true
+        # root, past the solver's xtol of 2e-12
+        rng = np.random.default_rng(3)
+        r = [float(v) for v in np.sort(rng.uniform(-1.9, 1.9, 3))]
+        ((_, f_text), *_) = TestZComponentsAgainstScalar.seeded_texts(3)
+        got = [c.value for c in find_z_components(self.bform(PLANE, f_text))]
+        assert len(got) == 3
+        for g, root in zip(got, r):
+            assert abs(g - root) <= 2e-12 + _RTOL * abs(g)
+
+    @pytest.mark.parametrize("f_text,want", [("3*y - 1", 1 / 3),
+                                             ("y", 0.0),
+                                             ("y - 1/2", 0.5)])
+    def test_rational_roots_snap(self, f_text, want):
+        (comp,) = find_z_components(self.bform(PLANE, f_text))
+        assert comp.value == want
+
+
 class TestRestriction:
     def test_affine_pair(self):
         pairs = restrict_to_Z(affine_bform())

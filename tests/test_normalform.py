@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import math
 import os
 import random
@@ -29,6 +30,7 @@ from bgeo.forms import (
 from bgeo.normalform import (
     _DEGENERATE,
     FLOW_BUDGET,
+    N_SAMPLE,
     N_STEPS,
     PART_WORK,
     STEP_OVERHEAD,
@@ -326,13 +328,13 @@ def test_halton_matches_scipy(d):
 class TestMoserRelative:
     def test_identical_forms(self):
         w0, _ = relative_pair()
-        rep = moser_relative_verify(w0, w0, n_points=50)
+        rep = moser_relative_verify(w0, w0, n_points=50, n_steps=N_STEPS)
         assert rep.max_residual < 1e-10
         assert rep.v_on_Z_max == 0.0
 
     def test_2d_perturbation(self):
         w0, w1 = relative_pair()
-        rep = moser_relative_verify(w0, w1)
+        rep = moser_relative_verify(w0, w1, n_steps=N_STEPS)
         assert rep.max_residual < 1e-5
         assert rep.v_on_Z_max < 1e-8
         assert rep.steps == 256
@@ -351,7 +353,7 @@ class TestMoserRelative:
 
     def test_4d_closed_perturbation(self):
         w0, w1 = closed_perturbation_pair()
-        rep = moser_relative_verify(w0, w1, n_points=50)
+        rep = moser_relative_verify(w0, w1, n_points=50, n_steps=N_STEPS)
         assert rep.max_residual < 1e-4
         assert rep.v_on_Z_max < 1e-8
 
@@ -360,7 +362,7 @@ class TestMoserRelative:
         # primitive, solved its 4x4 systems with numpy.linalg.solve on the
         # dense matrices; the Pfaffian adjugate must reproduce it
         w0, w1 = closed_perturbation_pair()
-        rep = moser_relative_verify(w0, w1, n_points=50)
+        rep = moser_relative_verify(w0, w1, n_points=50, n_steps=N_STEPS)
         assert abs(rep.max_residual - 1.6757306653403248e-10) <= 1e-12
 
     def test_nonclosed_difference_rejected(self):
@@ -370,7 +372,7 @@ class TestMoserRelative:
         pert = SmoothForm(p4, 2, {("x2", "y2"): sym("y1")})
         w1 = BForm(p4, 2, w0.alpha, w0.beta + pert, w0.f, "y1")
         with pytest.raises(GeometryError, match="closed"):
-            moser_relative_verify(w0, w1, n_points=20)
+            moser_relative_verify(w0, w1, n_points=20, n_steps=N_STEPS)
 
     @pytest.mark.parametrize("knobs", [{"n_points": 0},
                                        {"n_steps": 0},
@@ -380,13 +382,13 @@ class TestMoserRelative:
     def test_knobs_range_checked(self, knobs):
         w0, w1 = relative_pair()
         with pytest.raises(ValueError, match="n_points|n_steps"):
-            moser_relative_verify(w0, w1, **knobs)
+            moser_relative_verify(w0, w1, **{"n_steps": N_STEPS, **knobs})
 
     def test_no_zeros_in_patch(self):
         w0, _ = relative_pair(y_interval=(1.0, 2.0))
         with pytest.raises(GeometryError, match="^defining function has no "
                                                 "zeros in the patch$"):
-            moser_relative_verify(w0, w0, n_points=20)
+            moser_relative_verify(w0, w0, n_points=20, n_steps=N_STEPS)
 
     def test_differing_restrictions_rejected(self):
         p = Patch(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)))
@@ -395,7 +397,7 @@ class TestMoserRelative:
         w0 = BForm(p, 2, alpha0, SmoothForm(p, 2, {}), sym("y"), "y")
         w1 = BForm(p, 2, alpha1, SmoothForm(p, 2, {}), sym("y"), "y")
         with pytest.raises(GeometryError, match="restriction"):
-            moser_relative_verify(w0, w1, n_points=20)
+            moser_relative_verify(w0, w1, n_points=20, n_steps=N_STEPS)
 
     def test_differing_beta_rejected(self):
         # omega1 = omega0 + dx^du is b-symplectic and differs from omega0
@@ -410,7 +412,7 @@ class TestMoserRelative:
                    sym("y"), "y")
         with pytest.raises(GeometryError, match="^restrictions to the "
                                                 "hypersurface differ"):
-            moser_relative_verify(w0, w1, n_points=20)
+            moser_relative_verify(w0, w1, n_points=20, n_steps=N_STEPS)
 
 
 def test_collar_halves_on_sign_change():
@@ -424,7 +426,7 @@ def test_collar_halves_on_sign_change():
               SmoothForm(p, 2, {}), sym("y"), "y")
     (comp,) = find_z_components(w)
     assert _shrink_collar(w, w, comp) == (0.25, 1)
-    rep = moser_relative_verify(w, w, n_points=20)
+    rep = moser_relative_verify(w, w, n_points=20, n_steps=N_STEPS)
     assert (rep.collar_halvings, rep.collar_radius) == (1, 0.25)
 
 
@@ -748,7 +750,7 @@ class TestReportsUnchanged:
 
     CASES = {
         "relative_2d": (
-            lambda: moser_relative_verify(*relative_pair()),
+            lambda: moser_relative_verify(*relative_pair(), n_steps=N_STEPS),
             "6.143885400433646e-11", "0.0",
             "575c71fa3a2c44c96fa633d2eef1ea2273ca61d3352caee6e6d72a18dd4a259a"),
         "relative_4d": (
@@ -906,3 +908,168 @@ def test_flow_parts():
     finally:
         signal.signal(signal.SIGCHLD, before)
     assert _flow_parts(batch, N_STEPS) == min(cpus, batch // STEP_OVERHEAD)
+
+
+def moser_doc(alpha, beta, f="y", params=(), y_interval=(-1, 1)):
+    """The b-form document (1/f)(alpha dx^dy) + beta on x, y."""
+    return {"schema": "bgeo/1", "kind": "bform", "degree": 2, "zcoord": "y",
+            "f": f,
+            "patch": {"names": ["x", "y"],
+                      "intervals": [[-1, 1], list(y_interval)],
+                      "periods": [None, None], "params": list(params)},
+            "alpha": alpha, "beta": beta}
+
+
+def bench_pairs4(seed):
+    """The three 4-D pairs of round 0 of the benchmark's moser workload at
+    a seed, as perfbench/docs.py draws them: dx^dy/y + du^dv and the same
+    plus c1*y dx^dy + c2*y dy^du, c1 and c2 nonzero tenths in
+    [-1/2, 1/2]."""
+    rng = random.Random(f"moser:{seed}:0")
+
+    def tenth():
+        # as grammar text, parenthesised when negative
+        while True:
+            k = rng.randint(-5, 5)
+            if k:
+                c = Fraction(k, 10)
+                return f"({c})" if c < 0 else str(c)
+
+    pairs = []
+    for _ in range(3):
+        c1, c2 = tenth(), tenth()
+        patch = {"names": ["x", "y", "u", "v"],
+                 "intervals": [[-1.0, 1.0]] * 4}
+        w0 = {"schema": "bgeo/1", "kind": "bform", "degree": 2,
+              "zcoord": "y", "f": "y", "patch": patch, "alpha": {"0": "1"},
+              "beta": {"2,3": "1"}}
+        w1 = dict(w0, beta={"2,3": "1", "0,1": f"{c1}*y",
+                            "1,2": f"{c2}*y"})
+        pairs.append((w0, w1))
+    return pairs
+
+
+ACCEPTANCE_2D = (moser_doc({"0": "1"}, {}), moser_doc({"0": "1"},
+                                                      {"0,1": "y"}))
+
+# name: (documents, knobs): the 2-D acceptance pair at the sizes of
+# test_acceptance, the benchmark's 4-D pairs of seeds 0-3 at its sizes, and
+# the pairs of test_cli's TestMoser at their knobs
+CAPPED_CASES = {
+    **{f"acceptance-{p}": (ACCEPTANCE_2D, ["--points", p, "--steps", s])
+       for p, s in (("4096", "256"), ("200", "16"), ("400", "32"))},
+    **{f"bench-{seed}-{k}": (pair, ["--points", "1024", "--steps", "64"])
+       for seed in range(4) for k, pair in enumerate(bench_pairs4(seed))},
+    **{name: ((moser_doc({"0": "1"}, {}, **patch),
+               moser_doc({"0": "1"}, {"0,1": beta}, **patch)), knobs)
+       for name, beta, patch, knobs in [
+           ("perturbed", "y", {}, ["--points", "50"]),
+           ("emit-plot", "y", {}, ["--points", "20"]),
+           ("parameter", "a*y/4", {"params": ["a"]}, ["--points", "50"]),
+           ("away-from-zero", "(y - 1/2)/4", {"f": "y - 1/2"},
+            ["--points", "50"]),
+           ("non-finite", "y*log(x + 1/2)", {},
+            ["--points", "50", "--steps", "32"]),
+           ("no-zeros", "y/4", {"y_interval": (1, 2)}, ["--points", "50"])]},
+    **{name: ((moser_doc({"0": "1"}, {}), moser_doc({"0": alpha1}, {})),
+              knobs)
+       for name, alpha1, knobs in [
+           ("exact-quotient", "1 + y/4", []),
+           ("no-exact-quotient", "1 + sin(y)/4", []),
+           ("hypotheses", "1 + y/2", ["--points", "50", "--steps", "32"])]},
+}
+
+
+class TestStepDoubling:
+    """The Moser flow runs the steps its tolerance needs: its base points
+    are flowed in 1, 2, 4, ... steps up to the cap --steps, until a
+    doubling moves none of them by FLOW_FRACTION of --tol-residual, and
+    the residual is measured on the flow of that many steps."""
+
+    @staticmethod
+    def moser(tmp_path, capsys, docs, *knobs):
+        """Exit code and report of the moser command, in process."""
+        from bgeo import cli
+
+        paths = []
+        for k, doc in enumerate(docs):
+            path = tmp_path / ("w%d.json" % k)
+            path.write_text(json.dumps(doc))
+            paths.append(str(path))
+        code = cli.main(["moser"] + paths + list(knobs))
+        out, err = capsys.readouterr()
+        assert err == ""
+        return code, json.loads(out)
+
+    @pytest.mark.parametrize("case", list(TestReportsUnchanged.CASES))
+    def test_no_tolerance_keeps_the_fixed_step_bits(self, case):
+        # at tol_residual 0.0 every flow runs to the cap, and the report
+        # has the bits of the fixed-step flow (TestReportsUnchanged's pins)
+        w0, w1 = relative_pair() if case == "relative_2d" else seeded_pair4(3)
+        n_points, n_steps = ((N_SAMPLE, N_STEPS) if case == "relative_2d"
+                             else (64, 16))
+        rep = moser_relative_verify(w0, w1, n_points=n_points,
+                                    n_steps=n_steps, tol_residual=0.0)
+        _, max_residual, v_on_Z_max, digest = TestReportsUnchanged.CASES[case]
+        assert rep.steps == n_steps
+        assert repr(rep.max_residual) == max_residual
+        assert repr(rep.v_on_Z_max) == v_on_Z_max
+        assert hashlib.sha256(rep.residuals.tobytes()).hexdigest() == digest
+        assert 0.0 < rep.flow_change
+
+    def test_acceptance_pair_stops_at_16(self, tmp_path, capsys):
+        code, rep = self.moser(tmp_path, capsys, ACCEPTANCE_2D,
+                               "--points", "4096", "--steps", "256")
+        assert (code, rep["ok"], rep["steps"]) == (0, True, 16)
+        assert rep["config"]["steps"] == 256
+        assert rep["max_residual"] < 1e-8
+
+    @pytest.mark.parametrize("cap", [3, 100])
+    def test_cap_not_a_power_of_two(self, tmp_path, capsys, monkeypatch,
+                                    cap):
+        # the last doubling is cut to the cap, and the residual's batch
+        # (each point and its four neighbours) is flowed that many steps
+        counts = []
+        real = normalform._MoserEngine.flow
+
+        def counted(engine, pts, n_steps):
+            counts.append((len(pts), n_steps))
+            return real(engine, pts, n_steps)
+
+        monkeypatch.setattr(normalform._MoserEngine, "flow", counted)
+        code, rep = self.moser(tmp_path, capsys, ACCEPTANCE_2D,
+                               "--points", "20", "--steps", str(cap),
+                               "--tol-residual", "0")
+        assert (code, rep["ok"], rep["steps"]) == (1, False, cap)
+        doublings = [1, 2, 3] if cap == 3 else [1, 2, 4, 8, 16, 32, 64, 100]
+        assert counts == [(20, n) for n in doublings] + [(100, cap)]
+
+    def test_one_step_has_no_change(self, tmp_path, capsys):
+        w0, w1 = ACCEPTANCE_2D
+        code, rep = self.moser(tmp_path, capsys, (w0, w0),
+                               "--points", "50", "--steps", "1")
+        assert (code, rep["ok"], rep["steps"]) == (0, True, 1)
+        assert rep["flow_change"] is None
+        code, rep = self.moser(tmp_path, capsys, (w0, w1),
+                               "--points", "50", "--steps", "1")
+        assert (code, rep["steps"], rep["flow_change"]) == (1, 1, None)
+
+    @pytest.mark.parametrize("case", list(CAPPED_CASES))
+    def test_verdict_as_at_the_cap(self, tmp_path, capsys, monkeypatch,
+                                   case):
+        # the verdict and exit code of a run at the cap (FLOW_FRACTION 0:
+        # no doubling stops early); a run that stops below the cap stopped
+        # on a move under FLOW_FRACTION of the tolerance
+        docs, knobs = CAPPED_CASES[case]
+        code, rep = self.moser(tmp_path, capsys, docs, *knobs)
+        with monkeypatch.context() as m:
+            m.setattr(normalform, "FLOW_FRACTION", 0.0)
+            capped_code, capped = self.moser(tmp_path, capsys, docs, *knobs)
+        assert code == capped_code
+        assert rep.get("ok") == capped.get("ok")
+        assert rep.get("error") == capped.get("error")
+        if "steps" in rep:
+            assert capped["steps"] == rep["config"]["steps"]
+            if rep["steps"] < capped["steps"]:
+                assert rep["flow_change"] < (normalform.FLOW_FRACTION
+                                             * rep["config"]["tol_residual"])
