@@ -21,14 +21,10 @@ arrays; the interpolation blends only those rows, and _solve_antisymmetric
 reads them with the right-hand side's columns and writes the solution into
 one column-contiguous array.  The RK4 state is column-contiguous too, so
 the tape reads contiguous point columns, and RK4 runs in two preallocated
-buffers.  A flow large enough to pay for a fork (_flow_parts) is cut into
-contiguous parts, one per usable CPU on Linux: forked children flow all
-but the first into one shared anonymous mmap while this process flows the
-first, and every child is reaped before the flow returns (_forked_flow).
-RK4 is elementwise, so each point gets the bits of the serial flow; there
-is no knob.  Every term that is present keeps the floating-point
-operations of the dense formulas, and a term with an absent (identically
-zero) entry is not formed, so the reports do not depend on the layout.
+buffers, in this one process.  Every term that is present keeps the
+floating-point operations of the dense formulas, and a term with an absent
+(identically zero) entry is not formed, so the reports do not depend on
+the layout.
 Two things can differ from the dense formulas run on explicit zeros: an
 exactly-zero velocity component may carry the other sign of zero, and a
 non-finite entry that meets only absent ones leaves its point's velocity
@@ -44,12 +40,6 @@ EvalDomainError (evalcore.finite).
 
 from __future__ import annotations
 
-import mmap
-import os
-import signal
-import sys
-import threading
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,7 +79,6 @@ N_STEPS = 256   # RK4 steps of a Moser flow over [0, 1], the budget's cap
 FLOW_FRACTION = 1e-3   # of tol_residual: a doubling that moves no base
                        # point this far ends the doubling (_doubled_steps)
 STEP_OVERHEAD = 1900   # in batch points, measured (_check_flow)
-PART_WORK = 250_000   # points x steps of a flow part, measured (_flow_parts)
 FLOW_BUDGET = N_STEPS * (se.GRID_CAP + STEP_OVERHEAD)
 FD_STEP = 1e-5
 N_SAMPLE = 200
@@ -396,12 +385,11 @@ class _MoserEngine:
 
     The RK4 state is column-contiguous (Fortran order), like the velocities,
     so the tape's point columns and the solver's right-hand-side columns are
-    contiguous reads.  _rk4 copies its points once and forms every stage
+    contiguous reads.  flow copies its points once and forms every stage
     point and the final combination in two preallocated buffers with out=
     ufuncs, in the order of the textbook formulas, so it makes no temporary
-    arrays and gives their bits; a large batch is flowed by parts in forked
-    children (_forked_flow).  Full (n, m, m) matrices are built only for
-    the pullback residual, once for each of W_0 and W_1."""
+    arrays and gives their bits.  Full (n, m, m) matrices are built only
+    for the pullback residual, once for each of W_0 and W_1."""
 
     def __init__(self, patch, zname, f_expr, groups):
         self.patch = patch
@@ -445,24 +433,10 @@ class _MoserEngine:
         return u
 
     def flow(self, pts, n_steps):
-        """The RK4 flow of the points over [0, 1] in n_steps steps
-        (_rk4).  The batch is cut into _flow_parts contiguous parts, flowed
-        side by side by _forked_flow; every RK4 operation is elementwise,
-        so each point gets the bits of the serial flow, which runs when
-        there is one part or the forked flow fails."""
-        n = len(pts)
-        parts = _flow_parts(n, n_steps)
-        if parts > 1:
-            cuts = [n * k // parts for k in range(parts + 1)]
-            out = _forked_flow(self._rk4, pts, n_steps, cuts)
-            if out is not None:
-                return out
-        return self._rk4(pts, n_steps)
-
-    def _rk4(self, pts, n_steps):
-        """The serial RK4 flow.  The points are copied once; each stage
-        point and the weighted sum of the slopes are formed in two buffers,
-        in the order of p + h/2*k1 and p + h/6*(k1 + 2*k2 + 2*k3 + k4)."""
+        """The RK4 flow of the points over [0, 1] in n_steps steps.  The
+        points are copied once; each stage point and the weighted sum of the
+        slopes are formed in two buffers, in the order of p + h/2*k1 and
+        p + h/6*(k1 + 2*k2 + 2*k3 + k4)."""
         p = np.array(pts, order="F")
         stage = np.empty_like(p)
         slope = np.empty_like(p)
@@ -610,72 +584,6 @@ def _check_flow(n_points, n_steps, dim):
         raise ValueError("n_steps (--steps) must be at most %d for %d points "
                          "on a %d-D patch, got %r" % (most, n_points, dim,
                                                       n_steps))
-
-
-def _flow_parts(n, n_steps):
-    """Into how many parts flow cuts a batch of n points flowed n_steps
-    steps: one per usable CPU, but no part of fewer than STEP_OVERHEAD
-    points (each part pays the per-step overhead in full) or of less work
-    than PART_WORK points times steps.  PART_WORK is the time a flow cut in
-    two takes over the serial flow of one half (the fork, the child's late
-    start, copy-on-write faults and the reap), over the serial time per
-    batch point per step: a part of that much work saves what the fork
-    costs.  At 9,216 and 20,480 batch points and 8 and 32 steps it read
-    129,000 to 258,000 on the 2-D pair of the acceptance tests (8.7 to
-    13.6 ms over 52 to 79 ns) and 39,000 to 87,000 on a 4-D pair (10.1 to
-    17.9 ms over 186 to 273 ns); 2-core Xeon, Python 3.11.7, numpy 2.4.6,
-    one BLAS thread, where an empty child takes 4.7 ms to fork and reap.
-    The 2-D figure is the larger, so it splits the fewer flows.  One part,
-    the serial flow, off Linux, when SIGCHLD is ignored (the kernel would
-    reap the children, exit status and all) and while another thread runs
-    (a fork copies only the calling thread, so a lock that another thread
-    holds would stay held in the child)."""
-    if (sys.platform != "linux"
-            or signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN
-            or threading.active_count() > 1):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), n // STEP_OVERHEAD,
-                      n * n_steps // PART_WORK))
-
-
-def _forked_flow(rk4, pts, n_steps, cuts):
-    """rk4(pts, n_steps) by parts: rows cuts[k]:cuts[k + 1] are flowed by
-    a forked child for each k >= 1 and here for k = 0, all into one shared
-    anonymous mmap.  A child runs rk4 on its part, so it never forks, with
-    warnings as errors, and leaves through os._exit with a status that says
-    whether its rows are in place.  None when a child fails, or when the
-    mmap or a fork raises OSError: the caller's serial flow then raises or
-    warns as it always did.  What the first part raises is raised here.
-    Every child is reaped before this returns or raises; after a failure
-    the children still running are killed first."""
-    n, m = pts.shape
-    children, ok = [], False
-    try:
-        try:
-            out = np.ndarray((n, m), buffer=mmap.mmap(-1, 8 * n * m),
-                             order="F")
-            for lo, hi in zip(cuts[1:-1], cuts[2:]):
-                pid = os.fork()
-                if pid == 0:
-                    code = 1
-                    try:
-                        with warnings.catch_warnings():
-                            warnings.simplefilter("error")
-                            out[lo:hi] = rk4(pts[lo:hi], n_steps)
-                        code = 0
-                    finally:
-                        os._exit(code)
-                children.append(pid)
-        except OSError:   # no memory or no process left
-            return None
-        out[:cuts[1]] = rk4(pts[:cuts[1]], n_steps)
-        ok = True
-    finally:
-        for pid in children:
-            if not ok:
-                os.kill(pid, signal.SIGKILL)
-            ok = os.waitpid(pid, 0)[1] == 0 and ok
-    return out if ok else None
 
 
 def _doubled_steps(engine, pts, cap, tol):

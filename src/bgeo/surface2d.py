@@ -573,7 +573,8 @@ def radko_invariants(S, grid=64, tau_log=1e-4):
     volume fit's log coefficient and (eps, V(eps)) series as diagnostics."""
     curves = extract_zero_set(S, grid=grid)
     if not curves:
-        raise GeometryError("defining function has no zeros: not a "
+        raise GeometryError("defining function changes sign nowhere on "
+                            "the grid: no transversal zero curve, not a "
                             "b-Poisson structure on this surface")
     periods = sorted(modular_period(S, c) for c in curves)
     vol, logc, series = regularized_volume(S, grid=grid, tau_log=tau_log)

@@ -187,29 +187,22 @@ def imported_modules(tree):
     return names
 
 
-def test_one_fork():
-    """Only normalform._forked_flow forks, and only its child leaves
-    through os._exit; threading is imported only for the active-count check
-    of normalform._flow_parts, and no module imports a process or thread
-    pool."""
-    snippet = ("import threading, concurrent.futures\n"
+def test_no_fork():
+    """The library starts no process or thread of its own: no module forks
+    or leaves through os._exit, or imports threading, a process or thread
+    pool, mmap or signal."""
+    snippet = ("import threading, concurrent.futures, mmap, signal\n"
                "from multiprocessing import Pool\nfrom . import x\n"
                "def f():\n    if os.fork() == 0:\n        os._exit(0)\n")
     tree = ast.parse(snippet)
     assert name_uses(tree, "fork") == name_uses(tree, "_exit") == ["f"]
-    assert imported_modules(tree) == {"threading", "concurrent",
-                                      "multiprocessing"}
+    banned = {"threading", "multiprocessing", "concurrent", "mmap", "signal"}
+    assert imported_modules(tree) == banned
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text())
-        here = path == SRC / "normalform.py"
         for name in ("fork", "_exit"):
-            assert name_uses(tree, name) == (["_forked_flow"] if here
-                                             else []), (path, name)
-        imports = imported_modules(tree)
-        assert ("threading" in imports) == here, path
-        assert not imports & {"multiprocessing", "concurrent"}, path
-        assert name_uses(tree, "active_count") == (["_flow_parts"] if here
-                                                   else []), path
+            assert name_uses(tree, name) == [], (path, name)
+        assert not imported_modules(tree) & banned, path
 
 
 def defined_names(tree):

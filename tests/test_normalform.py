@@ -4,12 +4,8 @@ import hashlib
 import itertools
 import json
 import math
-import os
 import random
-import signal
-import threading
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,12 +28,10 @@ from bgeo.normalform import (
     FLOW_BUDGET,
     N_SAMPLE,
     N_STEPS,
-    PART_WORK,
     STEP_OVERHEAD,
     _check_flow,
     _collar_primitive,
     _factor_at,
-    _flow_parts,
     _halton,
     _halton_collar,
     _relative_engine,
@@ -779,9 +773,14 @@ class TestReportsUnchanged:
                                  ({}, [0, 2])]
         assert engine.tape.outputs == 5   # four entries and f
 
-    @pytest.mark.parametrize("pair", ["relative_2d", "relative_4d"])
+    PAIRS = {"relative_2d": relative_pair,
+             "relative_4d": lambda: seeded_pair4(3),
+             "relative_6d": pair6}   # m >= 6: numpy.linalg.solve
+
+    @pytest.mark.parametrize("pair", list(PAIRS))
     def test_flow_leaves_its_input(self, pair):
-        w0, w1 = relative_pair() if pair == "relative_2d" else seeded_pair4(3)
+        # the flow returns a new column-contiguous array
+        w0, w1 = self.PAIRS[pair]()
         engine = _relative_engine(w0, w1, relative_primitive(w0, w1))
         zi = w0.patch.index(w0.zname)
         for pts in collar_points(w0.patch, zi, n=50)[::2]:
@@ -789,6 +788,7 @@ class TestReportsUnchanged:
             out = engine.flow(pts, 4)
             assert np.array_equal(pts, before)
             assert not np.shares_memory(out, pts)
+            assert out.flags.f_contiguous
 
 
 def degenerate_pair():
@@ -808,106 +808,15 @@ def relative_flow(w0, w1, n):
     return engine, collar_points(w0.patch, zi, n=n)[0]
 
 
-FORKED_CASES = {
-    "relative_2d": lambda: relative_flow(*relative_pair(), 301),
-    "relative_4d": lambda: relative_flow(*seeded_pair4(3), 301),
-    "relative_6d": lambda: relative_flow(*pair6(), 101),
-}
-
-
-class TestForkedFlow:
-    """flow cut in parts, each but the first flowed by a forked child,
-    against the serial _rk4: byte for byte, with every child reaped after
-    each return or raise and nothing printed."""
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """Cut every flow into forks.parts parts (one per point at most),
-        and list in forks.pids the children forked."""
-        forks = SimpleNamespace(parts=2, pids=[])
-        real = os.fork
-
-        def fork():
-            pid = real()
-            if pid:
-                forks.pids.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", fork)
-        monkeypatch.setattr(normalform, "_flow_parts",
-                            lambda n, n_steps: min(forks.parts, n))
-        return forks
-
-    @staticmethod
-    def assert_clean(capfd):
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        assert capfd.readouterr() == ("", "")
-
-    @pytest.mark.parametrize("parts", [2, 3])
-    @pytest.mark.parametrize("case", list(FORKED_CASES))
-    def test_bits(self, case, parts, forks, capfd):
-        engine, pts = FORKED_CASES[case]()
-        serial = engine._rk4(pts, 8)
-        forks.parts = parts
-        out = engine.flow(pts, 8)
-        assert len(forks.pids) == parts - 1
-        assert out.shape == serial.shape and out.flags.f_contiguous
-        assert out.tobytes(order="F") == serial.tobytes(order="F")
-        assert not np.shares_memory(out, pts)
-        self.assert_clean(capfd)
-
-    @pytest.mark.parametrize("parts", [2, 3])
-    @pytest.mark.parametrize("row", [0, -1])
-    def test_singular_point(self, row, parts, forks, capfd):
-        # in the first part, flowed here, or the last, flowed by a child
-        engine, pts = relative_flow(*degenerate_pair(), 200)
-        pts[row, 0] = 0.0
-        forks.parts = parts
-        with pytest.raises(GeometryError, match=_DEGENERATE):
-            engine.flow(pts, 8)
-        assert len(forks.pids) == parts - 1
-        self.assert_clean(capfd)
-
-    def test_fork_fails(self, forks, monkeypatch, capfd):
-        engine, pts = FORKED_CASES["relative_2d"]()
-
-        def no_fork():
-            raise OSError("fork refused")
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        assert engine.flow(pts, 8).tobytes() == engine._rk4(pts, 8).tobytes()
-        self.assert_clean(capfd)
-
-
-def test_flow_parts():
-    # serial below STEP_OVERHEAD points a part or PART_WORK a part, and
-    # while another thread runs; else one part per usable CPU at most
-    cpus = len(os.sched_getaffinity(0))
-    batch = 4096 * 5   # the benchmark's 2-D flow
-    assert _flow_parts(batch, N_STEPS) == min(cpus, batch // STEP_OVERHEAD)
-    assert _flow_parts(2 * STEP_OVERHEAD - 1, 10 ** 6) == 1
-    n = 8 * STEP_OVERHEAD
-    steps = (2 * PART_WORK - 1) // n
-    assert _flow_parts(n, steps) == 1
-    assert _flow_parts(n, steps + 1) == min(cpus, 2)
-    assert _flow_parts(64 * 9, 16) == 1
-    done = threading.Event()
-    other = threading.Thread(target=done.wait)
-    other.start()
-    try:
-        assert _flow_parts(batch, N_STEPS) == 1
-    finally:
-        done.set()
-        other.join(timeout=10)
-    assert not other.is_alive()
-    # the kernel reaps the children of a process that ignores SIGCHLD
-    before = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
-    try:
-        assert _flow_parts(batch, N_STEPS) == 1
-    finally:
-        signal.signal(signal.SIGCHLD, before)
-    assert _flow_parts(batch, N_STEPS) == min(cpus, batch // STEP_OVERHEAD)
+@pytest.mark.parametrize("row", [0, -1])
+def test_flow_singular_point(row, capfd):
+    # a point where W_0 is singular, first or last in the batch, raises
+    # and prints nothing
+    engine, pts = relative_flow(*degenerate_pair(), 200)
+    pts[row, 0] = 0.0
+    with pytest.raises(GeometryError, match=_DEGENERATE):
+        engine.flow(pts, 8)
+    assert capfd.readouterr() == ("", "")
 
 
 def moser_doc(alpha, beta, f="y", params=(), y_interval=(-1, 1)):

@@ -109,7 +109,16 @@ class TestZeroSet:
     def test_no_zeros(self):
         S = make_surface("sphere", "h - 2")
         assert extract_zero_set(S) == []
-        with pytest.raises(GeometryError, match="no zeros"):
+        with pytest.raises(GeometryError, match="changes sign nowhere"):
+            radko_invariants(S)
+
+    def test_zero_without_sign_change(self):
+        # h^2 vanishes on h = 0 but never changes sign there: no
+        # transversal zero curve, so the message must not say "no zeros"
+        S = make_surface("sphere", "h^2")
+        assert extract_zero_set(S) == []
+        with pytest.raises(GeometryError, match="changes sign nowhere on the "
+                           "grid: no transversal zero curve"):
             radko_invariants(S)
 
     def test_tilted_curve(self):
