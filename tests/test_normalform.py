@@ -790,6 +790,21 @@ class TestReportsUnchanged:
             assert not np.shares_memory(out, pts)
             assert out.flags.f_contiguous
 
+    @pytest.mark.parametrize("pair", list(PAIRS))
+    def test_flow_is_rk4(self, pair):
+        # the in-place stages give the bits of RK4 written with temporaries
+        engine, pts = relative_flow(*self.PAIRS[pair](), 50)
+        h = 1.0 / 4
+        p = pts.copy()
+        for k in range(4):
+            t = k * h
+            k1 = engine.velocity(p, t)
+            k2 = engine.velocity(p + h / 2 * k1, t + h / 2)
+            k3 = engine.velocity(p + h / 2 * k2, t + h / 2)
+            k4 = engine.velocity(p + h * k3, t + h)
+            p = p + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        assert engine.flow(pts, 4).tobytes(order="F") == p.tobytes(order="F")
+
 
 def degenerate_pair():
     """x dx^dy/y and the same plus y dx^dy: W_0 is singular where x = 0."""
@@ -808,14 +823,15 @@ def relative_flow(w0, w1, n):
     return engine, collar_points(w0.patch, zi, n=n)[0]
 
 
+@pytest.mark.parametrize("n_steps", [1, 8])
 @pytest.mark.parametrize("row", [0, -1])
-def test_flow_singular_point(row, capfd):
+def test_flow_singular_point(row, n_steps, capfd):
     # a point where W_0 is singular, first or last in the batch, raises
-    # and prints nothing
+    # in a flow of one step or of many, and prints nothing
     engine, pts = relative_flow(*degenerate_pair(), 200)
     pts[row, 0] = 0.0
     with pytest.raises(GeometryError, match=_DEGENERATE):
-        engine.flow(pts, 8)
+        engine.flow(pts, n_steps)
     assert capfd.readouterr() == ("", "")
 
 
