@@ -99,15 +99,13 @@ def cmd_check(args):
 
 def cmd_invariants(args):
     S = ser.surface_from_dict(ser.load(args.input))
-    r = radko_invariants(S, grid=args.grid, tau_log=args.tol_log)
-    if args.emit_plot:
-        _write_csv(args.emit_plot, ("eps", "volume"), r.diagnostics["series"])
+    r = radko_invariants(S, grid=args.grid)
     return _emit(_surface_grid({
         "n": r.n,
         "periods": [float(p) for p in r.periods],
         "volume": float(r.volume),
-        "log_coefficient": float(r.diagnostics["log_coefficient"]),
-        "config": {"grid": args.grid, "tol_log": args.tol_log},
+        "volume_change": float(r.diagnostics["volume_change"]),
+        "config": {"grid": args.grid},
     }, args.grid))
 
 
@@ -263,7 +261,7 @@ _INTS = "%s(,%s)*" % (_INT, _INT)
 # error says the value must be (a grid needs two samples per axis to bracket
 # anything; a list knob holds integers, and no empty entry)
 KNOBS = {"grid": _at_least(2), "steps": _at_least(1), "points": _at_least(1),
-         "seed": _at_least(0), "tol": _NOT_NEGATIVE, "tol_log": _NOT_NEGATIVE,
+         "seed": _at_least(0), "tol": _NOT_NEGATIVE,
          "tol_residual": _NOT_NEGATIVE, "tol_tangency": _NOT_NEGATIVE,
          "eps": (lambda v: math.isfinite(v) and v > 0, "finite and positive"),
          "surface": _matches("%s,%s" % (_INT, _INT), "two integers G,N"),
@@ -287,8 +285,7 @@ def build_parser():
             ("parse", ["input"], {}, "validate and normalize a document"),
             ("check", ["input"], {"grid": 64},
              "transversality and nondegeneracy of a b-form document"),
-            ("invariants", ["input"],
-             {"tol_log": 1e-4, "grid": 64, "emit_plot": None},
+            ("invariants", ["input"], {"grid": 64},
              "curve count, periods, and regularized volume of a surface"),
             ("classify", ["input", "other"], {"tol": 1e-4, "grid": 64},
              "compare the invariants of two surface structures"),

@@ -20,7 +20,7 @@ only check that raises on a non-finite value.
 regula falsi with a bisection fallback and the Dekker-Brent minimum step
 that solves many sign-change brackets together, and `_opposite_signs`
 finds those brackets.
-`surface2d` (line roots, strip edges, curve vertices) and
+`surface2d` (line roots, curve vertices) and
 `forms.find_z_components` both call them; they live here because
 `surface2d` imports `forms`.
 """

@@ -13,21 +13,20 @@ arrays, and no scipy routine runs here; the modular field's two components
 and the gradient of P are each one two-output tape.  The marching-squares
 value grid is evaluated in the blocks of `symexpr.grid_blocks`, the curve
 vertices' brackets in one call per sweep, every other point set by
-`_evaluate` in calls of at most `_CHUNK` points.  That grid and the
-volume's lines along axis 2 have at most `symexpr.grid_per_axis(grid, 2)`
-points per axis.
-Roots along chart lines, the strip edges of the volume cut-off and the
-refined curve vertices are each solved together by the library's one
-bracketed solver, `evalcore._solve_brackets` (Illinois regula falsi with a
-bisection fallback and the Dekker-Brent minimum step, which stops a
-bracket once its root is pinned); the strip edges of all nine eps-levels of
-the volume share one call.  The volume cuts each line once, at the strip
-edges of every level.  It integrates the strip of the first level by composite
-8-point Gauss-Legendre on panels between the uniform nodes, graded
-geometrically toward every strip edge; each later level adds its thin
-band, with two Gauss-Legendre panels per part between uniform nodes; one
-cutter, `_split_at`, makes both.  A non-finite value where a number is
-needed raises `EvalDomainError` (`_evaluate` calls `evalcore.finite`).
+`_evaluate` in calls of at most `_CHUNK` points.  That grid has at most
+`symexpr.grid_per_axis(grid, 2)` points per axis, and the volume twice as
+many lines along axis 2.
+Roots along chart lines and the refined curve vertices are each solved
+together by the library's one bracketed solver, `evalcore._solve_brackets`
+(Illinois regula falsi with a bisection fallback and the Dekker-Brent
+minimum step, which stops a bracket once its root is pinned).  The volume
+is a principal value line by line: 1/P less its poles at the line's roots
+is integrated by composite 8-point Gauss-Legendre on a uniform mesh cut at
+the roots, and the poles' principal values are added in closed form
+(Davis and Rabinowitz, Methods of Numerical Integration, 2.12).  The
+halfway lines shift their mesh by half a panel, so the change from n to 2n
+lines bounds the error along both axes.  A non-finite value where a number
+is needed raises `EvalDomainError` (`_evaluate` calls `evalcore.finite`).
 """
 
 from __future__ import annotations
@@ -53,6 +52,10 @@ __all__ = [
 
 DELTA_POLE = 1e-3
 TAU_CURVE = 1e-10
+# the most the regularized volume may move from n to 2n lines
+VOLUME_CHANGE_TOL = 1e-4
+# a root of P on a line where |d1 P| <= TANGENCY |grad P| is a tangency
+TANGENCY = 1e-3
 # most points per tape call: bounds the evaluator's stack and the node
 # arrays however fine the grid; 4096 points keep the surfaces benchmark's
 # peak memory 1 MB lower than 16384, at the same speed
@@ -65,6 +68,8 @@ _GL_X = np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
 _GL_W = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
                   0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
                   0.22238103445337443, 0.10122853629037706])
+# panels of the uniform mesh along a line of the regularized volume
+_PANELS = 128
 
 
 def __getattr__(name):
@@ -379,208 +384,144 @@ def _subdivide(S, pts, closed):
 # regularized volume
 
 
-def _strip_edges(gate_abs, mesh, m_line, eps_list):
-    """The strip edges of every level eps on the sorted mesh points of each
-    line, as one (z_i, e_i, edges) per level: z_i the mesh points where
-    |P * cut| - eps is exactly 0, e_i the mesh intervals within a line
-    where it changes sign, and edges the roots solved in those intervals.
-    The brackets of all levels are solved in one call, level after level;
-    each bracket steps on its own values, so every edge has the bits of a
-    solve of its level alone."""
-    mesh_abs = gate_abs(mesh, m_line)
-    same = m_line[1:] == m_line[:-1]
-    levels, ga, gb = [], [], []
-    for eps in eps_list:
-        g = mesh_abs - eps
-        e_i = np.flatnonzero(same & _opposite_signs(g[:-1], g[1:]))
-        levels.append((np.flatnonzero(same & (g[:-1] == 0.0)), e_i))
-        ga.append(g[e_i])
-        gb.append(g[e_i + 1])
-    sizes = [e_i.size for _, e_i in levels]
-    e_all = np.concatenate([e_i for _, e_i in levels])
-    eps_of = np.repeat(eps_list, sizes)
-    edges = _solve_brackets(
-        lambda x, k: gate_abs(x, m_line[e_all[k]]) - eps_of[k],
-        mesh[e_all], mesh[e_all + 1], np.concatenate(ga), np.concatenate(gb),
-        1e-15)
-    return [(z_i, e_i, part) for (z_i, e_i), part in
-            zip(levels, np.split(edges, np.cumsum(sizes)[:-1]))]
+def regularized_volume(S, grid=64):
+    """Principal-value volume of the dual singular area form, and its
+    change from n to 2n lines: (V, |V_2n - V_n|).
 
-
-def _split_at(nodes, s_line, a, b, knots):
-    """The pieces [a, b] on lines s_line cut at the sorted nodes and at the
-    knots of their own row that lie strictly inside them, as (line, lo, hi)
-    of the parts in piece order; knots has one row per piece."""
-    first = np.searchsorted(nodes, a, side="right")
-    count = np.searchsorted(nodes, b, side="left") - first
-    owner = np.repeat(np.arange(a.size), count)
-    inner = nodes[first[owner] + np.arange(owner.size)
-                  - np.repeat(np.cumsum(count) - count, count)]
-    k_owner, k_col = np.nonzero((knots > a[:, None]) & (knots < b[:, None]))
-    o = np.concatenate([np.arange(a.size), owner, k_owner,
-                        np.arange(a.size)])
-    x = np.concatenate([a, inner, knots[k_owner, k_col], b])
-    order = np.lexsort((x, o))
-    o, x = o[order], x[order]
-    part = o[1:] == o[:-1]
-    return s_line[o[:-1][part]], x[:-1][part], x[1:][part]
-
-
-def _volume_series(integrate, pieces, uniform, eps_list, levels):
-    """V(eps) of every level before the orientation sign, from one
-    partition of the lines at the strip edges of every level; no other
-    level's edge falls inside a piece of a level's strip or band.  Level 0
-    integrates its strip, the pieces with |P * cut| > eps_0 at their
-    midpoints, cut at the uniform nodes and at knots graded geometrically
-    toward both ends, where 1/P is steepest.  Each later level adds its
-    band, eps_k < |P * cut| <= eps_(k-1), cut at the uniform nodes, with
-    two equal Gauss-Legendre panels per part.  An empty band adds 0.0."""
-    s_line, a, b, g = pieces(*levels)
-    keep = g > eps_list[0]
-    a0, b0 = a[keep], b[keep]
-    graded = (uniform[-1] - uniform[0]) * np.geomspace(1e-10, 0.5, 36)
-    knots = np.concatenate([a0[:, None] + graded, b0[:, None] - graded],
-                           axis=1)
-    series = [integrate(*_split_at(uniform, s_line[keep], a0, b0, knots))]
-    for k in range(1, len(eps_list)):
-        keep = (g > eps_list[k]) & (g <= eps_list[k - 1])
-        p_line, lo, hi = _split_at(uniform, s_line[keep], a[keep], b[keep],
-                                   np.empty((np.count_nonzero(keep), 0)))
-        mid = 0.5 * (lo + hi)
-        series.append(series[-1] + integrate(
-            np.stack([p_line, p_line], axis=1), np.stack([lo, mid], axis=1),
-            np.stack([mid, hi], axis=1)))
-    return series
-
-
-def regularized_volume(S, grid=64, tau_log=1e-4, cutoff_factor=None):
-    """Principal-value volume of the dual singular area form.
-
-    V(eps) integrates orientation * (1/P) over {|P| > eps} (sign fixed so
-    the asymmetric sphere model is positive); the sequence 1e-2, 1e-2/2,
-    ..., 1e-2/2^8 is fitted against c*log(eps) + V0, and (V0, c, series)
-    returned when |c| < tau_log, series the (eps, V(eps)) pairs.  The lines
-    along axis 2, which is periodic, number at most se.grid_per_axis(grid,
-    2) and carry the uniform rule.  The strip {|P * cutoff_factor| > eps}
-    (|P| > eps without a factor) is cut at edges solved for every level in
-    one call (_strip_edges), and every line is cut at the edges of all
-    levels once.  Level 0 is integrated on panels graded toward every
-    strip edge; each later level adds the thin band eps_k < |P * cut| <=
-    eps_(k-1) with two 8-point Gauss-Legendre panels per part
-    (_volume_series)."""
+    Each line x2 = const carries the principal value of the integral of 1/P
+    along axis 1.  Its roots r_i come from a 257-point scan and one call of
+    the bracket solver, each polished by one Newton step, with P and its
+    derivative d_i along the line from one tape.  The line integrates 1/P
+    less the poles 1/(d_i (x - r_i)) by 8-point Gauss-Legendre on the
+    panels of a uniform mesh of _PANELS panels, cut at the roots, and adds
+    the poles' principal values ln|(hi - r_i)/(lo - r_i)|/d_i.  On a
+    periodic axis 1 of period T the poles are (pi/T) cot(pi (x - r_i)/T)/d_i,
+    whose principal value over a period is 0, and the mesh runs for one
+    period from the first root.  The lines number 2n, n =
+    se.grid_per_axis(grid, 2): the n lines of the uniform rule on the
+    periodic axis 2 and the n halfway between them, whose mesh nodes are
+    shifted by half a panel.  V is the uniform rule over all 2n, times
+    -orientation (so the asymmetric sphere model is positive), and V_n the
+    rule over the n.  Refused with GeometryError: a change above
+    VOLUME_CHANGE_TOL; a zero curve tangent to the lines, that is a root
+    where |d_i| <= TANGENCY |grad P| or lines that cross the zero set
+    different numbers of times; and a root at an end of a non-periodic
+    axis 1, where the principal value diverges."""
     patch = S.patch
-    names = patch.names
+    n1, n2 = names = patch.names
     (lo1, hi1), (lo2, hi2) = patch.intervals
-    grid = se.grid_per_axis(grid, 2)
-    x2s = np.linspace(lo2, hi2, grid, endpoint=False)
-    w2 = (hi2 - lo2) / grid
-
+    per1 = patch.periods[0]
+    n = se.grid_per_axis(grid, 2)
+    w2 = (hi2 - lo2) / n
+    x2 = np.empty(2 * n)
+    x2[0::2] = np.linspace(lo2, hi2, n, endpoint=False)
+    x2[1::2] = x2[0::2] + w2 / 2
+    lines = np.arange(x2.size)
     P = compile_tape(S.P, names)
-    C = None if cutoff_factor is None else compile_tape(cutoff_factor, names)
-    nl = len(x2s)
-    lines = np.arange(nl)
-
-    def gate_abs(x1, line):
-        """|P * cut| at x1 on the given lines (|P| with no cut-off factor);
-        the gate is that minus eps."""
-        x2 = x2s[line]
-        p = _evaluate(P, x1, x2)
-        return np.abs(p if C is None else p * _evaluate(C, x1, x2))
 
     # roots of P along every line: exact zeros of a 257-point scan and one
-    # solved root per sign change
+    # solved root per sign change; on a periodic axis 1 the last scan point
+    # is the first, so a root there is found once
     zs = np.linspace(lo1, hi1, 257)
-    ps = _evaluate(P, zs[None, :], x2s[:, None]).reshape(nl, zs.size)
-    z_line, z_i = np.nonzero(ps == 0.0)
+    step = _CHUNK // zs.size
+    ps = np.concatenate([
+        _evaluate(P, zs[None, :], x2[s:s + step, None]).reshape(-1, zs.size)
+        for s in range(0, x2.size, step)])
+    if per1:
+        ps[:, -1] = ps[:, 0]
+    z_line, z_i = np.nonzero((ps[:, :-1] if per1 else ps) == 0.0)
     b_line, b_i = np.nonzero(_opposite_signs(ps[:, :-1], ps[:, 1:]))
     r_line = np.concatenate([z_line, b_line])
     roots = np.concatenate([zs[z_i], _solve_brackets(
-        lambda x, k: _evaluate(P, x, x2s[b_line[k]]), zs[b_i], zs[b_i + 1],
+        lambda x, k: _evaluate(P, x, x2[b_line[k]]), zs[b_i], zs[b_i + 1],
         ps[b_line, b_i], ps[b_line, b_i + 1], 1e-15)])
-
-    # bracket the strip edges on a mesh concentrated near the roots (the
-    # strips shrink with eps, so a uniform mesh would miss them); the mesh
-    # does not depend on eps, so |P * cut| on it is evaluated once
-    uniform = np.linspace(lo1, hi1, 129)
-    offsets = np.geomspace(1e-8, 0.5, 48)
-    m_line = np.concatenate([np.repeat(lines, uniform.size),
-                             np.repeat(r_line, 2 * offsets.size)])
-    mesh = np.clip(np.concatenate([
-        np.tile(uniform, nl),
-        (roots[:, None] + np.concatenate([offsets, -offsets])).ravel()]),
-        lo1, hi1)
-    order = np.lexsort((mesh, m_line))
-    m_line, mesh = m_line[order], mesh[order]
-    fresh = np.r_[True, (m_line[1:] != m_line[:-1]) | (mesh[1:] != mesh[:-1])]
-    m_line, mesh = m_line[fresh], mesh[fresh]
-
-    def pieces(*cut_levels):
-        """The pieces of every line between lo1, the strip edges of the
-        given levels and hi1, at least 1e-13 wide, as (line, a, b) with
-        |P * cut| at their midpoints."""
-        cuts = [(lines, np.full(nl, lo1))]
-        for z_i, e_i, edges in cut_levels:
-            cuts += [(m_line[z_i], mesh[z_i]), (m_line[e_i], edges)]
-        cuts.append((lines, np.full(nl, hi1)))
-        c_line, c_x = (np.concatenate(v) for v in zip(*cuts))
-        order = np.lexsort((c_x, c_line))
-        c_line, c_x = c_line[order], c_x[order]
-        s_line, a, b = c_line[:-1], c_x[:-1], c_x[1:]
-        keep = np.flatnonzero((c_line[1:] == s_line) & (b - a >= 1e-13))
-        s_line, a, b = s_line[keep], a[keep], b[keep]
-        return s_line, a, b, gate_abs(0.5 * (a + b), s_line)
-
-    def integrate(p_line, lo, hi):
-        """The integral of 1/P over the panels [lo, hi] of lines p_line, by
-        the 8-point Gauss-Legendre rule on every nonempty panel and the
-        uniform rule across the lines, in calls of at most _CHUNK points."""
-        wide = hi > lo
-        p_line = p_line[wide]
-        half, mid = 0.5 * (hi - lo)[wide], 0.5 * (hi + lo)[wide]
-        totals = np.zeros(nl)
-        step = _CHUNK // _GL_X.size
-        for s in range(0, half.size, step):
-            part = slice(s, s + step)
-            nodes = mid[part, None] + half[part, None] * _GL_X
-            inv = np.reciprocal(_evaluate(P, nodes, x2s[p_line[part], None]))
-            totals += np.bincount(p_line[part], minlength=nl,
-                                  weights=half[part] * (
-                                      inv.reshape(nodes.shape) @ _GL_W))
-        return math.fsum(w2 * totals)
-
-    eps_list = [1e-2 / 2 ** k for k in range(9)]
-    levels = _strip_edges(gate_abs, mesh, m_line, eps_list)
-    series = [-S.orientation * v for v in
-              _volume_series(integrate, pieces, uniform, eps_list, levels)]
-    # fit V(eps) = c log(eps) + V0 + a*eps; the linear term soaks up the
-    # strip-asymmetry correction so it does not contaminate c or V0
-    L = np.log(eps_list)
-    A = np.stack([L, np.ones_like(L), np.array(eps_list)], axis=1)
-    (c, v0, _a), *_ = np.linalg.lstsq(A, np.array(series), rcond=None)
-    if abs(c) >= tau_log:
+    counts = np.bincount(r_line, minlength=x2.size)
+    if counts.min() != counts.max():
         raise GeometryError(
-            f"regularized volume does not converge: log coefficient "
-            f"{c:.3e} >= {tau_log:g}")
-    return float(v0), float(c), list(zip(eps_list, series))
+            f"zero curve is tangent to the lines {n2} = const: they cross "
+            f"it {counts.min()} to {counts.max()} times")
+    roots = roots[np.lexsort((roots, r_line))].reshape(x2.size, -1)
+    if not per1 and roots.size and (roots.min() <= lo1 or roots.max() >= hi1):
+        raise GeometryError(f"zero curve meets the end of the chart in {n1}; "
+                            f"the regularized volume diverges")
+    p, d1, d2 = (v.reshape(roots.shape) for v in _evaluate(
+        compile_tape([S.P] + [diff_expr(S.P, v) for v in names], names),
+        roots, x2[:, None]))
+    flat = np.abs(d1) <= TANGENCY * np.hypot(d1, d2)
+    if flat.any():
+        line, i = np.argwhere(flat)[0]
+        raise GeometryError(
+            f"zero curve is tangent to the lines {n2} = const near "
+            f"({n1}, {n2}) = ({roots[line, i]:.6g}, {x2[line]:.6g}): "
+            f"|d{n1} P| <= {TANGENCY:g} |grad P| there")
+    roots -= p / d1
+
+    # the panels of every line: the uniform mesh, its inner nodes shifted by
+    # half a panel on the halfway lines, cut at the roots; a node within a
+    # quarter panel of a root is left out, as a thinner panel next to a root
+    # magnifies the root's round-off
+    width = (hi1 - lo1) / _PANELS
+    start = roots[:, 0] if per1 and roots.size else np.full(x2.size, lo1)
+    mesh = start[:, None] + width * np.clip(
+        np.arange(_PANELS + 2) - (lines[:, None] % 2) / 2, 0, _PANELS)
+    keep = np.ones(mesh.shape, dtype=bool)
+    for r in roots.T:
+        keep &= np.abs(mesh - r[:, None]) >= width / 4
+    keep[:, [0, -1]] = True
+    inner = roots[:, 1:] if per1 else roots
+    c_line = np.concatenate([np.nonzero(keep)[0],
+                             np.repeat(lines, inner.shape[1])])
+    c_x = np.concatenate([mesh[keep], inner.ravel()])
+    order = np.lexsort((c_x, c_line))
+    c_line, c_x = c_line[order], c_x[order]
+    wide = (c_line[1:] == c_line[:-1]) & (c_x[1:] > c_x[:-1])
+    p_line, lo, hi = c_line[:-1][wide], c_x[:-1][wide], c_x[1:][wide]
+
+    line_pv = np.zeros(x2.size)
+    c = math.pi / per1 if per1 else None
+    step = _CHUNK // _GL_X.size
+    for s in range(0, lo.size, step):
+        part = slice(s, s + step)
+        line = p_line[part]
+        half = 0.5 * (hi[part] - lo[part])
+        nodes = 0.5 * (hi[part] + lo[part])[:, None] + half[:, None] * _GL_X
+        f = np.reciprocal(_evaluate(P, nodes, x2[line, None])).reshape(
+            nodes.shape)
+        for r, d in zip(roots[line].T, d1[line].T):
+            t = nodes - r[:, None]
+            f -= (c / np.tan(c * t) if per1 else 1.0 / t) / d[:, None]
+        line_pv += np.bincount(line, weights=half * (f @ _GL_W),
+                               minlength=x2.size)
+    if not per1:
+        line_pv += (np.log((hi1 - roots) / (roots - lo1)) / d1).sum(axis=1)
+    line_pv *= -S.orientation
+    volume = math.fsum(0.5 * w2 * line_pv)
+    change = abs(volume - math.fsum(w2 * line_pv[0::2]))
+    if not change <= VOLUME_CHANGE_TOL:   # nan too
+        raise GeometryError(
+            f"regularized volume does not converge: it moved by {change:.3e} "
+            f"> {VOLUME_CHANGE_TOL:g} from {n} to {2 * n} lines")
+    return volume, change
 
 
 # ---------------------------------------------------------------------------
 # invariants and classification
 
 
-def radko_invariants(S, grid=64, tau_log=1e-4):
+def radko_invariants(S, grid=64):
     """Curve count, sorted modular periods and regularized volume, with the
-    volume fit's log coefficient and (eps, V(eps)) series as diagnostics."""
+    volume's change from n to 2n lines (regularized_volume) as a
+    diagnostic."""
     curves = extract_zero_set(S, grid=grid)
     if not curves:
         raise GeometryError("defining function changes sign nowhere on "
                             "the grid: no transversal zero curve, not a "
                             "b-Poisson structure on this surface")
     periods = sorted(modular_period(S, c) for c in curves)
-    vol, logc, series = regularized_volume(S, grid=grid, tau_log=tau_log)
+    vol, change = regularized_volume(S, grid=grid)
     return RadkoInvariants(
         n=len(curves), periods=tuple(periods), volume=vol,
-        diagnostics={"log_coefficient": logc, "series": series})
+        diagnostics={"volume_change": change})
 
 
 def classify_pair(S1, S2, tol=1e-4, grid=64):

@@ -60,13 +60,27 @@ class TestInvariants:
         assert abs(doc["volume"]) < 1e-6
         assert doc["config"]["grid"] == 64
 
-    def test_emit_plot(self, sphere_doc, tmp_path):
-        csv = tmp_path / "veps.csv"
-        code, _ = run_json("invariants", sphere_doc, "--emit-plot", str(csv))
+    @pytest.mark.parametrize("topology, P", [
+        ("torus", "cos(t1) + cos(t2) - 1/2"),
+        ("sphere", "(h - 1/3)^2 + 1 + cos(theta) - 1/1000"),
+    ])
+    def test_tangent_curve(self, tmp_path, topology, P):
+        # a contractible zero curve is tangent to the chart lines twice: a
+        # JSON error that names the tangency
+        doc = {"schema": "bgeo/1", "kind": "surface", "topology": topology,
+               "P": P}
+        path = tmp_path / "tangent.json"
+        path.write_text(json.dumps(doc))
+        proc = run("invariants", str(path))
+        assert proc.returncode == 1
+        assert "tangent to the lines" in json.loads(proc.stdout)["error"]
+        assert "Traceback" not in proc.stderr
+
+    def test_volume_change_reported(self, sphere_doc):
+        code, doc = run_json("invariants", sphere_doc)
         assert code == 0
-        lines = csv.read_text().splitlines()
-        assert lines[0] == "eps,volume"
-        assert len(lines) == 10  # header + 9 epsilon levels
+        assert 0 <= doc["volume_change"] < 1e-4
+        assert doc["config"] == {"grid": 64}
 
     def test_deterministic_output(self, sphere_doc):
         out1 = run("invariants", sphere_doc).stdout
@@ -947,6 +961,8 @@ class TestExitCodes:
         ("classify", "a.json", "b.json", "--emit-plot", "out.csv"),
         ("moser", "a.json", "b.json", "--grid", "8"),
         ("extend", "doc.json", "--seed", "1"),
+        ("invariants", "doc.json", "--tol-log", "1e-4"),
+        ("invariants", "doc.json", "--emit-plot", "v.csv"),
     ])
     def test_unread_flag_rejected(self, argv):
         proc = run(*argv)
@@ -1052,7 +1068,7 @@ class TestKnobRange:
 
     @pytest.mark.parametrize("value", ["-1", "-1e-300", "nan", "inf"])
     @pytest.mark.parametrize("argv,flag", [
-        (["invariants", "DOC"], "--tol-log"),
+        (["extend", "DOC"], "--eps"),
         (["classify", "DOC", "DOC"], "--tol"),
         (["moser", "DOC", "DOC"], "--tol-residual"),
         (["moser", "DOC", "DOC"], "--tol-tangency"),

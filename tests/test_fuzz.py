@@ -173,8 +173,7 @@ LIST_VALUES = ["1,1", "1,,1", "1", "a,b", "", "1,2", "1,0,1", "1,1;1,1",
 KNOB_RUNS = {
     "parse": (["bform"], {}),
     "check": (["bform"], {"--grid": INT_VALUES}),
-    "invariants": (["surface"], {"--grid": INT_VALUES,
-                                 "--tol-log": FLOAT_VALUES}),
+    "invariants": (["surface"], {"--grid": INT_VALUES}),
     "classify": (["surface", "surface"], {"--grid": INT_VALUES,
                                           "--tol": FLOAT_VALUES}),
     "cohomology": ([], {"--surface": LIST_VALUES, "--betti-m": LIST_VALUES,

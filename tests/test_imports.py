@@ -392,11 +392,7 @@ def unset_parameters(library, callers):
 
 # Optional parameters that no call in the library or the benchmark sets,
 # kept on purpose, keyed by (callee, name), with the reason each stays.
-KEPT_OPTIONAL = {
-    ("regularized_volume", "cutoff_factor"):
-        "the only way to check that the regularized volume does not depend "
-        "on the cut-off (tests/test_surface2d.py)",
-}
+KEPT_OPTIONAL = {}
 
 
 def test_every_optional_parameter_is_set():
