@@ -539,10 +539,16 @@ def _chart_range(expr, patch, axes, view):
     """(min, max) of view(values) over the blocks of values of expr on the
     tensor grid of the coordinate samples `axes`, with every declared
     parameter at 1.0, streamed by se.grid_blocks; None when no view holds a
-    value.  Min and max are exact, whatever the blocks."""
+    value.  Min and max are exact, whatever the blocks.  A coordinate that
+    expr does not read (se.free_symbols) keeps its first sample only: the
+    tape never reads that column, so the set of values is the full grid's,
+    and its first non-finite value in C order is the same one."""
     tape = _chart_tape(expr, patch)
+    read = se.free_symbols(expr)
+    axes = [ax if name in read else ax[:1]
+            for name, ax in zip(patch.names, axes)]
     lo = hi = None
-    for pts in se.grid_blocks(list(axes) + [np.ones(1)] * len(patch.params)):
+    for pts in se.grid_blocks(axes + [np.ones(1)] * len(patch.params)):
         v = view(evaluate_tape(tape, pts))
         if v.size:
             vlo, vhi = float(v.min()), float(v.max())

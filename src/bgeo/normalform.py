@@ -7,10 +7,13 @@ verifier builds the interpolation family omega_t between two forms,
 solves the defining linear system for the time-dependent vector field in
 the singular frame, integrates its time-1 flow with RK4, and measures the
 pullback residual with finite-difference Jacobians at low-discrepancy
-sample points.  The flow takes the steps its tolerance needs: its base
-points are flowed in 1, 2, 4, ... steps up to the cap, until a doubling
-moves none of them by FLOW_FRACTION of the residual tolerance, and the
-residual is then measured on the flow of that many steps (_doubled_steps).
+sample points, contracted by batched matmul (_congruence).  The flow takes
+the steps its tolerance needs: its base points are flowed in 1, 2, 4, ...
+steps up to the cap, until a doubling moves none of them by FLOW_FRACTION
+of the residual tolerance, and the residual is then measured on the flow
+of that many steps (_doubled_steps).  It reads the doubling's last flow of
+the base points, so only their finite-difference neighbours are flowed
+again.
 
 The flow is one fused pass per velocity.  The Moser engine compiles its
 matrix entries, right-hand side and defining function into one
@@ -458,23 +461,26 @@ class _MoserEngine:
             np.add(p, np.multiply(h / 6, slope, out=slope), out=p)
         return p
 
-    def pullback_residual(self, pts, n_steps):
-        """max |D J^T Omega_1(flow(p)) J D - W_0(p)| per point, with D the
-        diagonal singular-frame scaling at p and J the flow Jacobian from
-        central finite differences."""
+    def pullback_residual(self, pts, n_steps, q):
+        """max |D J^T Omega_1(q) J D - W_0(p)| per point p, with q its flow
+        in n_steps steps, D the diagonal singular-frame scaling at p and J
+        the flow Jacobian from central finite differences.  The caller
+        passes q = flow(pts, n_steps), which it has already formed
+        (_doubled_steps); only the 2 * m neighbours of each point are flowed
+        here.  RK4 runs point by point, so q has the bits of the points'
+        rows in a flow of the whole batch."""
         n, m = pts.shape
-        batch = [pts]
+        batch = []
         for j in range(m):
             e = np.zeros(m)
             e[j] = FD_STEP
             batch += [pts + e, pts - e]
-        start = np.empty((n * (1 + 2 * m), m), order="F")
+        start = np.empty((n * 2 * m, m), order="F")
         flowed = self.flow(np.concatenate(batch, out=start), n_steps)
-        q = flowed[:n]
         J = np.empty((n, m, m))
         for j in range(m):
-            plus = flowed[(1 + 2 * j) * n:(2 + 2 * j) * n]
-            minus = flowed[(2 + 2 * j) * n:(3 + 2 * j) * n]
+            plus = flowed[2 * j * n:(1 + 2 * j) * n]
+            minus = flowed[(1 + 2 * j) * n:(2 + 2 * j) * n]
             J[:, :, j] = (plus - minus) / (2 * FD_STEP)
         rows, fq = self.evaluate(q)
         zi = self.zi
@@ -485,9 +491,14 @@ class _MoserEngine:
         rows, fp = self.evaluate(pts)
         A = J.copy()
         A[:, :, zi] *= fp[:, None]
-        R = (np.einsum("nia,nij,njb->nab", A, Omega1, A)
-             - _antisymmetric(rows[0], n, m))
+        R = _congruence(A, Omega1) - _antisymmetric(rows[0], n, m)
         return np.max(np.abs(R), axis=(1, 2))
+
+
+def _congruence(A, Omega):
+    """A^T Omega A for each of the (n, m, m) matrices A and Omega, by
+    batched matmul."""
+    return A.transpose(0, 2, 1) @ Omega @ A
 
 
 def _halton(n, d):
@@ -563,11 +574,13 @@ def _check_flow(n_points, n_steps, dim):
     """Refuse a flow of fewer than one sample point or step, a batch (each
     point with its 2*dim finite-difference neighbours) of more than
     se.GRID_CAP points, or work n_steps * (batch + STEP_OVERHEAD) past
-    FLOW_BUDGET, that of the largest batch at N_STEPS steps.  n_steps is
-    the cap, charged in full whatever count the doubling stops at; the
-    doubling's base flows, at most 2 * n_steps steps of the n_points alone,
-    add at most 2 * n_steps * (n_points + STEP_OVERHEAD) to it
-    (_doubled_steps).  STEP_OVERHEAD is the time of a step at one sample
+    FLOW_BUDGET, that of the largest batch at N_STEPS steps.  The batch
+    counts the points themselves, although the pullback residual flows
+    only their neighbours and reads the points' flow from the doubling.
+    n_steps is the cap, charged in full whatever count the doubling stops
+    at; the doubling's base flows, at most 2 * n_steps steps of the
+    n_points alone, add at most 2 * n_steps * (n_points + STEP_OVERHEAD) to
+    it (_doubled_steps).  STEP_OVERHEAD is the time of a step at one sample
     point over the time per batch point of a step at 40,000, on a 2-D pair:
     1,700 to 2,000 on a 2-core Xeon.  A 4-D pair reads about 1,300, which
     would allow more steps."""
@@ -587,12 +600,14 @@ def _check_flow(n_points, n_steps, dim):
 
 
 def _doubled_steps(engine, pts, cap, tol):
-    """(steps, change): the step count of the flow of the points, by step
-    doubling.  The points alone are flowed in 1, 2, 4, ... steps, the last
-    count cut to cap, until a doubling moves no point by tol or more (one
-    whose move is not finite does not stop it); change is that doubling's
-    largest move (evalcore.finite), or None when cap is 1.  At tol = 0.0
-    every count up to cap is flowed and steps is cap."""
+    """(steps, change, x): the step count of the flow of the points, by
+    step doubling.  The points alone are flowed in 1, 2, 4, ... steps, the
+    last count cut to cap, until a doubling moves no point by tol or more
+    (one whose move is not finite does not stop it); change is that
+    doubling's largest move (evalcore.finite), or None when cap is 1, and
+    x the last flow, engine.flow(pts, steps), which the pullback residual
+    reads.  At tol = 0.0 every count up to cap is flowed and steps is
+    cap."""
     steps, x, change = 1, engine.flow(pts, 1), None
     while steps < cap:
         more = min(2 * steps, cap)
@@ -601,7 +616,7 @@ def _doubled_steps(engine, pts, cap, tol):
         steps, x = more, y
         if change < tol:
             break
-    return steps, None if change is None else float(finite(change))
+    return steps, None if change is None else float(finite(change)), x
 
 
 def _collar_flow(engine, comp, r, n_points, n_steps, tol_residual):
@@ -611,8 +626,10 @@ def _collar_flow(engine, comp, r, n_points, n_steps, tol_residual):
     to Z, and the relative velocity vanishes there), the per-point pullback
     residual of the flow, and the step count and last move of the doubling
     that chose its steps, at most n_steps (_doubled_steps, at FLOW_FRACTION
-    of tol_residual).  A non-finite velocity on Z, residual or last move
-    raises EvalDomainError."""
+    of tol_residual).  The residual reads the doubling's last flow of the
+    points, so each point is flowed that many steps once, and only its
+    finite-difference neighbours again.  A non-finite velocity on Z,
+    residual or last move raises EvalDomainError."""
     zi = engine.zi
     pts = _halton_collar(engine.patch, zi, comp.value - r, comp.value + r,
                          n_points)
@@ -620,10 +637,10 @@ def _collar_flow(engine, comp, r, n_points, n_steps, tol_residual):
     on_Z[:, zi] = comp.value
     worst = max(float(np.max(np.abs(finite(engine.velocity(on_Z, t)))))
                 for t in (0.0, 0.5, 1.0))
-    steps, change = _doubled_steps(engine, pts, n_steps,
-                                   FLOW_FRACTION * tol_residual)
-    return (pts, worst, finite(engine.pullback_residual(pts, steps)), steps,
-            change)
+    steps, change, q = _doubled_steps(engine, pts, n_steps,
+                                      FLOW_FRACTION * tol_residual)
+    return (pts, worst, finite(engine.pullback_residual(pts, steps, q)),
+            steps, change)
 
 
 def _relative_engine(omega0, omega1, rho):

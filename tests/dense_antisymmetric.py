@@ -1,10 +1,15 @@
-"""Reference solver for the tests: ``normalform._solve_antisymmetric`` as
-it was before an absent entry stayed absent.  Every absent entry of W
-enters the closed-form formulas as the scalar 0.0, so each term of the
-Pfaffian and of each adjugate numerator is formed, and the right-hand side
-has no absent column.  On finite data the library's solver must give the
-same values (``np.array_equal``: an exactly-zero component may differ in
-the sign of its zero).
+"""Reference dense formulas for the tests.
+
+``dense_solve_antisymmetric`` is ``normalform._solve_antisymmetric`` as it
+was before an absent entry stayed absent.  Every absent entry of W enters
+the closed-form formulas as the scalar 0.0, so each term of the Pfaffian
+and of each adjugate numerator is formed, and the right-hand side has no
+absent column.  On finite data the library's solver must give the same
+values (``np.array_equal``: an exactly-zero component may differ in the
+sign of its zero).
+
+``einsum_congruence`` is ``normalform._congruence`` as the pullback
+residual formed it before the batched matmul.
 """
 
 import numpy as np
@@ -48,3 +53,10 @@ def dense_solve_antisymmetric(rows, b, n):
     except np.linalg.LinAlgError:
         raise GeometryError(_DEGENERATE) from None
     return u
+
+
+def einsum_congruence(A, Omega):
+    """A^T Omega A for each of the (n, m, m) matrices A and Omega, by one
+    three-operand np.einsum without optimize: each entry is the sum over
+    (i, j), in C order, of the products A[i, a] * Omega[i, j] * A[j, b]."""
+    return np.einsum("nia,nij,njb->nab", A, Omega, A)

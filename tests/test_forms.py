@@ -9,7 +9,7 @@ import pytest
 from bgeo import forms
 from bgeo import symexpr as se
 from bgeo._poly import poly_const, poly_quotient, rat_add, rat_mul
-from bgeo.evalcore import _RTOL
+from bgeo.evalcore import _RTOL, finite
 from bgeo.forms import (
     BForm,
     GeometryError,
@@ -34,6 +34,7 @@ from bgeo.symexpr import (ONE, Num, Patch, ZERO, diff_expr, expr_equiv, mul,
                           parse_expr, sym)
 from duality import _inverse_expr, bform_equiv, bivector_to_bform, dualize
 from expr_oracles import eval_expr
+from full_grid_scan import full_grid_range
 from tree_eval import tree_eval
 
 PLANE = Patch(("x", "y"), ((-2.0, 2.0), (-2.0, 2.0)))
@@ -431,6 +432,92 @@ class TestNondegeneracy:
         verdict, detail = nondegeneracy_check(w, grid=12)
         assert verdict.startswith("nonvanishing")
         assert abs(detail["min_abs"]) == pytest.approx(2.0)
+
+
+# a 4-D patch with a declared parameter; x and u take the sample 0.0 on an
+# odd grid, where 1/x and 1/u have poles
+SCAN4 = Patch(("x", "y", "u", "v"), ((-1.0, 1.0), (-1.0, 2.0), (-1.0, 1.0),
+                                     (0.0, TAU)),
+              periods=(None, None, None, TAU), params=("a",))
+# terms of one coordinate ({v}) or of none; 1/{v} has a pole at the
+# sample 0.0, and log({v} + 1/2) is nan below -1/2
+SCAN_TERMS = ["{c}*{v}", "{v}^2", "sin({c}*{v})", "cos({v})*a", "exp({v}/2)",
+              "{c}/(2 + {v}^2)", "1/{v}", "log({v} + 1/2)", "a*{c}", "{c}"]
+
+
+def scan_case(seed):
+    """A seeded expression over SCAN4 that reads none, some or all of its
+    coordinates, and the axes of the grid to scan it on: the patch grid of
+    one block, or of several (more than symexpr.GRID_BLOCK points)."""
+    rng = np.random.default_rng(seed)
+    k = seed % 5   # how many coordinates the expression reads
+    names = [str(v) for v in rng.permutation(SCAN4.names)[:k]]
+    terms = []
+    for name in names:
+        for _ in range(int(rng.integers(1, 3))):
+            text = str(rng.choice(SCAN_TERMS))
+            terms.append(text.format(v=name,
+                                     c=int(rng.integers(-3, 4)) / 2 or 1))
+    if not terms or rng.random() < 0.5:
+        terms.append(str(rng.choice(["a", "2 - a/4", "1/(a + 1)"])))
+    grid = (5, 9, 17, 21)[seed % 4]
+    return parse_expr(" + ".join(terms), SCAN4), SCAN4.axis_grid(grid)
+
+
+def outcome(scan, expr, axes, view):
+    """(min, max) of a scan of expr on SCAN4, or the text of the
+    EvalDomainError it raised."""
+    try:
+        return repr(scan(expr, SCAN4, axes, view))
+    except se.EvalDomainError as exc:
+        return "EvalDomainError: %s" % exc
+
+
+class TestChartScan:
+    """forms._chart_range samples a coordinate that the expression does
+    not read once, and gives what the full-grid scan gives."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_against_full_grid(self, seed):
+        expr, axes = scan_case(seed)
+        views = [finite]
+        if np.prod([len(ax) for ax in axes]) <= se.GRID_BLOCK:
+            # on one block only: a nan in a later block leaves the fold of
+            # the block minima and maxima where it was
+            views.append(lambda v: v)
+        for view in views:
+            assert (outcome(forms._chart_range, expr, axes, view)
+                    == outcome(full_grid_range, expr, axes, view)), str(expr)
+
+    def test_cases_read_none_some_and_all(self):
+        read = {len(se.free_symbols(scan_case(seed)[0]) - {"a"})
+                for seed in range(40)}
+        assert read == {0, 1, 2, 3, 4}
+
+    def test_non_finite_cases(self):
+        # the cases hit a pole (inf) and a log of a negative (nan)
+        texts = [outcome(forms._chart_range, *scan_case(seed), finite)
+                 for seed in range(40)]
+        raised = [t for t in texts if t.startswith("EvalDomainError")]
+        assert any("nan" in t for t in raised)
+        assert any("inf" in t for t in raised)
+
+    def test_unread_axes_sampled_once(self, monkeypatch):
+        # the top coefficient of the symbolic workload's check reads y
+        # alone: 37 points at grid 64, where the full grid has 37^4
+        counts = []
+        real = forms.evaluate_tape
+
+        def counted(tape, pts):
+            counts.append(len(pts))
+            return real(tape, pts)
+
+        monkeypatch.setattr(forms, "evaluate_tape", counted)
+        patch = Patch(("x", "y", "u", "v"), ((-1.0, 1.0),) * 4)
+        vmin, n = forms._grid_min_abs(parse_expr("2 - 4/5*y^2", patch),
+                                      patch, 64)
+        assert (n, sum(counts)) == (37, 37)
+        assert vmin == 2 - 4 / 5
 
 
 class TestBuildsOnlyWhatItReads:
