@@ -18,10 +18,10 @@ only check that raises on a non-finite value.
 
 `_solve_brackets` is the library's only root finder: a batched Illinois
 regula falsi with a bisection fallback and the Dekker-Brent minimum step
-that solves many sign-change brackets together, and `_opposite_signs`
-finds those brackets.
-`surface2d` (line roots, curve vertices) and
-`forms.find_z_components` both call them; they live here because
+that solves many brackets together, and `_opposite_signs` finds the
+sign-change ones.  `_line_roots`, the one scan for roots along sampled
+lines, serves `forms.find_z_components` and `surface2d.regularized_volume`;
+`surface2d._refine_curve` calls the solver itself.  They live here because
 `surface2d` imports `forms`.
 """
 
@@ -116,24 +116,26 @@ def _opposite_signs(a, b):
 
 def _solve_brackets(f, a, b, fa, fb, xtol):
     """Roots of f in the brackets [a, b], a < b, whose end values fa and fb
-    have opposite signs, all solved together.  f(x, k) gives the values at
-    the points x of the brackets numbered k.  Each step is Illinois regula
-    falsi (an end kept twice in a row has its weight halved), or bisection
-    when the falsi point is not inside or two steps have not halved the
-    bracket.  With tol = (xtol + _RTOL * max(|a|, |b|)) / 2, a bracket
-    stops on an exact zero or once narrower than 2 tol, at its end of
-    smaller |f|; one on which f turns non-finite gives nan.  A point
-    within tol of an end moves tol inward, never past the midpoint (the
-    minimum step of Dekker and Brent): once the falsi points pin a root
-    from one side, the next point lands past it and the bracket stops,
-    where the far end would otherwise move in only by the bisection every
-    third step."""
+    have opposite signs, all solved together; one whose fa or fb is 0 gives
+    that end (a if both are) and f is not evaluated on it.  f(x, k) gives
+    the values at the points x of the brackets numbered k.  Each step is
+    Illinois regula falsi (an end kept twice in a row has its weight
+    halved), or bisection when the falsi point is not inside or two steps
+    have not halved the bracket.  With tol = (xtol + _RTOL * max(|a|,
+    |b|)) / 2, a bracket stops on an exact zero or once narrower than 2
+    tol, at its end of smaller |f|; one on which f turns non-finite gives
+    nan.  A point within tol of an end moves tol inward, never past the
+    midpoint (the minimum step of Dekker and Brent): once the falsi points
+    pin a root from one side, the next point lands past it and the bracket
+    stops, where the far end would otherwise move in only by the bisection
+    every third step."""
     a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
     root = np.where(np.abs(fa) <= np.abs(fb), a, b)
-    k = np.arange(a.size)
-    ma, mb = np.ones(a.size), np.ones(a.size)
-    kept = np.zeros(a.size, dtype=int)   # end kept last step: -1 a, 1 b
-    w1, w2 = np.full(a.size, np.inf), np.full(a.size, np.inf)
+    k = np.flatnonzero((fa != 0) & (fb != 0))   # a zero end is the root
+    a, b, fa, fb = a[k], b[k], fa[k], fb[k]
+    ma, mb = np.ones(k.size), np.ones(k.size)
+    kept = np.zeros(k.size, dtype=int)   # end kept last step: -1 a, 1 b
+    w1, w2 = np.full(k.size, np.inf), np.full(k.size, np.inf)
     for _ in range(_MAX_STEPS):
         w = b - a
         tol = 0.5 * (xtol + _RTOL * np.maximum(abs(a), abs(b)))
@@ -165,3 +167,25 @@ def _solve_brackets(f, a, b, fa, fb, xtol):
             v[live] for v in (k, a, b, fa, fb, ma, mb, kept, w, w1))
     root[k] = np.where(np.abs(fa) <= np.abs(fb), a, b)
     return root
+
+
+def _line_roots(f, zs, vals, periodic, xtol):
+    """The roots along lines sampled at the points zs, which include the
+    interval's end; vals holds one row of values per line, and f(x, k)
+    gives line k at the points x.  Returns (lines, roots): first every
+    sample where a line is exactly 0, then one root per sign change between
+    neighbouring samples, all solved in one _solve_brackets call.  On a
+    periodic axis the end sample takes the first sample's value, so a zero
+    there counts once and the wrap interval is decided and solved on it."""
+    if periodic:
+        vals = np.concatenate([vals[:, :-1], vals[:, :1]], axis=1)
+    # flat indices, as np.nonzero of a 2-D mask takes about twice as long
+    zero = (vals[:, :-1] if periodic else vals) == 0.0
+    z_line, z_i = np.divmod(np.flatnonzero(zero), zero.shape[1])
+    b_line, b_i = np.divmod(np.flatnonzero(
+        _opposite_signs(vals[:, :-1], vals[:, 1:])), zs.size - 1)
+    roots = _solve_brackets(lambda x, k: f(x, b_line[k]), zs[b_i],
+                            zs[b_i + 1], vals[b_line, b_i],
+                            vals[b_line, b_i + 1], xtol)
+    return (np.concatenate([z_line, b_line]),
+            np.concatenate([zs[z_i], roots]))

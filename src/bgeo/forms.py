@@ -21,8 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import symexpr as se
-from .evalcore import (_opposite_signs, _solve_brackets, compile_tape,
-                       evaluate_tape, finite)
+from .evalcore import _line_roots, compile_tape, evaluate_tape, finite
 from .symexpr import (
     ZERO,
     Expr,
@@ -347,9 +346,9 @@ def _near_rational(r):
 
 
 def find_z_components(bform):
-    """Locate the roots of f along the distinguished coordinate, scanned at
-    2048 samples.  Requires the z-partial of f to be bounded away from zero
-    at each root."""
+    """Locate the roots of f along the distinguished coordinate by a scan
+    at 2048 samples (evalcore._line_roots).  Requires the z-partial of f
+    to be bounded away from zero at each root."""
     patch = bform.patch
     zname = bform.zname
     zi = patch.index(zname)
@@ -369,27 +368,14 @@ def find_z_components(bform):
         return finite(evaluate_tape(ftape, probe(z)))
 
     ftape = _chart_tape(bform.f, patch)
-    zs = np.linspace(a, b, 2048, endpoint=period is None)
-    vals = f_at(zs)
-    # a scan interval holds a root at its left end when f is zero there,
-    # otherwise one inside when f changes sign across it
-    zero = vals[:-1] == 0.0
-    cross = _opposite_signs(vals[:-1], vals[1:])
-    lo, hi = zs[:-1][cross], zs[1:][cross]
-    flo, fhi = vals[:-1][cross], vals[1:][cross]
-    wrap = period is not None and _opposite_signs(vals[-1], vals[0])
-    if wrap:
-        lo, hi = np.append(lo, zs[-1]), np.append(hi, b)
-        flo, fhi = np.append(flo, vals[-1]), np.append(fhi, f_at([b]))
+    # on a periodic axis the scan ends on b, where f takes its value at a
+    zs = np.linspace(a, b, 2048 + (period is not None))
+    vals = f_at(zs[:2048])
+    line = vals if period is None else np.append(vals, vals[0])
     # xtol as scipy's brentq default
-    solved = _solve_brackets(lambda z, k: f_at(z), lo, hi, flo, fhi, 2e-12)
-    inner = np.where(zero, zs[:-1], np.nan)
-    inner[cross] = solved[:np.count_nonzero(cross)]
-    roots = [float(r) for r in inner[zero | cross]]
-    if vals[-1] == 0.0:
-        roots.append(float(zs[-1]))
-    elif wrap:
-        roots.append(float(solved[-1]))
+    _, roots = _line_roots(lambda z, k: f_at(z), zs, line[None],
+                           period is not None, 2e-12)
+    roots = [float(r) for r in roots]
     if period is not None:
         # fold into the fundamental interval so duplicates collapse
         roots = [a + (r - a) % period for r in roots]
@@ -535,25 +521,23 @@ def _with_params(patch, pts):
     return x
 
 
-def _chart_range(expr, patch, axes, view):
-    """(min, max) of view(values) over the blocks of values of expr on the
-    tensor grid of the coordinate samples `axes`, with every declared
-    parameter at 1.0, streamed by se.grid_blocks; None when no view holds a
-    value.  Min and max are exact, whatever the blocks.  A coordinate that
-    expr does not read (se.free_symbols) keeps its first sample only: the
-    tape never reads that column, so the set of values is the full grid's,
-    and its first non-finite value in C order is the same one."""
+def _chart_range(expr, patch, axes):
+    """(min, max) of the values of expr on the tensor grid of the coordinate
+    samples `axes`, with every declared parameter at 1.0, streamed by
+    se.grid_blocks through evalcore.finite: the first non-finite value in C
+    order raises EvalDomainError.  Min and max are exact, whatever the
+    blocks.  A coordinate that expr does not read (se.free_symbols) keeps
+    its first sample only: the tape never reads that column, so the set of
+    values is the full grid's, and its first non-finite value the same."""
     tape = _chart_tape(expr, patch)
     read = se.free_symbols(expr)
     axes = [ax if name in read else ax[:1]
             for name, ax in zip(patch.names, axes)]
-    lo = hi = None
+    lo, hi = np.inf, -np.inf
     for pts in se.grid_blocks(axes + [np.ones(1)] * len(patch.params)):
-        v = view(evaluate_tape(tape, pts))
-        if v.size:
-            vlo, vhi = float(v.min()), float(v.max())
-            lo, hi = (vlo, vhi) if lo is None else (min(lo, vlo), max(hi, vhi))
-    return None if lo is None else (lo, hi)
+        v = finite(evaluate_tape(tape, pts))
+        lo, hi = min(lo, float(v.min())), max(hi, float(v.max()))
+    return lo, hi
 
 
 def _abs_range(expr, patch, axes):
@@ -565,7 +549,7 @@ def _abs_range(expr, patch, axes):
     values.  Values of both signs give a minimum of 0.0: on the connected
     patch a continuous coefficient then vanishes between two grid points,
     or it has a pole there."""
-    lo, hi = _chart_range(expr, patch, axes, finite)
+    lo, hi = _chart_range(expr, patch, axes)
     small, large = sorted((abs(lo), abs(hi)))
     return (0.0 if lo < 0.0 < hi else small), large
 

@@ -153,8 +153,7 @@ def darboux2d(omega: BForm, grid=64) -> CoordinateChange:
                             "(min |g| = %.3g)" % gmin)
 
     t = _primitive(g, yname, se.ZERO)
-    tmin, tmax = _chart_range(t, patch, patch.axis_grid(n, margin=1e-6),
-                              finite)
+    tmin, tmax = _chart_range(t, patch, patch.axis_grid(n, margin=1e-6))
     pad = 1e-9 + 1e-9 * (tmax - tmin)
     zi = patch.index(zname)
     target = Patch((zname, "t"), (patch.intervals[zi], (tmin - pad, tmax + pad)),
@@ -698,8 +697,8 @@ def moser_relative_verify(omega0: BForm, omega1: BForm, n_points=N_SAMPLE,
         r, halvings = _shrink_collar(omega0, omega1, comp)
         halvings_used = max(halvings_used, halvings)
         radius_used = min(radius_used, r)
-        cval, h = _factor_at(omega0.f, zname, comp.value)
-        if h is None:
+        cval = _factor_at(omega0.f, zname, comp.value)
+        if cval is None:
             raise GeometryError("cannot factor the defining function at the "
                                 "component; mu = rho/f not certified smooth")
         rho = _collar_primitive(delta_s, zname, cval)
@@ -717,13 +716,12 @@ def moser_relative_verify(omega0: BForm, omega1: BForm, n_points=N_SAMPLE,
 
 
 def _factor_at(f, zname, c):
-    """(level, h) with f = (z - level) * h at a component found at c: level
-    is the nearby exact rational, as a Fraction, when f divides exactly
-    there, otherwise c itself; h is None when f does not divide by
-    z - level.  Each candidate level is divided once."""
-    cand = _near_rational(c)
-    if cand is not None:
-        h = divide_exact(f, se.sub(se.sym(zname), Num(cand)))
-        if h is not None:
-            return cand, h
-    return c, divide_exact(f, se.sub(se.sym(zname), se._coerce(c)))
+    """The level at which f = (z - level) * h for a component found at c:
+    the nearby exact rational, as a Fraction, when f divides exactly there,
+    otherwise c itself; None when f does not divide by z - c either.  Each
+    candidate level is divided once."""
+    for level in (_near_rational(c), c):
+        if level is not None and divide_exact(
+                f, se.sub(se.sym(zname), se._coerce(level))) is not None:
+            return level
+    return None

@@ -16,13 +16,14 @@ vertices' brackets in one call per sweep, every other point set by
 `_evaluate` in calls of at most `_CHUNK` points.  That grid has at most
 `symexpr.grid_per_axis(grid, 2)` points per axis, and the volume twice as
 many lines along axis 2.
-Roots along chart lines and the refined curve vertices are each solved
-together by the library's one bracketed solver, `evalcore._solve_brackets`
-(Illinois regula falsi with a bisection fallback and the Dekker-Brent
-minimum step, which stops a bracket once its root is pinned).  The volume
-is a principal value line by line: 1/P less its poles at the line's roots
-is integrated by composite 8-point Gauss-Legendre on a uniform mesh cut at
-the roots, and the poles' principal values are added in closed form
+Roots along chart lines (the one line scan, `evalcore._line_roots`) and
+the refined curve vertices are each solved together by the library's one
+bracketed solver, `evalcore._solve_brackets` (Illinois regula falsi with
+a bisection fallback and the Dekker-Brent minimum step, which stops a
+bracket once its root is pinned).  The volume is a principal value line
+by line: 1/P less its poles at the line's roots is integrated by
+composite 8-point Gauss-Legendre on a uniform mesh cut at the roots, and
+the poles' principal values are added in closed form
 (Davis and Rabinowitz, Methods of Numerical Integration, 2.12).  The
 halfway lines shift their mesh by half a panel, so the change from n to 2n
 lines bounds the error along both axes.  A non-finite value where a number
@@ -37,8 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import symexpr as se
-from .evalcore import (_opposite_signs, _solve_brackets, compile_tape,
-                       evaluate_tape, finite)
+from .evalcore import (_line_roots, _opposite_signs, _solve_brackets,
+                       compile_tape, evaluate_tape, finite)
 from .forms import GeometryError
 from .symexpr import Patch, diff_expr, mul, parse_expr
 
@@ -273,10 +274,11 @@ def _check_pole_margin(S, pts):
 
 def _refine_curve(S, pts):
     """Move every vertex onto {P = 0} along its axis of strongest variation.
-    Each bracket v0 -+ h grows from h = 1e-2 by doubling while it has no
-    sign change and h < 0.3; then all are solved together.  A vertex whose
-    bracket values are not finite, or whose bracket never changes sign,
-    stays where it is; a non-finite gradient raises EvalDomainError."""
+    Each bracket v0 -+ h grows from h = 1e-2 by doubling while its ends
+    have one sign and h < 0.3; then all are solved together, one that ends
+    on a zero at that end (_solve_brackets).  A vertex whose bracket values
+    are not finite, or whose bracket never changes sign, stays where it
+    is; a non-finite gradient raises EvalDomainError."""
     names = S.patch.names
     out = np.array(pts, dtype=float)
     g1, g2 = _evaluate(compile_tape([diff_expr(S.P, n) for n in names],
@@ -304,10 +306,8 @@ def _refine_curve(S, pts):
         fb[grow] = along(v0[grow] + h[grow], k[grow])
     ok = real & ~same
     k, v0, h, fa, fb = k[ok], v0[ok], h[ok], fa[ok], fb[ok]
-    root = np.where(fa == 0, v0 - h, v0 + h)
-    o = np.flatnonzero((fa != 0) & (fb != 0))
-    root[o] = _solve_brackets(lambda v, j: along(v, k[o[j]]), v0[o] - h[o],
-                              v0[o] + h[o], fa[o], fb[o], TAU_CURVE)
+    root = _solve_brackets(lambda v, j: along(v, k[j]), v0 - h, v0 + h, fa,
+                           fb, TAU_CURVE)
     solved = np.isfinite(root)
     out[k[solved], axis[k[solved]]] = root[solved]
     return out
@@ -389,8 +389,8 @@ def regularized_volume(S, grid=64):
     change from n to 2n lines: (V, |V_2n - V_n|).
 
     Each line x2 = const carries the principal value of the integral of 1/P
-    along axis 1.  Its roots r_i come from a 257-point scan and one call of
-    the bracket solver, each polished by one Newton step, with P and its
+    along axis 1.  Its roots r_i come from a 257-point scan of all lines
+    (evalcore._line_roots), each polished by one Newton step, with P and its
     derivative d_i along the line from one tape.  The line integrates 1/P
     less the poles 1/(d_i (x - r_i)) by 8-point Gauss-Legendre on the
     panels of a uniform mesh of _PANELS panels, cut at the roots, and adds
@@ -419,22 +419,14 @@ def regularized_volume(S, grid=64):
     lines = np.arange(x2.size)
     P = compile_tape(S.P, names)
 
-    # roots of P along every line: exact zeros of a 257-point scan and one
-    # solved root per sign change; on a periodic axis 1 the last scan point
-    # is the first, so a root there is found once
+    # roots of P along every line, from a 257-point scan
     zs = np.linspace(lo1, hi1, 257)
     step = _CHUNK // zs.size
     ps = np.concatenate([
         _evaluate(P, zs[None, :], x2[s:s + step, None]).reshape(-1, zs.size)
         for s in range(0, x2.size, step)])
-    if per1:
-        ps[:, -1] = ps[:, 0]
-    z_line, z_i = np.nonzero((ps[:, :-1] if per1 else ps) == 0.0)
-    b_line, b_i = np.nonzero(_opposite_signs(ps[:, :-1], ps[:, 1:]))
-    r_line = np.concatenate([z_line, b_line])
-    roots = np.concatenate([zs[z_i], _solve_brackets(
-        lambda x, k: _evaluate(P, x, x2[b_line[k]]), zs[b_i], zs[b_i + 1],
-        ps[b_line, b_i], ps[b_line, b_i + 1], 1e-15)])
+    r_line, roots = _line_roots(lambda x, k: _evaluate(P, x, x2[k]), zs, ps,
+                                per1 is not None, 1e-15)
     counts = np.bincount(r_line, minlength=x2.size)
     if counts.min() != counts.max():
         raise GeometryError(

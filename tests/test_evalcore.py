@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from bgeo import evalcore
-from bgeo.evalcore import _RTOL, _solve_brackets, compile_tape, evaluate_tape
+from bgeo.evalcore import (_RTOL, _line_roots, _solve_brackets, compile_tape,
+                           evaluate_tape)
 from bgeo.surface2d import TAU_CURVE
 from bgeo.symexpr import (Add, EvalDomainError, ExprError, Mul, Num, Patch,
                           Sym, parse_expr)
 from expr_oracles import eval_expr
 from illinois_brackets import illinois_brackets
+from line_scans import find_z_scan, volume_scan
 from tree_eval import tree_eval
 from unfolded_tape import compile_unfolded, evaluate_unfolded
 
@@ -285,3 +287,130 @@ class TestSolveBrackets:
         assert n_got <= 8 < n_want
         assert within(got, 0.0, TAU_CURVE).all()
         assert within(want, 0.0, TAU_CURVE).all()
+
+    def test_zero_ends(self):
+        # a bracket that ends on a zero gives that end, a when both are, and
+        # f is never evaluated on it; the sign change [0, 1] is solved
+        seen = []
+
+        def f(x, k):
+            seen.extend(k.tolist())
+            return x - 0.3
+
+        a = np.array([0.3, -1.0, -0.5, 0.0])
+        b = np.array([1.0, 0.3, 0.5, 1.0])
+        fa = np.array([0.0, -1.3, 0.0, -0.3])
+        fb = np.array([0.7, 0.0, 0.0, 0.7])
+        got = _solve_brackets(f, a, b, fa, fb, 1e-12)
+        assert got[:3].tolist() == [0.3, 0.3, -0.5]
+        assert within(got[3:], 0.3, 1e-12).all()
+        assert seen and set(seen) == {3}
+
+    def test_only_zero_ends_evaluate_nothing(self):
+        def f(x, k):
+            raise AssertionError("evaluated")
+
+        got = _solve_brackets(f, [0.0, 1.0, 2.0], [1.0, 2.0, 3.0],
+                              [0.0, 5.0, 0.0], [-1.0, 0.0, 0.0], 1e-12)
+        assert got.tolist() == [0.0, 2.0, 2.0]
+
+
+TAU = 2 * np.pi
+
+
+def seeded_lines(seed, zs, periodic, count=40):
+    """f(x, k) for `count` seeded lines sampled at zs, one kind per line in
+    turn: generic sign changes; an exact zero at the first, a middle or the
+    last sample before the end (at the end, on a non-periodic axis); a root
+    in the last interval, which on a periodic axis is the wrap interval; a
+    nan hole around a root halfway between samples; and no root.  On a
+    periodic axis the lines have period TAU."""
+    rng = np.random.default_rng(seed)
+    kind = np.arange(count) % 5
+    m = rng.integers(1, 4, count).astype(float)
+    r = rng.uniform(zs[0], zs[-1], (count, 3))
+    j = rng.choice([0, int(rng.integers(1, zs.size - 1)),
+                    zs.size - 2 if periodic else zs.size - 1], count)
+    r[kind == 1, 0] = zs[j[kind == 1]]
+    r[kind == 2, 0] = rng.uniform(zs[-2], zs[-1], np.count_nonzero(kind == 2))
+    i = rng.integers(0, zs.size - 1, count)
+    r[kind == 3, 0] = 0.5 * (zs[i] + zs[i + 1])[kind == 3]
+    c = rng.uniform(0.5, 1.5, count)
+
+    def f(x, k):
+        x = np.asarray(x, dtype=float)
+        r0, r1, r2 = r[k, 0], r[k, 1], r[k, 2]
+        if periodic:
+            vals = [np.sin(m[k] * (x - r0)), np.sin(m[k] * (x - r0)),
+                    np.sin(x - r0), np.sin(x - r0), c[k] + np.sin(x - r1) / 2]
+        else:
+            vals = [(x - r0) * (x - r1) * (x - r2), (x - r0) * (1.0 + x * x),
+                    np.exp(x) - np.exp(r0), x - r0, 1.0 + x * x]
+        return np.where((kind[k] == 3) & (np.abs(x - r0) < 1e-4), np.nan,
+                        np.choose(kind[k], vals))
+
+    return f
+
+
+LINE_AXES = [("periodic", 0.0, TAU, TAU), ("interval", -1.0, 1.5, None)]
+
+
+class TestLineRoots:
+    """evalcore._line_roots against the two scans it replaced
+    (tests/line_scans.py), on seeded lines."""
+
+    @pytest.mark.parametrize("axis", LINE_AXES, ids=[a[0] for a in LINE_AXES])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_volume_scan(self, seed, axis):
+        _, lo, hi, period = axis
+        zs = np.linspace(lo, hi, 257)
+        f = seeded_lines(seed, zs, period is not None)
+        lines = np.arange(40)
+        ps = f(zs[None, :], lines[:, None])
+        got = _line_roots(f, zs, ps, period is not None, 1e-15)
+        want = volume_scan(f, zs, ps, period is not None, 1e-15)
+        assert got[0].tolist() == want[0].tolist()
+        assert got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("axis", LINE_AXES, ids=[a[0] for a in LINE_AXES])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_find_z_scan(self, seed, axis):
+        # as find_z_components calls it: one line, 2048 samples and, on a
+        # periodic axis, the end; the old wrap bracket ended on f(b), this
+        # one on f(a), so a root in the last interval agrees within xtol
+        _, lo, hi, period = axis
+        periodic = period is not None
+        zs = np.linspace(lo, hi, 2048 + periodic)
+        f = seeded_lines(seed, zs, periodic)
+        for k in range(40):
+            want = np.sort(find_z_scan(lambda z: f(z, k), lo, hi, period))
+            lines, got = _line_roots(lambda x, _: f(x, k), zs,
+                                     f(zs, k)[None], periodic, 2e-12)
+            got = np.sort(got)
+            assert lines.tolist() == [0] * want.size
+            wrap = (want >= zs[-2]) if periodic else np.zeros(want.size, bool)
+            assert got[~wrap].tobytes() == want[~wrap].tobytes()
+            assert within(got[wrap], want[wrap], 2e-12).all()
+
+    @pytest.mark.parametrize("axis", LINE_AXES, ids=[a[0] for a in LINE_AXES])
+    def test_cases_cover_the_rules(self, axis):
+        # exact zeros at the first, a middle and (on an interval) the last
+        # sample, a root in the wrap interval, a nan root and a line with
+        # no root, each at least once over the seeds
+        _, lo, hi, period = axis
+        periodic = period is not None
+        zs = np.linspace(lo, hi, 257)
+        seen = set()
+        for seed in range(4):
+            f = seeded_lines(seed, zs, periodic)
+            ps = f(zs[None, :], np.arange(40)[:, None])
+            lines, roots = _line_roots(f, zs, ps, periodic, 1e-15)
+            zero = np.isin(zs, roots)
+            seen.update(name for name, hit in [
+                ("first", zero[0]), ("middle", zero[1:-1].any()),
+                ("last", zero[-1]), ("wrap", (roots > zs[-2]).any()),
+                ("nan", np.isnan(roots).any()),
+                ("none", np.bincount(lines, minlength=40).min() == 0)] if hit)
+        want = {"first", "middle", "nan", "none"}
+        want |= {"wrap"} if periodic else {"last"}
+        assert want <= seen

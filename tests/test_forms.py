@@ -9,7 +9,7 @@ import pytest
 from bgeo import forms
 from bgeo import symexpr as se
 from bgeo._poly import poly_const, poly_quotient, rat_add, rat_mul
-from bgeo.evalcore import _RTOL, finite
+from bgeo.evalcore import _RTOL
 from bgeo.forms import (
     BForm,
     GeometryError,
@@ -464,11 +464,11 @@ def scan_case(seed):
     return parse_expr(" + ".join(terms), SCAN4), SCAN4.axis_grid(grid)
 
 
-def outcome(scan, expr, axes, view):
+def outcome(scan, expr, axes):
     """(min, max) of a scan of expr on SCAN4, or the text of the
     EvalDomainError it raised."""
     try:
-        return repr(scan(expr, SCAN4, axes, view))
+        return repr(scan(expr, SCAN4, axes))
     except se.EvalDomainError as exc:
         return "EvalDomainError: %s" % exc
 
@@ -480,14 +480,8 @@ class TestChartScan:
     @pytest.mark.parametrize("seed", range(40))
     def test_against_full_grid(self, seed):
         expr, axes = scan_case(seed)
-        views = [finite]
-        if np.prod([len(ax) for ax in axes]) <= se.GRID_BLOCK:
-            # on one block only: a nan in a later block leaves the fold of
-            # the block minima and maxima where it was
-            views.append(lambda v: v)
-        for view in views:
-            assert (outcome(forms._chart_range, expr, axes, view)
-                    == outcome(full_grid_range, expr, axes, view)), str(expr)
+        assert (outcome(forms._chart_range, expr, axes)
+                == outcome(full_grid_range, expr, axes)), str(expr)
 
     def test_cases_read_none_some_and_all(self):
         read = {len(se.free_symbols(scan_case(seed)[0]) - {"a"})
@@ -496,7 +490,7 @@ class TestChartScan:
 
     def test_non_finite_cases(self):
         # the cases hit a pole (inf) and a log of a negative (nan)
-        texts = [outcome(forms._chart_range, *scan_case(seed), finite)
+        texts = [outcome(forms._chart_range, *scan_case(seed))
                  for seed in range(40)]
         raised = [t for t in texts if t.startswith("EvalDomainError")]
         assert any("nan" in t for t in raised)

@@ -110,6 +110,23 @@ def test_one_chart_scan():
             assert uses == expected.get(path.name, []), (name, path)
 
 
+def test_one_line_scan():
+    """Roots along a line come from evalcore._line_roots, which one line
+    each of forms.find_z_components and surface2d.regularized_volume call;
+    outside evalcore, only surface2d._refine_curve names the bracket solver
+    or its sign test."""
+    for name, expected in [
+            ("_line_roots", {"forms.py": ["find_z_components"],
+                             "surface2d.py": ["regularized_volume"]}),
+            ("_solve_brackets", {"__init__.py": ["_line_roots"],
+                                 "surface2d.py": ["_refine_curve"]}),
+            ("_opposite_signs", {"__init__.py": ["_line_roots"],
+                                 "surface2d.py": ["_refine_curve"]})]:
+        for path in MODULES:
+            uses = name_uses(ast.parse(path.read_text()), name)
+            assert uses == expected.get(path.name, []), (name, path)
+
+
 def non_finite_messages(tree):
     """The innermost enclosing function ("" at module level) of each
     string, plain or part of an f-string, that holds "non-finite value";

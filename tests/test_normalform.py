@@ -546,7 +546,7 @@ def dense_relative_velocity(w0, w1, rho):
 def relative_primitive(w0, w1):
     """rho as moser_relative_verify builds it for the first component."""
     comp = find_z_components(w0)[0]
-    cval, _ = _factor_at(w0.f, w0.zname, comp.value)
+    cval = _factor_at(w0.f, w0.zname, comp.value)
     return _collar_primitive(smooth_equivalent(w0 - w1), w0.zname, cval)
 
 
@@ -615,7 +615,7 @@ class TestPrimitive:
 
     def check_collar(self, w0, w1, seed):
         comp = find_z_components(w0)[0]
-        cval, _ = _factor_at(w0.f, w0.zname, comp.value)
+        cval = _factor_at(w0.f, w0.zname, comp.value)
         delta = smooth_equivalent(w0 - w1)
         rho = _collar_primitive(delta, w0.zname, cval)
         ray = ray_collar_primitive(delta, w0.zname, cval)
